@@ -31,7 +31,7 @@ from .laplacian import (HermitianSpectrum, assemble, spectrum, log_det_prime,
                         discrete_zeta)
 from .forests import (CRSF, count_spanning_trees, enumerate_crsfs,
                       crsf_weighted_sum, noncontractible_expectation)
-from .meshspectra import (CATALAN, Constants, FourierProfile, catalan_constant,
+from .meshspectra import (CATALAN, FourierProfile, catalan_constant,
                           mesh_eigenvalue, mesh_eigenvector,
                           mesh_eigenvector_norm_sq, mesh_eigenvalue_grid,
                           rectangle_mesh_spectrum, torus_mesh_spectrum,

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import BadCuts, NonUnitaryGauge, NotAClosedWalk
 from .surfaces import standard_cuts
+from .torsion import FLAT_SECTION_TOL
 
 UNITARY_TOL = 1e-12
 FLATNESS_TOL = 1e-10
@@ -168,7 +169,7 @@ def flat_check(conn, tol=FLATNESS_TOL):
     return worst <= tol, worst
 
 
-def flat_sections_dim(rep, tol=1e-10):
+def flat_sections_dim(rep, tol=FLAT_SECTION_TOL):
     """Dimension of the joint fixed subspace of the generators."""
     if not rep.generators:
         return rep.rank

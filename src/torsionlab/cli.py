@@ -24,25 +24,10 @@ def main(argv=None):
     run_p.add_argument("--config", required=True, help="path to the experiment JSON")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--seed", type=int, default=0, help="seed for random bundles")
-    run_p.add_argument("--threads", type=int, default=0,
-                       help="BLAS thread cap (default: TORSIONLAB_THREADS or library default)")
     run_p.add_argument("--plot", action="store_true", help="also write plot.svg")
     self_p = sub.add_parser("selftest", help="run the fast invariant battery")
     self_p.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-
-    # TORSIONLAB_THREADS is honored by the package import; the flag is applied
-    # best-effort here since BLAS pools may already be bound
-    threads = getattr(args, "threads", 0) or int(os.environ.get("TORSIONLAB_THREADS", "0") or 0)
-    if threads > 0:
-        os.environ["TORSIONLAB_THREADS"] = str(threads)
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(threads))
-        try:
-            from threadpoolctl import threadpool_limits
-            threadpool_limits(limits=threads)
-        except Exception:
-            pass
 
     if args.command == "selftest":
         return selftest(seed=args.seed)
@@ -69,7 +54,7 @@ def _write_atomic(path, text):
 def _csv(rows, header):
     out = [",".join(header)]
     for row in rows:
-        out.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+        out.append(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
     return "\n".join(out) + "\n"
 
 
@@ -218,10 +203,7 @@ def _run_crsf_verify(cfg, rng):
     else:
         ok = abs(total - det) <= 1e-9 * max(1.0, det)
         line = f"sum={total!r} det={det!r} det_ok={str(ok).lower()}"
-    try:
-        census = crsf_census_csv(mesh, conn)
-    except Exception:
-        census = "crsf_id,n_components,cycle_classes,weight\n"
+    census = crsf_census_csv(mesh, conn)
     return {
         "files": {"crsf.csv": census, "report.txt": line + "\n"},
         "meta": {"sum": total, "det": det, "identity_ok": bool(ok)},
@@ -247,18 +229,24 @@ def _run_szego(cfg, rng):
     }
 
 
+def _separable_from(cfg):
+    """The untwisted separable surface of cfg["surface"]; other kinds raise HypothesisViolation."""
+    from .torsion import SeparableSurface
+    spec = cfg["surface"]
+    return SeparableSurface(spec["kind"], spec.get("a", 1), spec.get("b", 1))
+
+
 def _run_heat_trace(cfg, rng):
     from .torsion import heat_trace, heat_trace_expansion
-    spec = cfg["surface"]
-    kind, a, b = spec["kind"], spec["a"], spec["b"]
+    s = _separable_from(cfg)
     rows = []
     for t in cfg.get("t_list", [0.02, 0.05, 0.1, 0.2]):
-        tr = heat_trace(kind, a, b, t)
-        ex = heat_trace_expansion(kind, a, b, t)
+        tr = heat_trace(s.kind, s.a, s.b, t)
+        ex = heat_trace_expansion(s.kind, s.a, s.b, t)
         rows.append((t, tr, ex, abs(tr - ex)))
     return {
         "files": {"heat.csv": _csv(rows, ["t", "theta_series", "expansion", "abs_resid"])},
-        "meta": {"surface": spec},
+        "meta": {"surface": cfg["surface"]},
     }
 
 
@@ -279,30 +267,21 @@ def _run_zeta0(cfg, rng):
 
 
 def _run_torsion(cfg, rng):
-    from .torsion import torus_torsion, rectangle_torsion, cylinder_torsion
-    spec = cfg["surface"]
-    kind, a, b = spec["kind"], spec["a"], spec["b"]
-    fn = {"torus": torus_torsion, "rectangle": rectangle_torsion,
-          "cylinder": cylinder_torsion}.get(kind)
-    if fn is None:
-        from .errors import HypothesisViolation
-        raise HypothesisViolation(f"no closed-form torsion for {kind!r}")
-    v = fn(a, b)
+    s = _separable_from(cfg)
+    v = s.torsion()
     return {
-        "files": {"torsion.csv": _csv([(kind, a, b, v)], ["kind", "a", "b", "log_det_prime"])},
+        "files": {"torsion.csv": _csv([(s.kind, s.a, s.b, v)],
+                                      ["kind", "a", "b", "log_det_prime"])},
         "meta": {"log_det_prime": v},
     }
 
 
 def _run_weyl_check(cfg, rng):
     from .experiments import uniform_weyl_check
-    from .meshspectra import (rectangle_mesh_spectrum, torus_mesh_spectrum,
-                              cylinder_mesh_spectrum)
-    spec = cfg["surface"]
-    kind, a, b = spec["kind"], spec["a"], spec["b"]
-    mk = {"rectangle": rectangle_mesh_spectrum, "torus": torus_mesh_spectrum,
-          "cylinder": cylinder_mesh_spectrum}[kind]
-    spectra = [mk(a, b, n).rescaled(n) for n in sorted(cfg["n_list"])]
+    from .meshspectra import separable_mesh_spectrum
+    s = _separable_from(cfg)
+    spectra = [separable_mesh_spectrum(s.kind, s.a, s.b, n).rescaled(n)
+               for n in sorted(cfg["n_list"])]
     cmin, table = uniform_weyl_check(spectra)
     return {
         "files": {"weyl.csv": _csv(table, ["n", "argmin_i", "min_ratio"])},

@@ -59,19 +59,10 @@ class VertexClass:
         return len(self.corners)
 
     @property
-    def angle_over_half_pi(self):
-        return len(self.corners)
-
-    @property
     def angle(self):
         import math
 
         return len(self.corners) * math.pi / 2.0
-
-    @property
-    def angle_frac(self):
-        """Angle as a Fraction in units of pi."""
-        return Fraction(len(self.corners), 2)
 
 
 class SquareComplex:

@@ -21,7 +21,7 @@ from .laplacian import assemble, log_det_prime, spectrum
 from .meshes import discretize
 from .meshspectra import CATALAN, LOG_SQRT2M1, closed_form_log_det
 from .surfaces import geometry_summary
-from .torsion import rectangle_torsion, torus_torsion, cylinder_torsion, zeta_zero
+from .torsion import SeparableSurface, zeta_zero
 
 DENSE_BUDGET = 6000
 CLOSED_FORM_MIN_N = 24
@@ -63,14 +63,13 @@ class FlatSetup:
     rank: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("rectangle", "torus", "cylinder"):
-            raise HypothesisViolation(f"no closed form for {self.kind!r}")
-        if self.kind == "rectangle" and (self.alpha or self.beta):
-            raise HypothesisViolation("rectangle setups carry the trivial bundle")
-        if self.kind == "cylinder" and self.beta:
-            raise HypothesisViolation("cylinder twist acts on the circumference only")
+        self.separable    # raises for a kind outside the factor table or a twist on a free side
         if self.rank != 1:
             raise HypothesisViolation("closed forms implemented at rank 1")
+
+    @property
+    def separable(self):
+        return SeparableSurface(self.kind, self.a, self.b, self.alpha, self.beta)
 
     @property
     def area(self):
@@ -78,48 +77,39 @@ class FlatSetup:
 
     @property
     def perimeter(self):
-        if self.kind == "rectangle":
-            return 2 * (self.a + self.b)
-        if self.kind == "cylinder":
-            return 2 * self.a
-        return 0
+        return self.separable.perimeter
 
     @property
     def dim_h0(self):
-        if self.kind == "rectangle":
-            return 1
-        triv_a = abs(math.sin(self.alpha / 2)) < 1e-15
-        triv_b = abs(math.sin(self.beta / 2)) < 1e-15
-        return 1 if (triv_a and triv_b) else 0
+        return self.separable.dim_h0
 
     @property
     def zeta0(self):
-        if self.kind == "rectangle":
-            return -0.75
-        return -float(self.dim_h0)
+        return float(self.separable.zeta0)
 
     def corner_count(self):
-        return 4 if self.kind == "rectangle" else 0
+        return self.separable.corners
 
     def log_det(self, n):
         return closed_form_log_det(self.kind, self.a, self.b, n,
                                    alpha=self.alpha, beta=self.beta)
 
     def target(self):
-        """Known limit of the renormalized series, or None."""
-        if self.kind == "rectangle":
-            # four right corners each contribute -log(2)/16
-            return rectangle_torsion(self.a, self.b) - math.log(2) / 4
-        if self.alpha or self.beta:
+        """Known limit of the renormalized series, or None for a twisted bundle.
+
+        Each right corner contributes -log(2)/16.
+        """
+        s = self.separable
+        if not s.dim_h0:
             return None
-        if self.kind == "torus":
-            return torus_torsion(self.a, self.b)
-        return cylinder_torsion(self.a, self.b)
+        return s.torsion() - s.corners * math.log(2) / 16
 
     def label(self):
         tw = ""
         if self.alpha or self.beta:
-            tw = f",alpha={self.alpha:.6g}" + (f",beta={self.beta:.6g}" if self.kind == "torus" else "")
+            tw = f",alpha={self.alpha:.6g}"
+            if self.separable.factors[1].periodic:
+                tw += f",beta={self.beta:.6g}"
         return f"{self.kind}({self.a},{self.b}{tw})"
 
 

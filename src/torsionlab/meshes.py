@@ -85,9 +85,6 @@ class MeshGraph:
             out.add(self.vindex[c])
         return out
 
-    def is_loop(self, e):
-        return e.u == e.v
-
     # -- singular-point neighbor sets ---------------------------------------
 
     def cone_neighbor_sets(self):

@@ -1,7 +1,12 @@
-"""Closed-form spectra of rectangle and torus meshes, and Szego-type traces.
+"""Closed-form spectra of separable meshes, and Szego-type traces.
 
-The an x bn rectangle mesh has product-cosine eigenvectors indexed by
-(i, j); its rescaled eigenvalues are 4n^2 sin^2(pi i / 2an) +
+The rectangle, torus and cylinder meshes are products of a cycle or a path
+on each side, so their spectra are the sums of the 1-D factor spectra of
+torsion.SEPARABLE_KINDS: 4 sin^2((2 pi j + theta) / 2m) for a cycle twisted
+by theta, 4 sin^2(pi j / 2m) for a path.  The kernel dimension is the
+factors' flat-section count, decided from the holonomy, not from the
+eigenvalues.  The an x bn rectangle mesh has product-cosine eigenvectors
+indexed by (i, j); its rescaled eigenvalues are 4n^2 sin^2(pi i / 2an) +
 4n^2 sin^2(pi j / 2bn), with the (0,0) entry replaced by 1 to stand for the
 projector-shifted kernel.  Multiplication by low cosine modes is almost
 diagonal in this basis, which reduces tr(phi log(n^2 Delta)) to short
@@ -18,10 +23,10 @@ import numpy as np
 
 from .errors import IndexOutOfRange, SupportTooWide
 from .laplacian import HermitianSpectrum
+from .torsion import SeparableSurface
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 LOG_SQRT2M1 = math.log(SQRT2M1)
-LOG_1PSQRT2 = math.log(1.0 + math.sqrt(2.0))
 
 
 def catalan_constant(terms=48):
@@ -45,15 +50,6 @@ def catalan_constant(terms=48):
 CATALAN = catalan_constant()
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Frequently used constants of the determinant expansions."""
-
-    catalan: float = CATALAN
-    log_1p_sqrt2: float = LOG_1PSQRT2
-    log_sqrt2_m1: float = LOG_SQRT2M1
-
-
 # -- closed-form spectra ------------------------------------------------------
 
 
@@ -69,11 +65,9 @@ def mesh_eigenvalue(a, b, n, i, j):
 
 def mesh_eigenvalue_grid(a, b, n):
     """All rescaled eigenvalues as an (an, bn) array; the (0,0) slot holds 1."""
-    i = np.arange(a * n)
-    j = np.arange(b * n)
-    si = 4 * n * n * np.sin(np.pi * i / (2 * a * n)) ** 2
-    sj = 4 * n * n * np.sin(np.pi * j / (2 * b * n)) ** 2
-    lam = si[:, None] + sj[None, :]
+    fa, fb = SeparableSurface("rectangle", a, b).factors
+    # rescale each side before the sum: one rounding of 4 n^2 sin^2 per side
+    lam = (n * n) * fa.mesh_eigenvalues(n)[:, None] + (n * n) * fb.mesh_eigenvalues(n)[None, :]
     lam[0, 0] = 1.0
     return lam
 
@@ -101,69 +95,40 @@ def mesh_eigenvector_norm_sq(a, b, n, i, j):
     return a * b * n * n * 2.0 ** (di + dj - 2)
 
 
+def separable_mesh_spectrum(kind, a, b, n, alpha=0.0, beta=0.0):
+    """Sorted unrescaled spectrum of a separable mesh, phases alpha, beta on the seams."""
+    surface = SeparableSurface(kind, a, b, alpha, beta)
+    return HermitianSpectrum(surface.mesh_grid(n).ravel(), kernel_dim=surface.dim_h0,
+                             meta={"surface": f"{kind}({a},{b})", "n": n, "rank": 1,
+                                   "alpha": alpha, "beta": beta})
+
+
 def rectangle_mesh_spectrum(a, b, n):
     """Sorted unrescaled spectrum of the a x b rectangle mesh, as HermitianSpectrum."""
-    lam = mesh_eigenvalue_grid(a, b, n) / (n * n)
-    lam[0, 0] = 0.0
-    return HermitianSpectrum(np.sort(lam.ravel()), kernel_dim=1,
-                             meta={"surface": f"rectangle({a},{b})", "n": n, "rank": 1})
+    return separable_mesh_spectrum("rectangle", a, b, n)
 
 
 def torus_mesh_spectrum(a, b, n, alpha=0.0, beta=0.0):
     """Twisted torus mesh spectrum (unrescaled), phases alpha, beta on the seams."""
-    i = np.arange(a * n)
-    j = np.arange(b * n)
-    si = 4 * np.sin((2 * np.pi * i + alpha) / (2 * a * n)) ** 2
-    sj = 4 * np.sin((2 * np.pi * j + beta) / (2 * b * n)) ** 2
-    lam = np.sort((si[:, None] + sj[None, :]).ravel())
-    kdim = int(np.sum(lam < 1e-12))
-    return HermitianSpectrum(lam, kernel_dim=kdim,
-                             meta={"surface": f"torus({a},{b})", "n": n, "rank": 1,
-                                   "alpha": alpha, "beta": beta})
+    return separable_mesh_spectrum("torus", a, b, n, alpha, beta)
 
 
 def cylinder_mesh_spectrum(a, b, n, alpha=0.0):
     """Twisted cylinder mesh spectrum: periodic circumference a, free height b."""
-    m = np.arange(a * n)
-    k = np.arange(b * n)
-    sm = 4 * np.sin((2 * np.pi * m + alpha) / (2 * a * n)) ** 2
-    sk = 4 * np.sin(np.pi * k / (2 * b * n)) ** 2
-    lam = np.sort((sm[:, None] + sk[None, :]).ravel())
-    kdim = int(np.sum(lam < 1e-12))
-    return HermitianSpectrum(lam, kernel_dim=kdim,
-                             meta={"surface": f"cylinder({a},{b})", "n": n, "rank": 1,
-                                   "alpha": alpha})
+    return separable_mesh_spectrum("cylinder", a, b, n, alpha)
 
 
 def closed_form_log_det(kind, a, b, n, alpha=0.0, beta=0.0):
     """log det' of the unrescaled mesh Laplacian via the closed-form spectra.
 
     The log-eigenvalues are sorted before summation, so setups with equal
-    spectra (e.g. swapped torus phases) produce bit-identical values.
+    spectra (e.g. swapped torus phases) produce bit-identical values.  The
+    grid is the only (an, bn) buffer: log and sort work in place.
     """
-    if kind == "rectangle":
-        i = np.arange(a * n)
-        j = np.arange(b * n)
-        si = 4 * np.sin(np.pi * i / (2 * a * n)) ** 2
-        sj = 4 * np.sin(np.pi * j / (2 * b * n)) ** 2
-        skip00 = True
-    elif kind == "torus":
-        i = np.arange(a * n)
-        j = np.arange(b * n)
-        si = 4 * np.sin((2 * np.pi * i + alpha) / (2 * a * n)) ** 2
-        sj = 4 * np.sin((2 * np.pi * j + beta) / (2 * b * n)) ** 2
-        skip00 = (abs(math.sin(alpha / 2)) < 1e-15 and abs(math.sin(beta / 2)) < 1e-15)
-    elif kind == "cylinder":
-        i = np.arange(a * n)
-        j = np.arange(b * n)
-        si = 4 * np.sin((2 * np.pi * i + alpha) / (2 * a * n)) ** 2
-        sj = 4 * np.sin(np.pi * j / (2 * b * n)) ** 2
-        skip00 = abs(math.sin(alpha / 2)) < 1e-15
-    else:
-        raise ValueError(f"no closed form for kind {kind!r}")
-    lam = (si[:, None] + sj[None, :]).ravel()
-    if skip00:
-        lam[0] = 1.0
+    surface = SeparableSurface(kind, a, b, alpha, beta)
+    lam = surface.mesh_grid(n).ravel()
+    if surface.dim_h0:
+        lam[0] = 1.0     # the zero mode sits at slot (0, 0); log 1 drops it
     logs = np.log(lam, out=lam)
     logs.sort()
     return float(np.sum(logs))

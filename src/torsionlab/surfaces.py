@@ -29,9 +29,6 @@ class GeometrySummary:
     right_angle_count: int
     nonright_angle_multiset: list
 
-    def cone_angles_over_pi(self):
-        return sorted(round(a / math.pi * 2) / 2 for a in self.cone_angles)
-
     def corner_angles_over_half_pi(self):
         return sorted(round(a / (math.pi / 2)) for a in self.corner_angles)
 
@@ -159,19 +156,6 @@ def cylinder(a, b):
     cells, pairings = _grid_pairings(a, b, wrap_x=True)
     return SquareTiledSurface(SquareComplex(cells, pairings), name=f"cylinder({a},{b})",
                               kind="cylinder", params={"a": a, "b": b})
-
-
-# quadrant positions around a corner, counterclockwise starting from NE;
-# each entry: (block origin in the plane, (side toward the next quadrant,
-# side toward the previous quadrant)) where sides are those adjacent to the
-# central vertex
-_QUADRANT_CCW_NEXT = {  # position -> (this block's sides on the shared ray with next position)
-    0: "W",  # NE block: its W column faces NW block's E column
-    1: "S",  # NW block: its S row faces SW block's N row
-    2: "E",  # SW block
-    3: "N",  # SE block
-}
-_QUADRANT_CCW_PREV = {0: "S", 1: "E", 2: "N", 3: "W"}
 
 
 def angle_model(k):

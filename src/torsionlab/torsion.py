@@ -1,22 +1,136 @@
 """Continuum reference quantities: explicit spectra, heat traces, zeta values,
 Dedekind eta, and closed-form zeta-regularized determinants.
 
-The explicitly solvable surfaces are the a x b rectangle (free boundary
-conditions), torus, and cylinder (periodic circumference a, free boundary on
-the two height-b circles).
+The explicitly solvable surfaces are products of two 1-D factors.  A factor
+is periodic (a circle, with a U(1) twist phase) or free (a segment with free
+ends).  SEPARABLE_KINDS is the one table of them: the a x b rectangle is
+free x free, the torus periodic x periodic, and the cylinder periodic
+circumference a x free height b.  Mesh and continuum spectra, theta series,
+perimeter, corner count, dim H^0 and zeta(0) all follow from the factors.
+A factor's kernel is decided once, from its holonomy: a phase whose
+holonomy exp(i phase) is within FLAT_SECTION_TOL of 1 (every phase = 0 mod
+2 pi) is trivial and is replaced by 0.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import EtaDomainError
+from .errors import EtaDomainError, HypothesisViolation
 
 _SERIES_TERMS = 64
+
+# |g - 1| below this makes a U(1) generator g trivial; bundles.flat_sections_dim
+# applies the same bound to the singular values of the stacked g - I
+FLAT_SECTION_TOL = 1e-10
+
+# kind -> (side a periodic?, side b periodic?)
+SEPARABLE_KINDS = {"rectangle": (False, False), "torus": (True, True),
+                   "cylinder": (True, False)}
+
+
+@dataclass(frozen=True)
+class Factor:
+    """One 1-D factor: a circle twisted by ``phase`` or a free segment."""
+
+    periodic: bool
+    length: float
+    phase: float = 0.0
+
+    def __post_init__(self):
+        if not self.periodic and self.phase:
+            raise HypothesisViolation(
+                f"the free side of length {self.length} carries no twist (phase {self.phase!r})")
+        if abs(cmath.exp(1j * self.phase) - 1.0) < FLAT_SECTION_TOL:
+            object.__setattr__(self, "phase", 0.0)
+
+    @property
+    def flat_sections(self):
+        """1 when the factor carries a flat section (free, or trivial holonomy), else 0."""
+        return int(self.phase == 0.0)
+
+    def mesh_eigenvalues(self, n):
+        """Unsorted spectrum of the twisted cycle or the path on length * n vertices."""
+        m = self.length * n
+        j = np.arange(m)
+        if self.periodic:
+            return 4 * np.sin((2 * np.pi * j + self.phase) / (2 * m)) ** 2
+        return 4 * np.sin(np.pi * j / (2 * m)) ** 2
+
+    def continuum_eigenvalues(self, cutoff):
+        """Untwisted Laplace eigenvalues <= cutoff with multiplicity, unsorted."""
+        step = (2 if self.periodic else 1) * math.pi / self.length
+        kmax = math.isqrt(int(cutoff / step ** 2)) + 1
+        ks = range(-kmax if self.periodic else 0, kmax + 1)
+        return [lam for lam in ((step * k) ** 2 for k in ks) if lam <= cutoff]
+
+    def theta(self, t):
+        """Untwisted heat trace of the factor."""
+        return (_theta_periodic if self.periodic else _theta_free)(self.length, t)
+
+
+@dataclass(frozen=True)
+class SeparableSurface:
+    """A surface in SEPARABLE_KINDS with its two factors, side a then side b.
+
+    Raises HypothesisViolation for a kind outside the table and for a twist
+    on a free side.
+    """
+
+    kind: str
+    a: float
+    b: float
+    alpha: float = 0.0
+    beta: float = 0.0
+    factors: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        periodic = SEPARABLE_KINDS.get(self.kind)
+        if periodic is None:
+            raise HypothesisViolation(f"no closed form for kind {self.kind!r}")
+        object.__setattr__(self, "factors", (Factor(periodic[0], self.a, self.alpha),
+                                             Factor(periodic[1], self.b, self.beta)))
+
+    @property
+    def area(self):
+        return self.a * self.b
+
+    @property
+    def perimeter(self):
+        """Each free factor has two ends, each a copy of the other side."""
+        fa, fb = self.factors
+        return sum(2 * other.length for f, other in ((fa, fb), (fb, fa)) if not f.periodic)
+
+    @property
+    def corners(self):
+        return 0 if any(f.periodic for f in self.factors) else 4
+
+    @property
+    def heat_constant(self):
+        """Constant term of the small-time heat trace: a right corner gives 1/16."""
+        return Fraction(self.corners, 16)
+
+    @property
+    def dim_h0(self):
+        return self.factors[0].flat_sections * self.factors[1].flat_sections
+
+    @property
+    def zeta0(self):
+        return self.heat_constant - self.dim_h0
+
+    def mesh_grid(self, n):
+        """Unrescaled mesh eigenvalues as one (an, bn) array; a zero mode sits at (0, 0)."""
+        fa, fb = self.factors
+        return fa.mesh_eigenvalues(n)[:, None] + fb.mesh_eigenvalues(n)[None, :]
+
+    def torsion(self):
+        """Closed-form log det' of the untwisted continuum surface."""
+        return TORSIONS[self.kind](self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -51,34 +165,10 @@ def continuum_spectrum(kind, a, b, cutoff):
     """All Laplace eigenvalues <= cutoff with multiplicity, sorted."""
     if cutoff <= 0:
         return []
-    out = []
-    if kind == "rectangle":
-        mmax = int(math.isqrt(int(cutoff * a * a / math.pi ** 2))) + 1
-        kmax = int(math.isqrt(int(cutoff * b * b / math.pi ** 2))) + 1
-        for m in range(mmax + 1):
-            for k in range(kmax + 1):
-                lam = math.pi ** 2 * (m * m / a ** 2 + k * k / b ** 2)
-                if lam <= cutoff:
-                    out.append(lam)
-    elif kind == "torus":
-        mmax = int(math.isqrt(int(cutoff * a * a / (4 * math.pi ** 2)))) + 1
-        kmax = int(math.isqrt(int(cutoff * b * b / (4 * math.pi ** 2)))) + 1
-        for m in range(-mmax, mmax + 1):
-            for k in range(-kmax, kmax + 1):
-                lam = 4 * math.pi ** 2 * (m * m / a ** 2 + k * k / b ** 2)
-                if lam <= cutoff:
-                    out.append(lam)
-    elif kind == "cylinder":
-        mmax = int(math.isqrt(int(cutoff * a * a / (4 * math.pi ** 2)))) + 1
-        kmax = int(math.isqrt(int(cutoff * b * b / math.pi ** 2))) + 1
-        for m in range(-mmax, mmax + 1):
-            for k in range(kmax + 1):
-                lam = 4 * math.pi ** 2 * m * m / a ** 2 + math.pi ** 2 * k * k / b ** 2
-                if lam <= cutoff:
-                    out.append(lam)
-    else:
-        raise ValueError(f"no explicit spectrum for kind {kind!r}")
-    return sorted(out)
+    fa, fb = SeparableSurface(kind, a, b).factors
+    lb = fb.continuum_eigenvalues(cutoff)
+    return sorted(x + y for x in fa.continuum_eigenvalues(cutoff) for y in lb
+                  if x + y <= cutoff)
 
 
 def _theta_free(a, t):
@@ -107,30 +197,15 @@ def heat_trace(kind, a, b, t):
     """Tr exp(-t Delta) by rapidly convergent theta series."""
     if t <= 0:
         raise ValueError("t must be positive")
-    if kind == "rectangle":
-        return _theta_free(a, t) * _theta_free(b, t)
-    if kind == "torus":
-        return _theta_periodic(a, t) * _theta_periodic(b, t)
-    if kind == "cylinder":
-        return _theta_periodic(a, t) * _theta_free(b, t)
-    raise ValueError(f"no heat trace for kind {kind!r}")
+    fa, fb = SeparableSurface(kind, a, b).factors
+    return fa.theta(t) * fb.theta(t)
 
 
 def heat_trace_expansion(kind, a, b, t, rank=1):
     """Small-time expansion A/(4 pi t) + |dA|/(8 sqrt(pi t)) + angle constants."""
-    area = a * b
-    if kind == "rectangle":
-        perim = 2 * (a + b)
-        const = 4 * Fraction(1, 16)
-    elif kind == "torus":
-        perim = 0
-        const = Fraction(0)
-    elif kind == "cylinder":
-        perim = 2 * a
-        const = Fraction(0)
-    else:
-        raise ValueError(f"no expansion for kind {kind!r}")
-    return rank * (area / (4 * math.pi * t) + perim / (8 * math.sqrt(math.pi * t)) + float(const))
+    s = SeparableSurface(kind, a, b)
+    return rank * (s.area / (4 * math.pi * t) + s.perimeter / (8 * math.sqrt(math.pi * t))
+                   + float(s.heat_constant))
 
 
 def corner_zeta_term(quadrants):
@@ -162,15 +237,9 @@ def zeta_zero(summary, rank=1, dim_h0=1):
 def zeta_zero_from_heat_trace(kind, a, b, dim_h0=1, t=1e-3):
     """Numeric cross-check of zeta(0): the constant term of the heat trace
     (the Mellin-split regular part at s=0) minus the kernel dimension."""
-    tr = heat_trace(kind, a, b, t)
-    area = a * b
-    if kind == "rectangle":
-        perim = 2 * (a + b)
-    elif kind == "torus":
-        perim = 0
-    else:
-        perim = 2 * a
-    const = tr - area / (4 * math.pi * t) - perim / (8 * math.sqrt(math.pi * t))
+    s = SeparableSurface(kind, a, b)
+    const = (heat_trace(kind, a, b, t) - s.area / (4 * math.pi * t)
+             - s.perimeter / (8 * math.sqrt(math.pi * t)))
     return const - dim_h0
 
 
@@ -217,6 +286,10 @@ def cylinder_torsion(a, b):
     if a <= 0 or b <= 0:
         raise ValueError("dimensions must be positive")
     return 0.5 * torus_torsion(a, 2 * b) + math.log(a)
+
+
+TORSIONS = {"torus": torus_torsion, "rectangle": rectangle_torsion,
+            "cylinder": cylinder_torsion}
 
 
 def rescale_torsion(logdet, zeta0, c):

@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from torsionlab import cli
 
 
@@ -68,12 +70,28 @@ def test_budget_refusal_exits_3(tmp_path):
 
 
 def test_szego_and_determinism(tmp_path):
-    cfg = {"experiment": "szego", "profile": {"a": 2, "b": 2, "coeffs": [[1, 0, 1.0]]},
+    # the mixed mode (1, 1) makes the trace a numpy scalar
+    cfg = {"experiment": "szego",
+           "profile": {"a": 2, "b": 2, "coeffs": [[1, 0, 1.0], [1, 1, 0.5]]},
            "n_list": [16, 32]}
     code1, out1 = _run(tmp_path, cfg, name="s1.json")
     code2, out2 = _run(tmp_path, cfg, name="s2.json")
     assert code1 == code2 == 0
-    assert (out1 / "szego.csv").read_text() == (out2 / "szego.csv").read_text()
+    text = (out1 / "szego.csv").read_text()
+    assert text == (out2 / "szego.csv").read_text()
+    # plain CSV: numpy scalars are written as Python floats
+    for row in text.strip().split("\n")[1:]:
+        assert all(math.isfinite(float(field)) for field in row.split(","))
+
+
+@pytest.mark.parametrize("experiment", ["heat-trace", "torsion", "weyl-check",
+                                        "renorm-series"])
+def test_non_separable_kind_exits_2(tmp_path, experiment):
+    cfg = {"experiment": experiment, "surface": {"kind": "lshape"}, "n_list": [4]}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["error"]["code"] == "HypothesisViolation"
 
 
 def test_seeded_embedding_determinism(tmp_path):

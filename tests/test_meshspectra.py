@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torsionlab import bundles, laplacian, meshes, meshspectra as ms, surfaces
 from torsionlab.errors import IndexOutOfRange, SupportTooWide
+from torsionlab.experiments import FlatSetup
 
 
 def test_catalan_constant():
@@ -238,3 +240,27 @@ def _ab(spec):
     inside = name[name.index("(") + 1:name.index(")")]
     a, b = inside.split(",")
     return int(a), int(b)
+
+
+# phases with trivial holonomy (0, +-2 pi, 4 pi), a half turn and a tiny twist
+_PHASES = st.one_of(st.sampled_from([0.0, 2 * math.pi, -2 * math.pi, 4 * math.pi,
+                                     math.pi, 1e-7]),
+                    st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["rectangle", "torus", "cylinder"]),
+       a=st.integers(1, 3), b=st.integers(1, 3), n=st.integers(1, 4),
+       alpha=_PHASES, beta=_PHASES)
+def test_factor_table_matches_dense_and_holonomy(kind, a, b, n, alpha, beta):
+    surface = surfaces.build_surface({"kind": kind, "a": a, "b": b})
+    # one phase per standard cut: none on the rectangle, alpha on the cylinder
+    phases = [alpha, beta][:len(surfaces.standard_cuts(surface))]
+    rep = bundles.HolonomyRepresentation(1, [np.array([[np.exp(1j * p)]]) for p in phases])
+    conn = bundles.connection_from_holonomy(meshes.discretize(surface, n), rep)
+    dense = np.linalg.eigvalsh(laplacian.assemble(conn))
+    spec = getattr(ms, f"{kind}_mesh_spectrum")(a, b, n, *phases)
+    assert np.max(np.abs(np.sort(dense) - spec.eigenvalues)) < 1e-11
+    assert abs(laplacian.log_det_prime(spec)
+               - ms.closed_form_log_det(kind, a, b, n, *phases)) < 1e-9
+    assert spec.kernel_dim == FlatSetup(kind, a, b, *phases).dim_h0 == bundles.flat_sections_dim(rep)
