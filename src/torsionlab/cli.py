@@ -139,10 +139,12 @@ def _run_ratio(cfg, rng):
 
 
 def _build_mesh_and_connection(cfg, rng):
+    """(mesh, connection, rank, kernel dimension decided from the holonomy)."""
     from .surfaces import build_surface
     from .meshes import discretize
     from .bundles import (HolonomyRepresentation, trivial_connection,
-                          connection_from_holonomy, random_flat_representation)
+                          connection_from_holonomy, flat_sections_dim,
+                          random_flat_representation)
     surface = build_surface(cfg["surface"])
     n = cfg.get("n") or (cfg.get("n_list") or [1])[0]
     mesh = discretize(surface, n)
@@ -150,7 +152,7 @@ def _build_mesh_and_connection(cfg, rng):
     kind = bundle.get("kind", "trivial")
     rank = int(bundle.get("rank", 1))
     if kind == "trivial":
-        return mesh, trivial_connection(mesh, rank), rank
+        return mesh, trivial_connection(mesh, rank), rank, rank
     if kind == "random":
         import numpy as np
         if "seed" in bundle:
@@ -158,16 +160,16 @@ def _build_mesh_and_connection(cfg, rng):
         rep = random_flat_representation(surface, rank, rng)
     else:
         rep = HolonomyRepresentation.from_json(bundle)
-    return mesh, connection_from_holonomy(mesh, rep), rank
+    return mesh, connection_from_holonomy(mesh, rep), rank, flat_sections_dim(rep)
 
 
 def _run_spectrum(cfg, rng):
     from .laplacian import assemble, spectrum, spectrum_csv
-    mesh, conn, rank = _build_mesh_and_connection(cfg, rng)
+    mesh, conn, rank, kdim = _build_mesh_and_connection(cfg, rng)
     if rank * mesh.n_vertices > 6000:
         from .errors import BudgetExceeded
         raise BudgetExceeded(f"dense budget: r|V| = {rank * mesh.n_vertices}")
-    spec = spectrum(assemble(conn))
+    spec = spectrum(assemble(conn), expected_kernel_dim=kdim)
     return {
         "files": {"spectrum.csv": spectrum_csv(spec)},
         "meta": {"n_vertices": mesh.n_vertices, "rank": rank,
@@ -177,11 +179,11 @@ def _run_spectrum(cfg, rng):
 
 def _run_logdet(cfg, rng):
     from .laplacian import assemble, spectrum, log_det_prime
-    mesh, conn, rank = _build_mesh_and_connection(cfg, rng)
+    mesh, conn, rank, kdim = _build_mesh_and_connection(cfg, rng)
     if rank * mesh.n_vertices > 6000:
         from .errors import BudgetExceeded
         raise BudgetExceeded(f"dense budget: r|V| = {rank * mesh.n_vertices}")
-    spec = spectrum(assemble(conn))
+    spec = spectrum(assemble(conn), expected_kernel_dim=kdim)
     ld = log_det_prime(spec)
     return {
         "files": {"logdet.csv": _csv([(mesh.n, ld, spec.kernel_dim)],
@@ -193,9 +195,9 @@ def _run_logdet(cfg, rng):
 def _run_crsf_verify(cfg, rng):
     from .forests import crsf_weighted_sum, crsf_census_csv
     from .laplacian import assemble, spectrum, log_det_prime
-    mesh, conn, rank = _build_mesh_and_connection(cfg, rng)
+    mesh, conn, rank, kdim = _build_mesh_and_connection(cfg, rng)
+    spec = spectrum(assemble(conn), expected_kernel_dim=kdim)
     total = crsf_weighted_sum(conn)
-    spec = spectrum(assemble(conn))
     det = math.exp(log_det_prime(spec))
     if rank == 2:
         ok = abs(total - math.sqrt(det)) <= 1e-9 * max(1.0, math.sqrt(det))

@@ -79,3 +79,7 @@ class SupportViolation(TorsionLabError):
 
 class BisectionFailure(TorsionLabError):
     """Mixing-parameter bisection found no sign change."""
+
+
+class IdentityMismatch(TorsionLabError):
+    """A determinant identity the input should satisfy does not hold numerically."""

@@ -38,10 +38,17 @@ def renormalized_logdet(logdet, rank, area, perimeter, zeta0, n):
 def richardson_extrapolate(ns, xs):
     """Limit estimate from the last three points assuming x_n ~ L + c n^-gamma.
 
-    Returns (limit, error_bar); the error bar is |last - limit|.
+    Aitken's delta-squared: the error shrinks by one factor per step only on
+    a geometric ladder, so the last three ns must satisfy n2^2 = n1 n3;
+    otherwise HypothesisViolation.  Returns (limit, error_bar); the error bar
+    is |last - limit|.
     """
     if len(xs) < 3:
         return xs[-1], float("nan")
+    n1, n2, n3 = ns[-3], ns[-2], ns[-1]
+    if n2 * n2 != n1 * n3:
+        raise HypothesisViolation(
+            f"extrapolation needs a geometric ladder: n = {n1}, {n2}, {n3}")
     x1, x2, x3 = xs[-3], xs[-2], xs[-1]
     d1, d2 = x2 - x1, x3 - x2
     if d1 == 0 or d2 == 0 or d2 / d1 <= 0 or d2 / d1 >= 1:
@@ -258,7 +265,8 @@ class PiecewisePoly:
     def __init__(self, breaks, polys):
         self.breaks = np.asarray(breaks, dtype=float)
         self.polys = list(polys)
-        assert len(self.polys) == len(self.breaks) - 1
+        if len(self.polys) != len(self.breaks) - 1:
+            raise ValueError(f"{len(self.polys)} pieces for {len(self.breaks)} breaks")
 
     def __call__(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))

@@ -13,8 +13,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (NegativeUnderSqrt, NotClassifiable, RankUnsupported,
-                     TooLarge)
+from .errors import (IdentityMismatch, NegativeUnderSqrt, NotClassifiable,
+                     RankUnsupported, TooLarge)
 from .bundles import cycle_monodromy
 from .laplacian import assemble, log_det_prime, spectrum
 from .surfaces import standard_cuts
@@ -258,9 +258,7 @@ def noncontractible_expectation(conn, kernel_tol=1e-8):
     spec = spectrum(assemble(conn), kernel_tol=kernel_tol)
     sqrt_det = math.exp(0.5 * log_det_prime(spec))
     if spec.kernel_dim == 0 and abs(total - sqrt_det) > 1e-6 * max(1.0, sqrt_det):
-        raise AssertionError(
-            f"CRSF sum {total} does not match sqrt(det') {sqrt_det}"
-        )
+        raise IdentityMismatch(f"CRSF sum {total} does not match sqrt(det') {sqrt_det}")
     if nonc_count == 0:
         raise NotClassifiable("no non-contractible CRSF on this mesh")
     return nonc_sum / nonc_count, nonc_count

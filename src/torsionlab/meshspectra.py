@@ -5,7 +5,13 @@ on each side, so their spectra are the sums of the 1-D factor spectra of
 torsion.SEPARABLE_KINDS: 4 sin^2((2 pi j + theta) / 2m) for a cycle twisted
 by theta, 4 sin^2(pi j / 2m) for a path.  The kernel dimension is the
 factors' flat-section count, decided from the holonomy, not from the
-eigenvalues.  The an x bn rectangle mesh has product-cosine eigenvectors
+eigenvalues.  Each row of the (an, bn) eigenvalue grid is a shifted product
+of one factor's spectrum, in closed form (torsion.Factor.log_shifted_product):
+with mu = 4 sinh^2(phi/2), prod_j (mu + nu_j) is 2 cosh(m phi) - 2 cos(theta)
+for a cycle of m sites twisted by theta and 2 tanh(phi/2) sinh(m phi) for a
+path of m sites.  log det' is the fsum of one factor's row products over the
+other factor's eigenvalues, so it costs O(n) and never builds the grid.
+The an x bn rectangle mesh has product-cosine eigenvectors
 indexed by (i, j); its rescaled eigenvalues are 4n^2 sin^2(pi i / 2an) +
 4n^2 sin^2(pi j / 2bn), with the (0,0) entry replaced by 1 to stand for the
 projector-shifted kernel.  Multiplication by low cosine modes is almost
@@ -121,17 +127,14 @@ def cylinder_mesh_spectrum(a, b, n, alpha=0.0):
 def closed_form_log_det(kind, a, b, n, alpha=0.0, beta=0.0):
     """log det' of the unrescaled mesh Laplacian via the closed-form spectra.
 
-    The log-eigenvalues are sorted before summation, so setups with equal
-    spectra (e.g. swapped torus phases) produce bit-identical values.  The
-    grid is the only (an, bn) buffer: log and sort work in place.
+    The sum over rows of the (an, bn) grid: the row factor's shifted product
+    at each eigenvalue of the other factor, added with math.fsum.  The row
+    factor is the first in the factors' canonical order, so setups with the
+    same factors on swapped sides (e.g. swapped torus phases) give
+    bit-identical values.
     """
-    surface = SeparableSurface(kind, a, b, alpha, beta)
-    lam = surface.mesh_grid(n).ravel()
-    if surface.dim_h0:
-        lam[0] = 1.0     # the zero mode sits at slot (0, 0); log 1 drops it
-    logs = np.log(lam, out=lam)
-    logs.sort()
-    return float(np.sum(logs))
+    rows, cols = sorted(SeparableSurface(kind, a, b, alpha, beta).factors)
+    return math.fsum(rows.log_shifted_product(n, cols.mesh_eigenvalues(n)).tolist())
 
 
 # -- corrected sine product ---------------------------------------------------
@@ -222,24 +225,31 @@ class FourierProfile:
 def szego_trace_direct(profile, n):
     """tr(phi log(n^2 Delta^perp)) on the an x bn mesh from eigenvalue sums.
 
-    The (0,0) coefficient carries the full log-determinant; the pure modes
-    reduce to the half-difference of a row and its reflected row, the mixed
-    modes to a quarter alternating sum of four entries.
+    The (0,0) coefficient carries the full log-determinant, (abn^2 - 1) log n^2
+    plus the rectangle's log det'; the pure modes reduce to the half-difference
+    of a row product and its reflected row product, the mixed modes to a
+    quarter alternating sum of four grid entries.
     """
     profile.check_support(n)
     a, b = profile.a, profile.b
-    an, bn = a * n, b * n
-    L = np.log(mesh_eigenvalue_grid(a, b, n))   # (0,0) slot is log 1 = 0
+    fa, fb = SeparableSurface("rectangle", a, b).factors
+    ea, eb = fa.mesh_eigenvalues(n), fb.mesh_eigenvalues(n)
+    an, bn = ea.size, eb.size
     total = 0.0
     for (i, j), c in sorted(profile.coeffs.items()):
         if i == 0 and j == 0:
-            total += c * float(np.sum(L))
+            total += c * ((an * bn - 1) * math.log(n * n)
+                          + closed_form_log_det("rectangle", a, b, n))
         elif j == 0:
-            total += c * 0.5 * float(np.sum(L[i, :]) - np.sum(L[an - i, :]))
+            row, reflected = fb.log_shifted_product(n, ea[[i, an - i]])
+            total += c * 0.5 * float(row - reflected)
         elif i == 0:
-            total += c * 0.5 * float(np.sum(L[:, j]) - np.sum(L[:, bn - j]))
+            col, reflected = fa.log_shifted_product(n, eb[[j, bn - j]])
+            total += c * 0.5 * float(col - reflected)
         else:
-            total += c * 0.25 * (L[i, j] - L[an - i, j] - L[i, bn - j] + L[an - i, bn - j])
+            # the four grid entries, rescaled as in mesh_eigenvalue_grid
+            L = np.log((n * n) * ea[[i, an - i]][:, None] + (n * n) * eb[[j, bn - j]][None, :])
+            total += c * 0.25 * float(L[0, 0] - L[1, 0] - L[0, 1] + L[1, 1])
     return total
 
 

@@ -10,6 +10,12 @@ perimeter, corner count, dim H^0 and zeta(0) all follow from the factors.
 A factor's kernel is decided once, from its holonomy: a phase whose
 holonomy exp(i phase) is within FLAT_SECTION_TOL of 1 (every phase = 0 mod
 2 pi) is trivial and is replaced by 0.
+
+Each factor's mesh spectrum nu_j has a closed-form shifted product.  With
+mu = 4 sinh^2(phi/2), a cycle of m sites twisted by theta gives
+prod_j (mu + nu_j) = 2 cosh(m phi) - 2 cos(theta), and a path of m sites
+gives 2 tanh(phi/2) sinh(m phi).  At mu = 0 an untwisted factor drops its
+zero mode and leaves its det': m^2 for the cycle, m for the path.
 """
 
 from __future__ import annotations
@@ -34,9 +40,13 @@ SEPARABLE_KINDS = {"rectangle": (False, False), "torus": (True, True),
                    "cylinder": (True, False)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Factor:
-    """One 1-D factor: a circle twisted by ``phase`` or a free segment."""
+    """One 1-D factor: a circle twisted by ``phase`` or a free segment.
+
+    Factors order by (periodic, length, phase), a canonical order that does
+    not depend on which side of the surface a factor sits on.
+    """
 
     periodic: bool
     length: float
@@ -61,6 +71,31 @@ class Factor:
         if self.periodic:
             return 4 * np.sin((2 * np.pi * j + self.phase) / (2 * m)) ** 2
         return 4 * np.sin(np.pi * j / (2 * m)) ** 2
+
+    def log_shifted_product(self, n, mu):
+        """log prod_j (mu + nu_j) over the mesh eigenvalues nu_j, elementwise in mu >= 0.
+
+        phi = 2 asinh(sqrt(mu)/2) keeps small shifts precise, and the factored
+        logs stay finite for m phi in the thousands.  At mu = 0 the zero mode
+        of an untwisted factor is dropped, so the value is log det'.
+        """
+        m = self.length * n
+        mu = np.asarray(mu, dtype=float)
+        phi = 2.0 * np.arcsinh(0.5 * np.sqrt(mu))
+        x = m * phi
+        with np.errstate(divide="ignore"):    # -inf at mu = 0 when untwisted, replaced below
+            if self.periodic:
+                # log(2 cosh x - 2 cos theta) = x + log((1 - e^-x)^2 + 4 sin^2(theta/2) e^-x)
+                out = x + np.log(np.expm1(-x) ** 2
+                                 + 4.0 * math.sin(0.5 * self.phase) ** 2 * np.exp(-x))
+                log_det_prime = 2.0 * math.log(m)
+            else:
+                # log(2 tanh(phi/2) sinh x) = log tanh(phi/2) + x + log(1 - e^-2x)
+                out = np.log(np.tanh(0.5 * phi)) + x + np.log(-np.expm1(-2.0 * x))
+                log_det_prime = math.log(m)
+        if self.flat_sections:
+            out = np.where(mu == 0.0, log_det_prime, out)
+        return out
 
     def continuum_eigenvalues(self, cutoff):
         """Untwisted Laplace eigenvalues <= cutoff with multiplicity, unsorted."""

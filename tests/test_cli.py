@@ -94,6 +94,27 @@ def test_non_separable_kind_exits_2(tmp_path, experiment):
     assert meta["error"]["code"] == "HypothesisViolation"
 
 
+def test_dense_kernel_comes_from_the_holonomy(tmp_path):
+    # a 1e-7 twist leaves an eigenvalue below the numerical kernel tolerance,
+    # but the bundle has no flat section: the dense run refuses, not misreports
+    twist = [[[math.cos(1e-7), math.sin(1e-7)]]]
+    cfg = {"experiment": "logdet", "surface": {"kind": "torus", "a": 1, "b": 1}, "n": 4,
+           "bundle": {"kind": "raw", "rank": 1, "generators": [twist, [[[1.0, 0.0]]]]}}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["error"]["code"] == "KernelMismatch"
+
+
+def test_renorm_series_refuses_a_non_geometric_ladder(tmp_path):
+    cfg = {"experiment": "renorm-series", "surface": {"kind": "torus", "a": 1, "b": 1},
+           "n_list": [10, 11, 1000]}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["error"]["code"] == "HypothesisViolation"
+
+
 def test_seeded_embedding_determinism(tmp_path):
     cfg = {"experiment": "embedding-check",
            "surface": {"kind": "rectangle", "a": 2, "b": 2}, "n_list": [2], "trials": 2}

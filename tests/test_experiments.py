@@ -40,6 +40,14 @@ def test_richardson():
     assert err < 0.02
 
 
+def test_richardson_needs_a_geometric_ladder():
+    xs = [1.0 + 3.0 * n ** -2.0 for n in (10, 20, 40)]
+    rho = (xs[2] - xs[1]) / (xs[1] - xs[0])
+    assert ex.richardson_extrapolate([10, 20, 40], xs)[0] == xs[2] + (xs[2] - xs[1]) * rho / (1 - rho)
+    with pytest.raises(HypothesisViolation):
+        ex.richardson_extrapolate([10, 11, 1000], xs)
+
+
 def test_torus_convergence():
     s = ex.convergence_study(ex.FlatSetup("torus", 1, 1), [32, 64, 128, 256])
     assert s.target is not None

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from torsionlab import bundles, forests, laplacian, meshes, surfaces
-from torsionlab.errors import (NegativeUnderSqrt, NotClassifiable,
-                               RankUnsupported, TooLarge)
+from torsionlab.errors import (IdentityMismatch, NegativeUnderSqrt,
+                               NotClassifiable, RankUnsupported, TooLarge)
 
 
 def _det(conn, expected_kernel_dim=0):
@@ -152,6 +152,15 @@ def test_noncontractible_expectation_c3():
     e, cnt = forests.noncontractible_expectation(conn)
     assert cnt == 1
     assert abs(e - (2 - np.trace(rep.generators[0])).real) < 1e-12
+
+
+def test_expectation_refuses_a_flat_u2_bundle_that_is_not_su2():
+    # the CRSF sum (13.567) misses sqrt(det') (13.302): the identity needs SU(2)
+    mesh = meshes.discretize(surfaces.torus(1, 1), 2)
+    rep = bundles.HolonomyRepresentation(2, [np.diag(np.exp([0.7j, 0.3j])),
+                                             np.diag(np.exp([0.2j, 0.5j]))])
+    with pytest.raises(IdentityMismatch):
+        forests.noncontractible_expectation(bundles.connection_from_holonomy(mesh, rep))
 
 
 def test_trivial_connection_expectation_zero():

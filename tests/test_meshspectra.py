@@ -1,14 +1,15 @@
 """Closed-form mesh spectra, the sine product, and the Szego trace pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torsionlab import bundles, laplacian, meshes, meshspectra as ms, surfaces
+from torsionlab import bundles, laplacian, meshes, meshspectra as ms, surfaces, torsion
 from torsionlab.errors import IndexOutOfRange, SupportTooWide
-from torsionlab.experiments import FlatSetup
+from torsionlab.experiments import FlatSetup, convergence_study
 
 
 def test_catalan_constant():
@@ -264,3 +265,39 @@ def test_factor_table_matches_dense_and_holonomy(kind, a, b, n, alpha, beta):
     assert abs(laplacian.log_det_prime(spec)
                - ms.closed_form_log_det(kind, a, b, n, *phases)) < 1e-9
     assert spec.kernel_dim == FlatSetup(kind, a, b, *phases).dim_h0 == bundles.flat_sections_dim(rep)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["rectangle", "torus", "cylinder"]),
+       a=st.integers(1, 3), b=st.integers(1, 3), n=st.integers(1, 64),
+       alpha=_PHASES, beta=_PHASES)
+def test_row_products_match_the_eigenvalue_grid(kind, a, b, n, alpha, beta):
+    phases = [alpha, beta][:sum(torsion.SEPARABLE_KINDS[kind])]
+    grid = laplacian.log_det_prime(ms.separable_mesh_spectrum(kind, a, b, n, *phases))
+    rows = ms.closed_form_log_det(kind, a, b, n, *phases)
+    assert abs(rows - grid) <= 1e-12 * max(1.0, abs(grid))
+
+
+def test_closed_form_log_det_is_bitwise_symmetric_under_factor_swap():
+    for n in (1, 7, 64, 1000):
+        assert (ms.closed_form_log_det("torus", 1, 1, n, 0.3, 1.1)
+                == ms.closed_form_log_det("torus", 1, 1, n, 1.1, 0.3))
+        assert (ms.closed_form_log_det("torus", 2, 1, n, 0.3, 1.1)
+                == ms.closed_form_log_det("torus", 1, 2, n, 1.1, 0.3))
+
+
+def test_closed_form_log_det_builds_no_grid():
+    # the (4096, 4096) eigenvalue grid would take 134 MB
+    tracemalloc.start()
+    try:
+        ms.closed_form_log_det("torus", 1, 1, 4096, 0.3, 1.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("kind,a,b", [("torus", 1, 1), ("rectangle", 1, 1), ("cylinder", 2, 1)])
+def test_convergence_beyond_grid_sizes(kind, a, b):
+    series = convergence_study(FlatSetup(kind, a, b), [2 ** 15, 2 ** 16, 2 ** 17])
+    assert abs(series.renorms[-1] - series.target) < 1e-4
