@@ -30,7 +30,8 @@ from .bundles import (HolonomyRepresentation, UnitaryConnection,
 from .laplacian import (HermitianSpectrum, assemble, spectrum, log_det_prime,
                         discrete_zeta)
 from .forests import (CRSF, count_spanning_trees, enumerate_crsfs,
-                      crsf_weighted_sum, noncontractible_expectation)
+                      crsf_weighted_sum, crsf_identity,
+                      noncontractible_expectation)
 from .meshspectra import (CATALAN, FourierProfile, catalan_constant,
                           mesh_eigenvalue, mesh_eigenvector,
                           mesh_eigenvector_norm_sq, mesh_eigenvalue_grid,

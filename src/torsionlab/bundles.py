@@ -21,11 +21,11 @@ UNITARY_TOL = 1e-12
 FLATNESS_TOL = 1e-10
 
 
-def _check_unitary(m, tol=UNITARY_TOL, what="matrix"):
+def _check_unitary(m, what="matrix"):
     m = np.asarray(m, dtype=complex)
     r = m.shape[0]
-    if m.shape != (r, r) or np.max(np.abs(m.conj().T @ m - np.eye(r))) > tol:
-        raise NonUnitaryGauge(f"{what} is not unitary to {tol}")
+    if m.shape != (r, r) or np.max(np.abs(m.conj().T @ m - np.eye(r))) > UNITARY_TOL:
+        raise NonUnitaryGauge(f"{what} is not unitary to {UNITARY_TOL}")
     return m
 
 
@@ -57,17 +57,17 @@ class HolonomyRepresentation:
 
 
 class UnitaryConnection:
-    """Rank-r unitary transports on the edges of a mesh graph."""
+    """Rank-r unitary transports on the edges of a mesh graph, with the
+    dimension of its flat sections (the Laplacian's kernel) decided from the
+    holonomy by whichever constructor below builds it."""
 
-    def __init__(self, graph, rank, transports, check=True):
+    def __init__(self, graph, rank, transports, flat_sections):
         self.graph = graph
         self.rank = rank
+        self.flat_sections = flat_sections
         self.transports = [np.asarray(t, dtype=complex) for t in transports]
         if len(self.transports) != len(graph.edges):
             raise ValueError("one transport per edge copy required")
-        if check:
-            for t in self.transports:
-                _check_unitary(t, what="edge transport")
 
     def transport(self, edge_index, direction):
         """Transport along edge ``edge_index``; +1 is the stored u -> v direction."""
@@ -77,7 +77,7 @@ class UnitaryConnection:
 
 def trivial_connection(graph, rank=1):
     eye = np.eye(rank, dtype=complex)
-    return UnitaryConnection(graph, rank, [eye] * len(graph.edges), check=False)
+    return UnitaryConnection(graph, rank, [eye] * len(graph.edges), rank)
 
 
 def connection_from_holonomy(graph, rep, cuts=None):
@@ -106,7 +106,7 @@ def connection_from_holonomy(graph, rep, cuts=None):
             elif s == -1:
                 t = rep.generators[k].conj().T @ t
         transports.append(t)
-    conn = UnitaryConnection(graph, rep.rank, transports, check=False)
+    conn = UnitaryConnection(graph, rep.rank, transports, flat_sections_dim(rep))
     ok, worst = flat_check(conn)
     if not ok:
         raise BadCuts(
@@ -117,7 +117,8 @@ def connection_from_holonomy(graph, rep, cuts=None):
 
 
 def gauge_transform(conn, u):
-    """New connection with transports u(v') phi u(v)^{-1}.
+    """New connection with transports u(v') phi u(v)^{-1} and the same
+    (gauge-invariant) flat-section count.
 
     ``u`` maps vertex index -> unitary; arrays and dicts both work.
     """
@@ -129,7 +130,7 @@ def gauge_transform(conn, u):
     transports = []
     for idx, e in enumerate(conn.graph.edges):
         transports.append(mats[e.v] @ conn.transports[idx] @ mats[e.u].conj().T)
-    return UnitaryConnection(conn.graph, r, transports, check=False)
+    return UnitaryConnection(conn.graph, r, transports, conn.flat_sections)
 
 
 def cycle_monodromy(conn, cycle):
@@ -159,24 +160,24 @@ def cycle_monodromy(conn, cycle):
     return word
 
 
-def flat_check(conn, tol=FLATNESS_TOL):
-    """(all faces flat?, worst face defect)."""
+def flat_check(conn):
+    """(all faces flat to FLATNESS_TOL?, worst face defect)."""
     worst = 0.0
     eye = np.eye(conn.rank)
     for face in conn.graph.faces():
         m = cycle_monodromy(conn, face)
         worst = max(worst, float(np.max(np.abs(m - eye))))
-    return worst <= tol, worst
+    return worst <= FLATNESS_TOL, worst
 
 
-def flat_sections_dim(rep, tol=FLAT_SECTION_TOL):
+def flat_sections_dim(rep):
     """Dimension of the joint fixed subspace of the generators."""
     if not rep.generators:
         return rep.rank
     eye = np.eye(rep.rank)
     stacked = np.vstack([g - eye for g in rep.generators])
     s = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(s < tol))
+    return int(np.sum(s < FLAT_SECTION_TOL))
 
 
 # -- random unitaries ---------------------------------------------------------

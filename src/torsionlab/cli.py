@@ -138,52 +138,59 @@ def _run_ratio(cfg, rng):
     }
 
 
-def _build_mesh_and_connection(cfg, rng):
-    """(mesh, connection, rank, kernel dimension decided from the holonomy)."""
-    from .surfaces import build_surface
-    from .meshes import discretize
-    from .bundles import (HolonomyRepresentation, trivial_connection,
-                          connection_from_holonomy, flat_sections_dim,
-                          random_flat_representation)
-    surface = build_surface(cfg["surface"])
-    n = cfg.get("n") or (cfg.get("n_list") or [1])[0]
-    mesh = discretize(surface, n)
-    bundle = cfg.get("bundle") or {"kind": "trivial", "rank": 1}
-    kind = bundle.get("kind", "trivial")
+_BUNDLE_KINDS = ("trivial", "random", "raw")
+
+
+def _bundle_kind(bundle):
+    """A bundle with generators but no kind is raw; with neither, trivial."""
+    return bundle.get("kind", "raw" if "generators" in bundle else "trivial")
+
+
+def _bundle_from(cfg, surface, rng):
+    """(rank, holonomy representation) of cfg["bundle"]; None for the trivial bundle."""
+    from .bundles import HolonomyRepresentation, random_flat_representation
+    bundle = cfg.get("bundle") or {}
     rank = int(bundle.get("rank", 1))
+    kind = _bundle_kind(bundle)
     if kind == "trivial":
-        return mesh, trivial_connection(mesh, rank), rank, rank
+        return rank, None
     if kind == "random":
         import numpy as np
         if "seed" in bundle:
             rng = np.random.default_rng(int(bundle["seed"]))
-        rep = random_flat_representation(surface, rank, rng)
-    else:
-        rep = HolonomyRepresentation.from_json(bundle)
-    return mesh, connection_from_holonomy(mesh, rep), rank, flat_sections_dim(rep)
+        return rank, random_flat_representation(surface, rank, rng)
+    return rank, HolonomyRepresentation.from_json(bundle)
+
+
+def _build_mesh_and_connection(cfg, rng):
+    """(mesh, connection); the connection carries its flat-section count."""
+    from .surfaces import build_surface
+    from .meshes import discretize
+    from .bundles import trivial_connection, connection_from_holonomy
+    surface = build_surface(cfg["surface"])
+    n = cfg.get("n") or (cfg.get("n_list") or [1])[0]
+    mesh = discretize(surface, n)
+    rank, rep = _bundle_from(cfg, surface, rng)
+    if rep is None:
+        return mesh, trivial_connection(mesh, rank)
+    return mesh, connection_from_holonomy(mesh, rep)
 
 
 def _run_spectrum(cfg, rng):
     from .laplacian import assemble, spectrum, spectrum_csv
-    mesh, conn, rank, kdim = _build_mesh_and_connection(cfg, rng)
-    if rank * mesh.n_vertices > 6000:
-        from .errors import BudgetExceeded
-        raise BudgetExceeded(f"dense budget: r|V| = {rank * mesh.n_vertices}")
-    spec = spectrum(assemble(conn), expected_kernel_dim=kdim)
+    mesh, conn = _build_mesh_and_connection(cfg, rng)
+    spec = spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections)
     return {
         "files": {"spectrum.csv": spectrum_csv(spec)},
-        "meta": {"n_vertices": mesh.n_vertices, "rank": rank,
+        "meta": {"n_vertices": mesh.n_vertices, "rank": conn.rank,
                  "kernel_dim": spec.kernel_dim},
     }
 
 
 def _run_logdet(cfg, rng):
     from .laplacian import assemble, spectrum, log_det_prime
-    mesh, conn, rank, kdim = _build_mesh_and_connection(cfg, rng)
-    if rank * mesh.n_vertices > 6000:
-        from .errors import BudgetExceeded
-        raise BudgetExceeded(f"dense budget: r|V| = {rank * mesh.n_vertices}")
-    spec = spectrum(assemble(conn), expected_kernel_dim=kdim)
+    mesh, conn = _build_mesh_and_connection(cfg, rng)
+    spec = spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections)
     ld = log_det_prime(spec)
     return {
         "files": {"logdet.csv": _csv([(mesh.n, ld, spec.kernel_dim)],
@@ -193,18 +200,12 @@ def _run_logdet(cfg, rng):
 
 
 def _run_crsf_verify(cfg, rng):
-    from .forests import crsf_weighted_sum, crsf_census_csv
-    from .laplacian import assemble, spectrum, log_det_prime
-    mesh, conn, rank, kdim = _build_mesh_and_connection(cfg, rng)
-    spec = spectrum(assemble(conn), expected_kernel_dim=kdim)
+    from .forests import crsf_weighted_sum, crsf_census_csv, crsf_identity
+    mesh, conn = _build_mesh_and_connection(cfg, rng)
     total = crsf_weighted_sum(conn)
-    det = math.exp(log_det_prime(spec))
-    if rank == 2:
-        ok = abs(total - math.sqrt(det)) <= 1e-9 * max(1.0, math.sqrt(det))
-        line = f"sum={total!r} det={det!r} sqrt_ok={str(ok).lower()}"
-    else:
-        ok = abs(total - det) <= 1e-9 * max(1.0, det)
-        line = f"sum={total!r} det={det!r} det_ok={str(ok).lower()}"
+    det, ok = crsf_identity(conn, total)
+    flag = "sqrt_ok" if conn.rank == 2 else "det_ok"
+    line = f"sum={total!r} det={det!r} {flag}={str(ok).lower()}"
     census = crsf_census_csv(mesh, conn)
     return {
         "files": {"crsf.csv": census, "report.txt": line + "\n"},
@@ -253,14 +254,13 @@ def _run_heat_trace(cfg, rng):
 
 
 def _run_zeta0(cfg, rng):
-    from fractions import Fraction
     from .surfaces import build_surface, geometry_summary
+    from .bundles import flat_sections_dim
     from .torsion import zeta_zero
     surface = build_surface(cfg["surface"])
-    summary = geometry_summary(surface)
-    rank = int(cfg.get("bundle", {}).get("rank", 1))
-    dim_h0 = int(cfg.get("dim_h0", rank))
-    z = zeta_zero(summary, rank=rank, dim_h0=dim_h0)
+    rank, rep = _bundle_from(cfg, surface, rng)
+    dim_h0 = rank if rep is None else flat_sections_dim(rep)
+    z = zeta_zero(geometry_summary(surface), rank=rank, dim_h0=dim_h0)
     return {
         "files": {"zeta0.csv": _csv([(surface.name, str(z), float(z))],
                                     ["surface", "zeta0_exact", "zeta0_float"])},
@@ -343,6 +343,9 @@ def validate_config(cfg):
                 or any(not isinstance(n, int) or n < 1 for n in ns)
                 or sorted(ns) != ns):
             raise ValueError("n_list must be a non-empty ascending list of positive integers")
+    bundle = cfg.get("bundle") or {}
+    if not isinstance(bundle, dict) or _bundle_kind(bundle) not in _BUNDLE_KINDS:
+        raise ValueError(f"bundle must be an object of kind one of {list(_BUNDLE_KINDS)}")
     return cfg
 
 
@@ -456,7 +459,8 @@ def selftest(seed=0):
         from .bundles import trivial_connection
         from .laplacian import assemble, spectrum, log_det_prime
         m = discretize(rectangle(1, 1), 2)
-        spec = spectrum(assemble(trivial_connection(m, 1)), expected_kernel_dim=1)
+        conn = trivial_connection(m, 1)
+        spec = spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections)
         assert np.allclose(spec.eigenvalues, [0, 2, 2, 4], atol=1e-12)
         assert abs(log_det_prime(spec) - math.log(16)) < 1e-12
 
@@ -476,15 +480,13 @@ def selftest(seed=0):
         from .surfaces import cylinder
         from .meshes import discretize
         from .bundles import random_flat_representation, connection_from_holonomy
-        from .forests import crsf_weighted_sum
-        from .laplacian import assemble, spectrum, log_det_prime
+        from .forests import crsf_weighted_sum, crsf_identity
         mesh = discretize(cylinder(3, 1), 1)
         for _ in range(5):
             rep = random_flat_representation(mesh.surface, 2, rng)
             conn = connection_from_holonomy(mesh, rep)
-            s = crsf_weighted_sum(conn)
-            det = math.exp(log_det_prime(spectrum(assemble(conn), expected_kernel_dim=0)))
-            assert abs(s - math.sqrt(det)) < 1e-9 * max(1.0, math.sqrt(det))
+            det, ok = crsf_identity(conn, crsf_weighted_sum(conn))
+            assert ok, det
 
     check("Kenyon square identity (seeded)", kenyon_check)
 

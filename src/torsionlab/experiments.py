@@ -14,17 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .bundles import flat_sections_dim, trivial_connection, connection_from_holonomy
-from .errors import (BisectionFailure, BudgetExceeded, HypothesisViolation,
-                     SupportViolation)
+from .bundles import trivial_connection, connection_from_holonomy
+from .errors import BisectionFailure, HypothesisViolation, SupportViolation
 from .laplacian import assemble, log_det_prime, spectrum
 from .meshes import discretize
 from .meshspectra import CATALAN, LOG_SQRT2M1, closed_form_log_det
 from .surfaces import geometry_summary
 from .torsion import SeparableSurface, zeta_zero
-
-DENSE_BUDGET = 6000
-CLOSED_FORM_MIN_N = 24
 
 
 def renormalized_logdet(logdet, rank, area, perimeter, zeta0, n):
@@ -154,27 +150,19 @@ def convergence_study(setup, n_list):
 
 
 def dense_renorm_series(surface, n_list, rank=1, rep=None):
-    """Renormalized series for an arbitrary surface via dense eigensolves."""
+    """Renormalized series for an arbitrary surface via dense eigensolves;
+    ``laplacian.assemble`` refuses meshes beyond its dense budget."""
     summary = geometry_summary(surface)
     ns = sorted(n_list)
     logdets = []
     renorms = []
     for n in ns:
-        if n > CLOSED_FORM_MIN_N:
-            raise BudgetExceeded(f"dense route capped at n <= {CLOSED_FORM_MIN_N}")
         mesh = discretize(surface, n)
-        if rank * mesh.n_vertices > DENSE_BUDGET:
-            raise BudgetExceeded(
-                f"r|V| = {rank * mesh.n_vertices} exceeds dense budget {DENSE_BUDGET}")
-        if rep is None:
-            conn = trivial_connection(mesh, rank)
-            kdim = rank
-        else:
-            conn = connection_from_holonomy(mesh, rep)
-            kdim = flat_sections_dim(rep)
-        spec = spectrum(assemble(conn), expected_kernel_dim=kdim)
+        conn = (trivial_connection(mesh, rank) if rep is None
+                else connection_from_holonomy(mesh, rep))
+        spec = spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections)
         ld = log_det_prime(spec)
-        z0 = zeta_zero(summary, rank=rank, dim_h0=kdim)
+        z0 = zeta_zero(summary, rank=rank, dim_h0=conn.flat_sections)
         logdets.append(ld)
         renorms.append(renormalized_logdet(ld, rank, summary.area,
                                            summary.perimeter, z0, n))

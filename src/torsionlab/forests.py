@@ -22,6 +22,7 @@ from .surfaces import standard_cuts
 MAX_TREE_VERTICES = 12
 MAX_CRSF_VERTICES = 12
 MAX_SUBSETS = 6_000_000
+IDENTITY_TOL = 1e-9
 
 
 class _DSU:
@@ -228,12 +229,21 @@ def crsf_weighted_sum(conn, crsfs=None):
     return total
 
 
-def noncontractible_expectation(conn, kernel_tol=1e-8):
+def crsf_identity(conn, total):
+    """(det, does the CRSF sum ``total`` equal det (rank 1) or sqrt(det)
+    (rank 2) within IDENTITY_TOL?); det is 0 when the bundle has flat sections."""
+    spec = spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections)
+    det = 0.0 if conn.flat_sections else math.exp(log_det_prime(spec))
+    root = math.sqrt(det) if conn.rank == 2 else det
+    return det, abs(total - root) <= IDENTITY_TOL * max(1.0, root)
+
+
+def noncontractible_expectation(conn):
     """(expected cycle-weight product under the uniform non-contractible CRSF
     measure, number of non-contractible CRSFs).
 
     Requires a torus or cylinder mesh so winding numbers classify cycles, and
-    checks that the full CRSF sum reproduces sqrt(det') of the Laplacian.
+    checks that the full CRSF sum reproduces sqrt(det) of the Laplacian.
     """
     mesh = conn.graph
     surf = mesh.surface
@@ -255,10 +265,9 @@ def noncontractible_expectation(conn, kernel_tol=1e-8):
         if all(any(w) for w in windings):
             nonc_sum += term
             nonc_count += 1
-    spec = spectrum(assemble(conn), kernel_tol=kernel_tol)
-    sqrt_det = math.exp(0.5 * log_det_prime(spec))
-    if spec.kernel_dim == 0 and abs(total - sqrt_det) > 1e-6 * max(1.0, sqrt_det):
-        raise IdentityMismatch(f"CRSF sum {total} does not match sqrt(det') {sqrt_det}")
+    det, ok = crsf_identity(conn, total)
+    if not ok:
+        raise IdentityMismatch(f"CRSF sum {total} does not match sqrt(det) {math.sqrt(det)}")
     if nonc_count == 0:
         raise NotClassifiable("no non-contractible CRSF on this mesh")
     return nonc_sum / nonc_count, nonc_count

@@ -12,16 +12,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySpectrum, KernelMismatch
+from .errors import BudgetExceeded, EmptySpectrum, KernelMismatch
 
-DEFAULT_KERNEL_TOL = 1e-8
+DENSE_BUDGET = 6000      # largest r|V| assembled as a dense matrix
+ZERO_EIGENVALUE_TOL = 1e-8
+PSD_TOL = 1e-10
 
 
 def assemble(conn):
-    """Dense Hermitian matrix of the twisted Laplacian, shape (r|V|, r|V|)."""
+    """Dense Hermitian matrix of the twisted Laplacian, shape (r|V|, r|V|);
+    BudgetExceeded beyond DENSE_BUDGET."""
     g = conn.graph
     r = conn.rank
     nv = g.n_vertices
+    if r * nv > DENSE_BUDGET:
+        raise BudgetExceeded(f"dense budget: r|V| = {r * nv} > {DENSE_BUDGET}")
     A = np.zeros((r * nv, r * nv), dtype=complex)
     eye = np.eye(r, dtype=complex)
     for idx, e in enumerate(g.edges):
@@ -58,32 +63,28 @@ class HermitianSpectrum:
         return HermitianSpectrum(self.eigenvalues * n * n, self.kernel_dim,
                                  rescale_flag=True, meta={**self.meta, "n": n})
 
-    def validate(self, rank=1, psd_tol=1e-10):
+    def validate(self, rank=1):
         lam = self.eigenvalues
-        if lam.size and lam[0] < -psd_tol:
+        if lam.size and lam[0] < -PSD_TOL:
             raise KernelMismatch(f"negative eigenvalue {lam[0]:.3e}")
         if lam.size and not self.rescale_flag and lam[-1] > 8 * rank + 1e-9:
             raise KernelMismatch(f"eigenvalue above 8r bound: {lam[-1]:.6f}")
         return self
 
 
-def spectrum(A, kernel_tol=DEFAULT_KERNEL_TOL, expected_kernel_dim=None, meta=None):
-    """Eigenvalues of a Hermitian PSD matrix with kernel detection.
-
-    When ``expected_kernel_dim`` is given (the flat-section dimension for a
-    flat connection) a mismatch raises KernelMismatch rather than silently
-    flooring eigenvalues.
-    """
+def spectrum(A, expected_kernel_dim=None):
+    """Eigenvalues of a Hermitian PSD matrix; the kernel counts those below
+    ZERO_EIGENVALUE_TOL and must equal ``expected_kernel_dim`` (a connection's
+    ``flat_sections``) when given, else KernelMismatch."""
     A = np.asarray(A)
     if A.size == 0:
         raise EmptySpectrum("empty operator")
     lam = np.linalg.eigvalsh(A)
-    kdim = int(np.sum(lam < kernel_tol))
+    kdim = int(np.sum(lam < ZERO_EIGENVALUE_TOL))
     if expected_kernel_dim is not None and kdim != expected_kernel_dim:
-        raise KernelMismatch(
-            f"kernel dimension {kdim} (tol {kernel_tol}) != expected {expected_kernel_dim}"
-        )
-    return HermitianSpectrum(lam, kdim, meta=dict(meta or {}))
+        raise KernelMismatch(f"kernel dimension {kdim} (tol {ZERO_EIGENVALUE_TOL}) "
+                             f"!= expected {expected_kernel_dim}")
+    return HermitianSpectrum(lam, kdim)
 
 
 def log_det_prime(spec):

@@ -57,10 +57,6 @@ class SquareTiledSurface:
         return self.complex.cells
 
     @property
-    def side_pairings(self):
-        return self.complex.pairings
-
-    @property
     def boundary_sides(self):
         return self.complex.boundary_slots()
 

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from torsionlab import bundles, laplacian, meshes, surfaces
+from torsionlab import bundles, forests, laplacian, meshes, surfaces
 from torsionlab.errors import BadCuts, NonUnitaryGauge, NotAClosedWalk
 
 
@@ -94,6 +95,32 @@ def test_gauge_of_trivial_matches_untwisted():
     u = [bundles.random_unitary(rng, 1) for _ in range(mesh.n_vertices)]
     twisted = np.linalg.eigvalsh(laplacian.assemble(bundles.gauge_transform(conn, u)))
     assert np.max(np.abs(base - twisted)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(surf=st.sampled_from([surfaces.torus(1, 1), surfaces.cylinder(2, 1)]),
+       rank=st.integers(1, 2), n=st.integers(1, 2), trivial=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_gauge_keeps_flat_sections_spectrum_and_crsf_sum(surf, rank, n, trivial, seed):
+    rng = np.random.default_rng(seed)
+    mesh = meshes.discretize(surf, n)
+    if trivial:
+        conn = bundles.trivial_connection(mesh, rank)
+    else:
+        rep = bundles.random_flat_representation(surf, rank, rng)
+        conn = bundles.connection_from_holonomy(mesh, rep)
+    # SU(2) gauges keep rank-2 transports special unitary, as the CRSF sum needs
+    u = [bundles.random_unitary(rng, 1) if rank == 1 else bundles.random_su2(rng)
+         for _ in range(mesh.n_vertices)]
+    moved = bundles.gauge_transform(conn, u)
+    assert moved.flat_sections == conn.flat_sections == (rank if trivial else 0)
+    lam, moved_lam = (laplacian.spectrum(laplacian.assemble(c),
+                                         expected_kernel_dim=c.flat_sections).eigenvalues
+                      for c in (conn, moved))
+    assert np.max(np.abs(lam - moved_lam)) <= 1e-12
+    crsfs = forests.enumerate_crsfs(mesh)
+    total = forests.crsf_weighted_sum(conn, crsfs)
+    assert abs(forests.crsf_weighted_sum(moved, crsfs) - total) <= 1e-12 * max(1.0, abs(total))
 
 
 def test_identity_gauge_is_identity():

@@ -40,6 +40,20 @@ def test_crsf_verify_run(tmp_path):
     assert abs(meta["det"] - 4.0) < 1e-9
 
 
+@pytest.mark.parametrize("surface,n,rank,flag", [
+    ({"kind": "cylinder", "a": 3, "b": 1}, 1, 1, "det_ok"),
+    ({"kind": "torus", "a": 1, "b": 1}, 2, 2, "sqrt_ok")])
+def test_crsf_verify_trivial_bundle_compares_with_det_zero(tmp_path, surface, n, rank, flag):
+    # every cycle weight of the trivial bundle is 0, and so is det: it has flat sections
+    cfg = {"experiment": "crsf-verify", "surface": surface, "n": n,
+           "bundle": {"kind": "trivial", "rank": rank}}
+    code, out = _run(tmp_path, cfg)
+    assert code == 0
+    assert (out / "report.txt").read_text() == f"sum=0.0 det=0.0 {flag}=true\n"
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["det"] == 0.0 and meta["identity_ok"] is True
+
+
 def test_malformed_json_exits_2(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"experiment": "szego", ')
@@ -51,6 +65,41 @@ def test_malformed_json_exits_2(tmp_path):
 def test_unknown_kind_exits_2(tmp_path):
     code, out = _run(tmp_path, {"experiment": "nope"})
     assert code == 2 and not out.exists()
+
+
+def test_unknown_bundle_kind_exits_2(tmp_path):
+    cfg = {"experiment": "logdet", "surface": {"kind": "torus", "a": 1, "b": 1}, "n": 2,
+           "bundle": {"kind": "foo"}}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2 and not out.exists()
+
+
+_MINUS_ONE = [[[-1.0, 0.0]]]
+_ONE = [[[1.0, 0.0]]]
+
+
+def test_generators_without_kind_are_a_raw_bundle(tmp_path):
+    from torsionlab.meshspectra import closed_form_log_det
+    cfg = {"experiment": "logdet", "surface": {"kind": "torus", "a": 1, "b": 1}, "n": 4,
+           "bundle": {"rank": 1, "generators": [_MINUS_ONE, _ONE]}}
+    code, out = _run(tmp_path, cfg)
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text())
+    closed = closed_form_log_det("torus", 1, 1, 4, math.pi, 0.0)
+    assert meta["kernel_dim"] == 0
+    assert abs(meta["logdet_prime"] - closed) <= 1e-12 * abs(closed)
+
+
+@pytest.mark.parametrize("bundle,expect", [
+    (None, "-1"),
+    ({"kind": "raw", "rank": 1, "generators": [_MINUS_ONE, _ONE]}, "0")])
+def test_zeta0_takes_dim_h0_from_the_bundle(tmp_path, bundle, expect):
+    cfg = {"experiment": "zeta0", "surface": {"kind": "torus", "a": 1, "b": 1}}
+    if bundle:
+        cfg["bundle"] = bundle
+    code, out = _run(tmp_path, cfg)
+    assert code == 0
+    assert json.loads((out / "meta.json").read_text())["zeta0"] == expect
 
 
 def test_bad_n_list_exits_2(tmp_path):

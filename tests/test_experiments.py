@@ -8,8 +8,8 @@ import pytest
 from torsionlab import experiments as ex, meshes, surfaces
 from torsionlab.errors import (BudgetExceeded, HypothesisViolation,
                                SupportViolation)
-from torsionlab.meshspectra import (CATALAN, rectangle_mesh_spectrum,
-                                    torus_mesh_spectrum)
+from torsionlab.meshspectra import (CATALAN, closed_form_log_det,
+                                    rectangle_mesh_spectrum, torus_mesh_spectrum)
 
 
 def test_renormalized_logdet_formula():
@@ -112,6 +112,13 @@ def test_model_correction_series():
     rem2 = [a - b for a, b in zip(big.renorms, ca)]
     d = [abs(y - x) for x, y in zip(rem2, rem2[1:])]
     assert all(y < x for x, y in zip(d, d[1:]))
+
+
+def test_dense_series_runs_up_to_the_budget():
+    # r|V| = 625: no cap on n, only the dense budget
+    series = ex.dense_renorm_series(surfaces.torus(1, 1), [25])
+    closed = closed_form_log_det("torus", 1, 1, 25)
+    assert abs(series.logdets[0] - closed) <= 1e-9 * abs(closed)
 
 
 def test_dense_budget():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torsionlab import bundles, forests, laplacian, meshes, surfaces
-from torsionlab.errors import (IdentityMismatch, NegativeUnderSqrt,
+from torsionlab.errors import (IdentityMismatch, KernelMismatch, NegativeUnderSqrt,
                                NotClassifiable, RankUnsupported, TooLarge)
 
 
@@ -163,10 +163,22 @@ def test_expectation_refuses_a_flat_u2_bundle_that_is_not_su2():
         forests.noncontractible_expectation(bundles.connection_from_holonomy(mesh, rep))
 
 
+def test_expectation_takes_the_kernel_from_the_holonomy():
+    # a 1e-7 twist leaves two eigenvalues below the numerical kernel
+    # tolerance, but the bundle has no flat section: refuse, do not skip
+    twist = np.diag(np.exp([1e-7j, -1e-7j]))
+    mesh = meshes.discretize(surfaces.torus(1, 1), 2)
+    conn = bundles.connection_from_holonomy(
+        mesh, bundles.HolonomyRepresentation(2, [twist, np.eye(2)]))
+    assert conn.flat_sections == 0
+    with pytest.raises(KernelMismatch):
+        forests.noncontractible_expectation(conn)
+
+
 def test_trivial_connection_expectation_zero():
     mesh = meshes.discretize(surfaces.torus(1, 1), 2)
     conn = bundles.trivial_connection(mesh, 2)
-    e, cnt = forests.noncontractible_expectation(conn, kernel_tol=1e-8)
+    e, cnt = forests.noncontractible_expectation(conn)
     assert cnt > 0 and e == 0.0
 
 
