@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCuts, NonUnitaryGauge, NotAClosedWalk
+from .complexes import E, N
+from .errors import BadCuts, NonUnitaryGauge, NotAClosedWalk, RankMismatch
 from .surfaces import standard_cuts
 from .torsion import FLAT_SECTION_TOL
 
@@ -31,7 +32,7 @@ def _check_unitary(m, what="matrix"):
 
 @dataclass
 class HolonomyRepresentation:
-    """Unitary matrices assigned to the fundamental-group generators."""
+    """Unitary rank x rank matrices assigned to the fundamental-group generators."""
 
     rank: int
     generators: list
@@ -39,15 +40,16 @@ class HolonomyRepresentation:
     def __post_init__(self):
         self.generators = [np.asarray(g, dtype=complex) for g in self.generators]
         for g in self.generators:
+            if g.shape != (self.rank, self.rank):
+                raise RankMismatch(f"generator of shape {g.shape} in a rank-{self.rank} bundle")
             _check_unitary(g, what="generator")
 
     @classmethod
     def from_json(cls, spec):
-        gens = []
-        for g in spec["generators"]:
-            rows = [[complex(re, im) for re, im in row] for row in g]
-            gens.append(np.array(rows, dtype=complex))
-        return cls(rank=spec["rank"], generators=gens)
+        """``spec["rank"]`` defaults to the generators' size (1 without generators)."""
+        gens = [np.array([[complex(re, im) for re, im in row] for row in g], dtype=complex)
+                for g in spec["generators"]]
+        return cls(rank=int(spec.get("rank", len(gens[0]) if gens else 1)), generators=gens)
 
     def to_json(self):
         return {
@@ -239,20 +241,8 @@ def generator_loop(mesh, generator=0):
     a = surf.params["a"]
     b = surf.params["b"]
     n = mesh.n
-    by_slot = {}
-    for idx, e in enumerate(mesh.edges):
-        by_slot[e.slot_u] = (idx, +1)
-        by_slot[e.slot_v] = (idx, -1)
-    from .complexes import E as SIDE_E, N as SIDE_N
-    cycle = []
     if generator == 0:
-        for gi in range(a * n):
-            tile, i = divmod(gi, n)
-            cycle.append(by_slot[(((tile, 0), i, 0), SIDE_E)])
-    else:
-        if surf.kind != "torus":
-            raise BadCuts("vertical generator exists only on the torus")
-        for gj in range(b * n):
-            tile, j = divmod(gj, n)
-            cycle.append(by_slot[(((0, tile), 0, j), SIDE_N)])
-    return cycle
+        return [mesh.slot_edge[(((tile, 0), i, 0), E)] for tile in range(a) for i in range(n)]
+    if surf.kind != "torus":
+        raise BadCuts("vertical generator exists only on the torus")
+    return [mesh.slot_edge[(((0, tile), 0, j), N)] for tile in range(b) for j in range(n)]

@@ -159,7 +159,8 @@ def _bundle_from(cfg, surface, rng):
         if "seed" in bundle:
             rng = np.random.default_rng(int(bundle["seed"]))
         return rank, random_flat_representation(surface, rank, rng)
-    return rank, HolonomyRepresentation.from_json(bundle)
+    rep = HolonomyRepresentation.from_json(bundle)
+    return rep.rank, rep
 
 
 def _build_mesh_and_connection(cfg, rng):
@@ -200,13 +201,14 @@ def _run_logdet(cfg, rng):
 
 
 def _run_crsf_verify(cfg, rng):
-    from .forests import crsf_weighted_sum, crsf_census_csv, crsf_identity
+    from .forests import crsf_weighted_sum, crsf_census_csv, crsf_identity, enumerate_crsfs
     mesh, conn = _build_mesh_and_connection(cfg, rng)
-    total = crsf_weighted_sum(conn)
+    crsfs = enumerate_crsfs(mesh)
+    total = crsf_weighted_sum(conn, crsfs)
     det, ok = crsf_identity(conn, total)
     flag = "sqrt_ok" if conn.rank == 2 else "det_ok"
     line = f"sum={total!r} det={det!r} {flag}={str(ok).lower()}"
-    census = crsf_census_csv(mesh, conn)
+    census = crsf_census_csv(mesh, conn, crsfs)
     return {
         "files": {"crsf.csv": census, "report.txt": line + "\n"},
         "meta": {"sum": total, "det": det, "identity_ok": bool(ok)},

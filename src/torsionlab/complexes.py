@@ -231,16 +231,6 @@ class SquareComplex:
         cells = [(c, i, j) for c in self.cells for i in range(n) for j in range(n)]
         pairings = {}
 
-        def sub_slot(c, d, s):
-            # s-th subside along side d of parent c, in increasing side parameter
-            if d == E:
-                return ((c, n - 1, s), E)
-            if d == W:
-                return ((c, 0, s), W)
-            if d == N:
-                return ((c, s, n - 1), N)
-            return ((c, s, 0), S)
-
         def add(slot_a, slot_b, kind):
             pairings[slot_a] = (slot_b[0], slot_b[1], kind)
             pairings[slot_b] = (slot_a[0], slot_a[1], kind)
@@ -260,8 +250,20 @@ class SquareComplex:
             done.add(key)
             for s in range(n):
                 s2 = s if kind == TRANSLATION else n - 1 - s
-                add(sub_slot(c, d, s), sub_slot(c2, d2, s2), kind)
+                add(self.refined_side(c, d, s, n), self.refined_side(c2, d2, s2, n), kind)
         return SquareComplex(cells, pairings, validate=False)
+
+    @staticmethod
+    def refined_side(c, d, s, n):
+        """Subcell side of refine(n) at the s-th subside along side d of cell c,
+        counted in increasing side parameter."""
+        if d == E:
+            return (c, n - 1, s), E
+        if d == W:
+            return (c, 0, s), W
+        if d == N:
+            return (c, s, n - 1), N
+        return (c, s, 0), S
 
     @staticmethod
     def refined_corner(c, k, n):

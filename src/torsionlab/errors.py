@@ -45,6 +45,10 @@ class RankUnsupported(TorsionLabError):
     """Operation defined only for bundle ranks 1 and 2."""
 
 
+class RankMismatch(TorsionLabError):
+    """Generator matrices do not match the stated bundle rank."""
+
+
 class NegativeUnderSqrt(TorsionLabError):
     """Rank-2 input is not special unitary, so the square-root identity does not apply."""
 

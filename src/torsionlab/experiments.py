@@ -149,8 +149,9 @@ def convergence_study(setup, n_list):
                         extrapolated=limit, err_estimate=err, target=setup.target())
 
 
-def dense_renorm_series(surface, n_list, rank=1, rep=None):
-    """Renormalized series for an arbitrary surface via dense eigensolves;
+def dense_renorm_series(surface, n_list, rep=None):
+    """Renormalized series for an arbitrary surface via dense eigensolves, of
+    the trivial line bundle or the flat bundle of ``rep`` at its rank;
     ``laplacian.assemble`` refuses meshes beyond its dense budget."""
     summary = geometry_summary(surface)
     ns = sorted(n_list)
@@ -158,13 +159,13 @@ def dense_renorm_series(surface, n_list, rank=1, rep=None):
     renorms = []
     for n in ns:
         mesh = discretize(surface, n)
-        conn = (trivial_connection(mesh, rank) if rep is None
+        conn = (trivial_connection(mesh) if rep is None
                 else connection_from_holonomy(mesh, rep))
         spec = spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections)
         ld = log_det_prime(spec)
-        z0 = zeta_zero(summary, rank=rank, dim_h0=conn.flat_sections)
+        z0 = zeta_zero(summary, rank=conn.rank, dim_h0=conn.flat_sections)
         logdets.append(ld)
-        renorms.append(renormalized_logdet(ld, rank, summary.area,
+        renorms.append(renormalized_logdet(ld, conn.rank, summary.area,
                                            summary.perimeter, z0, n))
     limit, err = richardson_extrapolate(ns, renorms)
     return RenormSeries(label=surface.name, ns=ns, logdets=logdets, renorms=renorms,

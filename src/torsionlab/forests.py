@@ -3,6 +3,15 @@
 A CRSF is an edge subset covering every vertex in which each connected
 component has exactly as many edges as vertices, hence a unique cycle.
 Multi-edge copies and loops count as distinct edges throughout.
+
+Each |V|-edge subset is tested in one union-find pass: an edge joining two
+components merges them, an edge inside a component closes that component's
+cycle, and a second closing edge in one component, or a merge of two
+components that both have a cycle, rejects the subset.  With |V| edges no
+tree component remains.  A CRSF lists its cycles by their component's lowest
+vertex, each starting on its lowest edge index traversed u -> v; the census
+classes follow that order.  `crsf-verify` enumerates once, for both the sum
+and the census.
 """
 
 from __future__ import annotations
@@ -19,8 +28,7 @@ from .bundles import cycle_monodromy
 from .laplacian import assemble, log_det_prime, spectrum
 from .surfaces import standard_cuts
 
-MAX_TREE_VERTICES = 12
-MAX_CRSF_VERTICES = 12
+MAX_VERTICES = 12     # both brute-force enumerations refuse larger meshes
 MAX_SUBSETS = 6_000_000
 IDENTITY_TOL = 1e-9
 
@@ -43,27 +51,23 @@ class _DSU:
         return True
 
 
+def _subsets(nv, ne, size):
+    """The ``size``-subsets of range(ne), refused beyond the brute-force caps."""
+    if nv > MAX_VERTICES:
+        raise TooLarge(f"{nv} vertices exceeds brute-force limit {MAX_VERTICES}")
+    if math.comb(ne, size) > MAX_SUBSETS:
+        raise TooLarge("too many edge subsets")
+    return combinations(range(ne), size)
+
+
 def count_spanning_trees(mesh):
     """Exact spanning-tree count by edge-subset enumeration."""
     nv = mesh.n_vertices
-    if nv > MAX_TREE_VERTICES:
-        raise TooLarge(f"{nv} vertices exceeds brute-force limit {MAX_TREE_VERTICES}")
     edges = [(e.u, e.v) for e in mesh.edges if e.u != e.v]
-    if nv == 1:
-        return 1
-    if math.comb(len(edges), nv - 1) > MAX_SUBSETS:
-        raise TooLarge("too many edge subsets")
     count = 0
-    for subset in combinations(range(len(edges)), nv - 1):
+    for subset in _subsets(nv, len(edges), nv - 1):
         dsu = _DSU(nv)
-        ok = True
-        for k in subset:
-            u, v = edges[k]
-            if not dsu.union(u, v):
-                ok = False
-                break
-        if ok:
-            count += 1
+        count += all(dsu.union(*edges[k]) for k in subset)
     return count
 
 
@@ -75,134 +79,80 @@ class CRSF:
     cycles: list   # one list of (edge_index, direction) per component
 
 
-def _component_cycles(mesh, subset):
-    """Split ``subset`` into components and extract each unique cycle.
-
-    Returns None when some component is not unicyclic.
-    """
-    nv = mesh.n_vertices
-    adj = [[] for _ in range(nv)]
+def _crsf_cycles(mesh, subset, steps):
+    """The directed cycles of the |V|-edge ``subset`` in CRSF order (see the
+    module docstring), or None when some component has two."""
+    dsu = _DSU(mesh.n_vertices)
+    closing = {}    # component root -> the edge that closed its cycle
+    adj = [[] for _ in range(mesh.n_vertices)]
     for k in subset:
         e = mesh.edges[k]
+        ru, rv = dsu.find(e.u), dsu.find(e.v)
+        if ru == rv:
+            if ru in closing:
+                return None
+            closing[ru] = k
+            continue
+        if ru in closing:
+            if rv in closing:
+                return None
+            closing[rv] = closing.pop(ru)
+        dsu.p[ru] = rv
         adj[e.u].append((k, e.v))
-        if e.u != e.v:
-            adj[e.v].append((k, e.u))
-    comp = [-1] * nv
-    ncomp = 0
-    for v0 in range(nv):
-        if comp[v0] != -1:
-            continue
-        stack = [v0]
-        comp[v0] = ncomp
-        while stack:
-            v = stack.pop()
-            for _, w in adj[v]:
-                if comp[w] == -1:
-                    comp[w] = ncomp
-                    stack.append(w)
-        ncomp += 1
-    sizes = [0] * ncomp
-    esizes = [0] * ncomp
-    for v in range(nv):
-        sizes[comp[v]] += 1
-    for k in subset:
-        esizes[comp[mesh.edges[k].u]] += 1
-    if any(sizes[c] != esizes[c] for c in range(ncomp)):
-        return None
-    # peel leaves; what survives is the disjoint union of the unique cycles
-    deg = [0] * nv
-    alive = set(subset)
-    for k in subset:
-        e = mesh.edges[k]
-        deg[e.u] += 1
-        deg[e.v] += 1
-    leaves = [v for v in range(nv) if deg[v] == 1]
-    inc = [[] for _ in range(nv)]
-    for k in subset:
-        e = mesh.edges[k]
-        inc[e.u].append(k)
-        if e.u != e.v:
-            inc[e.v].append(k)
-    dead_edge = set()
-    while leaves:
-        v = leaves.pop()
-        live = [k for k in inc[v] if k not in dead_edge]
-        if not live:
-            continue
-        k = live[0]
-        e = mesh.edges[k]
-        dead_edge.add(k)
-        w = e.v if e.u == v else e.u
-        deg[v] -= 1
-        deg[w] -= 1
-        if deg[w] == 1:
-            leaves.append(w)
-    cycle_edges = [k for k in subset if k not in dead_edge]
-    # group cycle edges per component and order each cycle into a directed walk
-    percomp = {}
-    for k in cycle_edges:
-        percomp.setdefault(comp[mesh.edges[k].u], []).append(k)
-    cycles = []
-    for c in sorted(percomp):
-        ks = percomp[c]
-        e0 = mesh.edges[ks[0]]
-        if e0.u == e0.v:
-            if len(ks) != 1:
-                return None
-            cycles.append([(ks[0], +1)])
-            continue
-        walk = [(ks[0], +1)]
-        used = {ks[0]}
-        pos = e0.v
-        start = e0.u
-        while pos != start:
-            nxt = None
-            for k in ks:
-                if k in used:
-                    continue
-                e = mesh.edges[k]
-                if e.u == pos:
-                    nxt = (k, +1)
-                    pos = e.v
-                    break
-                if e.v == pos:
-                    nxt = (k, -1)
-                    pos = e.u
-                    break
-            if nxt is None:
-                return None
-            walk.append(nxt)
-            used.add(nxt[0])
-        if len(used) != len(ks):
-            return None
-        cycles.append(walk)
-    return cycles
+        adj[e.v].append((k, e.u))
+    roots = dict.fromkeys(dsu.find(v) for v in range(mesh.n_vertices))
+    return [_cycle(mesh, adj, closing[r], steps) for r in roots]
+
+
+def _cycle(mesh, adj, k, steps):
+    """Edge k, then the tree path back from its head to its tail, rotated to
+    start on the lowest edge index traversed u -> v."""
+    e = mesh.edges[k]
+    pred = {e.u: None}
+    stack = [e.u]
+    while e.v not in pred:
+        x = stack.pop()
+        for j, y in adj[x]:
+            if y not in pred:
+                pred[y] = (j, x)
+                stack.append(y)
+    walk = [steps[+1][k]]
+    x = e.v
+    while pred[x] is not None:
+        j, y = pred[x]
+        walk.append(steps[+1 if mesh.edges[j].u == x else -1][j])
+        x = y
+    if min(walk)[1] < 0:
+        walk = [steps[-d][j] for j, d in reversed(walk)]
+    i = walk.index(min(walk))
+    return walk[i:] + walk[:i]
 
 
 def enumerate_crsfs(mesh):
     """All cycle-rooted spanning forests, each with its directed cycles."""
-    nv = mesh.n_vertices
-    if nv > MAX_CRSF_VERTICES:
-        raise TooLarge(f"{nv} vertices exceeds CRSF enumeration limit {MAX_CRSF_VERTICES}")
-    ne = len(mesh.edges)
-    if nv > ne or math.comb(ne, nv) > MAX_SUBSETS:
-        if nv > ne:
-            return []
-        raise TooLarge("too many edge subsets")
+    # one shared (edge, direction) tuple per step: the forests refer to these
+    # instead of holding copies, which saves memory and speeds up their sums
+    steps = {d: [(k, d) for k in range(len(mesh.edges))] for d in (+1, -1)}
     out = []
-    for subset in combinations(range(ne), nv):
-        cycles = _component_cycles(mesh, subset)
+    for subset in _subsets(mesh.n_vertices, len(mesh.edges), mesh.n_vertices):
+        cycles = _crsf_cycles(mesh, subset, steps)
         if cycles is not None:
             out.append(CRSF(edge_indices=subset, cycles=cycles))
     return out
 
 
-def _cycle_weight(conn, cycle):
-    w = cycle_monodromy(conn, cycle)
-    if conn.rank == 1:
-        z = w[0, 0]
-        return float((2 - z - 1 / z).real)
-    return float((2 - np.trace(w)).real)
+def _forest_weight(conn, f):
+    """The product, in cycle order, of the weights of CRSF ``f``'s cycles:
+    2 - w - 1/w (rank 1) or 2 - tr w (rank 2) for the cycle's monodromy w."""
+    weight = 1.0
+    for cyc in f.cycles:
+        w = cycle_monodromy(conn, cyc)
+        if conn.rank == 1:
+            z = w[0, 0]
+            weight *= float((2 - z - 1 / z).real)
+        else:
+            weight *= float((2 - np.trace(w)).real)
+    return weight
 
 
 def crsf_weighted_sum(conn, crsfs=None):
@@ -222,10 +172,7 @@ def crsf_weighted_sum(conn, crsfs=None):
         crsfs = enumerate_crsfs(conn.graph)
     total = 0.0
     for f in crsfs:
-        term = 1.0
-        for cyc in f.cycles:
-            term *= _cycle_weight(conn, cyc)
-        total += term
+        total += _forest_weight(conn, f)
     return total
 
 
@@ -252,17 +199,13 @@ def noncontractible_expectation(conn):
     if conn.rank != 2:
         raise RankUnsupported("expectation defined for rank-2 bundles")
     cuts = mesh.refine_cuts(standard_cuts(surf))
-    crsfs = enumerate_crsfs(mesh)
     total = 0.0
     nonc_sum = 0.0
     nonc_count = 0
-    for f in crsfs:
-        term = 1.0
-        for cyc in f.cycles:
-            term *= _cycle_weight(conn, cyc)
+    for f in enumerate_crsfs(mesh):
+        term = _forest_weight(conn, f)
         total += term
-        windings = [mesh.cycle_winding(cyc, cuts) for cyc in f.cycles]
-        if all(any(w) for w in windings):
+        if all(any(mesh.cycle_winding(cyc, cuts)) for cyc in f.cycles):
             nonc_sum += term
             nonc_count += 1
     det, ok = crsf_identity(conn, total)
@@ -273,21 +216,17 @@ def noncontractible_expectation(conn):
     return nonc_sum / nonc_count, nonc_count
 
 
-def crsf_census_csv(mesh, conn=None, cuts=None):
-    """CSV census: one row per CRSF with component count, cycle classes, weight."""
-    if cuts is None:
-        cuts = mesh.refine_cuts(standard_cuts(mesh.surface))
+def crsf_census_csv(mesh, conn, crsfs=None):
+    """CSV census: one row per CRSF with component count, cycle classes
+    (winding numbers across the standard cuts) and weight under ``conn``."""
+    if crsfs is None:
+        crsfs = enumerate_crsfs(mesh)
+    cuts = mesh.refine_cuts(standard_cuts(mesh.surface))
     rows = ["crsf_id,n_components,cycle_classes,weight"]
-    for k, f in enumerate(enumerate_crsfs(mesh)):
+    for k, f in enumerate(crsfs):
         classes = "|".join(
             "(" + ",".join(map(str, mesh.cycle_winding(cyc, cuts))) + ")"
             for cyc in f.cycles
         )
-        if conn is not None:
-            w = 1.0
-            for cyc in f.cycles:
-                w *= _cycle_weight(conn, cyc)
-        else:
-            w = 0.0
-        rows.append(f"{k},{len(f.cycles)},{classes},{w!r}")
+        rows.append(f"{k},{len(f.cycles)},{classes},{_forest_weight(conn, f)!r}")
     return "\n".join(rows) + "\n"

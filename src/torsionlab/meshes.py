@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .complexes import E, N, W, S, SquareComplex
+from .complexes import E, EXIT_SIDE, N, W, S, SquareComplex
 from .errors import UnknownPoint
 
 
@@ -38,11 +38,13 @@ class MeshGraph:
         self.complex = surface.complex.refine(n)
         self.vertices = list(self.complex.cells)   # (tile, i, j)
         self.vindex = {c: k for k, c in enumerate(self.vertices)}
-        self.edges = self._build_edges()
+        self._build_edges()
         self._faces = None
         self._cone_neighbors = None
 
     def _build_edges(self):
+        """Set ``edges`` and ``slot_edge``, which maps each paired side slot to
+        (edge index, +1 for the edge's slot_u, -1 for its slot_v)."""
         cpx = self.complex
         edges = {}
         for c in self.vertices:
@@ -56,7 +58,12 @@ class MeshGraph:
                 slot_u, slot_v = sorted(((c, d), (c2, d2)), key=_slot_sort_key)
                 edges[key] = EdgeCopy(u=self.vindex[slot_u[0]], v=self.vindex[slot_v[0]],
                                       slot_u=slot_u, slot_v=slot_v)
-        return [edges[k] for k in sorted(edges, key=lambda fs: sorted(map(_slot_sort_key, fs)))]
+        self.edges = [edges[k] for k in
+                      sorted(edges, key=lambda fs: sorted(map(_slot_sort_key, fs)))]
+        self.slot_edge = {}
+        for idx, e in enumerate(self.edges):
+            self.slot_edge[e.slot_u] = (idx, +1)
+            self.slot_edge[e.slot_v] = (idx, -1)
 
     # -- basic structure ----------------------------------------------------
 
@@ -120,23 +127,10 @@ class MeshGraph:
         Each face is a list of (edge_index, direction) with direction +1 when
         the edge is traversed u -> v.
         """
-        if self._faces is not None:
-            return self._faces
-        by_slot = {}
-        for idx, e in enumerate(self.edges):
-            by_slot[e.slot_u] = (idx, +1)
-            by_slot[e.slot_v] = (idx, -1)
-        from .complexes import EXIT_SIDE
-        faces = []
-        for vc in self.complex.vertex_classes():
-            if vc.boundary:
-                continue
-            cyc = []
-            for c, k in vc.corners:
-                cyc.append(by_slot[(c, EXIT_SIDE[k])])
-            faces.append(cyc)
-        self._faces = faces
-        return faces
+        if self._faces is None:
+            self._faces = [[self.slot_edge[(c, EXIT_SIDE[k])] for c, k in vc.corners]
+                           for vc in self.complex.vertex_classes() if not vc.boundary]
+        return self._faces
 
     # -- cuts and winding -----------------------------------------------------
 
@@ -146,27 +140,13 @@ class MeshGraph:
         Returns one dict per generator mapping edge index -> +-1, the signed
         crossing when the edge is traversed u -> v.
         """
-        n = self.n
         out = []
         for cut in tile_cuts:
-            sub = {}
-            for (tile, d), sign in cut.items():
-                for s in range(n):
-                    if d == E:
-                        slot = ((tile, n - 1, s), E)
-                    elif d == W:
-                        slot = ((tile, 0, s), W)
-                    elif d == N:
-                        slot = ((tile, s, n - 1), N)
-                    else:
-                        slot = ((tile, s, 0), S)
-                    sub[slot] = sign
             ecut = {}
-            for idx, e in enumerate(self.edges):
-                if e.slot_u in sub:
-                    ecut[idx] = sub[e.slot_u]
-                elif e.slot_v in sub:
-                    ecut[idx] = -sub[e.slot_v]
+            for (tile, d), sign in cut.items():
+                for s in range(self.n):
+                    idx, direction = self.slot_edge[SquareComplex.refined_side(tile, d, s, self.n)]
+                    ecut[idx] = sign * direction
             out.append(ecut)
         return out
 

@@ -90,6 +90,29 @@ def test_generators_without_kind_are_a_raw_bundle(tmp_path):
     assert abs(meta["logdet_prime"] - closed) <= 1e-12 * abs(closed)
 
 
+def _phase(t):
+    return [[[math.cos(t), math.sin(t)], [0.0, 0.0]], [[0.0, 0.0], [math.cos(t), -math.sin(t)]]]
+
+
+def test_raw_bundle_takes_its_rank_from_the_generators(tmp_path):
+    from torsionlab.meshspectra import closed_form_log_det
+    cfg = {"experiment": "logdet", "surface": {"kind": "torus", "a": 1, "b": 1}, "n": 2,
+           "bundle": {"generators": [_phase(0.7), _phase(0.3)]}}
+    code, out = _run(tmp_path, cfg)
+    assert code == 0
+    closed = sum(closed_form_log_det("torus", 1, 1, 2, s * 0.7, s * 0.3) for s in (1, -1))
+    assert abs(json.loads((out / "meta.json").read_text())["logdet_prime"] - closed) \
+        <= 1e-12 * abs(closed)
+
+
+def test_raw_bundle_with_a_wrong_rank_exits_2(tmp_path):
+    cfg = {"experiment": "logdet", "surface": {"kind": "torus", "a": 1, "b": 1}, "n": 2,
+           "bundle": {"rank": 1, "generators": [_phase(0.7), _phase(0.3)]}}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    assert json.loads((out / "meta.json").read_text())["error"]["code"] == "RankMismatch"
+
+
 @pytest.mark.parametrize("bundle,expect", [
     (None, "-1"),
     ({"kind": "raw", "rank": 1, "generators": [_MINUS_ONE, _ONE]}, "0")])

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from torsionlab import experiments as ex, meshes, surfaces
+from torsionlab import bundles, experiments as ex, meshes, surfaces
 from torsionlab.errors import (BudgetExceeded, HypothesisViolation,
                                SupportViolation)
 from torsionlab.meshspectra import (CATALAN, closed_form_log_det,
                                     rectangle_mesh_spectrum, torus_mesh_spectrum)
+from torsionlab.torsion import zeta_zero
 
 
 def test_renormalized_logdet_formula():
@@ -119,6 +120,23 @@ def test_dense_series_runs_up_to_the_budget():
     series = ex.dense_renorm_series(surfaces.torus(1, 1), [25])
     closed = closed_form_log_det("torus", 1, 1, 25)
     assert abs(series.logdets[0] - closed) <= 1e-9 * abs(closed)
+
+
+def test_dense_series_renormalizes_at_the_rank_of_rep():
+    # a split SU(2) bundle is the sum of its two characters: its series is
+    # the sum of the rank-1 closed-form series at the two opposite phases
+    phases = (0.7, 0.3)
+    rep = bundles.HolonomyRepresentation(2, [np.diag(np.exp([1j * p, -1j * p])) for p in phases])
+    surf = surfaces.torus(1, 1)
+    summary = surfaces.geometry_summary(surf)
+    z0 = zeta_zero(summary, rank=1, dim_h0=0)
+    series = ex.dense_renorm_series(surf, [2, 4, 8], rep=rep)
+    for n, got in zip(series.ns, series.renorms):
+        want = sum(ex.renormalized_logdet(closed_form_log_det("torus", 1, 1, n, s * phases[0],
+                                                              s * phases[1]),
+                                          1, summary.area, summary.perimeter, z0, n)
+                   for s in (1, -1))
+        assert abs(got - want) <= 1e-9
 
 
 def test_dense_budget():

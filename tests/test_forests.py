@@ -1,11 +1,16 @@
 """Spanning trees, CRSFs, and the determinant identities they satisfy."""
 
+import hashlib
+import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from torsionlab import bundles, forests, laplacian, meshes, surfaces
+from torsionlab import bundles, cli, forests, laplacian, meshes, surfaces
+from torsionlab.complexes import E, HALF_TURN, N, S, SquareComplex, TRANSLATION, W
 from torsionlab.errors import (IdentityMismatch, KernelMismatch, NegativeUnderSqrt,
                                NotClassifiable, RankUnsupported, TooLarge)
 
@@ -206,3 +211,110 @@ def test_census_csv():
     lines = csv.strip().split("\n")
     assert lines[0] == "crsf_id,n_components,cycle_classes,weight"
     assert len(lines) > 1
+
+
+def test_census_golden_columns():
+    # crsf_id,n_components,cycle_classes of the torus(1,1) census: the classes
+    # pin the CRSF order and each cycle's orientation (module docstring)
+    n2 = ("1,(1,0) 1,(1,0) 1,(1,0) 1,(1,0) 1,(0,1) 1,(0,1) 1,(0,1) 1,(0,1) 1,(1,0) "
+          "1,(0,0) 1,(0,-1) 1,(1,0) 1,(1,-1) 1,(0,1) 1,(1,0) 1,(1,0) 1,(1,0) 1,(1,0) "
+          "2,(1,0)|(1,0) 1,(1,0) 1,(1,0) 1,(1,0) 1,(1,0) 1,(1,0) 1,(0,1) 1,(0,0) 1,(1,1) "
+          "1,(1,0) 1,(0,1) 1,(1,0) 1,(1,0) 1,(0,1) 1,(0,1) 1,(0,1) 1,(0,1) 1,(0,1) "
+          "1,(0,1) 1,(1,0) 1,(1,0) 1,(1,1) 1,(0,0) 1,(0,1) 1,(0,1) 1,(0,1) 1,(0,1) "
+          "1,(0,1) 1,(0,1) 2,(0,1)|(0,1) 1,(1,0) 1,(1,0) 1,(0,1) 1,(0,1) 1,(1,0) "
+          "1,(-1,1) 1,(-1,0) 1,(0,1) 1,(0,0) 1,(0,1) 1,(1,0) 1,(1,0) 1,(0,1) 1,(0,1) "
+          "1,(1,0) 1,(1,0) 1,(0,1) 1,(0,1)").split()
+
+    def columns(n):
+        mesh = meshes.discretize(surfaces.torus(1, 1), n)
+        csv = forests.crsf_census_csv(mesh, bundles.trivial_connection(mesh, 2))
+        return [line.rsplit(",", 1)[0] for line in csv.splitlines()]
+
+    rows = columns(2)
+    assert rows == ["crsf_id,n_components,cycle_classes"] + [
+        f"{k},{row}" for k, row in enumerate(n2)]
+    digest = hashlib.sha256("".join(row + "\n" for row in columns(3)).encode()).hexdigest()
+    assert digest == "54a5e29d1b11e0153d4b1ac9fde53fb4b6e7c9a4c6efe824960809351b3e4505"
+
+
+def test_crsf_verify_enumerates_once(tmp_path, monkeypatch):
+    calls = []
+    enumerate_crsfs = forests.enumerate_crsfs
+
+    def counted(mesh):
+        calls.append(mesh)
+        return enumerate_crsfs(mesh)
+
+    monkeypatch.setattr(forests, "enumerate_crsfs", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "crsf-verify", "n": 2,
+                               "surface": {"kind": "torus", "a": 1, "b": 1},
+                               "bundle": {"kind": "random", "rank": 2}}))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    assert len((tmp_path / "out" / "crsf.csv").read_text().splitlines()) == 67
+
+
+def _components(mesh, subset):
+    """Component label (its lowest vertex) per vertex, and whether every
+    component has as many edges as vertices, by breadth-first search."""
+    ends = [[] for _ in range(mesh.n_vertices)]
+    for k in subset:
+        e = mesh.edges[k]
+        ends[e.u].append(e.v)
+        ends[e.v].append(e.u)      # a loop lists its vertex twice
+    label = [-1] * mesh.n_vertices
+    balanced = True
+    for v0 in range(mesh.n_vertices):
+        if label[v0] >= 0:
+            continue
+        label[v0] = v0
+        queue = [v0]
+        for x in queue:
+            for y in ends[x]:
+                if label[y] < 0:
+                    label[y] = v0
+                    queue.append(y)
+        balanced &= sum(len(ends[x]) for x in queue) == 2 * len(queue)
+    return label, balanced
+
+
+@st.composite
+def glued_surfaces(draw):
+    """Up to five unit tiles with random side pairings: loops and multi-edges included."""
+    n_tiles = draw(st.integers(1, 5))
+    pairings = {}
+    for sides in ((E, W), (N, S)):
+        slots = draw(st.permutations([(t, d) for t in range(n_tiles) for d in sides]))
+        n_pairs = draw(st.integers(0, n_tiles))
+        for a, b in zip(slots[:n_pairs], slots[n_pairs:2 * n_pairs]):
+            kind = HALF_TURN if a[1] == b[1] else TRANSLATION
+            pairings[a] = (*b, kind)
+            pairings[b] = (*a, kind)
+    return surfaces.SquareTiledSurface(SquareComplex(range(n_tiles), pairings),
+                                       name="glued", kind="raw")
+
+
+SMALL_MESHES = [(surfaces.torus(1, 1), 1), (surfaces.torus(1, 1), 2), (surfaces.torus(2, 1), 1),
+                (surfaces.cylinder(3, 1), 1), (surfaces.cylinder(2, 2), 1),
+                (surfaces.rectangle(2, 3), 1), (surfaces.cone_model(1), 1)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(surface_n=st.sampled_from(SMALL_MESHES) | st.tuples(glued_surfaces(), st.just(1)))
+def test_enumeration_finds_every_unicyclic_subset_in_canonical_order(surface_n):
+    mesh = meshes.discretize(*surface_n)
+    nv = mesh.n_vertices
+    found = forests.enumerate_crsfs(mesh)
+    want = [s for s in combinations(range(len(mesh.edges)), nv) if _components(mesh, s)[1]]
+    assert [f.edge_indices for f in found] == want
+    conn = bundles.trivial_connection(mesh, 1)
+    for f in found:
+        label, _ = _components(mesh, f.edge_indices)
+        tails = [mesh.edges[cyc[0][0]].u for cyc in f.cycles]
+        assert [label[v] for v in tails] == sorted(set(label))   # by lowest vertex
+        edges = [k for cyc in f.cycles for k, _ in cyc]
+        assert len(edges) == len(set(edges)) and set(edges) <= set(f.edge_indices)
+        for cyc in f.cycles:
+            assert cyc[0] == (min(k for k, _ in cyc), +1)
+            bundles.cycle_monodromy(conn, cyc)       # raises unless a closed walk

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from torsionlab import meshes, surfaces
+from torsionlab.complexes import E, N, S, W
 from torsionlab.errors import UnknownPoint
 
 ALL_MODELS = [
@@ -121,6 +122,28 @@ def test_faces():
     # ring around a 6 pi cone has 12 edges
     mesh = meshes.discretize(surfaces.cone_model(6), 2)
     assert max(len(f) for f in mesh.faces()) == 12
+
+
+@pytest.mark.parametrize("surf", [surfaces.torus(1, 1), surfaces.torus(2, 1),
+                                  surfaces.cylinder(3, 1), surfaces.cone_model(1)],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("n", [1, 3])
+def test_slot_map_and_refined_cuts(surf, n):
+    mesh = meshes.discretize(surf, n)
+    assert set(mesh.slot_edge) == set(mesh.complex.pairings)
+    for idx, e in enumerate(mesh.edges):
+        assert mesh.slot_edge[e.slot_u] == (idx, +1) and mesh.slot_edge[e.slot_v] == (idx, -1)
+    # an edge crosses a cut when one of its slots lies on a subside of a cut tile side
+    on_side = {E: lambda i, j: i == n - 1, W: lambda i, j: i == 0,
+               N: lambda i, j: j == n - 1, S: lambda i, j: j == 0}
+    cuts = surfaces.standard_cuts(surf)
+    for cut, ecut in zip(cuts, mesh.refine_cuts(cuts)):
+        want = {}
+        for idx, e in enumerate(mesh.edges):
+            for ((tile, i, j), d), direction in ((e.slot_u, +1), (e.slot_v, -1)):
+                if (tile, d) in cut and on_side[d](i, j):
+                    want[idx] = direction * cut[(tile, d)]
+        assert ecut == want and len(want) == len(cut) * n
 
 
 def test_edges_csv():
