@@ -40,12 +40,12 @@ from .meshspectra import (CATALAN, FourierProfile, catalan_constant,
                           sin_product, sin_product_direct,
                           sin_product_uncorrected, szego_trace_direct,
                           szego_trace_contraction, szego_expansion_predicted)
-from .torsion import (ContinuumSpectrum, continuum_spectrum, heat_trace,
+from .torsion import (SeparableSurface, ContinuumSpectrum, continuum_spectrum, heat_trace,
                       heat_trace_expansion,
                       zeta_zero, zeta_zero_from_heat_trace, dedekind_eta,
                       torus_torsion, rectangle_torsion, cylinder_torsion,
                       rescale_torsion)
-from .experiments import (FlatSetup, RenormSeries, BumpProfile,
+from .experiments import (RenormSeries, BumpProfile,
                           renormalized_logdet, convergence_study,
                           dense_renorm_series, model_correction_series,
                           ratio_study, uniform_weyl_check, weyl_slope,

@@ -98,18 +98,20 @@ def _svg_error_plot(ns, errors, title):
 # -- experiment runners ---------------------------------------------------------
 
 
-def _flat_setup_from(cfg, which="surface"):
-    from .experiments import FlatSetup
-    spec = cfg[which]
-    bundle = cfg.get("bundle" if which == "surface" else "bundle_b", {}) or {}
-    return FlatSetup(kind=spec["kind"], a=spec.get("a", 1), b=spec.get("b", 1),
-                     alpha=float(bundle.get("alpha", 0.0)),
-                     beta=float(bundle.get("beta", 0.0)))
+def _separable_from(cfg, which="surface"):
+    """The SeparableSurface of cfg[which], validated by build_surface, with the
+    phases of its bundle; other kinds raise HypothesisViolation."""
+    from .surfaces import build_surface
+    from .torsion import SeparableSurface
+    surface = build_surface(cfg[which])
+    bundle = cfg.get("bundle" if which == "surface" else "bundle_b") or {}
+    return SeparableSurface(surface.kind, surface.params.get("a"), surface.params.get("b"),
+                            float(bundle.get("alpha", 0.0)), float(bundle.get("beta", 0.0)))
 
 
 def _run_renorm_series(cfg, rng):
     from .experiments import convergence_study
-    setup = _flat_setup_from(cfg)
+    setup = _separable_from(cfg)
     series = convergence_study(setup, cfg["n_list"])
     rows = []
     for n, ld, rn, err in zip(series.ns, series.logdets, series.renorms, series.abs_errors()):
@@ -126,8 +128,8 @@ def _run_renorm_series(cfg, rng):
 
 def _run_ratio(cfg, rng):
     from .experiments import ratio_study
-    sa = _flat_setup_from(cfg, "surface")
-    sb = _flat_setup_from(cfg, "surface_b")
+    sa = _separable_from(cfg, "surface")
+    sb = _separable_from(cfg, "surface_b")
     ns = sorted(cfg["n_list"])
     ratios, diffs = ratio_study(sa, sb, ns)
     rows = [(n, r) for n, r in zip(ns, ratios)]
@@ -234,13 +236,6 @@ def _run_szego(cfg, rng):
     }
 
 
-def _separable_from(cfg):
-    """The untwisted separable surface of cfg["surface"]; other kinds raise HypothesisViolation."""
-    from .torsion import SeparableSurface
-    spec = cfg["surface"]
-    return SeparableSurface(spec["kind"], spec.get("a", 1), spec.get("b", 1))
-
-
 def _run_heat_trace(cfg, rng):
     from .torsion import heat_trace, heat_trace_expansion
     s = _separable_from(cfg)
@@ -342,13 +337,43 @@ def validate_config(cfg):
     if "n_list" in cfg:
         ns = cfg["n_list"]
         if (not isinstance(ns, list) or not ns
-                or any(not isinstance(n, int) or n < 1 for n in ns)
+                or any(not _is_count(n, 1) for n in ns)
                 or sorted(ns) != ns):
             raise ValueError("n_list must be a non-empty ascending list of positive integers")
-    bundle = cfg.get("bundle") or {}
-    if not isinstance(bundle, dict) or _bundle_kind(bundle) not in _BUNDLE_KINDS:
-        raise ValueError(f"bundle must be an object of kind one of {list(_BUNDLE_KINDS)}")
+    if "n" in cfg and not _is_count(cfg["n"], 1):
+        raise ValueError("n must be a positive integer")
+    ts = cfg.get("t_list", [1.0])
+    if not isinstance(ts, list) or not ts or any(not _is_real(t) or t <= 0 for t in ts):
+        raise ValueError("t_list must be a non-empty list of positive times")
+    for key in ("bundle", "bundle_b"):
+        bundle = cfg.get(key) or {}
+        if not isinstance(bundle, dict) or _bundle_kind(bundle) not in _BUNDLE_KINDS:
+            raise ValueError(f"{key} must be an object of kind one of {list(_BUNDLE_KINDS)}")
+        for field, ok, what in (
+                ("alpha", _is_real, "a finite number"), ("beta", _is_real, "a finite number"),
+                ("rank", lambda x: _is_count(x, 1), "a positive integer"),
+                ("seed", lambda x: _is_count(x, 0), "a non-negative integer"),
+                ("generators", _is_matrix_list, "a list of square matrices of [re, im] pairs")):
+            if field in bundle and not ok(bundle[field]):
+                raise ValueError(f"{key} {field} must be {what}")
     return cfg
+
+
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _is_count(x, lo):
+    return isinstance(x, int) and not isinstance(x, bool) and x >= lo
+
+
+def _is_matrix_list(gens):
+    return isinstance(gens, list) and all(
+        isinstance(g, list) and g and all(
+            isinstance(row, list) and len(row) == len(g)
+            and all(isinstance(z, list) and len(z) == 2 and all(map(_is_real, z)) for z in row)
+            for row in g)
+        for g in gens)
 
 
 def run(args):
@@ -371,18 +396,13 @@ def run(args):
     }
     try:
         result = _RUNNERS[cfg["experiment"]](cfg, rng)
-    except (errs.TooLarge, errs.BudgetExceeded) as exc:
-        meta["error"] = {"code": type(exc).__name__, "message": str(exc)}
-        meta["wall_time_s"] = time.time() - t0
-        _write_atomic(os.path.join(args.out, "meta.json"), json.dumps(meta, indent=2, default=str) + "\n")
-        print(f"refused: {exc}", file=sys.stderr)
-        return 3
     except errs.TorsionLabError as exc:
+        refused = isinstance(exc, (errs.TooLarge, errs.BudgetExceeded))
         meta["error"] = {"code": type(exc).__name__, "message": str(exc)}
         meta["wall_time_s"] = time.time() - t0
         _write_atomic(os.path.join(args.out, "meta.json"), json.dumps(meta, indent=2, default=str) + "\n")
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{'refused' if refused else 'error'}: {exc}", file=sys.stderr)
+        return 3 if refused else 2
     for name, text in result.get("files", {}).items():
         _write_atomic(os.path.join(args.out, name), text)
     if args.plot and "plot" in result:
@@ -521,8 +541,9 @@ def selftest(seed=0):
     check("zeta(0) exact values", zeta_check)
 
     def renorm_check():
-        from .experiments import FlatSetup, convergence_study
-        series = convergence_study(FlatSetup("torus", 1, 1), [32, 64, 128])
+        from .experiments import convergence_study
+        from .torsion import SeparableSurface
+        series = convergence_study(SeparableSurface("torus", 1, 1), [32, 64, 128])
         assert abs(series.renorms[-1] - series.target) < 5e-4
 
     check("renormalized determinant trend", renorm_check)

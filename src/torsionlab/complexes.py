@@ -58,12 +58,6 @@ class VertexClass:
     def quadrants(self):
         return len(self.corners)
 
-    @property
-    def angle(self):
-        import math
-
-        return len(self.corners) * math.pi / 2.0
-
 
 class SquareComplex:
     """Cells plus a fixed-point-free involution pairing some of their sides."""
@@ -119,16 +113,6 @@ class SquareComplex:
 
     def is_paired(self, c, d):
         return (c, d) in self.pairings
-
-    def cross(self, c, d, t):
-        """Cross side (c, d) at parameter point/index t; returns (c', d', t')."""
-        c2, d2, kind = self.pairings[(c, d)]
-        return c2, d2, (t if kind == TRANSLATION else self._flip(t))
-
-    @staticmethod
-    def _flip(t):
-        # t is either a float in [0,1] or an int subside index handled by caller
-        return 1 - t
 
     # -- vertex classes -----------------------------------------------------
 

@@ -3,7 +3,9 @@ discrete-to-continuum embedding identities.
 
 The renormalized log-determinant subtracts the area and perimeter growth and
 adds back 2 zeta(0) log n; for tori, cylinders and rectangles it converges
-and the limits are checked against the closed-form torsions.
+and the limits are checked against the closed-form torsions.  Those setups
+are torsion.SeparableSurface objects: convergence_study and ratio_study read
+their log_det(n), area, perimeter, zeta(0), target and label.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from .bundles import trivial_connection, connection_from_holonomy
 from .errors import BisectionFailure, HypothesisViolation, SupportViolation
 from .laplacian import assemble, log_det_prime, spectrum
 from .meshes import discretize
-from .meshspectra import CATALAN, LOG_SQRT2M1, closed_form_log_det
+from .meshspectra import CATALAN, LOG_SQRT2M1
 from .surfaces import geometry_summary
-from .torsion import SeparableSurface, zeta_zero
+from .torsion import zeta_zero
 
 
 def renormalized_logdet(logdet, rank, area, perimeter, zeta0, n):
@@ -55,68 +57,6 @@ def richardson_extrapolate(ns, xs):
 
 
 @dataclass
-class FlatSetup:
-    """A closed-form-solvable surface with an optional U(1) twist."""
-
-    kind: str                  # rectangle | torus | cylinder
-    a: int
-    b: int
-    alpha: float = 0.0
-    beta: float = 0.0
-    rank: int = 1
-
-    def __post_init__(self):
-        self.separable    # raises for a kind outside the factor table or a twist on a free side
-        if self.rank != 1:
-            raise HypothesisViolation("closed forms implemented at rank 1")
-
-    @property
-    def separable(self):
-        return SeparableSurface(self.kind, self.a, self.b, self.alpha, self.beta)
-
-    @property
-    def area(self):
-        return self.a * self.b
-
-    @property
-    def perimeter(self):
-        return self.separable.perimeter
-
-    @property
-    def dim_h0(self):
-        return self.separable.dim_h0
-
-    @property
-    def zeta0(self):
-        return float(self.separable.zeta0)
-
-    def corner_count(self):
-        return self.separable.corners
-
-    def log_det(self, n):
-        return closed_form_log_det(self.kind, self.a, self.b, n,
-                                   alpha=self.alpha, beta=self.beta)
-
-    def target(self):
-        """Known limit of the renormalized series, or None for a twisted bundle.
-
-        Each right corner contributes -log(2)/16.
-        """
-        s = self.separable
-        if not s.dim_h0:
-            return None
-        return s.torsion() - s.corners * math.log(2) / 16
-
-    def label(self):
-        tw = ""
-        if self.alpha or self.beta:
-            tw = f",alpha={self.alpha:.6g}"
-            if self.separable.factors[1].periodic:
-                tw += f",beta={self.beta:.6g}"
-        return f"{self.kind}({self.a},{self.b}{tw})"
-
-
-@dataclass
 class RenormSeries:
     label: str
     ns: list
@@ -133,7 +73,8 @@ class RenormSeries:
 
 
 def convergence_study(setup, n_list):
-    """Renormalized log-determinant series with Richardson extrapolation."""
+    """Renormalized log-determinant series of a rank-1 SeparableSurface, with
+    Richardson extrapolation."""
     ns = sorted(n_list)
     if not ns:
         raise HypothesisViolation("empty n list")
@@ -142,8 +83,8 @@ def convergence_study(setup, n_list):
     for n in ns:
         ld = setup.log_det(n)
         logdets.append(ld)
-        renorms.append(renormalized_logdet(ld, setup.rank, setup.area,
-                                           setup.perimeter, setup.zeta0, n))
+        renorms.append(renormalized_logdet(ld, 1, setup.area, setup.perimeter,
+                                           setup.zeta0, n))
     limit, err = richardson_extrapolate(ns, renorms)
     return RenormSeries(label=setup.label(), ns=ns, logdets=logdets, renorms=renorms,
                         extrapolated=limit, err_estimate=err, target=setup.target())
@@ -196,18 +137,17 @@ def model_correction_series(surface, n_list):
 
 
 def ratio_study(setup_a, setup_b, n_list):
-    """det' ratios along n for two setups sharing the comparison invariants.
+    """det' ratios along n for two SeparableSurface setups sharing the
+    comparison invariants.
 
     Returns (ratios, cauchy_diffs) where cauchy_diffs[k] = |r_{2 n_k} - r_{n_k}|
     whenever both levels are present.
     """
-    inv_a = (setup_a.area, setup_a.perimeter, setup_a.rank, setup_a.dim_h0,
-             setup_a.corner_count())
-    inv_b = (setup_b.area, setup_b.perimeter, setup_b.rank, setup_b.dim_h0,
-             setup_b.corner_count())
+    inv_a = (setup_a.area, setup_a.perimeter, setup_a.dim_h0, setup_a.corners)
+    inv_b = (setup_b.area, setup_b.perimeter, setup_b.dim_h0, setup_b.corners)
     if inv_a != inv_b:
         raise HypothesisViolation(
-            f"setups do not share (area, perimeter, rank, dim H0, corners): {inv_a} vs {inv_b}")
+            f"setups do not share (area, perimeter, dim H0, corners): {inv_a} vs {inv_b}")
     ns = sorted(n_list)
     ratios = {}
     for n in ns:
@@ -235,14 +175,14 @@ def uniform_weyl_check(spectra):
     return cmin, table
 
 
-def weyl_slope(spec, area, rank=1, i_min=50, i_max=200):
-    """Least-squares slope of lambda_i over i on [i_min, i_max], normalized by 4 pi/(A r)."""
+def weyl_slope(spec, area, i_min=50, i_max=200):
+    """Least-squares slope of lambda_i over i on [i_min, i_max], normalized by 4 pi/A."""
     lam = spec.eigenvalues
     if lam.size <= i_max:
         raise ValueError("spectrum too short for the slope window")
     i = np.arange(i_min, i_max + 1)
     slope = np.polyfit(i, lam[i_min:i_max + 1], 1)[0]
-    return float(slope * area * rank / (4 * math.pi))
+    return float(slope * area / (4 * math.pi))
 
 
 # -- piecewise polynomial bumps ------------------------------------------------
@@ -372,10 +312,6 @@ class BumpProfile:
 
     def rho(self, x):
         return self.half(np.abs(np.asarray(x, dtype=float)))
-
-    def rho_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.half.derivative()(np.abs(x)) * np.sign(x)
 
 
 def build_bump(tol=1e-12, max_iter=200):

@@ -10,7 +10,8 @@ of one factor's spectrum, in closed form (torsion.Factor.log_shifted_product):
 with mu = 4 sinh^2(phi/2), prod_j (mu + nu_j) is 2 cosh(m phi) - 2 cos(theta)
 for a cycle of m sites twisted by theta and 2 tanh(phi/2) sinh(m phi) for a
 path of m sites.  log det' is the fsum of one factor's row products over the
-other factor's eigenvalues, so it costs O(n) and never builds the grid.
+other factor's eigenvalues (torsion.SeparableSurface.log_det, the setup that
+closed_form_log_det builds), so it costs O(n) and never builds the grid.
 The an x bn rectangle mesh has product-cosine eigenvectors
 indexed by (i, j); its rescaled eigenvalues are 4n^2 sin^2(pi i / 2an) +
 4n^2 sin^2(pi j / 2bn), with the (0,0) entry replaced by 1 to stand for the
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, SupportTooWide
 from .laplacian import HermitianSpectrum
-from .torsion import SeparableSurface
+from .torsion import SeparableSurface, rectangle_torsion
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 LOG_SQRT2M1 = math.log(SQRT2M1)
@@ -125,16 +126,9 @@ def cylinder_mesh_spectrum(a, b, n, alpha=0.0):
 
 
 def closed_form_log_det(kind, a, b, n, alpha=0.0, beta=0.0):
-    """log det' of the unrescaled mesh Laplacian via the closed-form spectra.
-
-    The sum over rows of the (an, bn) grid: the row factor's shifted product
-    at each eigenvalue of the other factor, added with math.fsum.  The row
-    factor is the first in the factors' canonical order, so setups with the
-    same factors on swapped sides (e.g. swapped torus phases) give
-    bit-identical values.
-    """
-    rows, cols = sorted(SeparableSurface(kind, a, b, alpha, beta).factors)
-    return math.fsum(rows.log_shifted_product(n, cols.mesh_eigenvalues(n)).tolist())
+    """log det' of the unrescaled mesh Laplacian via the closed-form spectra
+    (SeparableSurface.log_det)."""
+    return SeparableSurface(kind, a, b, alpha, beta).log_det(n)
 
 
 # -- corrected sine product ---------------------------------------------------
@@ -231,15 +225,14 @@ def szego_trace_direct(profile, n):
     quarter alternating sum of four grid entries.
     """
     profile.check_support(n)
-    a, b = profile.a, profile.b
-    fa, fb = SeparableSurface("rectangle", a, b).factors
+    surface = SeparableSurface("rectangle", profile.a, profile.b)
+    fa, fb = surface.factors
     ea, eb = fa.mesh_eigenvalues(n), fb.mesh_eigenvalues(n)
     an, bn = ea.size, eb.size
     total = 0.0
     for (i, j), c in sorted(profile.coeffs.items()):
         if i == 0 and j == 0:
-            total += c * ((an * bn - 1) * math.log(n * n)
-                          + closed_form_log_det("rectangle", a, b, n))
+            total += c * ((an * bn - 1) * math.log(n * n) + surface.log_det(n))
         elif j == 0:
             row, reflected = fb.log_shifted_product(n, ea[[i, an - i]])
             total += c * 0.5 * float(row - reflected)
@@ -279,8 +272,7 @@ def szego_trace_contraction(profile, n):
     return total
 
 
-def szego_expansion_predicted(profile, n, rectangle_log_det_prime=None,
-                              corrected_constants=True):
+def szego_expansion_predicted(profile, n, corrected_constants=True):
     """Large-n prediction for tr(phi log(n^2 Delta^perp)).
 
     Leading terms 2ab n^2 log(n) a00 + (4G/pi) ab n^2 a00, a boundary term
@@ -318,8 +310,5 @@ def szego_expansion_predicted(profile, n, rectangle_log_det_prime=None,
             out += 0.25 * c * (math.log(math.pi ** 2 * i * i / (a * a)
                                         + math.pi ** 2 * j * j / (b * b)) - math.log(2))
     if a00:
-        if rectangle_log_det_prime is None:
-            from .torsion import rectangle_torsion
-            rectangle_log_det_prime = rectangle_torsion(a, b)
-        out += a00 * (rectangle_log_det_prime - math.log(2) / 4)
+        out += a00 * (rectangle_torsion(a, b) - math.log(2) / 4)
     return out

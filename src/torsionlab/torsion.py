@@ -9,7 +9,9 @@ circumference a x free height b.  Mesh and continuum spectra, theta series,
 perimeter, corner count, dim H^0 and zeta(0) all follow from the factors.
 A factor's kernel is decided once, from its holonomy: a phase whose
 holonomy exp(i phase) is within FLAT_SECTION_TOL of 1 (every phase = 0 mod
-2 pi) is trivial and is replaced by 0.
+2 pi) is trivial and is replaced by 0.  SeparableSurface (kind, sides a, b
+and U(1) phases alpha, beta) is the one setup of the closed-form experiments,
+with its log_det(n), target() and label().
 
 Each factor's mesh spectrum nu_j has a closed-form shifted product.  With
 mu = 4 sinh^2(phi/2), a cycle of m sites twisted by theta gives
@@ -30,6 +32,8 @@ import numpy as np
 from .errors import EtaDomainError, HypothesisViolation
 
 _SERIES_TERMS = 64
+
+MELLIN_T = 1e-3    # heat-trace time at which zeta_zero_from_heat_trace reads zeta(0)
 
 # |g - 1| below this makes a U(1) generator g trivial; bundles.flat_sections_dim
 # applies the same bound to the singular values of the stacked g - I
@@ -64,9 +68,17 @@ class Factor:
         """1 when the factor carries a flat section (free, or trivial holonomy), else 0."""
         return int(self.phase == 0.0)
 
+    def _sites(self, n):
+        """The site count length * n; HypothesisViolation unless a positive integer."""
+        m = self.length * n
+        if not (m > 0 and float(m).is_integer()):
+            raise HypothesisViolation(
+                f"a side of length {self.length} has {m} sites at n = {n}, not a positive count")
+        return int(m)
+
     def mesh_eigenvalues(self, n):
         """Unsorted spectrum of the twisted cycle or the path on length * n vertices."""
-        m = self.length * n
+        m = self._sites(n)
         j = np.arange(m)
         if self.periodic:
             return 4 * np.sin((2 * np.pi * j + self.phase) / (2 * m)) ** 2
@@ -79,7 +91,7 @@ class Factor:
         logs stay finite for m phi in the thousands.  At mu = 0 the zero mode
         of an untwisted factor is dropped, so the value is log det'.
         """
-        m = self.length * n
+        m = self._sites(n)
         mu = np.asarray(mu, dtype=float)
         phi = 2.0 * np.arcsinh(0.5 * np.sqrt(mu))
         x = m * phi
@@ -167,6 +179,31 @@ class SeparableSurface:
         """Closed-form log det' of the untwisted continuum surface."""
         return TORSIONS[self.kind](self.a, self.b)
 
+    def log_det(self, n):
+        """log det' of the unrescaled mesh Laplacian: the math.fsum over the rows of
+        the (an, bn) grid of the row factor's shifted products.  The row factor is
+        the first in the factors' canonical order, so the same factors on swapped
+        sides (e.g. swapped torus phases) give bit-identical values."""
+        rows, cols = sorted(self.factors)
+        return math.fsum(rows.log_shifted_product(n, cols.mesh_eigenvalues(n)).tolist())
+
+    def target(self):
+        """Known limit of the renormalized series, or None for a twisted bundle.
+
+        Each right corner contributes -log(2)/16.
+        """
+        if not self.dim_h0:
+            return None
+        return self.torsion() - self.corners * math.log(2) / 16
+
+    def label(self):
+        tw = ""
+        if self.alpha or self.beta:
+            tw = f",alpha={self.alpha:.6g}"
+            if self.factors[1].periodic:
+                tw += f",beta={self.beta:.6g}"
+        return f"{self.kind}({self.a},{self.b}{tw})"
+
 
 @dataclass(frozen=True)
 class ContinuumSpectrum:
@@ -236,11 +273,11 @@ def heat_trace(kind, a, b, t):
     return fa.theta(t) * fb.theta(t)
 
 
-def heat_trace_expansion(kind, a, b, t, rank=1):
+def heat_trace_expansion(kind, a, b, t):
     """Small-time expansion A/(4 pi t) + |dA|/(8 sqrt(pi t)) + angle constants."""
     s = SeparableSurface(kind, a, b)
-    return rank * (s.area / (4 * math.pi * t) + s.perimeter / (8 * math.sqrt(math.pi * t))
-                   + float(s.heat_constant))
+    return (s.area / (4 * math.pi * t) + s.perimeter / (8 * math.sqrt(math.pi * t))
+            + float(s.heat_constant))
 
 
 def corner_zeta_term(quadrants):
@@ -269,13 +306,14 @@ def zeta_zero(summary, rank=1, dim_h0=1):
     return -Fraction(dim_h0) + Fraction(rank, 12) * tot
 
 
-def zeta_zero_from_heat_trace(kind, a, b, dim_h0=1, t=1e-3):
-    """Numeric cross-check of zeta(0): the constant term of the heat trace
-    (the Mellin-split regular part at s=0) minus the kernel dimension."""
+def zeta_zero_from_heat_trace(kind, a, b):
+    """Numeric cross-check of zeta(0): the constant term of the heat trace at
+    t = MELLIN_T (the Mellin-split regular part at s=0) minus dim H^0."""
     s = SeparableSurface(kind, a, b)
+    t = MELLIN_T
     const = (heat_trace(kind, a, b, t) - s.area / (4 * math.pi * t)
              - s.perimeter / (8 * math.sqrt(math.pi * t)))
-    return const - dim_h0
+    return const - s.dim_h0
 
 
 def dedekind_eta(q):

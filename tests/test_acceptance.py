@@ -118,7 +118,7 @@ def test_criterion_04_sine_product():
 
 def test_criterion_05_torus_convergence():
     t0 = time.time()
-    setup = ex.FlatSetup("torus", 1, 1)
+    setup = ts.SeparableSurface("torus", 1, 1)
     series = ex.convergence_study(setup, [64, 128, 256, 512, 1024, 2048, 4096])
     target = series.target   # 4 log eta(i) via the eta product
     err_extrap = abs(series.extrapolated - target)
@@ -131,7 +131,7 @@ def test_criterion_05_torus_convergence():
 
 
 def test_criterion_06_rectangle_convergence():
-    setup = ex.FlatSetup("rectangle", 1, 1)
+    setup = ts.SeparableSurface("rectangle", 1, 1)
     series = ex.convergence_study(setup, [64, 128, 256, 512, 1024, 2048])
     err = abs(series.extrapolated - series.target)
     ok = err < 2e-3
@@ -243,13 +243,13 @@ def test_criterion_11_uniform_weyl():
 
 def test_criterion_12_ratio_limits():
     sym_ratios, _ = ex.ratio_study(
-        ex.FlatSetup("torus", 1, 1, alpha=math.pi, beta=0.0),
-        ex.FlatSetup("torus", 1, 1, alpha=0.0, beta=math.pi),
+        ts.SeparableSurface("torus", 1, 1, alpha=math.pi, beta=0.0),
+        ts.SeparableSurface("torus", 1, 1, alpha=0.0, beta=math.pi),
         [64, 128, 256])
     sym_ok = all(abs(r - 1.0) < 1e-12 for r in sym_ratios)
     _, diffs = ex.ratio_study(
-        ex.FlatSetup("torus", 1, 1, alpha=math.pi, beta=math.pi),
-        ex.FlatSetup("torus", 1, 1, alpha=math.pi, beta=0.0),
+        ts.SeparableSurface("torus", 1, 1, alpha=math.pi, beta=math.pi),
+        ts.SeparableSurface("torus", 1, 1, alpha=math.pi, beta=0.0),
         [64, 128, 256, 512, 1024])
     cauchy_ok = all(y < x for x, y in zip(diffs, diffs[1:]))
     ok = sym_ok and cauchy_ok

@@ -166,6 +166,44 @@ def test_non_separable_kind_exits_2(tmp_path, experiment):
     assert meta["error"]["code"] == "HypothesisViolation"
 
 
+_SEPARABLE_EXPERIMENTS = ["heat-trace", "torsion", "weyl-check", "renorm-series", "ratio"]
+
+
+@pytest.mark.parametrize("experiment", _SEPARABLE_EXPERIMENTS)
+@pytest.mark.parametrize("side", [{"a": 1.5}, {"a": 0}, {"a": "2"}, {}],
+                         ids=["a-1.5", "a-0", "a-string", "no-a"])
+def test_separable_spec_is_validated_by_build_surface(tmp_path, experiment, side):
+    # a and b are positive tile counts with no default, as in every other experiment
+    torus = {"kind": "torus", "a": 1, "b": 1}
+    cfg = {"experiment": experiment, "surface": {"kind": "torus", "b": 1, **side},
+           "surface_b": torus, "n_list": [2, 4, 8]}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    assert json.loads((out / "meta.json").read_text())["error"]["code"] == "InvalidGluing"
+
+
+_TORUS11 = {"kind": "torus", "a": 1, "b": 1}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "logdet", "surface": _TORUS11, "n": 0},
+    {"experiment": "logdet", "surface": _TORUS11, "n": "3"},
+    {"experiment": "logdet", "surface": _TORUS11, "n": 2,
+     "bundle": {"kind": "random", "rank": -1}},
+    {"experiment": "renorm-series", "surface": _TORUS11, "n_list": [2, 4, 8],
+     "bundle": {"alpha": "x"}},
+    {"experiment": "heat-trace", "surface": _TORUS11, "t_list": [0.1, 0.0]},
+    {"experiment": "logdet", "surface": _TORUS11, "n": 2,
+     "bundle": {"kind": "raw", "generators": [[[[1, 0]], [[0, 0], [1, 0]]]]}},
+    {"experiment": "logdet", "surface": _TORUS11, "n": 2,
+     "bundle": {"kind": "raw", "generators": [[[["x", 0]]], [[[1, 0]]]]}}],
+    ids=["n-zero", "n-string", "negative-rank", "alpha-string", "t-zero",
+         "ragged-generator", "non-numeric-generator"])
+def test_malformed_input_exits_2(tmp_path, cfg):
+    code, out = _run(tmp_path, cfg)
+    assert code == 2 and not out.exists()
+
+
 def test_dense_kernel_comes_from_the_holonomy(tmp_path):
     # a 1e-7 twist leaves an eigenvalue below the numerical kernel tolerance,
     # but the bundle has no flat section: the dense run refuses, not misreports

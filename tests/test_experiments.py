@@ -10,7 +10,7 @@ from torsionlab.errors import (BudgetExceeded, HypothesisViolation,
                                SupportViolation)
 from torsionlab.meshspectra import (CATALAN, closed_form_log_det,
                                     rectangle_mesh_spectrum, torus_mesh_spectrum)
-from torsionlab.torsion import zeta_zero
+from torsionlab.torsion import SeparableSurface, zeta_zero
 
 
 def test_renormalized_logdet_formula():
@@ -50,7 +50,7 @@ def test_richardson_needs_a_geometric_ladder():
 
 
 def test_torus_convergence():
-    s = ex.convergence_study(ex.FlatSetup("torus", 1, 1), [32, 64, 128, 256])
+    s = ex.convergence_study(SeparableSurface("torus", 1, 1), [32, 64, 128, 256])
     assert s.target is not None
     assert abs(s.extrapolated - s.target) < 1e-5
     errs = s.abs_errors()
@@ -58,21 +58,21 @@ def test_torus_convergence():
 
 
 def test_rectangle_convergence():
-    s = ex.convergence_study(ex.FlatSetup("rectangle", 1, 1), [32, 64, 128, 256])
+    s = ex.convergence_study(SeparableSurface("rectangle", 1, 1), [32, 64, 128, 256])
     assert abs(s.extrapolated - s.target) < 1e-5
 
 
 def test_cylinder_convergence_two_routes():
     # the closed-form cylinder torsion is derived independently of the mesh
     # route, so agreement here is a genuine two-sided check
-    s = ex.convergence_study(ex.FlatSetup("cylinder", 2, 1), [32, 64, 128, 256])
+    s = ex.convergence_study(SeparableSurface("cylinder", 2, 1), [32, 64, 128, 256])
     assert abs(s.extrapolated - s.target) < 1e-5
-    s = ex.convergence_study(ex.FlatSetup("cylinder", 1, 2), [32, 64, 128, 256])
+    s = ex.convergence_study(SeparableSurface("cylinder", 1, 2), [32, 64, 128, 256])
     assert abs(s.extrapolated - s.target) < 1e-5
 
 
 def test_twisted_torus_cauchy():
-    s = ex.convergence_study(ex.FlatSetup("torus", 1, 1, alpha=math.pi, beta=math.pi),
+    s = ex.convergence_study(SeparableSurface("torus", 1, 1, alpha=math.pi, beta=math.pi),
                              [32, 64, 128, 256])
     assert s.target is None
     d = [abs(b - a) for a, b in zip(s.renorms, s.renorms[1:])]
@@ -83,7 +83,7 @@ def test_twisted_torus_vs_dense():
     # the twisted closed-form route agrees with a dense eigensolve at small n
     import torsionlab.bundles as bundles
     import torsionlab.laplacian as laplacian
-    setup = ex.FlatSetup("torus", 1, 1, alpha=1.1, beta=-0.4)
+    setup = SeparableSurface("torus", 1, 1, alpha=1.1, beta=-0.4)
     mesh = meshes.discretize(surfaces.torus(1, 1), 3)
     rep = bundles.HolonomyRepresentation(
         1, [np.array([[np.exp(1.1j)]]), np.array([[np.exp(-0.4j)]])])
@@ -147,21 +147,21 @@ def test_dense_budget():
 
 
 def test_ratio_symmetric_is_one():
-    ratios, _ = ex.ratio_study(ex.FlatSetup("torus", 1, 1, alpha=math.pi, beta=0.0),
-                               ex.FlatSetup("torus", 1, 1, alpha=0.0, beta=math.pi),
+    ratios, _ = ex.ratio_study(SeparableSurface("torus", 1, 1, alpha=math.pi, beta=0.0),
+                               SeparableSurface("torus", 1, 1, alpha=0.0, beta=math.pi),
                                [8, 16, 32])
     assert all(abs(r - 1.0) < 1e-12 for r in ratios)
 
 
 def test_ratio_identical_setups():
-    ratios, _ = ex.ratio_study(ex.FlatSetup("torus", 1, 1), ex.FlatSetup("torus", 1, 1),
+    ratios, _ = ex.ratio_study(SeparableSurface("torus", 1, 1), SeparableSurface("torus", 1, 1),
                                [8, 16])
     assert all(r == 1.0 for r in ratios)
 
 
 def test_ratio_cauchy():
-    _, diffs = ex.ratio_study(ex.FlatSetup("torus", 1, 1, alpha=math.pi, beta=math.pi),
-                              ex.FlatSetup("torus", 1, 1, alpha=math.pi, beta=0.0),
+    _, diffs = ex.ratio_study(SeparableSurface("torus", 1, 1, alpha=math.pi, beta=math.pi),
+                              SeparableSurface("torus", 1, 1, alpha=math.pi, beta=0.0),
                               [32, 64, 128, 256])
     assert len(diffs) == 3
     assert all(y < x for x, y in zip(diffs, diffs[1:]))
@@ -169,19 +169,19 @@ def test_ratio_cauchy():
 
 def test_ratio_hypothesis_violation():
     with pytest.raises(HypothesisViolation):
-        ex.ratio_study(ex.FlatSetup("torus", 1, 1), ex.FlatSetup("rectangle", 1, 1), [4])
+        ex.ratio_study(SeparableSurface("torus", 1, 1), SeparableSurface("rectangle", 1, 1), [4])
     with pytest.raises(HypothesisViolation):
-        ex.ratio_study(ex.FlatSetup("torus", 1, 1),
-                       ex.FlatSetup("torus", 1, 1, alpha=math.pi), [4])
+        ex.ratio_study(SeparableSurface("torus", 1, 1),
+                       SeparableSurface("torus", 1, 1, alpha=math.pi), [4])
 
 
 def test_corrupted_catalan_is_detected(monkeypatch):
     # fault injection: a wrong area constant throws the renormalized series
     # off its target by ~ delta * n^2, so the trend check must fail
-    good = ex.convergence_study(ex.FlatSetup("torus", 1, 1), [16, 32])
+    good = ex.convergence_study(SeparableSurface("torus", 1, 1), [16, 32])
     assert abs(good.renorms[-1] - good.target) < 1e-3
     monkeypatch.setattr(ex, "CATALAN", CATALAN + 1e-6)
-    bad = ex.convergence_study(ex.FlatSetup("torus", 1, 1), [16, 32])
+    bad = ex.convergence_study(SeparableSurface("torus", 1, 1), [16, 32])
     assert abs(bad.renorms[-1] - bad.target) > 1e-4
 
 

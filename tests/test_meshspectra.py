@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsionlab import bundles, laplacian, meshes, meshspectra as ms, surfaces, torsion
-from torsionlab.errors import IndexOutOfRange, SupportTooWide
-from torsionlab.experiments import FlatSetup, convergence_study
+from torsionlab.errors import HypothesisViolation, IndexOutOfRange, SupportTooWide
+from torsionlab.experiments import convergence_study
 
 
 def test_catalan_constant():
@@ -264,7 +264,8 @@ def test_factor_table_matches_dense_and_holonomy(kind, a, b, n, alpha, beta):
     assert np.max(np.abs(np.sort(dense) - spec.eigenvalues)) < 1e-11
     assert abs(laplacian.log_det_prime(spec)
                - ms.closed_form_log_det(kind, a, b, n, *phases)) < 1e-9
-    assert spec.kernel_dim == FlatSetup(kind, a, b, *phases).dim_h0 == bundles.flat_sections_dim(rep)
+    assert (spec.kernel_dim == torsion.SeparableSurface(kind, a, b, *phases).dim_h0
+            == bundles.flat_sections_dim(rep))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -286,6 +287,16 @@ def test_closed_form_log_det_is_bitwise_symmetric_under_factor_swap():
                 == ms.closed_form_log_det("torus", 1, 2, n, 1.1, 0.3))
 
 
+def test_a_factor_refuses_a_non_integral_site_count():
+    side = torsion.Factor(True, 1.5)
+    for call in (side.mesh_eigenvalues, lambda n: side.log_shifted_product(n, 0.0),
+                 lambda n: ms.closed_form_log_det("torus", 1.5, 1, n)):
+        with pytest.raises(HypothesisViolation):
+            call(3)
+    # a float side is a valid length wherever it gives whole sites
+    assert ms.closed_form_log_det("torus", 1.5, 1, 4) == ms.closed_form_log_det("torus", 3, 2, 2)
+
+
 def test_closed_form_log_det_builds_no_grid():
     # the (4096, 4096) eigenvalue grid would take 134 MB
     tracemalloc.start()
@@ -299,5 +310,6 @@ def test_closed_form_log_det_builds_no_grid():
 
 @pytest.mark.parametrize("kind,a,b", [("torus", 1, 1), ("rectangle", 1, 1), ("cylinder", 2, 1)])
 def test_convergence_beyond_grid_sizes(kind, a, b):
-    series = convergence_study(FlatSetup(kind, a, b), [2 ** 15, 2 ** 16, 2 ** 17])
+    series = convergence_study(torsion.SeparableSurface(kind, a, b),
+                               [2 ** 15, 2 ** 16, 2 ** 17])
     assert abs(series.renorms[-1] - series.target) < 1e-4

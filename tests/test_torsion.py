@@ -116,11 +116,11 @@ def test_zeta_zero_simply_connected_shortcut():
 
 
 def test_zeta_zero_mellin_cross_check():
-    z = ts.zeta_zero_from_heat_trace("rectangle", 1, 1, dim_h0=1)
+    z = ts.zeta_zero_from_heat_trace("rectangle", 1, 1)
     assert abs(z - (-0.75)) < 1e-6
-    z = ts.zeta_zero_from_heat_trace("torus", 1, 1, dim_h0=1)
+    z = ts.zeta_zero_from_heat_trace("torus", 1, 1)
     assert abs(z - (-1.0)) < 1e-6
-    z = ts.zeta_zero_from_heat_trace("cylinder", 2, 1, dim_h0=1)
+    z = ts.zeta_zero_from_heat_trace("cylinder", 2, 1)
     assert abs(z - (-1.0)) < 1e-6
 
 
