@@ -61,54 +61,62 @@ class HolonomyRepresentation:
 class UnitaryConnection:
     """Rank-r unitary transports on the edges of a mesh graph, with the
     dimension of its flat sections (the Laplacian's kernel) decided from the
-    holonomy by whichever constructor below builds it."""
+    holonomy by whichever constructor below builds it.
+
+    ``transports`` is an (E, r, r) array: edge k's transport from the fiber
+    at its u to the fiber at its v.
+    """
 
     def __init__(self, graph, rank, transports, flat_sections):
         self.graph = graph
         self.rank = rank
         self.flat_sections = flat_sections
-        self.transports = [np.asarray(t, dtype=complex) for t in transports]
-        if len(self.transports) != len(graph.edges):
-            raise ValueError("one transport per edge copy required")
+        self.transports = np.asarray(transports, dtype=complex)
+        if self.transports.shape != (len(graph.edges), rank, rank):
+            raise ValueError("one rank x rank transport per edge copy required")
+        self._steps = None
+
+    def steps(self):
+        """(transports, their inverses) as lists of matrices, for walks that
+        take one edge at a time."""
+        if self._steps is None:
+            self._steps = (list(self.transports),
+                           list(self.transports.conj().swapaxes(-1, -2)))
+        return self._steps
 
     def transport(self, edge_index, direction):
         """Transport along edge ``edge_index``; +1 is the stored u -> v direction."""
-        t = self.transports[edge_index]
-        return t if direction == +1 else t.conj().T
+        return self.steps()[0 if direction == +1 else 1][edge_index]
 
 
 def trivial_connection(graph, rank=1):
     eye = np.eye(rank, dtype=complex)
-    return UnitaryConnection(graph, rank, [eye] * len(graph.edges), rank)
+    return UnitaryConnection(graph, rank, np.broadcast_to(eye, (len(graph.edges), rank, rank)),
+                             rank)
 
 
 def connection_from_holonomy(graph, rep, cuts=None):
     """Flat connection realizing ``rep``: edges crossing cut k carry generator k.
 
     ``cuts`` are tile-level crossing maps (see surfaces.standard_cuts); when
-    omitted they default to the standard cuts of the underlying surface.
+    omitted they default to the standard cuts of the underlying surface.  An
+    edge crossing several cuts carries the product of their generators, the
+    first cut's applied first.
     """
     if cuts is None:
         cuts = standard_cuts(graph.surface)
     if len(cuts) != len(rep.generators):
         raise BadCuts(f"{len(cuts)} cuts for {len(rep.generators)} generators")
-    for cut in cuts:
-        for slot in cut:
-            if not graph.surface.complex.is_paired(*slot):
-                raise BadCuts(f"cut slot {slot} is a boundary side")
-    edge_cuts = graph.refine_cuts(cuts)
-    eye = np.eye(rep.rank, dtype=complex)
-    transports = []
-    for idx in range(len(graph.edges)):
-        t = eye
-        for k, cut in enumerate(edge_cuts):
-            s = cut.get(idx, 0)
-            if s == +1:
-                t = rep.generators[k] @ t
-            elif s == -1:
-                t = rep.generators[k].conj().T @ t
-        transports.append(t)
-    conn = UnitaryConnection(graph, rep.rank, transports, flat_sections_dim(rep))
+    r = rep.rank
+    transports = np.tile(np.eye(r, dtype=complex), (len(graph.edges), 1, 1))
+    for gen, cut in zip(rep.generators, graph.refine_cuts(cuts)):
+        if not cut:
+            continue
+        idx = np.fromiter(cut, dtype=np.int64, count=len(cut))
+        forward = np.fromiter(cut.values(), dtype=np.int64, count=len(cut)) > 0
+        step = np.where(forward[:, None, None], gen, gen.conj().T)
+        transports[idx] = step @ transports[idx]
+    conn = UnitaryConnection(graph, r, transports, flat_sections_dim(rep))
     ok, worst = flat_check(conn)
     if not ok:
         raise BadCuts(
@@ -124,15 +132,11 @@ def gauge_transform(conn, u):
 
     ``u`` maps vertex index -> unitary; arrays and dicts both work.
     """
-    r = conn.rank
-    mats = []
-    for vid in range(conn.graph.n_vertices):
-        g = u[vid]
-        mats.append(_check_unitary(g, what=f"gauge at vertex {vid}"))
-    transports = []
-    for idx, e in enumerate(conn.graph.edges):
-        transports.append(mats[e.v] @ conn.transports[idx] @ mats[e.u].conj().T)
-    return UnitaryConnection(conn.graph, r, transports, conn.flat_sections)
+    g = conn.graph
+    mats = np.stack([_check_unitary(u[vid], what=f"gauge at vertex {vid}")
+                     for vid in range(g.n_vertices)])
+    transports = mats[g.edge_v] @ conn.transports @ mats[g.edge_u].conj().swapaxes(-1, -2)
+    return UnitaryConnection(g, conn.rank, transports, conn.flat_sections)
 
 
 def cycle_monodromy(conn, cycle):
@@ -143,19 +147,18 @@ def cycle_monodromy(conn, cycle):
     """
     if not cycle:
         raise NotAClosedWalk("empty cycle")
-    g = conn.graph
+    ends = conn.graph.ends
+    forward, backward = conn.steps()
     idx0, d0 = cycle[0]
-    e0 = g.edges[idx0]
-    pos = e0.v if d0 == +1 else e0.u
-    start = e0.u if d0 == +1 else e0.v
-    word = conn.transport(idx0, d0)
+    u0, v0 = ends[idx0]
+    pos, start = (v0, u0) if d0 == +1 else (u0, v0)
+    word = (forward if d0 == +1 else backward)[idx0]
     for idx, d in cycle[1:]:
-        e = g.edges[idx]
-        tail = e.u if d == +1 else e.v
-        head = e.v if d == +1 else e.u
+        u, v = ends[idx]
+        tail, head = (u, v) if d == +1 else (v, u)
         if tail != pos:
             raise NotAClosedWalk(f"edge {idx} does not start at vertex {pos}")
-        word = conn.transport(idx, d) @ word
+        word = (forward if d == +1 else backward)[idx] @ word
         pos = head
     if pos != start:
         raise NotAClosedWalk("walk does not return to its starting vertex")
@@ -163,12 +166,21 @@ def cycle_monodromy(conn, cycle):
 
 
 def flat_check(conn):
-    """(all faces flat to FLATNESS_TOL?, worst face defect)."""
+    """(all faces flat to FLATNESS_TOL?, worst face defect).
+
+    The monodromies of all faces of one length are multiplied out together;
+    a step against an edge's direction takes its transport's inverse.
+    """
     worst = 0.0
     eye = np.eye(conn.rank)
-    for face in conn.graph.faces():
-        m = cycle_monodromy(conn, face)
-        worst = max(worst, float(np.max(np.abs(m - eye))))
+    for _, idx, dirs in conn.graph.face_cycles().values():
+        steps = conn.transports[idx]                    # (F, L, r, r)
+        back = dirs < 0
+        steps[back] = steps[back].conj().swapaxes(-1, -2)
+        word = steps[:, 0]
+        for k in range(1, steps.shape[1]):
+            word = steps[:, k] @ word
+        worst = max(worst, float(np.max(np.abs(word - eye))))
     return worst <= FLATNESS_TOL, worst
 
 
@@ -242,7 +254,12 @@ def generator_loop(mesh, generator=0):
     b = surf.params["b"]
     n = mesh.n
     if generator == 0:
-        return [mesh.slot_edge[(((tile, 0), i, 0), E)] for tile in range(a) for i in range(n)]
-    if surf.kind != "torus":
+        side = E
+        vids = [mesh.vertex_id((tile, 0), i, 0) for tile in range(a) for i in range(n)]
+    elif surf.kind != "torus":
         raise BadCuts("vertical generator exists only on the torus")
-    return [mesh.slot_edge[(((0, tile), 0, j), N)] for tile in range(b) for j in range(n)]
+    else:
+        side = N
+        vids = [mesh.vertex_id((0, tile), 0, j) for tile in range(b) for j in range(n)]
+    slots = 4 * np.array(vids) + side
+    return list(zip(mesh.slot_edge_index[slots].tolist(), mesh.slot_direction[slots].tolist()))

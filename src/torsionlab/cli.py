@@ -15,6 +15,8 @@ import sys
 import tempfile
 import time
 
+from .errors import ConfigError
+
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="torsionlab",
@@ -300,7 +302,7 @@ def _run_embedding_check(cfg, rng):
     for n in sorted(cfg["n_list"]):
         mesh = discretize(surface, n)
         excluded = mesh.excluded_vertex_ids()
-        for trial in range(int(cfg.get("trials", 5))):
+        for trial in range(cfg.get("trials", 5)):
             f = rng.standard_normal(mesh.n_vertices)
             for v in excluded:
                 f[v] = 0.0
@@ -313,49 +315,59 @@ def _run_embedding_check(cfg, rng):
     }
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "logdet": _run_logdet,
-    "renorm-series": _run_renorm_series,
-    "ratio": _run_ratio,
-    "crsf-verify": _run_crsf_verify,
-    "szego": _run_szego,
-    "heat-trace": _run_heat_trace,
-    "zeta0": _run_zeta0,
-    "torsion": _run_torsion,
-    "weyl-check": _run_weyl_check,
-    "embedding-check": _run_embedding_check,
+# experiment kind -> (runner, the keys its config must hold)
+_EXPERIMENTS = {
+    "spectrum": (_run_spectrum, ("surface",)),
+    "logdet": (_run_logdet, ("surface",)),
+    "renorm-series": (_run_renorm_series, ("surface", "n_list")),
+    "ratio": (_run_ratio, ("surface", "surface_b", "n_list")),
+    "crsf-verify": (_run_crsf_verify, ("surface",)),
+    "szego": (_run_szego, ("profile", "n_list")),
+    "heat-trace": (_run_heat_trace, ("surface",)),
+    "zeta0": (_run_zeta0, ("surface",)),
+    "torsion": (_run_torsion, ("surface",)),
+    "weyl-check": (_run_weyl_check, ("surface", "n_list")),
+    "embedding-check": (_run_embedding_check, ("surface", "n_list")),
 }
 
 
 def validate_config(cfg):
+    """``cfg`` itself, or ConfigError naming the first missing or mistyped key."""
     if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
+        raise ConfigError("config must be a JSON object")
     kind = cfg.get("experiment")
-    if kind not in _RUNNERS:
-        raise ValueError(f"unknown experiment kind {kind!r}; one of {sorted(_RUNNERS)}")
+    if kind not in _EXPERIMENTS:
+        raise ConfigError(f"unknown experiment kind {kind!r}; one of {sorted(_EXPERIMENTS)}")
+    for key in _EXPERIMENTS[kind][1]:
+        if key not in cfg:
+            raise ConfigError(f"{kind} config needs {key!r}")
+    for key in ("surface", "surface_b", "profile"):
+        if key in cfg and not isinstance(cfg[key], dict):
+            raise ConfigError(f"{key} must be a JSON object")
     if "n_list" in cfg:
         ns = cfg["n_list"]
         if (not isinstance(ns, list) or not ns
                 or any(not _is_count(n, 1) for n in ns)
                 or sorted(ns) != ns):
-            raise ValueError("n_list must be a non-empty ascending list of positive integers")
+            raise ConfigError("n_list must be a non-empty ascending list of positive integers")
     if "n" in cfg and not _is_count(cfg["n"], 1):
-        raise ValueError("n must be a positive integer")
+        raise ConfigError("n must be a positive integer")
+    if "trials" in cfg and not _is_count(cfg["trials"], 1):
+        raise ConfigError("trials must be a positive integer")
     ts = cfg.get("t_list", [1.0])
     if not isinstance(ts, list) or not ts or any(not _is_real(t) or t <= 0 for t in ts):
-        raise ValueError("t_list must be a non-empty list of positive times")
+        raise ConfigError("t_list must be a non-empty list of positive times")
     for key in ("bundle", "bundle_b"):
         bundle = cfg.get(key) or {}
         if not isinstance(bundle, dict) or _bundle_kind(bundle) not in _BUNDLE_KINDS:
-            raise ValueError(f"{key} must be an object of kind one of {list(_BUNDLE_KINDS)}")
+            raise ConfigError(f"{key} must be an object of kind one of {list(_BUNDLE_KINDS)}")
         for field, ok, what in (
                 ("alpha", _is_real, "a finite number"), ("beta", _is_real, "a finite number"),
                 ("rank", lambda x: _is_count(x, 1), "a positive integer"),
                 ("seed", lambda x: _is_count(x, 0), "a non-negative integer"),
                 ("generators", _is_matrix_list, "a list of square matrices of [re, im] pairs")):
             if field in bundle and not ok(bundle[field]):
-                raise ValueError(f"{key} {field} must be {what}")
+                raise ConfigError(f"{key} {field} must be {what}")
     return cfg
 
 
@@ -384,8 +396,8 @@ def run(args):
         with open(args.config) as fh:
             cfg = json.load(fh)
         cfg = validate_config(cfg)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
     meta = {
@@ -395,7 +407,7 @@ def run(args):
                      "python": sys.version.split()[0]},
     }
     try:
-        result = _RUNNERS[cfg["experiment"]](cfg, rng)
+        result = _EXPERIMENTS[cfg["experiment"]][0](cfg, rng)
     except errs.TorsionLabError as exc:
         refused = isinstance(exc, (errs.TooLarge, errs.BudgetExceeded))
         meta["error"] = {"code": type(exc).__name__, "message": str(exc)}
@@ -474,6 +486,14 @@ def selftest(seed=0):
         assert len(mult) == 1
 
     check("mesh counts and double edges", mesh_check)
+
+    def array_mesh_check():
+        from .surfaces import cone_model, lshape
+        from .meshes import check_against_complex, discretize
+        for surf in (cone_model(1), lshape()):
+            check_against_complex(discretize(surf, 2))
+
+    check("array mesh matches refined complex", array_mesh_check)
 
     def laplacian_check():
         from .surfaces import rectangle

@@ -11,7 +11,7 @@ their log_det(n), area, perimeter, zeta(0), target and label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -309,9 +309,26 @@ class BumpProfile:
     t_mix: float
     residuals: dict
     C: float
+    _axes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rho(self, x):
         return self.half(np.abs(np.asarray(x, dtype=float)))
+
+    def _axis_profile(self, kind):
+        if kind not in self._axes:
+            self._axes[kind] = _AxisProfile(self, kind)
+        return self._axes[kind]
+
+    def pair_integral(self, kind1, kind2, delta, deriv):
+        """Overlap integral of two axis profiles, or of their derivatives,
+        shifted ``delta`` apart; each is computed once per profile."""
+        key = (kind1, kind2, delta, deriv)
+        if key not in self._pairs:
+            p1, p2 = self._axis_profile(kind1), self._axis_profile(kind2)
+            f1, f2 = (p1.dpp, p2.dpp) if deriv else (p1.pp, p2.pp)
+            self._pairs[key] = product_integral(f1, f2, shift=float(delta))
+        return self._pairs[key]
 
 
 def build_bump(tol=1e-12, max_iter=200):
@@ -414,58 +431,57 @@ def embedding_check(mesh, bump, f):
     if not np.any(f):
         return 1.0, 1.0
 
-    coords = []
-    for tile, i, j in mesh.vertices:
-        p, q = tile
-        coords.append((p * n + i, q * n + j))
-    profiles = {k: _AxisProfile(bump, k) for k in ("interior", "bleft", "bright")}
-
-    cache = {}
-
-    def pair_int(kind1, kind2, delta, deriv):
-        key = (kind1, kind2, delta, deriv)
-        if key not in cache:
-            p1 = profiles[kind1]
-            p2 = profiles[kind2]
-            if deriv:
-                cache[key] = product_integral(p1.dpp, p2.dpp, shift=float(delta))
-            else:
-                cache[key] = product_integral(p1.pp, p2.pp, shift=float(delta))
-        return cache[key]
+    # lattice coordinates of each vertex, and the vertex at each coordinate
+    t, ij = np.divmod(np.arange(mesh.n_vertices), n * n)
+    tiles = np.array(surf.complex.cells).reshape(-1, 2)
+    gx = (tiles[t, 0] * n + ij // n).tolist()
+    gy = (tiles[t, 1] * n + ij % n).tolist()
+    at = np.full((an, bn), -1)
+    at[gx, gy] = np.arange(mesh.n_vertices)
+    at = at.tolist()
+    kind_x = [_axis_kind(g, an, periodic) for g in range(an)]
+    kind_y = [_axis_kind(g, bn, periodic) for g in range(bn)]
 
     def wrap(d, size):
         if not periodic:
             return d
         return (d + size // 2) % size - size // 2
 
-    support = [v for v in range(mesh.n_vertices) if f[v]]
+    def near(g, size):
+        """The coordinates within one step of g, wrapped on a torus."""
+        if periodic:
+            return {(g + d) % size for d in (-1, 0, 1)}
+        return [x for x in (g - 1, g, g + 1) if 0 <= x < size]
+
+    fv = f.tolist()
     norm_quad = 0.0
     energy_quad = 0.0
-    for vi in support:
-        gi, gj = coords[vi]
-        ki = _axis_kind(gi, an, periodic)
-        kj = _axis_kind(gj, bn, periodic)
-        for vj in support:
-            hi_, hj_ = coords[vj]
-            dx = wrap(hi_ - gi, an)
-            dy = wrap(hj_ - gj, bn)
-            if abs(dx) > 1 or abs(dy) > 1:
+    for vi in range(mesh.n_vertices):
+        if not fv[vi]:
+            continue
+        gi, gj = gx[vi], gy[vi]
+        ki, kj = kind_x[gi], kind_y[gj]
+        # the support's lattice neighbors, in ascending vertex id as in a scan
+        # of the whole support (the sums below are order-sensitive)
+        for vj in sorted(at[x][y] for x in near(gi, an) for y in near(gj, bn)):
+            if not fv[vj]:
                 continue
-            li = _axis_kind(hi_, an, periodic)
-            lj = _axis_kind(hj_, bn, periodic)
-            ix = pair_int(ki, li, dx, False)
-            iy = pair_int(kj, lj, dy, False)
-            dxx = pair_int(ki, li, dx, True)
-            dyy = pair_int(kj, lj, dy, True)
-            w = f[vi] * f[vj]
+            dx = wrap(gx[vj] - gi, an)
+            dy = wrap(gy[vj] - gj, bn)
+            li, lj = kind_x[gx[vj]], kind_y[gy[vj]]
+            ix = bump.pair_integral(ki, li, dx, False)
+            iy = bump.pair_integral(kj, lj, dy, False)
+            dxx = bump.pair_integral(ki, li, dx, True)
+            dyy = bump.pair_integral(kj, lj, dy, True)
+            w = fv[vi] * fv[vj]
             norm_quad += w * ix * iy
             energy_quad += w * (dxx * iy + ix * dyy)
     norm_quad /= n * n
 
     norm_graph = float(np.sum(f * f)) / (n * n)
     energy_graph = 0.0
-    for e in mesh.edges:
-        energy_graph += (f[e.u] - f[e.v]) ** 2
+    for u, v in mesh.ends:
+        energy_graph += (fv[u] - fv[v]) ** 2
     norm_ratio = norm_graph / norm_quad
     form_ratio = energy_graph / (energy_quad / bump.C)
     return norm_ratio, form_ratio

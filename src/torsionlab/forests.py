@@ -63,7 +63,7 @@ def _subsets(nv, ne, size):
 def count_spanning_trees(mesh):
     """Exact spanning-tree count by edge-subset enumeration."""
     nv = mesh.n_vertices
-    edges = [(e.u, e.v) for e in mesh.edges if e.u != e.v]
+    edges = [(u, v) for u, v in mesh.ends if u != v]
     count = 0
     for subset in _subsets(nv, len(edges), nv - 1):
         dsu = _DSU(nv)
@@ -85,9 +85,10 @@ def _crsf_cycles(mesh, subset, steps):
     dsu = _DSU(mesh.n_vertices)
     closing = {}    # component root -> the edge that closed its cycle
     adj = [[] for _ in range(mesh.n_vertices)]
+    ends = mesh.ends
     for k in subset:
-        e = mesh.edges[k]
-        ru, rv = dsu.find(e.u), dsu.find(e.v)
+        u, v = ends[k]
+        ru, rv = dsu.find(u), dsu.find(v)
         if ru == rv:
             if ru in closing:
                 return None
@@ -98,8 +99,8 @@ def _crsf_cycles(mesh, subset, steps):
                 return None
             closing[rv] = closing.pop(ru)
         dsu.p[ru] = rv
-        adj[e.u].append((k, e.v))
-        adj[e.v].append((k, e.u))
+        adj[u].append((k, v))
+        adj[v].append((k, u))
     roots = dict.fromkeys(dsu.find(v) for v in range(mesh.n_vertices))
     return [_cycle(mesh, adj, closing[r], steps) for r in roots]
 
@@ -107,20 +108,21 @@ def _crsf_cycles(mesh, subset, steps):
 def _cycle(mesh, adj, k, steps):
     """Edge k, then the tree path back from its head to its tail, rotated to
     start on the lowest edge index traversed u -> v."""
-    e = mesh.edges[k]
-    pred = {e.u: None}
-    stack = [e.u]
-    while e.v not in pred:
+    ends = mesh.ends
+    u, v = ends[k]
+    pred = {u: None}
+    stack = [u]
+    while v not in pred:
         x = stack.pop()
         for j, y in adj[x]:
             if y not in pred:
                 pred[y] = (j, x)
                 stack.append(y)
     walk = [steps[+1][k]]
-    x = e.v
+    x = v
     while pred[x] is not None:
         j, y = pred[x]
-        walk.append(steps[+1 if mesh.edges[j].u == x else -1][j])
+        walk.append(steps[+1 if ends[j][0] == x else -1][j])
         x = y
     if min(walk)[1] < 0:
         walk = [steps[-d][j] for j, d in reversed(walk)]

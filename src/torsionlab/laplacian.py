@@ -29,9 +29,8 @@ def assemble(conn):
         raise BudgetExceeded(f"dense budget: r|V| = {r * nv} > {DENSE_BUDGET}")
     A = np.zeros((r * nv, r * nv), dtype=complex)
     eye = np.eye(r, dtype=complex)
-    for idx, e in enumerate(g.edges):
-        t = conn.transports[idx]       # fiber at u -> fiber at v
-        su, sv = e.u * r, e.v * r
+    for (u, v), t in zip(g.ends, conn.transports):     # t: fiber at u -> fiber at v
+        su, sv = u * r, v * r
         A[su:su + r, su:su + r] += eye
         A[sv:sv + r, sv:sv + r] += eye
         # row v couples to u through phi_{u v} = t, row u through t*

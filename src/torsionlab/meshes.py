@@ -4,15 +4,47 @@ Vertices sit at subtile centers; each unit step out of a center crosses
 exactly one side of the subtile complex, so edges are identified with the
 paired side slots they cross.  Two vertices can be joined by two distinct
 unit geodesics near a cone of angle pi, giving a double edge.
+
+The mesh is one set of integer arrays.  Subtile (tile, i, j), where tile is
+the t-th cell of ``surface.complex``, is vertex ``t*n*n + i*n + j``; side d of
+vertex v is slot ``4*v + d`` and corner k of it is corner ``4*v + k`` (side
+and corner labels as in ``complexes``).  ``partner[slot]`` is the slot glued
+to it, or -1 on the boundary.  Edges, faces, neighbor sets and cut crossings
+are index arithmetic on these.  The refined ``SquareComplex`` that the same
+subdivision gives (``mesh.complex``) is built only on request, as a reference.
 """
 
 from __future__ import annotations
 
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
-from .complexes import E, EXIT_SIDE, N, W, S, SquareComplex
-from .errors import UnknownPoint
+import numpy as np
+
+from .complexes import (CORNER_ON_SIDE, CORNER_PARAM, EXIT_SIDE, HALF_TURN, OPPOSITE,
+                        E, N, W, S, SquareComplex)
+from .errors import BadCuts, MeshMismatch, NotAClosedWalk, UnknownPoint
+
+# Turning counterclockwise around corner k of a subcell leaves it through side
+# _EXIT[k]; entering the next subcell through its side d2 lands on its corner
+# _NEXT_CORNER[k, d2] (the side parameter is kept by a translation, which
+# glues opposite sides, and reversed by a half-turn, which glues equal ones).
+_EXIT = np.array([EXIT_SIDE[k] for k in range(4)])
+
+
+def _next_corner_table():
+    table = np.full((4, 4), -1)
+    for k in range(4):
+        d = EXIT_SIDE[k]
+        t = CORNER_PARAM[(d, k)]
+        table[k, OPPOSITE[d]] = CORNER_ON_SIDE[OPPOSITE[d]][t]
+        table[k, d] = CORNER_ON_SIDE[d][1 - t]
+    return table
+
+
+_NEXT_CORNER = _next_corner_table()
 
 
 @dataclass(frozen=True)
@@ -29,86 +61,180 @@ class EdgeCopy:
     slot_v: tuple
 
 
+class EdgeList(Sequence):
+    """``mesh.edges``: EdgeCopy records, made on the first item access.
+
+    ``len`` reads the edge arrays, so counting edges builds no records.
+    """
+
+    def __init__(self, mesh):
+        self._mesh = mesh
+        self._records = None
+
+    def __len__(self):
+        return len(self._mesh.edge_u)
+
+    def __getitem__(self, k):
+        return self._items()[k]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def _items(self):
+        if self._records is None:
+            m = self._mesh
+            slot = m.slot_tuple
+            self._records = [EdgeCopy(u, v, slot(a), slot(b)) for (u, v), a, b
+                             in zip(m.ends, m.slot_u.tolist(), m.slot_v.tolist())]
+        return self._records
+
+
 class MeshGraph:
     """Discretization of a surface at mesh 1/n."""
 
     def __init__(self, surface, n):
         self.surface = surface
         self.n = n
-        self.complex = surface.complex.refine(n)
-        self.vertices = list(self.complex.cells)   # (tile, i, j)
-        self.vindex = {c: k for k, c in enumerate(self.vertices)}
+        cpx = surface.complex
+        self.tile_index = cpx.cell_index
+        n_tiles = cpx.n_cells
+        self.n_vertices = n_tiles * n * n
+        grid = np.arange(self.n_vertices).reshape(n_tiles, n, n)
+        partner = np.full(4 * self.n_vertices, -1, dtype=np.int64)
+        for a, da, b, db in ((grid[:, :-1, :], E, grid[:, 1:, :], W),
+                             (grid[:, :, :-1], N, grid[:, :, 1:], S)):
+            partner[4 * a + da] = 4 * b + db
+            partner[4 * b + db] = 4 * a + da
+        if cpx.pairings:
+            # the subcells along each tile side, by increasing side parameter
+            along = np.stack([grid[:, n - 1, :], grid[:, :, n - 1],
+                              grid[:, 0, :], grid[:, :, 0]], axis=1)
+            t1, d1, t2, d2, turn = map(np.array, zip(*(
+                (self.tile_index[c], d, self.tile_index[c2], d2, kind == HALF_TURN)
+                for (c, d), (c2, d2, kind) in cpx.pairings.items())))
+            src = 4 * along[t1, d1] + d1[:, None]
+            dst = 4 * along[t2, d2] + d2[:, None]
+            dst[turn] = dst[turn, ::-1]
+            partner[src] = dst
+        self.partner = partner
         self._build_edges()
+        self.edges = EdgeList(self)
         self._faces = None
+        self._face_cycles = None
         self._cone_neighbors = None
 
     def _build_edges(self):
-        """Set ``edges`` and ``slot_edge``, which maps each paired side slot to
-        (edge index, +1 for the edge's slot_u, -1 for its slot_v)."""
-        cpx = self.complex
-        edges = {}
-        for c in self.vertices:
-            for d in (E, N, W, S):
-                if not cpx.is_paired(c, d):
-                    continue
-                c2, d2, _ = cpx.pairings[(c, d)]
-                key = frozenset(((c, d), (c2, d2)))
-                if key in edges:
-                    continue
-                slot_u, slot_v = sorted(((c, d), (c2, d2)), key=_slot_sort_key)
-                edges[key] = EdgeCopy(u=self.vindex[slot_u[0]], v=self.vindex[slot_v[0]],
-                                      slot_u=slot_u, slot_v=slot_v)
-        self.edges = [edges[k] for k in
-                      sorted(edges, key=lambda fs: sorted(map(_slot_sort_key, fs)))]
-        self.slot_edge = {}
-        for idx, e in enumerate(self.edges):
-            self.slot_edge[e.slot_u] = (idx, +1)
-            self.slot_edge[e.slot_v] = (idx, -1)
+        """Edge arrays in the order of the subtile side pairs' keys.
+
+        A slot's key orders (str(tile), str(i), str(j), side); an edge's slot_u
+        is its slot of smaller key, and edges are sorted by (slot_u key, slot_v
+        key).  The string ranks make this the order of the printed ids.
+        """
+        n = self.n
+        tiles = [str(c) for c in self.surface.complex.cells]
+        tile_rank = {s: k for k, s in enumerate(sorted(set(tiles)))}
+        tile_rank = np.array([tile_rank[s] for s in tiles], dtype=np.int64)
+        sub_rank = np.argsort(sorted(range(n), key=str))
+
+        def key(slot):
+            vid = slot >> 2
+            t, ij = np.divmod(vid, n * n)
+            i, j = np.divmod(ij, n)
+            return ((tile_rank[t] * n + sub_rank[i]) * n + sub_rank[j]) * 4 + (slot & 3)
+
+        lo = np.flatnonzero(self.partner > np.arange(len(self.partner)))
+        hi = self.partner[lo]
+        k_lo, k_hi = key(lo), key(hi)
+        flip = k_hi < k_lo
+        slot_u, slot_v = np.where(flip, hi, lo), np.where(flip, lo, hi)
+        order = np.lexsort((np.maximum(k_lo, k_hi), np.minimum(k_lo, k_hi)))
+        self.slot_u, self.slot_v = slot_u[order], slot_v[order]
+        self.edge_u, self.edge_v = self.slot_u >> 2, self.slot_v >> 2
+        ids = np.arange(len(order))
+        self.slot_edge_index = np.full(len(self.partner), -1, dtype=np.int64)
+        self.slot_edge_index[self.slot_u] = ids
+        self.slot_edge_index[self.slot_v] = ids
+        self.slot_direction = np.zeros(len(self.partner), dtype=np.int64)
+        self.slot_direction[self.slot_u] = 1
+        self.slot_direction[self.slot_v] = -1
+
+    # -- id conversions and lazily built views --------------------------------
+
+    @cached_property
+    def ends(self):
+        """(u, v) per edge as a plain list, for loops over single edges."""
+        return list(zip(self.edge_u.tolist(), self.edge_v.tolist()))
+
+    @cached_property
+    def vertices(self):
+        """(tile, i, j) per vertex id."""
+        n = self.n
+        return [(c, i, j) for c in self.surface.complex.cells
+                for i in range(n) for j in range(n)]
+
+    @cached_property
+    def complex(self):
+        """The refined SquareComplex of the same subdivision (a reference)."""
+        return self.surface.complex.refine(self.n)
+
+    @cached_property
+    def slot_edge(self):
+        """Paired side slot ((tile, i, j), side) -> (edge index, +1 for the
+        edge's slot_u, -1 for its slot_v)."""
+        out = {}
+        slot = self.slot_tuple
+        for idx, (a, b) in enumerate(zip(self.slot_u.tolist(), self.slot_v.tolist())):
+            out[slot(a)] = (idx, +1)
+            out[slot(b)] = (idx, -1)
+        return out
+
+    def slot_tuple(self, slot):
+        """((tile, i, j), side) of a slot id."""
+        return self.vertices[slot >> 2], slot & 3
+
+    def vertex_id(self, tile, i, j):
+        return (self.tile_index[tile] * self.n + i) * self.n + j
 
     # -- basic structure ----------------------------------------------------
 
-    @property
-    def n_vertices(self):
-        return len(self.vertices)
-
     def degrees(self):
-        deg = [0] * self.n_vertices
-        for e in self.edges:
-            deg[e.u] += 1
-            deg[e.v] += 1
-        return deg
+        nv = self.n_vertices
+        return (np.bincount(self.edge_u, minlength=nv)
+                + np.bincount(self.edge_v, minlength=nv)).tolist()
+
+    def _vertex_pairs(self):
+        """(lo, hi, multiplicity) per unordered vertex pair, sorted by (lo, hi)."""
+        lo = np.minimum(self.edge_u, self.edge_v)
+        hi = np.maximum(self.edge_u, self.edge_v)
+        pairs, counts = np.unique(lo * self.n_vertices + hi, return_counts=True)
+        lo, hi = np.divmod(pairs, self.n_vertices)
+        return lo.tolist(), hi.tolist(), counts.tolist()
 
     def edge_multiplicities(self):
         """Multiplicity per unordered vertex pair (loops keyed (v, v))."""
-        mult = {}
-        for e in self.edges:
-            key = (min(e.u, e.v), max(e.u, e.v))
-            mult[key] = mult.get(key, 0) + 1
-        return mult
+        lo, hi, counts = self._vertex_pairs()
+        return dict(zip(zip(lo, hi), counts))
 
     def boundary_vertex_ids(self):
-        out = set()
-        for c, d in self.complex.boundary_slots():
-            out.add(self.vindex[c])
-        return out
+        return set((np.flatnonzero(self.partner < 0) >> 2).tolist())
 
     # -- singular-point neighbor sets ---------------------------------------
 
     def cone_neighbor_sets(self):
-        """Map each cone/corner point id to the tuple of its nearest vertices."""
+        """Map each cone/corner point id to the tuple of its nearest vertices,
+        in the order of the point's counterclockwise corner fan."""
         if self._cone_neighbors is not None:
             return self._cone_neighbors
         out = {}
         for pid, vc in self.surface.singular_points().items():
-            cell, corner = vc.corners[0]
-            sub = SquareComplex.refined_corner(cell, corner, self.n)
-            fan = self.complex.vertex_class_of(*sub)
-            ids = []
-            for c, _k in fan.corners:
-                vid = self.vindex[c]
-                if vid not in ids:
-                    ids.append(vid)
-            out[pid] = tuple(ids)
+            fan = []
+            for cell, corner in vc.corners:
+                (c, i, j), k = SquareComplex.refined_corner(cell, corner, self.n)
+                fan.append(4 * self.vertex_id(c, i, j) + k)
+            if not vc.boundary:     # a closed fan starts at its smallest corner id
+                first = fan.index(min(fan))
+                fan = fan[first:] + fan[:first]
+            out[pid] = tuple(dict.fromkeys(c >> 2 for c in fan))
         self._cone_neighbors = out
         return out
 
@@ -121,6 +247,61 @@ class MeshGraph:
 
     # -- faces ---------------------------------------------------------------
 
+    def face_cycles(self):
+        """The faces as arrays, grouped by length L: L -> (first corner id,
+        edge indices (F, L), directions (F, L)).
+
+        A face is the counterclockwise corner cycle around an interior lattice
+        point, started at its smallest corner id.  The regular 4-cycles are
+        found at once; only cone fans and boundary fans are walked one corner
+        at a time.  Every face is checked to be a closed walk when built.
+        """
+        if self._face_cycles is not None:
+            return self._face_cycles
+        corner = np.arange(len(self.partner))
+        gate = self.partner[(corner & ~3) + _EXIT[corner & 3]]
+        step = np.append(np.where(gate < 0, -1, (gate & ~3) + _NEXT_CORNER[corner & 3, gate & 3]),
+                         -1)        # step[-1] = -1: a walk off the boundary stays off
+        c1 = step[corner]
+        c2 = step[c1]
+        c3 = step[c2]
+        regular = (step[c3] == corner) & (c2 != corner)
+        first = regular & (corner < c1) & (corner < c2) & (corner < c3)
+        groups = {4: [np.stack([corner, c1, c2, c3], axis=1)[first]]}
+        nxt = step.tolist()
+        seen = set()
+        for c in np.flatnonzero(~regular).tolist():
+            if c in seen:
+                continue
+            fan = [c]
+            cur = nxt[c]
+            while cur != c and cur >= 0:
+                fan.append(cur)
+                cur = nxt[cur]
+            seen.update(fan)
+            if cur == c:
+                groups.setdefault(len(fan), []).append(np.array([fan]))
+        out = {}
+        for length, parts in sorted(groups.items()):
+            cycles = np.concatenate(parts)
+            if not len(cycles):
+                continue
+            slots = (cycles & ~3) + _EXIT[cycles & 3]
+            idx, dirs = self.slot_edge_index[slots], self.slot_direction[slots]
+            self._check_closed(idx, dirs)
+            out[length] = (cycles[:, 0], idx, dirs)
+        self._face_cycles = out
+        return out
+
+    def _check_closed(self, idx, dirs):
+        """NotAClosedWalk unless each row of steps chains head to tail."""
+        forward = dirs > 0
+        head = np.where(forward, self.edge_v[idx], self.edge_u[idx])
+        tail = np.where(forward, self.edge_u[idx], self.edge_v[idx])
+        bad = np.flatnonzero(np.any(np.roll(tail, -1, axis=1) != head, axis=1))
+        if len(bad):
+            raise NotAClosedWalk(f"face through edges {idx[bad[0]].tolist()} is not a closed walk")
+
     def faces(self):
         """Directed edge cycles around the interior lattice points.
 
@@ -128,8 +309,13 @@ class MeshGraph:
         the edge is traversed u -> v.
         """
         if self._faces is None:
-            self._faces = [[self.slot_edge[(c, EXIT_SIDE[k])] for c, k in vc.corners]
-                           for vc in self.complex.vertex_classes() if not vc.boundary]
+            faces, starts = [], []
+            for length, (first, idx, dirs) in self.face_cycles().items():
+                steps = list(zip(idx.ravel().tolist(), dirs.ravel().tolist()))
+                faces += [steps[k:k + length] for k in range(0, len(steps), length)]
+                starts.append(first)
+            order = np.argsort(np.concatenate(starts)).tolist() if starts else []
+            self._faces = [faces[k] for k in order]
         return self._faces
 
     # -- cuts and winding -----------------------------------------------------
@@ -138,15 +324,24 @@ class MeshGraph:
         """Refine tile-level cuts to edge-level crossing maps.
 
         Returns one dict per generator mapping edge index -> +-1, the signed
-        crossing when the edge is traversed u -> v.
+        crossing when the edge is traversed u -> v.  A cut through a boundary
+        side raises BadCuts.
         """
+        n = self.n
+        s = np.arange(n)
         out = []
         for cut in tile_cuts:
             ecut = {}
             for (tile, d), sign in cut.items():
-                for s in range(self.n):
-                    idx, direction = self.slot_edge[SquareComplex.refined_side(tile, d, s, self.n)]
-                    ecut[idx] = sign * direction
+                if tile not in self.tile_index:
+                    raise BadCuts(f"cut slot {(tile, d)} names no tile")
+                base = self.tile_index[tile] * n * n
+                i, j = {E: (n - 1, s), W: (0, s), N: (s, n - 1), S: (s, 0)}[d]
+                slots = 4 * (base + i * n + j) + d
+                idx = self.slot_edge_index[slots]
+                if np.any(idx < 0):
+                    raise BadCuts(f"cut slot {(tile, d)} is a boundary side")
+                ecut.update(zip(idx.tolist(), (sign * self.slot_direction[slots]).tolist()))
             out.append(ecut)
         return out
 
@@ -160,22 +355,19 @@ class MeshGraph:
 
     # -- export ---------------------------------------------------------------
 
-    def vertex_label(self, vid):
-        tile, i, j = self.vertices[vid]
-        tile_str = ",".join(map(str, tile)) if isinstance(tile, tuple) else str(tile)
-        return f"{tile_str}:{i}:{j}"
+    def vertex_labels(self):
+        """"tile:i:j" per vertex id, a tuple tile written comma-separated."""
+        n = self.n
+        heads = [",".join(map(str, c)) if isinstance(c, tuple) else str(c)
+                 for c in self.surface.complex.cells]
+        return [f"{h}:{i}:{j}" for h in heads for i in range(n) for j in range(n)]
 
     def edges_csv(self):
+        labels = self.vertex_labels()
         buf = io.StringIO()
         buf.write("u,v,multiplicity\n")
-        for (u, v), m in sorted(self.edge_multiplicities().items()):
-            buf.write(f"{self.vertex_label(u)},{self.vertex_label(v)},{m}\n")
+        buf.writelines(f"{labels[u]},{labels[v]},{m}\n" for u, v, m in zip(*self._vertex_pairs()))
         return buf.getvalue()
-
-
-def _slot_sort_key(slot):
-    cell, d = slot
-    return (tuple(str(x) for x in cell) if isinstance(cell, tuple) else (str(cell),), d)
 
 
 def discretize(surface, n):
@@ -191,3 +383,31 @@ def cone_neighbors(mesh, point_id):
     if point_id not in sets:
         raise UnknownPoint(point_id)
     return sets[point_id]
+
+
+def check_against_complex(mesh):
+    """MeshMismatch unless the mesh agrees with its refined SquareComplex.
+
+    Checks that the edges pair exactly the slots the complex pairs, that the
+    faces are the complex's interior corner fans in its scan order, and that
+    each singular point's neighbors are the fan around it, in order.
+    """
+    cpx = mesh.complex
+    if mesh.vertices != cpx.cells:
+        raise MeshMismatch("vertex order differs from the refined cells")
+    for idx, e in enumerate(mesh.edges):
+        if cpx.pairings.get(e.slot_u, ())[:2] != e.slot_v or (e.u, e.v) != (
+                cpx.cell_index[e.slot_u[0]], cpx.cell_index[e.slot_v[0]]):
+            raise MeshMismatch(f"edge {idx} does not cross a side pair of the complex")
+    if set(mesh.slot_edge) != set(cpx.pairings):
+        raise MeshMismatch("edges do not cover every side pair of the complex")
+    faces = [[mesh.slot_edge[(c, EXIT_SIDE[k])] for c, k in vc.corners]
+             for vc in cpx.vertex_classes() if not vc.boundary]
+    if mesh.faces() != faces:
+        raise MeshMismatch("faces differ from the complex's interior vertex fans")
+    for pid, vc in mesh.surface.singular_points().items():
+        cell, corner = vc.corners[0]
+        fan = cpx.vertex_class_of(*SquareComplex.refined_corner(cell, corner, mesh.n))
+        want = tuple(dict.fromkeys(cpx.cell_index[c] for c, _ in fan.corners))
+        if mesh.cone_neighbor_sets()[pid] != want:
+            raise MeshMismatch(f"neighbors of {pid} differ from its fan in the complex")

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from torsionlab import cli
+from torsionlab.errors import ConfigError
 
 
 def _run(tmp_path, cfg, name="cfg.json", extra=()):
@@ -200,6 +201,19 @@ _TORUS11 = {"kind": "torus", "a": 1, "b": 1}
     ids=["n-zero", "n-string", "negative-rank", "alpha-string", "t-zero",
          "ragged-generator", "non-numeric-generator"])
 def test_malformed_input_exits_2(tmp_path, cfg):
+    code, out = _run(tmp_path, cfg)
+    assert code == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("cfg,key", [
+    ({"experiment": "renorm-series", "surface": _TORUS11}, "n_list"),
+    ({"experiment": "torsion"}, "surface"),
+    ({"experiment": "embedding-check", "surface": {"kind": "torus", "a": 2, "b": 2},
+      "n_list": [2], "trials": "x"}, "trials")],
+    ids=["renorm-series-no-n_list", "torsion-no-surface", "embedding-trials-string"])
+def test_missing_or_mistyped_key_is_a_config_error(tmp_path, cfg, key):
+    with pytest.raises(ConfigError, match=key):
+        cli.validate_config(cfg)
     code, out = _run(tmp_path, cfg)
     assert code == 2 and not out.exists()
 

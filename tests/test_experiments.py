@@ -1,5 +1,6 @@
 """Renormalized series, ratio limits, Weyl checks, bumps and embeddings."""
 
+import functools
 import math
 
 import numpy as np
@@ -292,3 +293,59 @@ def test_embedding_support_violation(bump):
     with pytest.raises(SupportViolation):
         ex.embedding_check(meshes.discretize(surfaces.cylinder(2, 1), 2), bump,
                            np.zeros(8))
+
+
+def _embedding_all_pairs(mesh, bump, f):
+    """The embedding ratios from a scan over every pair of support vertices."""
+    surf = mesh.surface
+    n = mesh.n
+    an, bn = surf.params["a"] * n, surf.params["b"] * n
+    periodic = surf.kind == "torus"
+    coords = [(p * n + i, q * n + j) for (p, q), i, j in mesh.vertices]
+    profiles = {k: ex._AxisProfile(bump, k) for k in ("interior", "bleft", "bright")}
+
+    @functools.lru_cache(maxsize=None)
+    def pair(k1, k2, delta, deriv):
+        p1, p2 = profiles[k1], profiles[k2]
+        if deriv:
+            return ex.product_integral(p1.dpp, p2.dpp, shift=float(delta))
+        return ex.product_integral(p1.pp, p2.pp, shift=float(delta))
+
+    def wrap(d, size):
+        return (d + size // 2) % size - size // 2 if periodic else d
+
+    support = [v for v in range(mesh.n_vertices) if f[v]]
+    norm_quad = energy_quad = 0.0
+    for vi in support:
+        gi, gj = coords[vi]
+        ki, kj = ex._axis_kind(gi, an, periodic), ex._axis_kind(gj, bn, periodic)
+        for vj in support:
+            hi, hj = coords[vj]
+            dx, dy = wrap(hi - gi, an), wrap(hj - gj, bn)
+            if abs(dx) > 1 or abs(dy) > 1:
+                continue
+            li, lj = ex._axis_kind(hi, an, periodic), ex._axis_kind(hj, bn, periodic)
+            ix, iy = pair(ki, li, dx, False), pair(kj, lj, dy, False)
+            dxx, dyy = pair(ki, li, dx, True), pair(kj, lj, dy, True)
+            w = f[vi] * f[vj]
+            norm_quad += w * ix * iy
+            energy_quad += w * (dxx * iy + ix * dyy)
+    energy_graph = 0.0
+    for e in mesh.edges:
+        energy_graph += (f[e.u] - f[e.v]) ** 2
+    return (float(np.sum(f * f)) / (n * n)) / (norm_quad / (n * n)), \
+        energy_graph / (energy_quad / bump.C)
+
+
+@pytest.mark.parametrize("surf,n", [(surfaces.torus(1, 1), 1), (surfaces.torus(1, 1), 2),
+                                    (surfaces.torus(1, 1), 3), (surfaces.torus(2, 1), 2),
+                                    (surfaces.rectangle(3, 2), 2), (surfaces.rectangle(2, 2), 4)],
+                         ids=lambda x: getattr(x, "name", str(x)))
+def test_embedding_neighbor_scan_equals_all_pairs_bit_for_bit(surf, n, bump):
+    rng = np.random.default_rng(7 * n)
+    mesh = meshes.discretize(surf, n)
+    for keep in (1.0, 0.4):
+        f = rng.standard_normal(mesh.n_vertices) * (rng.random(mesh.n_vertices) < keep)
+        f[sorted(mesh.excluded_vertex_ids())] = 0.0
+        if f.any():
+            assert ex.embedding_check(mesh, bump, f) == _embedding_all_pairs(mesh, bump, f)
