@@ -15,7 +15,7 @@ import sys
 import tempfile
 import time
 
-from .errors import ConfigError
+from .errors import ConfigError, SelftestFailure
 
 
 def main(argv=None):
@@ -435,6 +435,12 @@ def _version():
 # -- selftest -------------------------------------------------------------------
 
 
+def _require(ok, what):
+    """A selftest check that holds under ``python -O``, unlike ``assert``."""
+    if not ok:
+        raise SelftestFailure(what)
+
+
 def selftest(seed=0):
     """Fast invariant battery; prints one line per check, exit 1 on any failure."""
     import numpy as np
@@ -466,11 +472,13 @@ def selftest(seed=0):
         ]
         for surf, area, cones, corners, perim in cases:
             s = geometry_summary(surf)
-            assert s.area == area, (surf.name, s.area)
-            assert s.perimeter == perim, (surf.name, s.perimeter)
-            assert sorted(round(2 * a / 3.141592653589793) for a in s.cone_angles) == sorted(cones), surf.name
-            assert s.corner_angles_over_half_pi() == sorted(corners), surf.name
-            assert gauss_bonnet_defect(surf) == 0, surf.name
+            _require(s.area == area, f"{surf.name} area {s.area}")
+            _require(s.perimeter == perim, f"{surf.name} perimeter {s.perimeter}")
+            _require(sorted(round(2 * a / math.pi) for a in s.cone_angles) == sorted(cones),
+                     f"{surf.name} cone angles")
+            _require(s.corner_angles_over_half_pi() == sorted(corners),
+                     f"{surf.name} corner angles")
+            _require(gauss_bonnet_defect(surf) == 0, f"{surf.name} Gauss-Bonnet defect")
 
     check("surface models and Gauss-Bonnet", surfaces_check)
 
@@ -478,12 +486,12 @@ def selftest(seed=0):
         from .surfaces import rectangle, torus, cone_model
         from .meshes import discretize
         m = discretize(rectangle(1, 1), 2)
-        assert m.n_vertices == 4 and len(m.edges) == 4
+        _require(m.n_vertices == 4 and len(m.edges) == 4, "rectangle(1,1) n=2 counts")
         m = discretize(torus(1, 1), 3)
-        assert m.n_vertices == 9 and len(m.edges) == 18
+        _require(m.n_vertices == 9 and len(m.edges) == 18, "torus(1,1) n=3 counts")
         m = discretize(cone_model(1), 2)
         mult = [v for v in m.edge_multiplicities().values() if v == 2]
-        assert len(mult) == 1
+        _require(len(mult) == 1, f"cone(2pi) n=2 has {len(mult)} double edges")
 
     check("mesh counts and double edges", mesh_check)
 
@@ -503,8 +511,9 @@ def selftest(seed=0):
         m = discretize(rectangle(1, 1), 2)
         conn = trivial_connection(m, 1)
         spec = spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections)
-        assert np.allclose(spec.eigenvalues, [0, 2, 2, 4], atol=1e-12)
-        assert abs(log_det_prime(spec) - math.log(16)) < 1e-12
+        _require(np.allclose(spec.eigenvalues, [0, 2, 2, 4], atol=1e-12),
+                 f"eigenvalues {spec.eigenvalues}")
+        _require(abs(log_det_prime(spec) - math.log(16)) < 1e-12, "log det' is not log 16")
 
     check("2x2 grid spectrum and logdet", laplacian_check)
 
@@ -512,9 +521,9 @@ def selftest(seed=0):
         from .surfaces import rectangle, cylinder
         from .meshes import discretize
         from .forests import count_spanning_trees, enumerate_crsfs
-        assert count_spanning_trees(discretize(rectangle(2, 2), 1)) == 4
-        assert count_spanning_trees(discretize(rectangle(3, 3), 1)) == 192
-        assert len(enumerate_crsfs(discretize(cylinder(3, 1), 1))) == 1
+        _require(count_spanning_trees(discretize(rectangle(2, 2), 1)) == 4, "2x2 trees")
+        _require(count_spanning_trees(discretize(rectangle(3, 3), 1)) == 192, "3x3 trees")
+        _require(len(enumerate_crsfs(discretize(cylinder(3, 1), 1))) == 1, "C3 CRSFs")
 
     check("matrix-tree and CRSF counts", forest_check)
 
@@ -528,7 +537,7 @@ def selftest(seed=0):
             rep = random_flat_representation(mesh.surface, 2, rng)
             conn = connection_from_holonomy(mesh, rep)
             det, ok = crsf_identity(conn, crsf_weighted_sum(conn))
-            assert ok, det
+            _require(ok, f"CRSF sum does not match sqrt(det) {math.sqrt(det)}")
 
     check("Kenyon square identity (seeded)", kenyon_check)
 
@@ -537,16 +546,18 @@ def selftest(seed=0):
         for m in (1, 2, 7, 32):
             for x in (0.1, 1.0, 3.0):
                 b = sin_product_direct(m, x)
-                assert abs(sin_product(m, x) - b) <= 1e-12 * b
-        assert abs(sin_product_uncorrected(2, 1.0) - math.sqrt(2)) < 1e-12
+                _require(abs(sin_product(m, x) - b) <= 1e-12 * b, f"sin_product({m}, {x})")
+        _require(abs(sin_product_uncorrected(2, 1.0) - math.sqrt(2)) < 1e-12,
+                 "sin_product_uncorrected(2, 1)")
 
     check("sine product closed form", sinprod_check)
 
     def eta_check():
         from .torsion import dedekind_eta, torus_torsion
         v = dedekind_eta(math.exp(-2 * math.pi))
-        assert abs(v - math.gamma(0.25) / (2 * math.pi ** 0.75)) < 1e-12
-        assert abs(torus_torsion(1, 2) - torus_torsion(2, 1)) < 1e-12
+        _require(abs(v - math.gamma(0.25) / (2 * math.pi ** 0.75)) < 1e-12, f"eta(e^-2pi) = {v}")
+        _require(abs(torus_torsion(1, 2) - torus_torsion(2, 1)) < 1e-12,
+                 "torus torsion is not symmetric")
 
     check("Dedekind eta and torsion symmetry", eta_check)
 
@@ -554,9 +565,10 @@ def selftest(seed=0):
         from fractions import Fraction
         from .surfaces import rectangle, lshape, torus, geometry_summary
         from .torsion import zeta_zero
-        assert zeta_zero(geometry_summary(rectangle(1, 1))) == Fraction(-3, 4)
-        assert zeta_zero(geometry_summary(lshape())) == Fraction(-13, 18)
-        assert zeta_zero(geometry_summary(torus(1, 1))) == Fraction(-1)
+        for surf, want in ((rectangle(1, 1), Fraction(-3, 4)), (lshape(), Fraction(-13, 18)),
+                           (torus(1, 1), Fraction(-1))):
+            got = zeta_zero(geometry_summary(surf))
+            _require(got == want, f"{surf.name} zeta(0) = {got}")
 
     check("zeta(0) exact values", zeta_check)
 
@@ -564,15 +576,16 @@ def selftest(seed=0):
         from .experiments import convergence_study
         from .torsion import SeparableSurface
         series = convergence_study(SeparableSurface("torus", 1, 1), [32, 64, 128])
-        assert abs(series.renorms[-1] - series.target) < 5e-4
+        _require(abs(series.renorms[-1] - series.target) < 5e-4,
+                 f"renormalized {series.renorms[-1]} vs {series.target}")
 
     check("renormalized determinant trend", renorm_check)
 
     def bump_check():
         from .experiments import build_bump
         bump = build_bump()
-        assert max(bump.residuals.values()) < 1e-10
-        assert 0.0 < bump.t_mix < 1.0 and bump.C > 0
+        _require(max(bump.residuals.values()) < 1e-10, f"residuals {bump.residuals}")
+        _require(0.0 < bump.t_mix < 1.0 and bump.C > 0, f"t_mix {bump.t_mix}, C {bump.C}")
 
     check("bump profile constraints", bump_check)
 
@@ -586,7 +599,7 @@ def selftest(seed=0):
         inner = [v for v in range(mesh.n_vertices) if v not in mesh.excluded_vertex_ids()]
         f[inner[0]] = 1.0
         nr, fr = embedding_check(mesh, bump, f)
-        assert abs(nr - 1) < 1e-7 and abs(fr - 1) < 1e-7
+        _require(abs(nr - 1) < 1e-7 and abs(fr - 1) < 1e-7, f"ratios {nr}, {fr}")
 
     check("embedding identities (single vertex)", embed_check)
 

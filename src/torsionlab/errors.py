@@ -95,3 +95,7 @@ class MeshMismatch(TorsionLabError):
 
 class ConfigError(TorsionLabError, ValueError):
     """An experiment config lacks a required key or holds a value of the wrong type."""
+
+
+class SelftestFailure(TorsionLabError):
+    """A check of the built-in selftest battery does not hold."""

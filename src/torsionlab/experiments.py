@@ -10,6 +10,7 @@ their log_det(n), area, perimeter, zeta(0), target and label.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -300,7 +301,7 @@ def _rho2_half():
     return PiecewisePoly(breaks, polys)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BumpProfile:
     """A profile in the admissible family: half-profile on [0, 1], mixing weight,
     constraint residuals and the Dirichlet constant C = int rho'^2."""
@@ -331,11 +332,13 @@ class BumpProfile:
         return self._pairs[key]
 
 
-def build_bump(tol=1e-12, max_iter=200):
+@functools.cache
+def build_bump():
     """Mix the plateau and tall bumps so that int rho (1 - rho) = 0.
 
     Bisection on the mixing weight; raises BisectionFailure when the two
-    seed profiles fail to bracket a root.
+    seed profiles fail to bracket a root.  The profile is a constant, built
+    once per process: every caller shares it and its pair-integral tables.
     """
     r1 = _rho1_half()
     r2 = _rho2_half()
@@ -350,10 +353,10 @@ def build_bump(tol=1e-12, max_iter=200):
     f_lo, f_hi = defect(0.0), defect(1.0)
     if not (f_lo < 0.0 < f_hi):
         raise BisectionFailure(f"seed defects do not bracket zero: {f_lo}, {f_hi}")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = defect(mid)
-        if abs(fm) < tol or hi - lo < 1e-16:
+        if abs(fm) < 1e-12 or hi - lo < 1e-16:
             break
         if fm > 0:
             hi = mid

@@ -1,24 +1,36 @@
-"""Brute-force spanning-tree and cycle-rooted spanning forest enumeration.
+"""Spanning-tree and cycle-rooted spanning forest enumeration by backtracking.
 
 A CRSF is an edge subset covering every vertex in which each connected
 component has exactly as many edges as vertices, hence a unique cycle.
 Multi-edge copies and loops count as distinct edges throughout.
 
-Each |V|-edge subset is tested in one union-find pass: an edge joining two
-components merges them, an edge inside a component closes that component's
-cycle, and a second closing edge in one component, or a merge of two
-components that both have a cycle, rejects the subset.  With |V| edges no
-tree component remains.  A CRSF lists its cycles by their component's lowest
-vertex, each starting on its lowest edge index traversed u -> v; the census
-classes follow that order.  `crsf-verify` enumerates once, for both the sum
-and the census.
+One depth-first search serves both enumerations.  It adds edges in
+increasing index order to a union-find that it rolls back on the way up, so
+subsets that share a prefix share its work and come out in
+``itertools.combinations`` order.  An edge joining two components merges
+them; an edge inside a component closes that component's cycle, which is
+built there once and interned, so every forest found below that search node,
+and every other forest with the same cycle, refers to one cycle object.  A
+second closing edge in one component, or a merge of two components that
+both have a cycle, prunes the branch; a spanning tree allows no closing edge
+at all.  Each edge still to choose joins or closes an acyclic component, so
+the search also stops a branch once it passes the last edge at one of them.
+With |V| edges no tree component remains.  A CRSF lists its cycles by their
+component's lowest vertex, each starting on its lowest edge index traversed
+u -> v; the census classes follow that order.
+
+The weighted sums, the expectation and the census compute each distinct
+cycle object's weight (and winding) once per call, multiply the cached
+weights of each forest in cycle order and add the forests in list order, so
+their totals are bit-identical to a per-forest product.  Forests built by
+hand, without shared cycle objects, give the same bits without the saving.
+`crsf-verify` enumerates once, for both the sum and the census.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -28,50 +40,20 @@ from .bundles import cycle_monodromy
 from .laplacian import assemble, log_det_prime, spectrum
 from .surfaces import standard_cuts
 
-MAX_VERTICES = 12     # both brute-force enumerations refuse larger meshes
+MAX_VERTICES = 12     # both enumerations refuse larger meshes
 MAX_SUBSETS = 6_000_000
 IDENTITY_TOL = 1e-9
 
 
-class _DSU:
-    def __init__(self, n):
-        self.p = list(range(n))
-
-    def find(self, x):
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.p[ra] = rb
-        return True
-
-
-def _subsets(nv, ne, size):
-    """The ``size``-subsets of range(ne), refused beyond the brute-force caps."""
+def _refuse_beyond_caps(nv, ne, size):
+    """Refuse meshes whose ``size``-subsets of ``ne`` edges exceed the caps."""
     if nv > MAX_VERTICES:
         raise TooLarge(f"{nv} vertices exceeds brute-force limit {MAX_VERTICES}")
     if math.comb(ne, size) > MAX_SUBSETS:
         raise TooLarge("too many edge subsets")
-    return combinations(range(ne), size)
 
 
-def count_spanning_trees(mesh):
-    """Exact spanning-tree count by edge-subset enumeration."""
-    nv = mesh.n_vertices
-    edges = [(u, v) for u, v in mesh.ends if u != v]
-    count = 0
-    for subset in _subsets(nv, len(edges), nv - 1):
-        dsu = _DSU(nv)
-        count += all(dsu.union(*edges[k]) for k in subset)
-    return count
-
-
-@dataclass
+@dataclass(slots=True)
 class CRSF:
     """A cycle-rooted spanning forest: edges plus one directed cycle per component."""
 
@@ -79,30 +61,81 @@ class CRSF:
     cycles: list   # one list of (edge_index, direction) per component
 
 
-def _crsf_cycles(mesh, subset, steps):
-    """The directed cycles of the |V|-edge ``subset`` in CRSF order (see the
-    module docstring), or None when some component has two."""
-    dsu = _DSU(mesh.n_vertices)
-    closing = {}    # component root -> the edge that closed its cycle
-    adj = [[] for _ in range(mesh.n_vertices)]
-    ends = mesh.ends
-    for k in subset:
-        u, v = ends[k]
-        ru, rv = dsu.find(u), dsu.find(v)
-        if ru == rv:
-            if ru in closing:
-                return None
-            closing[ru] = k
-            continue
-        if ru in closing:
-            if rv in closing:
-                return None
-            closing[rv] = closing.pop(ru)
-        dsu.p[ru] = rv
-        adj[u].append((k, v))
-        adj[v].append((k, u))
-    roots = dict.fromkeys(dsu.find(v) for v in range(mesh.n_vertices))
-    return [_cycle(mesh, adj, closing[r], steps) for r in roots]
+def _search(mesh, size, cyclic):
+    """Every ``size``-edge subset, in combinations order, in which no component
+    holds two cycles, or any cycle at all unless ``cyclic``, as a CRSF with its
+    cycles in CRSF order (no cycles for a tree); see the module docstring."""
+    nv, ends = mesh.n_vertices, mesh.ends
+    ne = len(ends)
+    # one shared (edge, direction) tuple per step: the cycles refer to these
+    steps = {d: [(k, d) for k in range(ne)] for d in (+1, -1)}
+    label = list(range(nv))              # vertex -> its component's lowest vertex
+    members = [[v] for v in range(nv)]   # lowest vertex -> its component
+    reach = [-1] * nv                    # lowest vertex -> last edge index at it
+    for k, (u, v) in enumerate(ends):
+        reach[u] = reach[v] = k
+    acyclic = set(range(nv))             # lowest vertices of acyclic components
+    adj = [[] for _ in range(nv)]        # (edge, other end) per chosen tree edge
+    cycle = {}                           # lowest vertex -> its component's cycle
+    interned = {}
+    chosen = []
+    found = []
+
+    def extend(start):
+        left = size - len(chosen)
+        if not left:
+            found.append(CRSF(tuple(chosen), [cycle[r] for r in sorted(cycle)]))
+            return
+        # each edge still to choose joins or closes an acyclic component, and
+        # each acyclic component needs one, so none may lie past its last edge
+        stop = min(ne - left, min(map(reach.__getitem__, acyclic)))
+        for k in range(start, stop + 1):
+            u, v = ends[k]
+            a, b = label[u], label[v]
+            if a == b:
+                if not cyclic or a in cycle:
+                    continue
+                walk = _cycle(mesh, adj, k, steps)
+                cycle[a] = interned.setdefault(tuple(walk), walk)
+                acyclic.remove(a)
+                chosen.append(k)
+                extend(k + 1)
+                chosen.pop()
+                acyclic.add(a)
+                del cycle[a]
+                continue
+            if a in cycle and b in cycle:
+                continue
+            if a > b:
+                a, b = b, a
+            moved = members[b]
+            for x in moved:
+                label[x] = a
+            members[a] += moved
+            reach_a = reach[a]
+            reach[a] = max(reach_a, reach[b])
+            held = cycle.pop(b, None)
+            if held is not None:
+                cycle[a] = held
+            joined = a if held is not None else b     # the acyclic side
+            acyclic.remove(joined)
+            adj[u].append((k, v))
+            adj[v].append((k, u))
+            chosen.append(k)
+            extend(k + 1)
+            chosen.pop()
+            adj[u].pop()
+            adj[v].pop()
+            acyclic.add(joined)
+            if held is not None:
+                cycle[b] = cycle.pop(a)
+            reach[a] = reach_a
+            del members[a][-len(moved):]
+            for x in moved:
+                label[x] = b
+
+    extend(0)
+    return found
 
 
 def _cycle(mesh, adj, k, steps):
@@ -130,31 +163,47 @@ def _cycle(mesh, adj, k, steps):
     return walk[i:] + walk[:i]
 
 
+def count_spanning_trees(mesh):
+    """Exact spanning-tree count by the backtracking search."""
+    nv = mesh.n_vertices
+    _refuse_beyond_caps(nv, sum(u != v for u, v in mesh.ends), nv - 1)
+    return len(_search(mesh, nv - 1, cyclic=False))
+
+
 def enumerate_crsfs(mesh):
     """All cycle-rooted spanning forests, each with its directed cycles."""
-    # one shared (edge, direction) tuple per step: the forests refer to these
-    # instead of holding copies, which saves memory and speeds up their sums
-    steps = {d: [(k, d) for k in range(len(mesh.edges))] for d in (+1, -1)}
-    out = []
-    for subset in _subsets(mesh.n_vertices, len(mesh.edges), mesh.n_vertices):
-        cycles = _crsf_cycles(mesh, subset, steps)
-        if cycles is not None:
-            out.append(CRSF(edge_indices=subset, cycles=cycles))
-    return out
+    nv = mesh.n_vertices
+    _refuse_beyond_caps(nv, len(mesh.edges), nv)
+    return _search(mesh, nv, cyclic=True)
 
 
-def _forest_weight(conn, f):
-    """The product, in cycle order, of the weights of CRSF ``f``'s cycles:
-    2 - w - 1/w (rank 1) or 2 - tr w (rank 2) for the cycle's monodromy w."""
-    weight = 1.0
-    for cyc in f.cycles:
-        w = cycle_monodromy(conn, cyc)
-        if conn.rank == 1:
-            z = w[0, 0]
-            weight *= float((2 - z - 1 / z).real)
-        else:
-            weight *= float((2 - np.trace(w)).real)
-    return weight
+def _once_per_cycle(fn):
+    """``fn`` memoized on the cycle object.  The cache keeps each cycle it saw
+    alive, so no id is reused while the cache lives."""
+    cache = {}
+
+    def get(cyc):
+        hit = cache.get(id(cyc))
+        if hit is None:
+            hit = cache[id(cyc)] = (cyc, fn(cyc))
+        return hit[1]
+    return get
+
+
+def _cycle_weight(conn, cyc):
+    """2 - w - 1/w (rank 1) or 2 - tr w (rank 2) for the monodromy w of ``cyc``."""
+    w = cycle_monodromy(conn, cyc)
+    if conn.rank == 1:
+        z = w[0, 0]
+        return float((2 - z - 1 / z).real)
+    return float((2 - np.trace(w)).real)
+
+
+def _weighed(conn, crsfs):
+    """(CRSF, the product in cycle order of its cycles' weights) per CRSF."""
+    weight = _once_per_cycle(lambda cyc: _cycle_weight(conn, cyc))
+    for f in crsfs:
+        yield f, math.prod(map(weight, f.cycles))
 
 
 def crsf_weighted_sum(conn, crsfs=None):
@@ -173,8 +222,8 @@ def crsf_weighted_sum(conn, crsfs=None):
     if crsfs is None:
         crsfs = enumerate_crsfs(conn.graph)
     total = 0.0
-    for f in crsfs:
-        total += _forest_weight(conn, f)
+    for _, term in _weighed(conn, crsfs):   # sum() compensates from Python 3.12 on
+        total += term
     return total
 
 
@@ -201,13 +250,13 @@ def noncontractible_expectation(conn):
     if conn.rank != 2:
         raise RankUnsupported("expectation defined for rank-2 bundles")
     cuts = mesh.refine_cuts(standard_cuts(surf))
+    noncontractible = _once_per_cycle(lambda cyc: any(mesh.cycle_winding(cyc, cuts)))
     total = 0.0
     nonc_sum = 0.0
     nonc_count = 0
-    for f in enumerate_crsfs(mesh):
-        term = _forest_weight(conn, f)
+    for f, term in _weighed(conn, enumerate_crsfs(mesh)):
         total += term
-        if all(any(mesh.cycle_winding(cyc, cuts)) for cyc in f.cycles):
+        if all(map(noncontractible, f.cycles)):
             nonc_sum += term
             nonc_count += 1
     det, ok = crsf_identity(conn, total)
@@ -224,11 +273,10 @@ def crsf_census_csv(mesh, conn, crsfs=None):
     if crsfs is None:
         crsfs = enumerate_crsfs(mesh)
     cuts = mesh.refine_cuts(standard_cuts(mesh.surface))
+    cycle_class = _once_per_cycle(
+        lambda cyc: "(" + ",".join(map(str, mesh.cycle_winding(cyc, cuts))) + ")")
     rows = ["crsf_id,n_components,cycle_classes,weight"]
-    for k, f in enumerate(crsfs):
-        classes = "|".join(
-            "(" + ",".join(map(str, mesh.cycle_winding(cyc, cuts))) + ")"
-            for cyc in f.cycles
-        )
-        rows.append(f"{k},{len(f.cycles)},{classes},{_forest_weight(conn, f)!r}")
+    for k, (f, weight) in enumerate(_weighed(conn, crsfs)):
+        classes = "|".join(map(cycle_class, f.cycles))
+        rows.append(f"{k},{len(f.cycles)},{classes},{weight!r}")
     return "\n".join(rows) + "\n"

@@ -2,8 +2,14 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import torsionlab
 
 from torsionlab import cli
 from torsionlab.errors import ConfigError
@@ -308,3 +314,19 @@ def test_random_bundle_seeded(tmp_path):
 def test_selftest_passes():
     assert cli.selftest(seed=0) == 0
     assert cli.selftest(seed=12345) == 0
+
+
+def test_selftest_fails_under_python_O():
+    # -O strips assert statements; a failing check must still report FAIL
+    code = ("import sys; from torsionlab import cli, forests; "
+            "forests.count_spanning_trees = lambda mesh: 0; "
+            "sys.exit(cli.selftest())")
+    src = str(pathlib.Path(torsionlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert ("[FAIL] matrix-tree and CRSF counts :: SelftestFailure: 2x2 trees"
+            in proc.stdout.splitlines())
+    assert "11/12 checks passed" in proc.stdout

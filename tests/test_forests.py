@@ -1,5 +1,6 @@
 """Spanning trees, CRSFs, and the determinant identities they satisfy."""
 
+import copy
 import hashlib
 import json
 import math
@@ -318,3 +319,67 @@ def test_enumeration_finds_every_unicyclic_subset_in_canonical_order(surface_n):
         for cyc in f.cycles:
             assert cyc[0] == (min(k for k, _ in cyc), +1)
             bundles.cycle_monodromy(conn, cyc)       # raises unless a closed walk
+
+
+def _random_unitary_field(rank, size, rng):
+    """``size`` random U(1) phases (rank 1) or SU(2) matrices (rank 2)."""
+    if rank == 1:
+        return np.exp(2j * math.pi * rng.random(size))[:, None, None]
+    return np.array([bundles.random_su2(rng) for _ in range(size)]).reshape(size, 2, 2)
+
+
+def _naive_weighted_sum(conn, crsfs):
+    """The CRSF sum forest by forest: every cycle's monodromy, every time."""
+    total = 0.0
+    for f in crsfs:
+        weight = 1.0
+        for cyc in f.cycles:
+            w = bundles.cycle_monodromy(conn, cyc)
+            if conn.rank == 1:
+                weight *= float((2 - w[0, 0] - 1 / w[0, 0]).real)
+            else:
+                weight *= float((2 - np.trace(w)).real)
+        total += weight
+    return total
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(surface_n=st.sampled_from(SMALL_MESHES) | st.tuples(glued_surfaces(), st.just(1)),
+       seed=st.integers(0, 2**32 - 1))
+def test_weighted_sum_is_bit_identical_to_the_per_forest_product(surface_n, seed):
+    rng = np.random.default_rng(seed)
+    mesh = meshes.discretize(*surface_n)
+    crsfs = forests.enumerate_crsfs(mesh)
+    # one copy per forest, so no cycle object is shared between forests
+    unshared = [copy.deepcopy(f) for f in crsfs]
+    cycles = [c for f in unshared for c in f.cycles]
+    assert len({id(c) for c in cycles}) == len(cycles)
+    for rank in (1, 2):
+        # a gauged flat bundle (trivial where the surface has no cuts), and
+        # transports drawn edge by edge, so that each cycle weighs its own
+        flat = bundles.gauge_transform(
+            bundles.connection_from_holonomy(
+                mesh, bundles.random_flat_representation(mesh.surface, rank, rng)),
+            _random_unitary_field(rank, mesh.n_vertices, rng))
+        rough = bundles.UnitaryConnection(
+            mesh, rank, _random_unitary_field(rank, len(mesh.edges), rng), 0)
+        for conn in (flat, rough):
+            want = _naive_weighted_sum(conn, crsfs).hex()
+            assert forests.crsf_weighted_sum(conn, crsfs=crsfs).hex() == want
+            assert forests.crsf_weighted_sum(conn, crsfs=unshared).hex() == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(surface_n=st.sampled_from(SMALL_MESHES) | st.tuples(glued_surfaces(), st.just(1)))
+def test_spanning_tree_count_matches_subset_oracle(surface_n):
+    mesh = meshes.discretize(*surface_n)
+    nv = mesh.n_vertices
+    links = [k for k, e in enumerate(mesh.edges) if e.u != e.v]
+    want = sum(set(_components(mesh, s)[0]) == {0} for s in combinations(links, nv - 1))
+    assert forests.count_spanning_trees(mesh) == want
+
+
+def test_each_distinct_cycle_is_one_object():
+    mesh = meshes.discretize(surfaces.torus(1, 1), 3)
+    cycles = [c for f in forests.enumerate_crsfs(mesh) for c in f.cycles]
+    assert len({id(c) for c in cycles}) == len({tuple(c) for c in cycles}) == 312
