@@ -36,13 +36,11 @@ from .meshspectra import (CATALAN, FourierProfile, catalan_constant,
                           mesh_eigenvalue, mesh_eigenvector,
                           mesh_eigenvector_norm_sq, mesh_eigenvalue_grid,
                           rectangle_mesh_spectrum, torus_mesh_spectrum,
-                          cylinder_mesh_spectrum, closed_form_log_det,
+                          closed_form_log_det,
                           sin_product, sin_product_direct,
                           sin_product_uncorrected, szego_trace_direct,
                           szego_trace_contraction, szego_expansion_predicted)
-from .torsion import (SeparableSurface, ContinuumSpectrum, continuum_spectrum, heat_trace,
-                      heat_trace_expansion,
-                      zeta_zero, zeta_zero_from_heat_trace, dedekind_eta,
+from .torsion import (SeparableSurface, zeta_zero, dedekind_eta,
                       torus_torsion, rectangle_torsion, cylinder_torsion,
                       rescale_torsion)
 from .experiments import (RenormSeries, BumpProfile,

@@ -102,7 +102,8 @@ def _svg_error_plot(ns, errors, title):
 
 def _separable_from(cfg, which="surface"):
     """The SeparableSurface of cfg[which], validated by build_surface, with the
-    phases of its bundle; other kinds raise HypothesisViolation."""
+    phases of its bundle; other kinds raise HypothesisViolation.  The five
+    closed-form runners call its methods, which honour or refuse the twist."""
     from .surfaces import build_surface
     from .torsion import SeparableSurface
     surface = build_surface(cfg[which])
@@ -239,12 +240,11 @@ def _run_szego(cfg, rng):
 
 
 def _run_heat_trace(cfg, rng):
-    from .torsion import heat_trace, heat_trace_expansion
     s = _separable_from(cfg)
     rows = []
     for t in cfg.get("t_list", [0.02, 0.05, 0.1, 0.2]):
-        tr = heat_trace(s.kind, s.a, s.b, t)
-        ex = heat_trace_expansion(s.kind, s.a, s.b, t)
+        tr = s.heat_trace(t)
+        ex = s.heat_trace_expansion(t)
         rows.append((t, tr, ex, abs(tr - ex)))
     return {
         "files": {"heat.csv": _csv(rows, ["t", "theta_series", "expansion", "abs_resid"])},
@@ -279,10 +279,8 @@ def _run_torsion(cfg, rng):
 
 def _run_weyl_check(cfg, rng):
     from .experiments import uniform_weyl_check
-    from .meshspectra import separable_mesh_spectrum
     s = _separable_from(cfg)
-    spectra = [separable_mesh_spectrum(s.kind, s.a, s.b, n).rescaled(n)
-               for n in sorted(cfg["n_list"])]
+    spectra = [s.mesh_spectrum(n).rescaled(n) for n in sorted(cfg["n_list"])]
     cmin, table = uniform_weyl_check(spectra)
     return {
         "files": {"weyl.csv": _csv(table, ["n", "argmin_i", "min_ratio"])},
@@ -315,24 +313,29 @@ def _run_embedding_check(cfg, rng):
     }
 
 
-# experiment kind -> (runner, the keys its config must hold)
+_PHASES = ("alpha", "beta")                          # read by _separable_from
+_HOLONOMY = ("kind", "rank", "seed", "generators")   # read by _bundle_from
+
+# experiment kind -> (runner, the keys its config must hold, the bundle fields
+# it reads); only ratio reads bundle_b, with the same fields as its bundle
 _EXPERIMENTS = {
-    "spectrum": (_run_spectrum, ("surface",)),
-    "logdet": (_run_logdet, ("surface",)),
-    "renorm-series": (_run_renorm_series, ("surface", "n_list")),
-    "ratio": (_run_ratio, ("surface", "surface_b", "n_list")),
-    "crsf-verify": (_run_crsf_verify, ("surface",)),
-    "szego": (_run_szego, ("profile", "n_list")),
-    "heat-trace": (_run_heat_trace, ("surface",)),
-    "zeta0": (_run_zeta0, ("surface",)),
-    "torsion": (_run_torsion, ("surface",)),
-    "weyl-check": (_run_weyl_check, ("surface", "n_list")),
-    "embedding-check": (_run_embedding_check, ("surface", "n_list")),
+    "spectrum": (_run_spectrum, ("surface",), _HOLONOMY),
+    "logdet": (_run_logdet, ("surface",), _HOLONOMY),
+    "renorm-series": (_run_renorm_series, ("surface", "n_list"), _PHASES),
+    "ratio": (_run_ratio, ("surface", "surface_b", "n_list"), _PHASES),
+    "crsf-verify": (_run_crsf_verify, ("surface",), _HOLONOMY),
+    "szego": (_run_szego, ("profile", "n_list"), ()),
+    "heat-trace": (_run_heat_trace, ("surface",), _PHASES),
+    "zeta0": (_run_zeta0, ("surface",), _HOLONOMY),
+    "torsion": (_run_torsion, ("surface",), _PHASES),
+    "weyl-check": (_run_weyl_check, ("surface", "n_list"), _PHASES),
+    "embedding-check": (_run_embedding_check, ("surface", "n_list"), ()),
 }
 
 
 def validate_config(cfg):
-    """``cfg`` itself, or ConfigError naming the first missing or mistyped key."""
+    """``cfg`` itself, or ConfigError naming the first missing or mistyped key,
+    or the first bundle field the experiment does not read."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     kind = cfg.get("experiment")
@@ -361,6 +364,11 @@ def validate_config(cfg):
         bundle = cfg.get(key) or {}
         if not isinstance(bundle, dict) or _bundle_kind(bundle) not in _BUNDLE_KINDS:
             raise ConfigError(f"{key} must be an object of kind one of {list(_BUNDLE_KINDS)}")
+        reads = _EXPERIMENTS[kind][2] if key == "bundle" or kind == "ratio" else ()
+        unread = [field for field in bundle if field not in reads]
+        if unread:
+            raise ConfigError(f"{kind} reads no {key} field {unread[0]!r}; "
+                              f"it reads {list(reads)}")
         for field, ok, what in (
                 ("alpha", _is_real, "a finite number"), ("beta", _is_real, "a finite number"),
                 ("rank", lambda x: _is_count(x, 1), "a positive integer"),

@@ -206,6 +206,17 @@ def _weighed(conn, crsfs):
         yield f, math.prod(map(weight, f.cycles))
 
 
+def _require_weighable(conn):
+    """RankUnsupported outside ranks 1 and 2, NegativeUnderSqrt for rank-2
+    transports outside SU(2): their cycle weights stand for no determinant."""
+    if conn.rank not in (1, 2):
+        raise RankUnsupported(f"rank {conn.rank}")
+    if conn.rank == 2:
+        for t in conn.transports:
+            if abs(np.linalg.det(t) - 1) > 1e-9:
+                raise NegativeUnderSqrt("rank-2 transports must be special unitary")
+
+
 def crsf_weighted_sum(conn, crsfs=None):
     """Sum over CRSFs of the product of cycle weights.
 
@@ -213,12 +224,7 @@ def crsf_weighted_sum(conn, crsfs=None):
     twisted Laplacian.  Rank 2 (special unitary): weight (2 - tr w) and the
     sum equals sqrt(det').
     """
-    if conn.rank not in (1, 2):
-        raise RankUnsupported(f"rank {conn.rank}")
-    if conn.rank == 2:
-        for t in conn.transports:
-            if abs(np.linalg.det(t) - 1) > 1e-9:
-                raise NegativeUnderSqrt("rank-2 transports must be special unitary")
+    _require_weighable(conn)
     if crsfs is None:
         crsfs = enumerate_crsfs(conn.graph)
     total = 0.0
@@ -249,6 +255,7 @@ def noncontractible_expectation(conn):
         raise NotClassifiable(f"winding classification unavailable on {surf.name}")
     if conn.rank != 2:
         raise RankUnsupported("expectation defined for rank-2 bundles")
+    _require_weighable(conn)
     cuts = mesh.refine_cuts(standard_cuts(surf))
     noncontractible = _once_per_cycle(lambda cyc: any(mesh.cycle_winding(cyc, cuts)))
     total = 0.0
@@ -270,6 +277,7 @@ def noncontractible_expectation(conn):
 def crsf_census_csv(mesh, conn, crsfs=None):
     """CSV census: one row per CRSF with component count, cycle classes
     (winding numbers across the standard cuts) and weight under ``conn``."""
+    _require_weighable(conn)
     if crsfs is None:
         crsfs = enumerate_crsfs(mesh)
     cuts = mesh.refine_cuts(standard_cuts(mesh.surface))

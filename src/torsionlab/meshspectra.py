@@ -5,13 +5,16 @@ on each side, so their spectra are the sums of the 1-D factor spectra of
 torsion.SEPARABLE_KINDS: 4 sin^2((2 pi j + theta) / 2m) for a cycle twisted
 by theta, 4 sin^2(pi j / 2m) for a path.  The kernel dimension is the
 factors' flat-section count, decided from the holonomy, not from the
-eigenvalues.  Each row of the (an, bn) eigenvalue grid is a shifted product
-of one factor's spectrum, in closed form (torsion.Factor.log_shifted_product):
-with mu = 4 sinh^2(phi/2), prod_j (mu + nu_j) is 2 cosh(m phi) - 2 cos(theta)
-for a cycle of m sites twisted by theta and 2 tanh(phi/2) sinh(m phi) for a
-path of m sites.  log det' is the fsum of one factor's row products over the
-other factor's eigenvalues (torsion.SeparableSurface.log_det, the setup that
-closed_form_log_det builds), so it costs O(n) and never builds the grid.
+eigenvalues.  The spectrum and the log det' of any separable setup are the
+methods SeparableSurface.mesh_spectrum(n) and SeparableSurface.log_det(n);
+rectangle_mesh_spectrum, torus_mesh_spectrum and closed_form_log_det are
+one-line forms of them by kind and sides.  Each row of the (an, bn)
+eigenvalue grid is a shifted product of one factor's spectrum, in closed
+form (torsion.Factor.log_shifted_product): with mu = 4 sinh^2(phi/2),
+prod_j (mu + nu_j) is 2 cosh(m phi) - 2 cos(theta) for a cycle of m sites
+twisted by theta and 2 tanh(phi/2) sinh(m phi) for a path of m sites.
+log det' is the fsum of one factor's row products over the other factor's
+eigenvalues, so it costs O(n) and never builds the grid.
 The an x bn rectangle mesh has product-cosine eigenvectors
 indexed by (i, j); its rescaled eigenvalues are 4n^2 sin^2(pi i / 2an) +
 4n^2 sin^2(pi j / 2bn), with the (0,0) entry replaced by 1 to stand for the
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, SupportTooWide
-from .laplacian import HermitianSpectrum
 from .torsion import SeparableSurface, rectangle_torsion
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
@@ -102,27 +104,14 @@ def mesh_eigenvector_norm_sq(a, b, n, i, j):
     return a * b * n * n * 2.0 ** (di + dj - 2)
 
 
-def separable_mesh_spectrum(kind, a, b, n, alpha=0.0, beta=0.0):
-    """Sorted unrescaled spectrum of a separable mesh, phases alpha, beta on the seams."""
-    surface = SeparableSurface(kind, a, b, alpha, beta)
-    return HermitianSpectrum(surface.mesh_grid(n).ravel(), kernel_dim=surface.dim_h0,
-                             meta={"surface": f"{kind}({a},{b})", "n": n, "rank": 1,
-                                   "alpha": alpha, "beta": beta})
-
-
 def rectangle_mesh_spectrum(a, b, n):
     """Sorted unrescaled spectrum of the a x b rectangle mesh, as HermitianSpectrum."""
-    return separable_mesh_spectrum("rectangle", a, b, n)
+    return SeparableSurface("rectangle", a, b).mesh_spectrum(n)
 
 
 def torus_mesh_spectrum(a, b, n, alpha=0.0, beta=0.0):
     """Twisted torus mesh spectrum (unrescaled), phases alpha, beta on the seams."""
-    return separable_mesh_spectrum("torus", a, b, n, alpha, beta)
-
-
-def cylinder_mesh_spectrum(a, b, n, alpha=0.0):
-    """Twisted cylinder mesh spectrum: periodic circumference a, free height b."""
-    return separable_mesh_spectrum("cylinder", a, b, n, alpha)
+    return SeparableSurface("torus", a, b, alpha, beta).mesh_spectrum(n)
 
 
 def closed_form_log_det(kind, a, b, n, alpha=0.0, beta=0.0):

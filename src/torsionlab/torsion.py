@@ -11,7 +11,11 @@ A factor's kernel is decided once, from its holonomy: a phase whose
 holonomy exp(i phase) is within FLAT_SECTION_TOL of 1 (every phase = 0 mod
 2 pi) is trivial and is replaced by 0.  SeparableSurface (kind, sides a, b
 and U(1) phases alpha, beta) is the one setup of the closed-form experiments,
-with its log_det(n), target() and label().
+and each quantity of it is a method: mesh_spectrum, log_det, heat_trace and
+its expansion, zeta0_from_heat_trace, continuum_eigenvalues, zeta_partial,
+weyl_tail, torsion and target.  The mesh quantities honour the phases; the
+continuum spectrum, heat trace and torsion have no twisted closed form yet
+and raise HypothesisViolation for a twisted setup, whose target() is None.
 
 Each factor's mesh spectrum nu_j has a closed-form shifted product.  With
 mu = 4 sinh^2(phi/2), a cycle of m sites twisted by theta gives
@@ -30,10 +34,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EtaDomainError, HypothesisViolation
+from .laplacian import HermitianSpectrum
 
 _SERIES_TERMS = 64
 
-MELLIN_T = 1e-3    # heat-trace time at which zeta_zero_from_heat_trace reads zeta(0)
+MELLIN_T = 1e-3    # heat-trace time at which zeta0_from_heat_trace reads zeta(0)
 
 # |g - 1| below this makes a U(1) generator g trivial; bundles.flat_sections_dim
 # applies the same bound to the singular values of the stacked g - I
@@ -170,13 +175,64 @@ class SeparableSurface:
     def zeta0(self):
         return self.heat_constant - self.dim_h0
 
-    def mesh_grid(self, n):
-        """Unrescaled mesh eigenvalues as one (an, bn) array; a zero mode sits at (0, 0)."""
+    def _refuse_twist(self, what):
+        """HypothesisViolation for a twisted setup: ``what`` has no twisted closed form yet."""
+        if not self.dim_h0:
+            raise HypothesisViolation(f"no closed form for the {what} of twisted {self.label()}")
+
+    def mesh_spectrum(self, n):
+        """Sorted unrescaled mesh spectrum, the phases on the seams; its kernel is dim_h0."""
         fa, fb = self.factors
-        return fa.mesh_eigenvalues(n)[:, None] + fb.mesh_eigenvalues(n)[None, :]
+        grid = fa.mesh_eigenvalues(n)[:, None] + fb.mesh_eigenvalues(n)[None, :]
+        return HermitianSpectrum(grid.ravel(), kernel_dim=self.dim_h0,
+                                 meta={"surface": f"{self.kind}({self.a},{self.b})", "n": n,
+                                       "rank": 1, "alpha": self.alpha, "beta": self.beta})
+
+    def continuum_eigenvalues(self, cutoff):
+        """All continuum Laplace eigenvalues <= cutoff with multiplicity, sorted."""
+        self._refuse_twist("continuum spectrum")
+        if cutoff <= 0:
+            return []
+        fa, fb = self.factors
+        lb = fb.continuum_eigenvalues(cutoff)
+        return sorted(x + y for x in fa.continuum_eigenvalues(cutoff) for y in lb
+                      if x + y <= cutoff)
+
+    def weyl_tail(self, z, cutoff):
+        """Integral bound on sum over lambda > cutoff of lambda^-z, Re z > 1."""
+        if z <= 1:
+            raise ValueError("tail bound needs Re z > 1")
+        return self.area / (4 * math.pi) * cutoff ** (1 - z) / (z - 1)
+
+    def zeta_partial(self, z, cutoff):
+        """(truncated zeta sum, tail bound) at the given spectral cutoff."""
+        total = sum(lam ** (-z) for lam in self.continuum_eigenvalues(cutoff) if lam > 0)
+        return total, self.weyl_tail(z, cutoff)
+
+    def heat_trace(self, t):
+        """Tr exp(-t Delta) by rapidly convergent theta series."""
+        self._refuse_twist("heat trace")
+        if t <= 0:
+            raise ValueError("t must be positive")
+        fa, fb = self.factors
+        return fa.theta(t) * fb.theta(t)
+
+    def heat_trace_expansion(self, t):
+        """Small-time expansion A/(4 pi t) + |dA|/(8 sqrt(pi t)) + angle constants."""
+        return (self.area / (4 * math.pi * t) + self.perimeter / (8 * math.sqrt(math.pi * t))
+                + float(self.heat_constant))
+
+    def zeta0_from_heat_trace(self):
+        """Numeric cross-check of zeta(0): the constant term of the heat trace at
+        t = MELLIN_T (the Mellin-split regular part at s=0) minus dim H^0."""
+        t = MELLIN_T
+        const = (self.heat_trace(t) - self.area / (4 * math.pi * t)
+                 - self.perimeter / (8 * math.sqrt(math.pi * t)))
+        return const - self.dim_h0
 
     def torsion(self):
         """Closed-form log det' of the untwisted continuum surface."""
+        self._refuse_twist("log det'")
         return TORSIONS[self.kind](self.a, self.b)
 
     def log_det(self, n):
@@ -205,44 +261,6 @@ class SeparableSurface:
         return f"{self.kind}({self.a},{self.b}{tw})"
 
 
-@dataclass(frozen=True)
-class ContinuumSpectrum:
-    """Explicit Laplace spectrum of a solvable surface, with a tail estimator."""
-
-    kind: str
-    a: float
-    b: float
-
-    def eigenvalues(self, cutoff):
-        return continuum_spectrum(self.kind, self.a, self.b, cutoff)
-
-    def counting_function(self, lam):
-        return len(self.eigenvalues(lam))
-
-    def weyl_tail(self, z, cutoff):
-        """Integral bound on sum over lambda > cutoff of lambda^-z, Re z > 1."""
-        if z <= 1:
-            raise ValueError("tail bound needs Re z > 1")
-        area = self.a * self.b
-        return area / (4 * math.pi) * cutoff ** (1 - z) / (z - 1)
-
-    def zeta_partial(self, z, cutoff):
-        """(truncated zeta sum, tail bound) at the given spectral cutoff."""
-        lams = self.eigenvalues(cutoff)
-        total = sum(lam ** (-z) for lam in lams if lam > 0)
-        return total, self.weyl_tail(z, cutoff)
-
-
-def continuum_spectrum(kind, a, b, cutoff):
-    """All Laplace eigenvalues <= cutoff with multiplicity, sorted."""
-    if cutoff <= 0:
-        return []
-    fa, fb = SeparableSurface(kind, a, b).factors
-    lb = fb.continuum_eigenvalues(cutoff)
-    return sorted(x + y for x in fa.continuum_eigenvalues(cutoff) for y in lb
-                  if x + y <= cutoff)
-
-
 def _theta_free(a, t):
     """sum_{m >= 0} exp(-t pi^2 m^2 / a^2), switched to the dual series for small t."""
     x = t * math.pi ** 2 / a ** 2
@@ -263,21 +281,6 @@ def _theta_periodic(a, t):
     m = np.arange(1, _SERIES_TERMS)
     dual = float(np.exp(-math.pi ** 2 * m * m / x).sum())
     return math.sqrt(math.pi / x) * (1.0 + 2.0 * dual)
-
-
-def heat_trace(kind, a, b, t):
-    """Tr exp(-t Delta) by rapidly convergent theta series."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    fa, fb = SeparableSurface(kind, a, b).factors
-    return fa.theta(t) * fb.theta(t)
-
-
-def heat_trace_expansion(kind, a, b, t):
-    """Small-time expansion A/(4 pi t) + |dA|/(8 sqrt(pi t)) + angle constants."""
-    s = SeparableSurface(kind, a, b)
-    return (s.area / (4 * math.pi * t) + s.perimeter / (8 * math.sqrt(math.pi * t))
-            + float(s.heat_constant))
 
 
 def corner_zeta_term(quadrants):
@@ -304,16 +307,6 @@ def zeta_zero(summary, rank=1, dim_h0=1):
     for ang in summary.corner_angles:
         tot += corner_zeta_term(round(ang / (math.pi / 2)))
     return -Fraction(dim_h0) + Fraction(rank, 12) * tot
-
-
-def zeta_zero_from_heat_trace(kind, a, b):
-    """Numeric cross-check of zeta(0): the constant term of the heat trace at
-    t = MELLIN_T (the Mellin-split regular part at s=0) minus dim H^0."""
-    s = SeparableSurface(kind, a, b)
-    t = MELLIN_T
-    const = (heat_trace(kind, a, b, t) - s.area / (4 * math.pi * t)
-             - s.perimeter / (8 * math.sqrt(math.pi * t)))
-    return const - s.dim_h0
 
 
 def dedekind_eta(q):

@@ -150,7 +150,7 @@ def test_criterion_07_zeta_zero():
     for name, (surf, expect) in vals.items():
         got = ts.zeta_zero(surfaces.geometry_summary(surf))
         ok &= got == expect
-    mellin = ts.zeta_zero_from_heat_trace("rectangle", 1, 1)
+    mellin = ts.SeparableSurface("rectangle", 1, 1).zeta0_from_heat_trace()
     ok &= abs(mellin - (-0.75)) < 1e-6
     _report(7, "zeta(0) exact values and Mellin cross-check", ok,
             f"mellin err {abs(mellin + 0.75):.2e}")
@@ -159,14 +159,14 @@ def test_criterion_07_zeta_zero():
 def test_criterion_08_heat_trace():
     worst = 0.0
     for kind, a, b in (("rectangle", 2, 2), ("torus", 4, 4), ("cylinder", 4, 2)):
+        setup = ts.SeparableSurface(kind, a, b)
         for t in np.linspace(0.02, 0.2, 37):
-            resid = abs(ts.heat_trace(kind, a, b, t)
-                        - ts.heat_trace_expansion(kind, a, b, t))
+            resid = abs(setup.heat_trace(t) - setup.heat_trace_expansion(t))
             worst = max(worst, resid)
     # the expansion is asymptotic: residuals die off exponentially as t -> 0,
     # demonstrated on the unit torus where the window above is not yet asymptotic
-    small_t = abs(ts.heat_trace("torus", 1, 1, 0.01)
-                  - ts.heat_trace_expansion("torus", 1, 1, 0.01))
+    unit_torus = ts.SeparableSurface("torus", 1, 1)
+    small_t = abs(unit_torus.heat_trace(0.01) - unit_torus.heat_trace_expansion(0.01))
     ok = worst < 1e-5 and small_t < 1e-8
     _report(8, "heat-trace expansion, t in [0.02, 0.2]", ok,
             f"worst residual {worst:.2e}, torus(1,1)@t=0.01 {small_t:.2e}")

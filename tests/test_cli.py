@@ -190,6 +190,45 @@ def test_separable_spec_is_validated_by_build_surface(tmp_path, experiment, side
 
 
 _TORUS11 = {"kind": "torus", "a": 1, "b": 1}
+_TWIST = {"alpha": 1.3, "beta": -0.7}
+
+
+@pytest.mark.parametrize("experiment", ["torsion", "heat-trace"])
+def test_twisted_closed_form_without_a_formula_exits_2(tmp_path, experiment):
+    # no twisted continuum closed form yet: refuse, do not write the untwisted one
+    cfg = {"experiment": experiment, "surface": _TORUS11, "bundle": _TWIST}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    assert json.loads((out / "meta.json").read_text())["error"]["code"] == "HypothesisViolation"
+
+
+@pytest.mark.parametrize("experiment,table", [("torsion", "torsion.csv"),
+                                              ("heat-trace", "heat.csv")])
+def test_a_full_turn_runs_as_the_untwisted_setup(tmp_path, experiment, table):
+    # a phase of 2 pi is trivial holonomy: the same bytes as no bundle at all
+    plain = {"experiment": experiment, "surface": _TORUS11}
+    code, out = _run(tmp_path, plain, name="plain.json")
+    assert code == 0
+    code, turned = _run(tmp_path, {**plain, "bundle": {"alpha": 2 * math.pi}}, name="turn.json")
+    assert code == 0
+    assert (turned / table).read_text() == (out / table).read_text()
+    if experiment == "torsion":
+        meta = json.loads((turned / "meta.json").read_text())
+        assert meta["log_det_prime"] == -1.0546882809956721
+
+
+def test_weyl_check_honours_the_twist(tmp_path):
+    from torsionlab.experiments import uniform_weyl_check
+    from torsionlab.torsion import SeparableSurface
+    ns = [2, 4, 8, 16]
+    cfg = {"experiment": "weyl-check", "surface": _TORUS11, "bundle": _TWIST, "n_list": ns}
+    code, out = _run(tmp_path, cfg)
+    assert code == 0
+    setup = SeparableSurface("torus", 1, 1, 1.3, -0.7)
+    cmin, _ = uniform_weyl_check([setup.mesh_spectrum(n).rescaled(n) for n in ns])
+    untwisted, _ = uniform_weyl_check(
+        [SeparableSurface("torus", 1, 1).mesh_spectrum(n).rescaled(n) for n in ns])
+    assert json.loads((out / "meta.json").read_text())["C_min"] == cmin != untwisted
 
 
 @pytest.mark.parametrize("cfg", [
@@ -203,9 +242,20 @@ _TORUS11 = {"kind": "torus", "a": 1, "b": 1}
     {"experiment": "logdet", "surface": _TORUS11, "n": 2,
      "bundle": {"kind": "raw", "generators": [[[[1, 0]], [[0, 0], [1, 0]]]]}},
     {"experiment": "logdet", "surface": _TORUS11, "n": 2,
-     "bundle": {"kind": "raw", "generators": [[[["x", 0]]], [[[1, 0]]]]}}],
+     "bundle": {"kind": "raw", "generators": [[[["x", 0]]], [[[1, 0]]]]}},
+    # bundle fields the experiment does not read
+    {"experiment": "logdet", "surface": _TORUS11, "n": 4,
+     "bundle": {"alpha": 1.3, "beta": -0.7}},
+    {"experiment": "renorm-series", "surface": _TORUS11, "n_list": [2, 4, 8],
+     "bundle": {"generators": [[[[math.cos(1.3), math.sin(1.3)]]],
+                               [[[math.cos(-0.7), math.sin(-0.7)]]]]}},
+    {"experiment": "renorm-series", "surface": _TORUS11, "n_list": [2, 4, 8],
+     "bundle": {"alpah": 1.3}},
+    {"experiment": "renorm-series", "surface": _TORUS11, "n_list": [2, 4, 8],
+     "bundle_b": {"alpha": 1.3}}],
     ids=["n-zero", "n-string", "negative-rank", "alpha-string", "t-zero",
-         "ragged-generator", "non-numeric-generator"])
+         "ragged-generator", "non-numeric-generator", "logdet-phases",
+         "renorm-series-generators", "misspelt-phase", "bundle_b-outside-ratio"])
 def test_malformed_input_exits_2(tmp_path, cfg):
     code, out = _run(tmp_path, cfg)
     assert code == 2 and not out.exists()

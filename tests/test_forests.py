@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from torsionlab import bundles, cli, forests, laplacian, meshes, surfaces
 from torsionlab.complexes import E, HALF_TURN, N, S, SquareComplex, TRANSLATION, W
-from torsionlab.errors import (IdentityMismatch, KernelMismatch, NegativeUnderSqrt,
-                               NotClassifiable, RankUnsupported, TooLarge)
+from torsionlab.errors import (KernelMismatch, NegativeUnderSqrt, NotClassifiable,
+                               RankUnsupported, TooLarge)
 
 
 def _det(conn, expected_kernel_dim=0):
@@ -161,11 +161,12 @@ def test_noncontractible_expectation_c3():
 
 
 def test_expectation_refuses_a_flat_u2_bundle_that_is_not_su2():
-    # the CRSF sum (13.567) misses sqrt(det') (13.302): the identity needs SU(2)
+    # the CRSF sum (13.567) would miss sqrt(det') (13.302): the identity needs
+    # SU(2), so the weighability guard refuses before the forests are enumerated
     mesh = meshes.discretize(surfaces.torus(1, 1), 2)
     rep = bundles.HolonomyRepresentation(2, [np.diag(np.exp([0.7j, 0.3j])),
                                              np.diag(np.exp([0.2j, 0.5j]))])
-    with pytest.raises(IdentityMismatch):
+    with pytest.raises(NegativeUnderSqrt):
         forests.noncontractible_expectation(bundles.connection_from_holonomy(mesh, rep))
 
 
@@ -203,6 +204,21 @@ def test_rank_and_su2_guards():
     conn = bundles.connection_from_holonomy(mesh, rep)
     with pytest.raises(NegativeUnderSqrt):
         forests.crsf_weighted_sum(conn)
+
+
+def test_census_and_expectation_refuse_what_the_sum_refuses(monkeypatch):
+    # rank 3 and the non-SU(2) diag(i, i) have cycle weights (2 - tr w) that
+    # stand for no determinant, so no census row or expectation may use them
+    mesh = meshes.discretize(surfaces.cylinder(3, 1), 1)
+    su2_only = bundles.connection_from_holonomy(
+        mesh, bundles.HolonomyRepresentation(2, [np.diag([1j, 1j])]))
+    monkeypatch.setattr(forests, "enumerate_crsfs", None)    # refused before enumerating
+    with pytest.raises(RankUnsupported):
+        forests.crsf_census_csv(mesh, bundles.trivial_connection(mesh, 3))
+    with pytest.raises(NegativeUnderSqrt):
+        forests.crsf_census_csv(mesh, su2_only)
+    with pytest.raises(NegativeUnderSqrt):
+        forests.noncontractible_expectation(su2_only)
 
 
 def test_census_csv():

@@ -7,7 +7,7 @@ import pytest
 
 from torsionlab import bundles, laplacian, meshes, surfaces
 from torsionlab.errors import EmptySpectrum, KernelMismatch
-from torsionlab.torsion import continuum_spectrum
+from torsionlab.torsion import SeparableSurface
 
 
 def _c3_connection(theta):
@@ -133,7 +133,7 @@ def test_discrete_zeta_approaches_continuum():
     spec = rectangle_mesh_spectrum(1, 1, n).rescaled(n)
     z2 = laplacian.discrete_zeta(spec, 2.0).real
     cutoff = 5e5
-    lams = continuum_spectrum("rectangle", 1, 1, cutoff)
+    lams = SeparableSurface("rectangle", 1, 1).continuum_eigenvalues(cutoff)
     cont = sum(1.0 / x ** 2 for x in lams[1:])
     tail = 1.0 / (4 * math.pi * cutoff)   # Weyl integral bound on the dropped modes
     assert abs(z2 - cont) < 1e-3 + tail

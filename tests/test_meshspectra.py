@@ -122,7 +122,7 @@ def test_cylinder_closed_form_vs_assembled():
         rep = bundles.HolonomyRepresentation(1, [np.array([[np.exp(1j * alpha)]])])
         conn = bundles.connection_from_holonomy(mesh, rep)
         ev = np.linalg.eigvalsh(laplacian.assemble(conn))
-        cf = ms.cylinder_mesh_spectrum(a, b, n, alpha).eigenvalues
+        cf = torsion.SeparableSurface("cylinder", a, b, alpha).mesh_spectrum(n).eigenvalues
         assert np.max(np.abs(np.sort(ev) - cf)) < 1e-11
 
 
@@ -229,7 +229,8 @@ def test_szego_boundary_coefficient_fit():
 def test_closed_form_log_det_matches_spectra():
     for kind, spec in (("rectangle", ms.rectangle_mesh_spectrum(2, 3, 2)),
                        ("torus", ms.torus_mesh_spectrum(2, 3, 2, 0.4, 1.1)),
-                       ("cylinder", ms.cylinder_mesh_spectrum(3, 2, 2, 0.8))):
+                       ("cylinder", torsion.SeparableSurface("cylinder", 3, 2, 0.8)
+                        .mesh_spectrum(2))):
         lam = spec.nonzero
         args = dict(alpha=spec.meta.get("alpha", 0.0), beta=spec.meta.get("beta", 0.0))
         total = ms.closed_form_log_det(kind, *_ab(spec), spec.meta["n"], **args)
@@ -260,7 +261,7 @@ def test_factor_table_matches_dense_and_holonomy(kind, a, b, n, alpha, beta):
     rep = bundles.HolonomyRepresentation(1, [np.array([[np.exp(1j * p)]]) for p in phases])
     conn = bundles.connection_from_holonomy(meshes.discretize(surface, n), rep)
     dense = np.linalg.eigvalsh(laplacian.assemble(conn))
-    spec = getattr(ms, f"{kind}_mesh_spectrum")(a, b, n, *phases)
+    spec = torsion.SeparableSurface(kind, a, b, *phases).mesh_spectrum(n)
     assert np.max(np.abs(np.sort(dense) - spec.eigenvalues)) < 1e-11
     assert abs(laplacian.log_det_prime(spec)
                - ms.closed_form_log_det(kind, a, b, n, *phases)) < 1e-9
@@ -274,7 +275,8 @@ def test_factor_table_matches_dense_and_holonomy(kind, a, b, n, alpha, beta):
        alpha=_PHASES, beta=_PHASES)
 def test_row_products_match_the_eigenvalue_grid(kind, a, b, n, alpha, beta):
     phases = [alpha, beta][:sum(torsion.SEPARABLE_KINDS[kind])]
-    grid = laplacian.log_det_prime(ms.separable_mesh_spectrum(kind, a, b, n, *phases))
+    spec = torsion.SeparableSurface(kind, a, b, *phases).mesh_spectrum(n)
+    grid = laplacian.log_det_prime(spec)
     rows = ms.closed_form_log_det(kind, a, b, n, *phases)
     assert abs(rows - grid) <= 1e-12 * max(1.0, abs(grid))
 

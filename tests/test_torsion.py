@@ -11,45 +11,45 @@ from torsionlab.errors import EtaDomainError
 
 
 def test_continuum_spectrum_examples():
-    sp = ts.continuum_spectrum("rectangle", 1, 1, 20)
+    sp = ts.SeparableSurface("rectangle", 1, 1).continuum_eigenvalues(20)
     assert np.allclose(sp[:4], [0.0, math.pi ** 2, math.pi ** 2, 2 * math.pi ** 2])
-    sp = ts.continuum_spectrum("torus", 1, 1, 40)
+    sp = ts.SeparableSurface("torus", 1, 1).continuum_eigenvalues(40)
     assert sp[0] == 0.0
     assert np.allclose(sp[1:5], [4 * math.pi ** 2] * 4)
     assert len(sp) >= 5
-    sp = ts.continuum_spectrum("cylinder", 1, 1, 42)
+    sp = ts.SeparableSurface("cylinder", 1, 1).continuum_eigenvalues(42)
     # 0, pi^2 (k=1), 4 pi^2 (m = +-1 and k=2)
     assert sp[0] == 0.0 and abs(sp[1] - math.pi ** 2) < 1e-12
     assert np.allclose(sp[2:5], [4 * math.pi ** 2] * 3)
 
 
 def test_continuum_spectrum_type():
-    sp = ts.ContinuumSpectrum("rectangle", 1, 1)
-    assert sp.counting_function(20.0) == 4
+    sp = ts.SeparableSurface("rectangle", 1, 1)
+    assert len(sp.continuum_eigenvalues(20.0)) == 4
     total, tail = sp.zeta_partial(2.0, 1e5)
     assert tail < 1e-6
-    lams = sp.eigenvalues(1e5)
+    lams = sp.continuum_eigenvalues(1e5)
     direct = sum(x ** -2.0 for x in lams[1:])
     assert abs(total - direct) < 1e-15
     # the tail bound really does bound the dropped modes
-    more = sum(x ** -2.0 for x in sp.eigenvalues(4e5) if x > 1e5)
+    more = sum(x ** -2.0 for x in sp.continuum_eigenvalues(4e5) if x > 1e5)
     assert more <= tail
 
 
 def test_weyl_counting():
     cutoff = 1e4
     for kind, a, b in (("rectangle", 1, 2), ("torus", 1, 1)):
-        n_modes = len(ts.continuum_spectrum(kind, a, b, cutoff))
+        n_modes = len(ts.SeparableSurface(kind, a, b).continuum_eigenvalues(cutoff))
         expect = a * b * cutoff / (4 * math.pi)
         assert abs(n_modes / expect - 1) < 0.05
 
 
 def test_heat_trace_values():
-    tr = ts.heat_trace("rectangle", 1, 1, 0.1)
-    series = sum(math.exp(-0.1 * lam) for lam in
-                 ts.continuum_spectrum("rectangle", 1, 1, 400.0))
+    square = ts.SeparableSurface("rectangle", 1, 1)
+    tr = square.heat_trace(0.1)
+    series = sum(math.exp(-0.1 * lam) for lam in square.continuum_eigenvalues(400.0))
     assert abs(tr - series) < 1e-12
-    expansion = ts.heat_trace_expansion("rectangle", 1, 1, 0.1)
+    expansion = square.heat_trace_expansion(0.1)
     assert abs(expansion - (1 / (0.4 * math.pi) + 2 / (4 * math.sqrt(0.1 * math.pi)) + 0.25)) < 1e-12
     # at t = 0.1 on the unit square the remainder is a few 1e-4, not smaller
     assert 1e-5 < abs(tr - expansion) < 1e-3
@@ -57,18 +57,20 @@ def test_heat_trace_values():
 
 def test_heat_trace_torus_no_boundary_terms():
     for t in (0.02, 0.05):
-        tr = ts.heat_trace("torus", 2, 2, t)
+        tr = ts.SeparableSurface("torus", 2, 2).heat_trace(t)
         assert abs(tr - 4 / (4 * math.pi * t)) < 2e-3
     # exponential decay of the remainder as t -> 0
-    r1 = abs(ts.heat_trace("torus", 1, 1, 0.02) - 1 / (4 * math.pi * 0.02))
-    r2 = abs(ts.heat_trace("torus", 1, 1, 0.01) - 1 / (4 * math.pi * 0.01))
+    unit = ts.SeparableSurface("torus", 1, 1)
+    r1 = abs(unit.heat_trace(0.02) - 1 / (4 * math.pi * 0.02))
+    r2 = abs(unit.heat_trace(0.01) - 1 / (4 * math.pi * 0.01))
     assert r2 < 1e-3 * r1
 
 
 def test_heat_trace_cylinder_boundary_term():
     t = 0.05
-    tr = ts.heat_trace("cylinder", 4, 2, t)
-    exp_full = ts.heat_trace_expansion("cylinder", 4, 2, t)
+    setup = ts.SeparableSurface("cylinder", 4, 2)
+    tr = setup.heat_trace(t)
+    exp_full = setup.heat_trace_expansion(t)
     assert abs(tr - exp_full) < 1e-6
     # the boundary contribution 2a/(8 sqrt(pi t)) is genuinely present
     assert abs(tr - 8 / (4 * math.pi * t)) > 1.0
@@ -77,7 +79,8 @@ def test_heat_trace_cylinder_boundary_term():
 @pytest.mark.parametrize("kind,a,b", [("rectangle", 2, 2), ("rectangle", 3, 2),
                                       ("torus", 4, 4), ("cylinder", 4, 2)])
 def test_heat_trace_expansion_window(kind, a, b):
-    worst = max(abs(ts.heat_trace(kind, a, b, t) - ts.heat_trace_expansion(kind, a, b, t))
+    setup = ts.SeparableSurface(kind, a, b)
+    worst = max(abs(setup.heat_trace(t) - setup.heat_trace_expansion(t))
                 for t in np.linspace(0.02, 0.2, 19))
     assert worst < 1e-5
 
@@ -85,10 +88,10 @@ def test_heat_trace_expansion_window(kind, a, b):
 def test_heat_trace_small_surfaces_large_t_residuals():
     # the expansion is asymptotic in t: on unit-size surfaces the window
     # [0.02, 0.2] is not yet asymptotic and the residuals are macroscopic
-    resid = abs(ts.heat_trace("torus", 1, 1, 0.2) - ts.heat_trace_expansion("torus", 1, 1, 0.2))
+    torus, square = ts.SeparableSurface("torus", 1, 1), ts.SeparableSurface("rectangle", 1, 1)
+    resid = abs(torus.heat_trace(0.2) - torus.heat_trace_expansion(0.2))
     assert resid > 0.5
-    resid = abs(ts.heat_trace("rectangle", 1, 1, 0.2)
-                - ts.heat_trace_expansion("rectangle", 1, 1, 0.2))
+    resid = abs(square.heat_trace(0.2) - square.heat_trace_expansion(0.2))
     assert 0.01 < resid < 0.03
 
 
@@ -116,11 +119,11 @@ def test_zeta_zero_simply_connected_shortcut():
 
 
 def test_zeta_zero_mellin_cross_check():
-    z = ts.zeta_zero_from_heat_trace("rectangle", 1, 1)
+    z = ts.SeparableSurface("rectangle", 1, 1).zeta0_from_heat_trace()
     assert abs(z - (-0.75)) < 1e-6
-    z = ts.zeta_zero_from_heat_trace("torus", 1, 1)
+    z = ts.SeparableSurface("torus", 1, 1).zeta0_from_heat_trace()
     assert abs(z - (-1.0)) < 1e-6
-    z = ts.zeta_zero_from_heat_trace("cylinder", 2, 1)
+    z = ts.SeparableSurface("cylinder", 2, 1).zeta0_from_heat_trace()
     assert abs(z - (-1.0)) < 1e-6
 
 
