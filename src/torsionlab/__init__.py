@@ -28,21 +28,19 @@ from .bundles import (HolonomyRepresentation, UnitaryConnection,
                       flat_sections_dim, random_su2, random_unitary,
                       random_flat_representation, generator_loop)
 from .laplacian import (HermitianSpectrum, assemble, spectrum, log_det_prime,
-                        discrete_zeta)
+                        sparse_log_det, discrete_zeta)
 from .forests import (CRSF, count_spanning_trees, enumerate_crsfs,
                       crsf_weighted_sum, crsf_identity,
                       noncontractible_expectation)
 from .meshspectra import (CATALAN, FourierProfile, catalan_constant,
-                          mesh_eigenvalue, mesh_eigenvector,
-                          mesh_eigenvector_norm_sq, mesh_eigenvalue_grid,
+                          mesh_eigenvalue_grid,
                           rectangle_mesh_spectrum, torus_mesh_spectrum,
                           closed_form_log_det,
                           sin_product, sin_product_direct,
                           sin_product_uncorrected, szego_trace_direct,
                           szego_trace_contraction, szego_expansion_predicted)
 from .torsion import (SeparableSurface, zeta_zero, dedekind_eta,
-                      torus_torsion, rectangle_torsion, cylinder_torsion,
-                      rescale_torsion)
+                      torus_torsion, rectangle_torsion, cylinder_torsion)
 from .experiments import (RenormSeries, BumpProfile,
                           renormalized_logdet, convergence_study,
                           dense_renorm_series, model_correction_series,

@@ -59,22 +59,31 @@ class HolonomyRepresentation:
 
 
 class UnitaryConnection:
-    """Rank-r unitary transports on the edges of a mesh graph, with the
-    dimension of its flat sections (the Laplacian's kernel) decided from the
-    holonomy by whichever constructor below builds it.
+    """Rank-r unitary transports on the edges of a mesh graph, with its flat
+    sections (the Laplacian's kernel) decided from the holonomy by whichever
+    constructor below builds it.
 
     ``transports`` is an (E, r, r) array: edge k's transport from the fiber
-    at its u to the fiber at its v.
+    at its u to the fiber at its v.  ``flat_basis`` is an orthonormal (r, k)
+    basis of the flat sections' values at vertex 0; a flat section is fixed
+    by its value there, so k is the kernel dimension.
     """
 
-    def __init__(self, graph, rank, transports, flat_sections):
+    def __init__(self, graph, rank, transports, flat_basis):
         self.graph = graph
         self.rank = rank
-        self.flat_sections = flat_sections
+        self.flat_basis = np.asarray(flat_basis)
+        if self.flat_basis.ndim != 2 or self.flat_basis.shape[0] != rank:
+            raise ValueError("flat_basis must be a rank x k array")
         self.transports = np.asarray(transports, dtype=complex)
         if self.transports.shape != (len(graph.edges), rank, rank):
             raise ValueError("one rank x rank transport per edge copy required")
         self._steps = None
+
+    @property
+    def flat_sections(self):
+        """Dimension of the flat sections, the Laplacian's kernel."""
+        return self.flat_basis.shape[1]
 
     def steps(self):
         """(transports, their inverses) as lists of matrices, for walks that
@@ -92,7 +101,7 @@ class UnitaryConnection:
 def trivial_connection(graph, rank=1):
     eye = np.eye(rank, dtype=complex)
     return UnitaryConnection(graph, rank, np.broadcast_to(eye, (len(graph.edges), rank, rank)),
-                             rank)
+                             eye)
 
 
 def connection_from_holonomy(graph, rep, cuts=None):
@@ -116,7 +125,8 @@ def connection_from_holonomy(graph, rep, cuts=None):
         forward = np.fromiter(cut.values(), dtype=np.int64, count=len(cut)) > 0
         step = np.where(forward[:, None, None], gen, gen.conj().T)
         transports[idx] = step @ transports[idx]
-    conn = UnitaryConnection(graph, r, transports, flat_sections_dim(rep))
+    # in this gauge a flat section is one vector of the generators' fixed space
+    conn = UnitaryConnection(graph, r, transports, flat_basis(rep))
     ok, worst = flat_check(conn)
     if not ok:
         raise BadCuts(
@@ -127,8 +137,8 @@ def connection_from_holonomy(graph, rep, cuts=None):
 
 
 def gauge_transform(conn, u):
-    """New connection with transports u(v') phi u(v)^{-1} and the same
-    (gauge-invariant) flat-section count.
+    """New connection with transports u(v') phi u(v)^{-1} and flat basis
+    u(0) W: the gauge moves the flat sections with it.
 
     ``u`` maps vertex index -> unitary; arrays and dicts both work.
     """
@@ -136,7 +146,7 @@ def gauge_transform(conn, u):
     mats = np.stack([_check_unitary(u[vid], what=f"gauge at vertex {vid}")
                      for vid in range(g.n_vertices)])
     transports = mats[g.edge_v] @ conn.transports @ mats[g.edge_u].conj().swapaxes(-1, -2)
-    return UnitaryConnection(g, conn.rank, transports, conn.flat_sections)
+    return UnitaryConnection(g, conn.rank, transports, mats[0] @ conn.flat_basis)
 
 
 def cycle_monodromy(conn, cycle):
@@ -184,14 +194,22 @@ def flat_check(conn):
     return worst <= FLATNESS_TOL, worst
 
 
+def flat_basis(rep):
+    """Orthonormal (rank, k) basis of the joint fixed subspace of the
+    generators: the right singular vectors of the stacked g - I whose
+    singular values are below FLAT_SECTION_TOL; real for real generators."""
+    if not rep.generators:
+        return np.eye(rep.rank)
+    stacked = np.vstack([g - np.eye(rep.rank) for g in rep.generators])
+    if not np.any(stacked.imag):
+        stacked = stacked.real
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    return vh[s < FLAT_SECTION_TOL].conj().T
+
+
 def flat_sections_dim(rep):
     """Dimension of the joint fixed subspace of the generators."""
-    if not rep.generators:
-        return rep.rank
-    eye = np.eye(rep.rank)
-    stacked = np.vstack([g - eye for g in rep.generators])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(s < FLAT_SECTION_TOL))
+    return flat_basis(rep).shape[1]
 
 
 # -- random unitaries ---------------------------------------------------------

@@ -194,14 +194,15 @@ def _run_spectrum(cfg, rng):
 
 
 def _run_logdet(cfg, rng):
-    from .laplacian import assemble, spectrum, log_det_prime
+    from .laplacian import sparse_log_det
     mesh, conn = _build_mesh_and_connection(cfg, rng)
-    spec = spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections)
-    ld = log_det_prime(spec)
+    res = sparse_log_det(conn)
     return {
-        "files": {"logdet.csv": _csv([(mesh.n, ld, spec.kernel_dim)],
+        "files": {"logdet.csv": _csv([(mesh.n, res.log_det_prime, res.kernel_dim)],
                                      ["n", "logdet_prime", "kernel_dim"])},
-        "meta": {"logdet_prime": ld, "kernel_dim": spec.kernel_dim},
+        "meta": {"logdet_prime": res.log_det_prime, "kernel_dim": res.kernel_dim,
+                 "kernel_gap": res.kernel_gap, "n_vertices": mesh.n_vertices,
+                 "nnz": res.nnz, "factor_nnz": res.factor_nnz},
     }
 
 
@@ -512,18 +513,29 @@ def selftest(seed=0):
     check("array mesh matches refined complex", array_mesh_check)
 
     def laplacian_check():
-        from .surfaces import rectangle
+        from .surfaces import rectangle, torus
         from .meshes import discretize
-        from .bundles import trivial_connection
-        from .laplacian import assemble, spectrum, log_det_prime
+        from .bundles import (HolonomyRepresentation, connection_from_holonomy,
+                              trivial_connection)
+        from .laplacian import assemble, spectrum, log_det_prime, sparse_log_det
+        from .meshspectra import closed_form_log_det
         m = discretize(rectangle(1, 1), 2)
         conn = trivial_connection(m, 1)
         spec = spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections)
         _require(np.allclose(spec.eigenvalues, [0, 2, 2, 4], atol=1e-12),
                  f"eigenvalues {spec.eigenvalues}")
         _require(abs(log_det_prime(spec) - math.log(16)) < 1e-12, "log det' is not log 16")
+        got = sparse_log_det(conn).log_det_prime
+        _require(abs(got - math.log(16)) < 1e-12, f"sparse log det' {got} is not log 16")
+        alpha, beta = 1.3, -0.7
+        rep = HolonomyRepresentation(1, [np.array([[np.exp(1j * alpha)]]),
+                                         np.array([[np.exp(1j * beta)]])])
+        got = sparse_log_det(connection_from_holonomy(discretize(torus(1, 1), 4), rep))
+        want = closed_form_log_det("torus", 1, 1, 4, alpha, beta)
+        _require(abs(got.log_det_prime - want) < 1e-12,
+                 f"sparse twisted torus log det' {got.log_det_prime} vs closed form {want}")
 
-    check("2x2 grid spectrum and logdet", laplacian_check)
+    check("log det': 2x2 grid dense and sparse, twisted torus sparse", laplacian_check)
 
     def forest_check():
         from .surfaces import rectangle, cylinder

@@ -2,7 +2,18 @@
 
 The Laplacian acts blockwise: row v carries deg(v)*I minus the sum of
 transports into v; a loop with transport w contributes 2I - w - w* at its
-vertex, and each copy of a multi-edge is summed separately.
+vertex, and each copy of a multi-edge is summed separately.  One triplet
+builder gives its entries; ``assemble`` scatters them into the dense matrix
+that ``spectrum`` diagonalizes, and ``sparse_log_det`` wraps them as CSC.
+
+The sparse route takes log det' without eigenvalues.  The flat sections
+span the kernel, and their values at vertex 0 span the connection's
+``flat_basis`` W (k columns).  Rotating vertex 0's fiber to [W, W-perp] and
+deleting W's k coordinates leaves a positive definite L_red, and
+log det' L = k log|V| + log det L_red (the matrix-tree theorem for flat
+unitary bundles: a flat section has the same norm at every vertex).  The
+same LU factor then confirms the kernel: k solves give it, and Lanczos on
+the pseudo-inverse gives the gap lambda_{k+1}.
 """
 
 from __future__ import annotations
@@ -15,27 +26,53 @@ import numpy as np
 from .errors import BudgetExceeded, EmptySpectrum, KernelMismatch
 
 DENSE_BUDGET = 6000      # largest r|V| assembled as a dense matrix
+# largest r|V| + 2 r^2 |E|, the stored entries before duplicates merge, that
+# the sparse route assembles: the L-shape at n = 128 (983 040) runs, n = 256
+# (3.9 million, 3.2 GB at the LU) is refused
+SPARSE_BUDGET = 2_000_000
 ZERO_EIGENVALUE_TOL = 1e-8
 PSD_TOL = 1e-10
+# relative Ritz residual at which Lanczos stops; a Ritz value of a Hermitian
+# operator lies within its residual of an eigenvalue, so the gap is this exact
+LANCZOS_TOL = 1e-8
+
+
+def _triplets(conn, transports=None):
+    """(rows, cols, vals) of the Laplacian of ``conn`` with ``transports``
+    (default: its own); entries at one place add up in the order given.
+
+    Edge by edge: I at (u, u), I at (v, v), -t at (v, u) and -t* at (u, v),
+    t mapping the fiber at u to the fiber at v.  vals are real when every
+    transport is.
+    """
+    g = conn.graph
+    r = conn.rank
+    t = conn.transports if transports is None else transports
+    if not np.any(t.imag):
+        t = t.real
+    ne = len(g.edge_u)
+    a = np.arange(r)
+    bu = (g.edge_u * r)[:, None]
+    bv = (g.edge_v * r)[:, None]
+    rows_vu = np.broadcast_to((bv + a)[:, :, None], (ne, r, r)).reshape(ne, r * r)
+    cols_vu = np.broadcast_to((bu + a)[:, None, :], (ne, r, r)).reshape(ne, r * r)
+    rows = np.hstack([bu + a, bv + a, rows_vu, cols_vu]).ravel()
+    cols = np.hstack([bu + a, bv + a, cols_vu, rows_vu]).ravel()
+    vals = np.hstack([np.ones((ne, 2 * r), dtype=t.dtype), -t.reshape(ne, r * r),
+                      -t.conj().reshape(ne, r * r)]).ravel()
+    return rows, cols, vals
 
 
 def assemble(conn):
-    """Dense Hermitian matrix of the twisted Laplacian, shape (r|V|, r|V|);
-    BudgetExceeded beyond DENSE_BUDGET."""
-    g = conn.graph
+    """Dense Hermitian matrix of the twisted Laplacian, shape (r|V|, r|V|), real
+    when every transport is; BudgetExceeded beyond DENSE_BUDGET."""
     r = conn.rank
-    nv = g.n_vertices
+    nv = conn.graph.n_vertices
     if r * nv > DENSE_BUDGET:
         raise BudgetExceeded(f"dense budget: r|V| = {r * nv} > {DENSE_BUDGET}")
-    A = np.zeros((r * nv, r * nv), dtype=complex)
-    eye = np.eye(r, dtype=complex)
-    for (u, v), t in zip(g.ends, conn.transports):     # t: fiber at u -> fiber at v
-        su, sv = u * r, v * r
-        A[su:su + r, su:su + r] += eye
-        A[sv:sv + r, sv:sv + r] += eye
-        # row v couples to u through phi_{u v} = t, row u through t*
-        A[sv:sv + r, su:su + r] -= t
-        A[su:su + r, sv:sv + r] -= t.conj().T
+    rows, cols, vals = _triplets(conn)
+    A = np.zeros((r * nv, r * nv), dtype=vals.dtype)
+    np.add.at(A, (rows, cols), vals)
     return A
 
 
@@ -91,6 +128,101 @@ def log_det_prime(spec):
     if spec.eigenvalues.size == 0:
         raise EmptySpectrum("no eigenvalues")
     return math.fsum(math.log(x) for x in spec.nonzero)
+
+
+@dataclass
+class SparseLogDet:
+    """log det' from one sparse LU, with the numbers that show its health."""
+
+    log_det_prime: float
+    kernel_dim: int
+    kernel_gap: float | None    # lambda_{k+1}; None when the kernel is everything
+    nnz: int                    # stored entries of L_red
+    factor_nnz: int             # entries SuperLU stores for its L + U factors
+
+
+def sparse_log_det(conn):
+    """log det' of the twisted Laplacian of ``conn`` by one sparse LU of L_red
+    (see the module docstring), its kernel the connection's ``flat_basis``.
+
+    BudgetExceeded beyond SPARSE_BUDGET, checked before anything is
+    assembled.  KernelMismatch when the kernel the factor finds disagrees
+    with the flat basis: a basis vector that L does not annihilate, or a
+    gap below ZERO_EIGENVALUE_TOL.
+    """
+    # imported here only: at module level scipy would add about 0.1 s and
+    # 30 MB to every process, the many that never take this route included
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import LinearOperator, splu
+
+    g = conn.graph
+    r = conn.rank
+    nv = g.n_vertices
+    basis = conn.flat_basis
+    k = basis.shape[1]
+    size = r * nv
+    entries = size + 2 * r * r * len(g.edge_u)
+    if entries > SPARSE_BUDGET:
+        raise BudgetExceeded(f"sparse budget: r|V| + 2r^2|E| = {entries} > {SPARSE_BUDGET}")
+    transports = conn.transports
+    if 0 < k < r:
+        # gauge vertex 0 by Q* with Q = [W, W-perp]: its first k coordinates are
+        # W's (for k = r any basis of the fiber will do, the standard one included)
+        q = np.linalg.svd(basis)[0]
+        transports = transports.copy()
+        into0, out0 = g.edge_v == 0, g.edge_u == 0
+        transports[into0] = q.conj().T @ transports[into0]
+        transports[out0] = transports[out0] @ q
+    rows, cols, vals = _triplets(conn, transports)
+    L = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
+    L.eliminate_zeros()
+    red = L[k:, k:]
+    if red.shape[0] == 0:           # one vertex, all flat: det' is the empty product
+        return SparseLogDet(k * math.log(nv), k, None, 0, 0)
+    try:
+        lu = splu(red, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:     # SuperLU: exactly singular
+        raise KernelMismatch(f"reduced Laplacian is singular: more than {k} zero modes") from exc
+    ld = k * math.log(nv) + math.fsum(np.log(np.abs(lu.U.diagonal())).tolist())
+
+    # kernel: [I; -L_red^{-1} B*] with B = L[:k, k:], made orthonormal
+    kernel = np.zeros((size, 0), dtype=red.dtype)
+    if k:
+        z = -lu.solve(L[:k, k:].conj().T.toarray())
+        kernel = np.linalg.qr(np.vstack([np.eye(k, dtype=z.dtype), z]))[0]
+        if np.linalg.eigvalsh(kernel.conj().T @ (L @ kernel))[-1] >= ZERO_EIGENVALUE_TOL:
+            raise KernelMismatch(f"a flat section is not in the numerical kernel: "
+                                 f"fewer than {k} zero modes")
+
+    # L^+ b: solve on ker-perp, then project.  The projections use einsum, not
+    # BLAS: numpy and scipy each bring an OpenBLAS thread pool, and calling
+    # both inside the Lanczos loop made it 20 times slower on two cores
+    def project(b):
+        return b - np.einsum("ij,j...->i...", kernel,
+                             np.einsum("ij,i...->j...", kernel.conj(), b))
+
+    def pinv(b):
+        x = np.zeros_like(b)
+        x[k:] = lu.solve(project(b)[k:])
+        return project(x)
+
+    op = LinearOperator((size, size), matvec=pinv, dtype=red.dtype)
+    gap = 1.0 / _largest_eigenvalue(op)
+    if gap < ZERO_EIGENVALUE_TOL:
+        raise KernelMismatch(f"kernel gap {gap:.3e} below {ZERO_EIGENVALUE_TOL}: "
+                             f"more than {k} zero modes")
+    return SparseLogDet(ld, k, gap, red.nnz, lu.nnz)
+
+
+def _largest_eigenvalue(op):
+    """Top eigenvalue of a Hermitian PSD operator, by Lanczos from a seeded start."""
+    from scipy.sparse.linalg import eigsh
+    if op.shape[0] < 3:             # below what ARPACK accepts for a complex operator
+        return float(np.linalg.eigvalsh(op.matmat(np.eye(op.shape[0], dtype=op.dtype)))[-1])
+    v0 = np.random.default_rng(0).standard_normal(op.shape[0]).astype(op.dtype)
+    return float(eigsh(op, k=1, which="LA", v0=v0, tol=LANCZOS_TOL,
+                       return_eigenvectors=False)[0])
 
 
 def discrete_zeta(spec, z):

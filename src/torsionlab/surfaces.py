@@ -296,8 +296,8 @@ def from_raw(tiles, pairing_list):
     """
     pairings = {}
     for (t1, s1), (t2, s2), kind in pairing_list:
-        a = (t1, SIDE_FROM_NAME_SAFE(s1))
-        b = (t2, SIDE_FROM_NAME_SAFE(s2))
+        a = (t1, _side_from_name(s1))
+        b = (t2, _side_from_name(s2))
         if a in pairings or b in pairings:
             raise InvalidGluing(f"side listed twice: {a} or {b}")
         pairings[a] = (b[0], b[1], kind)
@@ -309,7 +309,7 @@ def from_raw(tiles, pairing_list):
     return surface
 
 
-def SIDE_FROM_NAME_SAFE(s):
+def _side_from_name(s):
     if isinstance(s, int):
         if s in (E, N, W, S):
             return s

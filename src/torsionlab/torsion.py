@@ -253,11 +253,13 @@ class SeparableSurface:
         return self.torsion() - self.corners * math.log(2) / 16
 
     def label(self):
+        """kind(a,b), with the factors' phases when either is a twist."""
+        fa, fb = self.factors
         tw = ""
-        if self.alpha or self.beta:
-            tw = f",alpha={self.alpha:.6g}"
-            if self.factors[1].periodic:
-                tw += f",beta={self.beta:.6g}"
+        if fa.phase or fb.phase:
+            tw = f",alpha={fa.phase:.6g}"
+            if fb.periodic:
+                tw += f",beta={fb.phase:.6g}"
         return f"{self.kind}({self.a},{self.b}{tw})"
 
 
@@ -356,8 +358,3 @@ def cylinder_torsion(a, b):
 
 TORSIONS = {"torus": torus_torsion, "rectangle": rectangle_torsion,
             "cylinder": cylinder_torsion}
-
-
-def rescale_torsion(logdet, zeta0, c):
-    """log det' of the c-rescaled surface: logdet - 2 log(c) zeta(0)."""
-    return logdet - 2.0 * math.log(c) * float(zeta0)

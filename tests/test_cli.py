@@ -148,6 +148,41 @@ def test_budget_refusal_exits_3(tmp_path):
     assert meta["error"]["code"] == "BudgetExceeded"
 
 
+def test_logdet_runs_beyond_the_dense_budget(tmp_path):
+    from torsionlab.meshspectra import closed_form_log_det
+    cfg = {"experiment": "logdet", "surface": {"kind": "rectangle", "a": 4, "b": 4}, "n": 30}
+    code, out = _run(tmp_path, cfg)
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text())
+    want = closed_form_log_det("rectangle", 4, 4, 30)
+    assert abs(meta["logdet_prime"] - want) <= 1e-10 * abs(want)
+    assert meta["kernel_dim"] == 1 and meta["n_vertices"] == 14400
+    assert 0 < meta["kernel_gap"] < 8 and meta["factor_nnz"] >= meta["nnz"] > 14400
+
+
+def test_sparse_budget_refusal_exits_3(tmp_path):
+    from torsionlab.laplacian import SPARSE_BUDGET
+    # the torus(1,1) mesh has |V| = n^2 and |E| = 2|V|: 5 n^2 stored entries
+    n = math.isqrt(SPARSE_BUDGET // 5) + 1
+    cfg = {"experiment": "logdet", "surface": {"kind": "torus", "a": 1, "b": 1}, "n": n}
+    code, out = _run(tmp_path, cfg)
+    assert code == 3
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["error"]["code"] == "BudgetExceeded"
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, torsionlab, torsionlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(pathlib.Path(torsionlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_szego_and_determinism(tmp_path):
     # the mixed mode (1, 1) makes the trace a numpy scalar
     cfg = {"experiment": "szego",

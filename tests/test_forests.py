@@ -378,7 +378,7 @@ def test_weighted_sum_is_bit_identical_to_the_per_forest_product(surface_n, seed
                 mesh, bundles.random_flat_representation(mesh.surface, rank, rng)),
             _random_unitary_field(rank, mesh.n_vertices, rng))
         rough = bundles.UnitaryConnection(
-            mesh, rank, _random_unitary_field(rank, len(mesh.edges), rng), 0)
+            mesh, rank, _random_unitary_field(rank, len(mesh.edges), rng), np.zeros((rank, 0)))
         for conn in (flat, rough):
             want = _naive_weighted_sum(conn, crsfs).hex()
             assert forests.crsf_weighted_sum(conn, crsfs=crsfs).hex() == want

