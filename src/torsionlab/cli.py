@@ -8,6 +8,7 @@ refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -168,23 +169,30 @@ def _bundle_from(cfg, surface, rng):
     return rep.rank, rep
 
 
-def _build_mesh_and_connection(cfg, rng):
-    """(mesh, connection); the connection carries its flat-section count."""
+def _build_mesh_and_connection(cfg, rng, check_budget=None):
+    """(mesh, connection); the connection carries its flat-section count.
+
+    ``check_budget(rank, n_vertices, n_edges)`` sees the counts the surface's
+    geometry gives before the mesh is built, so a refused run builds none.
+    """
     from .surfaces import build_surface
-    from .meshes import discretize
+    from .meshes import discretize, mesh_counts
     from .bundles import trivial_connection, connection_from_holonomy
     surface = build_surface(cfg["surface"])
     n = cfg.get("n") or (cfg.get("n_list") or [1])[0]
-    mesh = discretize(surface, n)
     rank, rep = _bundle_from(cfg, surface, rng)
+    if check_budget is not None:
+        check_budget(rank, *mesh_counts(surface, n))
+    mesh = discretize(surface, n)
     if rep is None:
         return mesh, trivial_connection(mesh, rank)
     return mesh, connection_from_holonomy(mesh, rep)
 
 
 def _run_spectrum(cfg, rng):
-    from .laplacian import assemble, spectrum, spectrum_csv
-    mesh, conn = _build_mesh_and_connection(cfg, rng)
+    from .laplacian import assemble, check_dense_budget, spectrum, spectrum_csv
+    mesh, conn = _build_mesh_and_connection(
+        cfg, rng, lambda rank, nv, ne: check_dense_budget(rank, nv))
     spec = spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections)
     return {
         "files": {"spectrum.csv": spectrum_csv(spec)},
@@ -194,15 +202,16 @@ def _run_spectrum(cfg, rng):
 
 
 def _run_logdet(cfg, rng):
-    from .laplacian import sparse_log_det
-    mesh, conn = _build_mesh_and_connection(cfg, rng)
+    from .laplacian import check_sparse_budget, sparse_log_det
+    mesh, conn = _build_mesh_and_connection(cfg, rng, check_sparse_budget)
     res = sparse_log_det(conn)
     return {
         "files": {"logdet.csv": _csv([(mesh.n, res.log_det_prime, res.kernel_dim)],
                                      ["n", "logdet_prime", "kernel_dim"])},
         "meta": {"logdet_prime": res.log_det_prime, "kernel_dim": res.kernel_dim,
                  "kernel_gap": res.kernel_gap, "n_vertices": mesh.n_vertices,
-                 "nnz": res.nnz, "factor_nnz": res.factor_nnz},
+                 "nnz": res.nnz, "factor_nnz": res.factor_nnz,
+                 "lanczos_steps": res.lanczos_steps},
     }
 
 
@@ -413,6 +422,7 @@ def run(args):
         "config": cfg,
         "seed": args.seed,
         "versions": {"torsionlab": _version(), "numpy": np.__version__,
+                     "scipy": _scipy_version(),
                      "python": sys.version.split()[0]},
     }
     try:
@@ -439,6 +449,14 @@ def run(args):
 def _version():
     from . import __version__
     return __version__
+
+
+@functools.cache
+def _scipy_version():
+    # read from the installed metadata: importing scipy costs 0.1 s, and a
+    # metadata lookup 1-2 ms, too much to repeat on every run of a process
+    import importlib.metadata
+    return importlib.metadata.version("scipy")
 
 
 # -- selftest -------------------------------------------------------------------

@@ -99,3 +99,7 @@ class ConfigError(TorsionLabError, ValueError):
 
 class SelftestFailure(TorsionLabError):
     """A check of the built-in selftest battery does not hold."""
+
+
+class LanczosNoConvergence(TorsionLabError):
+    """Lanczos reached its basis cap before the top Ritz value converged."""

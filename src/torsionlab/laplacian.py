@@ -13,7 +13,10 @@ deleting W's k coordinates leaves a positive definite L_red, and
 log det' L = k log|V| + log det L_red (the matrix-tree theorem for flat
 unitary bundles: a flat section has the same norm at every vertex).  The
 same LU factor then confirms the kernel: k solves give it, and Lanczos on
-the pseudo-inverse gives the gap lambda_{k+1}.
+the pseudo-inverse gives the gap lambda_{k+1}.  SuperLU is the only scipy
+code on this route; the Lanczos loop is numpy, with its vector work in
+``einsum``, because numpy and scipy each load their own OpenBLAS and two
+thread pools taking turns spin against each other on a small machine.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, EmptySpectrum, KernelMismatch
+from .errors import BudgetExceeded, EmptySpectrum, KernelMismatch, LanczosNoConvergence
 
 DENSE_BUDGET = 6000      # largest r|V| assembled as a dense matrix
 # largest r|V| + 2 r^2 |E|, the stored entries before duplicates merge, that
@@ -35,6 +38,24 @@ PSD_TOL = 1e-10
 # relative Ritz residual at which Lanczos stops; a Ritz value of a Hermitian
 # operator lies within its residual of an eigenvalue, so the gap is this exact
 LANCZOS_TOL = 1e-8
+# Krylov vectors Lanczos keeps at most (it converges in about 10): at the
+# largest r|V| that SPARSE_BUDGET admits, about 400 000, the basis is 0.4 GB
+# of complex doubles, well under the LU's own peak there
+LANCZOS_MAX_STEPS = 64
+
+
+def check_dense_budget(rank, n_vertices):
+    """BudgetExceeded when a dense matrix of side r|V| is beyond DENSE_BUDGET."""
+    if rank * n_vertices > DENSE_BUDGET:
+        raise BudgetExceeded(f"dense budget: r|V| = {rank * n_vertices} > {DENSE_BUDGET}")
+
+
+def check_sparse_budget(rank, n_vertices, n_edges):
+    """BudgetExceeded when the sparse route would store more than SPARSE_BUDGET
+    entries, r|V| + 2 r^2 |E| before duplicates merge."""
+    entries = rank * n_vertices + 2 * rank * rank * n_edges
+    if entries > SPARSE_BUDGET:
+        raise BudgetExceeded(f"sparse budget: r|V| + 2r^2|E| = {entries} > {SPARSE_BUDGET}")
 
 
 def _triplets(conn, transports=None):
@@ -68,8 +89,7 @@ def assemble(conn):
     when every transport is; BudgetExceeded beyond DENSE_BUDGET."""
     r = conn.rank
     nv = conn.graph.n_vertices
-    if r * nv > DENSE_BUDGET:
-        raise BudgetExceeded(f"dense budget: r|V| = {r * nv} > {DENSE_BUDGET}")
+    check_dense_budget(r, nv)
     rows, cols, vals = _triplets(conn)
     A = np.zeros((r * nv, r * nv), dtype=vals.dtype)
     np.add.at(A, (rows, cols), vals)
@@ -139,6 +159,7 @@ class SparseLogDet:
     kernel_gap: float | None    # lambda_{k+1}; None when the kernel is everything
     nnz: int                    # stored entries of L_red
     factor_nnz: int             # entries SuperLU stores for its L + U factors
+    lanczos_steps: int          # applications of L^+ that the gap took
 
 
 def sparse_log_det(conn):
@@ -148,12 +169,13 @@ def sparse_log_det(conn):
     BudgetExceeded beyond SPARSE_BUDGET, checked before anything is
     assembled.  KernelMismatch when the kernel the factor finds disagrees
     with the flat basis: a basis vector that L does not annihilate, or a
-    gap below ZERO_EIGENVALUE_TOL.
+    gap below ZERO_EIGENVALUE_TOL.  LanczosNoConvergence when the gap is not
+    found within LANCZOS_MAX_STEPS applications of L^+.
     """
     # imported here only: at module level scipy would add about 0.1 s and
     # 30 MB to every process, the many that never take this route included
     import scipy.sparse as sp
-    from scipy.sparse.linalg import LinearOperator, splu
+    from scipy.sparse.linalg import splu
 
     g = conn.graph
     r = conn.rank
@@ -161,9 +183,7 @@ def sparse_log_det(conn):
     basis = conn.flat_basis
     k = basis.shape[1]
     size = r * nv
-    entries = size + 2 * r * r * len(g.edge_u)
-    if entries > SPARSE_BUDGET:
-        raise BudgetExceeded(f"sparse budget: r|V| + 2r^2|E| = {entries} > {SPARSE_BUDGET}")
+    check_sparse_budget(r, nv, len(g.edge_u))
     transports = conn.transports
     if 0 < k < r:
         # gauge vertex 0 by Q* with Q = [W, W-perp]: its first k coordinates are
@@ -178,7 +198,7 @@ def sparse_log_det(conn):
     L.eliminate_zeros()
     red = L[k:, k:]
     if red.shape[0] == 0:           # one vertex, all flat: det' is the empty product
-        return SparseLogDet(k * math.log(nv), k, None, 0, 0)
+        return SparseLogDet(k * math.log(nv), k, None, 0, 0, 0)
     try:
         lu = splu(red, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
@@ -195,9 +215,10 @@ def sparse_log_det(conn):
             raise KernelMismatch(f"a flat section is not in the numerical kernel: "
                                  f"fewer than {k} zero modes")
 
-    # L^+ b: solve on ker-perp, then project.  The projections use einsum, not
-    # BLAS: numpy and scipy each bring an OpenBLAS thread pool, and calling
-    # both inside the Lanczos loop made it 20 times slower on two cores
+    # L^+ b: solve on ker-perp, then project.  The projections, like the
+    # Lanczos loop, use einsum, not numpy's BLAS: SuperLU's solves run on
+    # scipy's OpenBLAS, and waking numpy's thread pool between them made the
+    # loop up to 20 times slower on two cores
     def project(b):
         return b - np.einsum("ij,j...->i...", kernel,
                              np.einsum("ij,i...->j...", kernel.conj(), b))
@@ -207,22 +228,49 @@ def sparse_log_det(conn):
         x[k:] = lu.solve(project(b)[k:])
         return project(x)
 
-    op = LinearOperator((size, size), matvec=pinv, dtype=red.dtype)
-    gap = 1.0 / _largest_eigenvalue(op)
+    top, steps = _largest_eigenvalue(pinv, size, red.dtype)
+    gap = 1.0 / top
     if gap < ZERO_EIGENVALUE_TOL:
         raise KernelMismatch(f"kernel gap {gap:.3e} below {ZERO_EIGENVALUE_TOL}: "
                              f"more than {k} zero modes")
-    return SparseLogDet(ld, k, gap, red.nnz, lu.nnz)
+    return SparseLogDet(ld, k, gap, red.nnz, lu.nnz, steps)
 
 
-def _largest_eigenvalue(op):
-    """Top eigenvalue of a Hermitian PSD operator, by Lanczos from a seeded start."""
-    from scipy.sparse.linalg import eigsh
-    if op.shape[0] < 3:             # below what ARPACK accepts for a complex operator
-        return float(np.linalg.eigvalsh(op.matmat(np.eye(op.shape[0], dtype=op.dtype)))[-1])
-    v0 = np.random.default_rng(0).standard_normal(op.shape[0]).astype(op.dtype)
-    return float(eigsh(op, k=1, which="LA", v0=v0, tol=LANCZOS_TOL,
-                       return_eigenvectors=False)[0])
+def _largest_eigenvalue(apply, size, dtype):
+    """(top eigenvalue, steps) of the Hermitian PSD operator ``apply`` on
+    vectors of ``size`` entries of ``dtype``, by Lanczos from a seeded start.
+
+    Each step applies the operator once, orthogonalizes against the whole
+    basis twice (full reorthogonalization) and diagonalizes the tridiagonal
+    T_j.  It stops when the top Ritz pair's
+    residual beta_j |s_j,last| is within LANCZOS_TOL of its value, at
+    breakdown, or after ``size`` steps: then the Krylov space is invariant and
+    the Ritz value exact.  LanczosNoConvergence after LANCZOS_MAX_STEPS.
+    """
+    w = np.random.default_rng(0).standard_normal(size).astype(dtype)
+    b = _norm(w)
+    basis = np.empty((min(size, LANCZOS_MAX_STEPS), size), dtype=dtype)
+    alpha, beta = [], []
+    for j in range(len(basis)):
+        basis[j] = w / b
+        if j:
+            beta.append(b)
+        w = apply(basis[j])
+        alpha.append(np.einsum("i,i->", basis[j].conj(), w).real)
+        prev = basis[:j + 1]
+        for _ in range(2):
+            w = w - np.einsum("ji,j->i", prev, np.einsum("ji,i->j", prev.conj(), w))
+        b = _norm(w)
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        residual = b * abs(s[-1, -1])
+        if residual <= LANCZOS_TOL * theta[-1] or b == 0.0 or j + 1 == size:
+            return float(theta[-1]), j + 1
+    raise LanczosNoConvergence(f"Lanczos: Ritz residual {residual:.3e} of {theta[-1]:.6e} "
+                               f"above {LANCZOS_TOL} relative after {len(basis)} steps")
+
+
+def _norm(v):
+    return math.sqrt(np.einsum("i,i->", v.conj(), v).real)
 
 
 def discrete_zeta(spec, z):

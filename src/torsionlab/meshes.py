@@ -26,6 +26,7 @@ import numpy as np
 from .complexes import (CORNER_ON_SIDE, CORNER_PARAM, EXIT_SIDE, HALF_TURN, OPPOSITE,
                         E, N, W, S, SquareComplex)
 from .errors import BadCuts, MeshMismatch, NotAClosedWalk, UnknownPoint
+from .surfaces import geometry_summary
 
 # Turning counterclockwise around corner k of a subcell leaves it through side
 # _EXIT[k]; entering the next subcell through its side d2 lands on its corner
@@ -375,6 +376,15 @@ def discretize(surface, n):
     if n < 1:
         raise ValueError("n must be >= 1")
     return MeshGraph(surface, n)
+
+
+def mesh_counts(surface, n):
+    """(|V|, |E|) of ``discretize(surface, n)`` without building it: one vertex
+    per refined cell, and four half-edges per vertex less the perimeter * n
+    boundary sides, two to an edge."""
+    summary = geometry_summary(surface)
+    nv = summary.area * n * n
+    return nv, 2 * nv - summary.perimeter * n // 2
 
 
 def cone_neighbors(mesh, point_id):

@@ -171,6 +171,42 @@ def test_sparse_budget_refusal_exits_3(tmp_path):
     assert meta["error"]["code"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("experiment,n", [("logdet", 256), ("spectrum", 64)])
+def test_over_budget_run_builds_no_mesh(tmp_path, monkeypatch, experiment, n):
+    from torsionlab import meshes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("discretize was called")
+
+    monkeypatch.setattr(meshes, "discretize", refuse)
+    cfg = {"experiment": experiment, "surface": {"kind": "lshape"}, "n": n}
+    code, out = _run(tmp_path, cfg)
+    assert code == 3
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["error"]["code"] == "BudgetExceeded"
+
+
+def test_logdet_meta_reports_lanczos_steps_and_scipy(tmp_path):
+    import scipy
+    from torsionlab.laplacian import LANCZOS_MAX_STEPS
+    cfg = {"experiment": "logdet", "surface": {"kind": "lshape"}, "n": 4}
+    code, out = _run(tmp_path, cfg)
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert 1 <= meta["lanczos_steps"] <= LANCZOS_MAX_STEPS
+    assert meta["versions"]["scipy"] == scipy.__version__
+
+
+def test_lanczos_cap_exits_2_with_its_error(tmp_path, monkeypatch):
+    from torsionlab import laplacian
+    monkeypatch.setattr(laplacian, "LANCZOS_MAX_STEPS", 1)
+    cfg = {"experiment": "logdet", "surface": {"kind": "lshape"}, "n": 4}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["error"]["code"] == "LanczosNoConvergence"
+
+
 def test_import_leaves_scipy_unloaded():
     code = ("import sys, torsionlab, torsionlab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

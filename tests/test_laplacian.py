@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsionlab import bundles, laplacian, meshes, surfaces
-from torsionlab.errors import EmptySpectrum, KernelMismatch
+from torsionlab.errors import EmptySpectrum, KernelMismatch, LanczosNoConvergence
 from torsionlab.torsion import SeparableSurface
 
 
@@ -247,3 +247,64 @@ def test_sparse_log_det_on_one_vertex(rank, phase):
         assert abs(got.kernel_gap - dense.nonzero[0]) <= 1e-12
     else:
         assert got.kernel_gap is None
+
+
+def _psd(rng, n, dtype, eigenvalues):
+    """Q diag(eigenvalues) Q* with Q a random unitary (orthogonal when real)."""
+    x = rng.standard_normal((n, n))
+    if dtype == complex:
+        x = x + 1j * rng.standard_normal((n, n))
+    q = np.linalg.qr(x)[0]
+    return (q * eigenvalues) @ q.conj().T
+
+
+def _top(a):
+    return laplacian._largest_eigenvalue(lambda v: a @ v, a.shape[0], a.dtype)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_largest_eigenvalue_matches_eigvalsh(dtype):
+    rng = np.random.default_rng(11)
+    for n in range(1, 41):
+        spread = rng.uniform(0.0, 3.0, n)
+        repeated = np.sort(spread)
+        repeated[-2:] = repeated[-1]                    # a double top eigenvalue
+        deficient = np.where(np.arange(n) < n // 2, 0.0, spread)    # rank n - n//2
+        for eigenvalues in (spread, repeated, deficient):
+            a = _psd(rng, n, dtype, eigenvalues)
+            want = np.linalg.eigvalsh(a)[-1]
+            got, steps = _top(a)
+            assert abs(got - want) <= laplacian.LANCZOS_TOL * want
+            assert 1 <= steps <= n
+
+
+def test_lanczos_raises_at_its_basis_cap(monkeypatch):
+    # a cluster of top eigenvalues 1e-6 apart: four steps cannot resolve it
+    rng = np.random.default_rng(3)
+    eigenvalues = np.concatenate([rng.uniform(0.0, 0.5, 30), 1.0 - 1e-6 * np.arange(10)])
+    a = _psd(rng, 40, complex, eigenvalues)
+    monkeypatch.setattr(laplacian, "LANCZOS_MAX_STEPS", 4)
+    with pytest.raises(LanczosNoConvergence):
+        _top(a)
+
+
+def test_sparse_log_det_never_calls_arpack(monkeypatch):
+    import scipy.sparse.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ARPACK was called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+    rng = np.random.default_rng(2)
+    torus = surfaces.torus(2, 1)
+    twisted = bundles.connection_from_holonomy(
+        meshes.discretize(torus, 3), bundles.random_flat_representation(torus, 2, rng))
+    trivial = bundles.trivial_connection(meshes.discretize(surfaces.lshape(), 3), 1)
+    for conn in (twisted, trivial):
+        dense = laplacian.spectrum(laplacian.assemble(conn),
+                                   expected_kernel_dim=conn.flat_sections)
+        want = laplacian.log_det_prime(dense)
+        got = laplacian.sparse_log_det(conn)
+        assert abs(got.log_det_prime - want) <= 1e-10 * abs(want)
+        assert abs(got.kernel_gap - dense.nonzero[0]) <= 1e-6 * dense.nonzero[0]
+        assert 1 <= got.lanczos_steps <= laplacian.LANCZOS_MAX_STEPS

@@ -374,3 +374,10 @@ def test_ids_follow_the_tile_order():
         assert mesh.partner[mesh.partner[slot]] == slot
         (cell, d), (cell2, d2) = mesh.slot_tuple(slot), mesh.slot_tuple(int(mesh.partner[slot]))
         assert mesh.complex.pairings[(cell, d)][:2] == (cell2, d2), SIDE_NAMES[d]
+
+
+@pytest.mark.parametrize("surf", EVERY_KIND, ids=lambda s: s.name)
+def test_mesh_counts_equal_the_discretized_counts(surf):
+    for n in (1, 2, 5):
+        mesh = meshes.discretize(surf, n)
+        assert meshes.mesh_counts(surf, n) == (mesh.n_vertices, len(mesh.edges))
