@@ -40,7 +40,7 @@ from .meshspectra import (CATALAN, FourierProfile, catalan_constant,
                           sin_product_uncorrected, szego_trace_direct,
                           szego_trace_contraction, szego_expansion_predicted)
 from .torsion import (SeparableSurface, zeta_zero, dedekind_eta,
-                      torus_torsion, rectangle_torsion, cylinder_torsion)
+                      torus_torsion, rectangle_torsion)
 from .experiments import (RenormSeries, BumpProfile,
                           renormalized_logdet, convergence_study,
                           dense_renorm_series, model_correction_series,

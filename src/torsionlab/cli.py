@@ -104,7 +104,7 @@ def _svg_error_plot(ns, errors, title):
 def _separable_from(cfg, which="surface"):
     """The SeparableSurface of cfg[which], validated by build_surface, with the
     phases of its bundle; other kinds raise HypothesisViolation.  The five
-    closed-form runners call its methods, which honour or refuse the twist."""
+    closed-form runners call its methods, which honour the twist."""
     from .surfaces import build_surface
     from .torsion import SeparableSurface
     surface = build_surface(cfg[which])
@@ -119,8 +119,7 @@ def _run_renorm_series(cfg, rng):
     series = convergence_study(setup, cfg["n_list"])
     rows = []
     for n, ld, rn, err in zip(series.ns, series.logdets, series.renorms, series.abs_errors()):
-        rows.append((n, ld, rn, series.extrapolated,
-                     series.target if series.target is not None else float("nan"), err))
+        rows.append((n, ld, rn, series.extrapolated, series.target, err))
     return {
         "files": {"series.csv": _csv(rows, ["n", "logdet", "renormalized",
                                             "extrapolated_limit", "target", "abs_error"])},
@@ -216,8 +215,10 @@ def _run_logdet(cfg, rng):
 
 
 def _run_crsf_verify(cfg, rng):
-    from .forests import crsf_weighted_sum, crsf_census_csv, crsf_identity, enumerate_crsfs
-    mesh, conn = _build_mesh_and_connection(cfg, rng)
+    from .forests import (check_enumeration_caps, crsf_weighted_sum, crsf_census_csv,
+                          crsf_identity, enumerate_crsfs)
+    mesh, conn = _build_mesh_and_connection(
+        cfg, rng, lambda rank, nv, ne: check_enumeration_caps(nv, ne, nv))
     crsfs = enumerate_crsfs(mesh)
     total = crsf_weighted_sum(conn, crsfs)
     det, ok = crsf_identity(conn, total)
@@ -591,13 +592,16 @@ def selftest(seed=0):
     check("sine product closed form", sinprod_check)
 
     def eta_check():
-        from .torsion import dedekind_eta, torus_torsion
+        from .torsion import SeparableSurface, dedekind_eta, torus_torsion
+        eta_i = math.gamma(0.25) / (2 * math.pi ** 0.75)
         v = dedekind_eta(math.exp(-2 * math.pi))
-        _require(abs(v - math.gamma(0.25) / (2 * math.pi ** 0.75)) < 1e-12, f"eta(e^-2pi) = {v}")
+        _require(abs(v - eta_i) < 1e-12, f"eta(e^-2pi) = {v}")
         _require(abs(torus_torsion(1, 2) - torus_torsion(2, 1)) < 1e-12,
                  "torus torsion is not symmetric")
+        rows = SeparableSurface("torus", 1, 1).torsion()
+        _require(abs(rows - 4 * math.log(eta_i)) < 1e-14, f"torus(1,1) row torsion {rows}")
 
-    check("Dedekind eta and torsion symmetry", eta_check)
+    check("Dedekind eta, torsion symmetry and row torsion", eta_check)
 
     def zeta_check():
         from fractions import Fraction
@@ -616,8 +620,11 @@ def selftest(seed=0):
         series = convergence_study(SeparableSurface("torus", 1, 1), [32, 64, 128])
         _require(abs(series.renorms[-1] - series.target) < 5e-4,
                  f"renormalized {series.renorms[-1]} vs {series.target}")
+        twisted = SeparableSurface("torus", 1, 1, 1.3, -0.7)
+        series = convergence_study(twisted, [64, 128, 256, 512, 1024])
+        _require(abs(series.extrapolated - series.target) < 1e-7, f"twisted {series.extrapolated}")
 
-    check("renormalized determinant trend", renorm_check)
+    check("renormalized determinant trend, untwisted and twisted", renorm_check)
 
     def bump_check():
         from .experiments import build_bump

@@ -45,8 +45,9 @@ MAX_SUBSETS = 6_000_000
 IDENTITY_TOL = 1e-9
 
 
-def _refuse_beyond_caps(nv, ne, size):
-    """Refuse meshes whose ``size``-subsets of ``ne`` edges exceed the caps."""
+def check_enumeration_caps(nv, ne, size):
+    """TooLarge beyond MAX_VERTICES vertices, or MAX_SUBSETS ``size``-subsets of
+    the ``ne`` edges: the enumerations' caps, checked before they search."""
     if nv > MAX_VERTICES:
         raise TooLarge(f"{nv} vertices exceeds brute-force limit {MAX_VERTICES}")
     if math.comb(ne, size) > MAX_SUBSETS:
@@ -166,14 +167,14 @@ def _cycle(mesh, adj, k, steps):
 def count_spanning_trees(mesh):
     """Exact spanning-tree count by the backtracking search."""
     nv = mesh.n_vertices
-    _refuse_beyond_caps(nv, sum(u != v for u, v in mesh.ends), nv - 1)
+    check_enumeration_caps(nv, sum(u != v for u, v in mesh.ends), nv - 1)
     return len(_search(mesh, nv - 1, cyclic=False))
 
 
 def enumerate_crsfs(mesh):
     """All cycle-rooted spanning forests, each with its directed cycles."""
     nv = mesh.n_vertices
-    _refuse_beyond_caps(nv, len(mesh.edges), nv)
+    check_enumeration_caps(nv, len(mesh.edges), nv)
     return _search(mesh, nv, cyclic=True)
 
 

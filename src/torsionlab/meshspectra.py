@@ -14,7 +14,8 @@ form (torsion.Factor.log_shifted_product): with mu = 4 sinh^2(phi/2),
 prod_j (mu + nu_j) is 2 cosh(m phi) - 2 cos(theta) for a cycle of m sites
 twisted by theta and 2 tanh(phi/2) sinh(m phi) for a path of m sites.
 log det' is the fsum of one factor's row products over the other factor's
-eigenvalues, so it costs O(n) and never builds the grid.
+eigenvalues, so it costs O(n) and never builds the grid; the Szego
+expansion's constant is the rectangle's SeparableSurface.target().
 The an x bn rectangle mesh has product-cosine eigenvectors
 indexed by (i, j); its rescaled eigenvalues are 4n^2 sin^2(pi i / 2an) +
 4n^2 sin^2(pi j / 2bn), with the (0,0) entry replaced by 1 to stand for the
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, SupportTooWide
-from .torsion import SeparableSurface, rectangle_torsion
+from .torsion import SeparableSurface
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 LOG_SQRT2M1 = math.log(SQRT2M1)
@@ -266,5 +267,5 @@ def szego_expansion_predicted(profile, n, corrected_constants=True):
             out += 0.25 * c * (math.log(math.pi ** 2 * i * i / (a * a)
                                         + math.pi ** 2 * j * j / (b * b)) - math.log(2))
     if a00:
-        out += a00 * (rectangle_torsion(a, b) - math.log(2) / 4)
+        out += a00 * SeparableSurface("rectangle", a, b).target()
     return out

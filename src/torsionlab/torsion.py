@@ -5,23 +5,20 @@ The explicitly solvable surfaces are products of two 1-D factors.  A factor
 is periodic (a circle, with a U(1) twist phase) or free (a segment with free
 ends).  SEPARABLE_KINDS is the one table of them: the a x b rectangle is
 free x free, the torus periodic x periodic, and the cylinder periodic
-circumference a x free height b.  Mesh and continuum spectra, theta series,
-perimeter, corner count, dim H^0 and zeta(0) all follow from the factors.
-A factor's kernel is decided once, from its holonomy: a phase whose
-holonomy exp(i phase) is within FLAT_SECTION_TOL of 1 (every phase = 0 mod
-2 pi) is trivial and is replaced by 0.  SeparableSurface (kind, sides a, b
-and U(1) phases alpha, beta) is the one setup of the closed-form experiments,
-and each quantity of it is a method: mesh_spectrum, log_det, heat_trace and
-its expansion, zeta0_from_heat_trace, continuum_eigenvalues, zeta_partial,
-weyl_tail, torsion and target.  The mesh quantities honour the phases; the
-continuum spectrum, heat trace and torsion have no twisted closed form yet
-and raise HypothesisViolation for a twisted setup, whose target() is None.
+circumference a x free height b.  Mesh and continuum spectra, theta series
+and log det', twisted or not, perimeter, corner count, dim H^0 and zeta(0)
+all follow from the factors.  A factor's kernel is decided once, from its
+holonomy: a phase with exp(i phase) within FLAT_SECTION_TOL of 1 is trivial
+and is replaced by 0.  SeparableSurface (kind, sides a, b and U(1) phases
+alpha, beta) is the one setup of the closed-form experiments.
 
-Each factor's mesh spectrum nu_j has a closed-form shifted product.  With
-mu = 4 sinh^2(phi/2), a cycle of m sites twisted by theta gives
-prod_j (mu + nu_j) = 2 cosh(m phi) - 2 cos(theta), and a path of m sites
-gives 2 tanh(phi/2) sinh(m phi).  At mu = 0 an untwisted factor drops its
-zero mode and leaves its det': m^2 for the cycle, m for the path.
+A factor's mesh and continuum rows are shifted products over its spectrum:
+2 cosh(m phi) - 2 cos theta for a cycle of m sites twisted by theta at shift
+mu = 4 sinh^2(phi/2), 2 tanh(phi/2) sinh(m phi) for a path; det(Delta + s^2)
+= 2 cosh(a s) - 2 cos theta for a circle of length a, 2 s sinh(a s) for a
+segment; at zero shift an untwisted factor leaves its det' m^2, m, a^2, 2a.
+The continuum torsion sums Kronecker's second limit formula row by row;
+torus_torsion and rectangle_torsion (dedekind_eta) are its references.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ from .laplacian import HermitianSpectrum
 _SERIES_TERMS = 64
 
 MELLIN_T = 1e-3    # heat-trace time at which zeta0_from_heat_trace reads zeta(0)
+ROW_DECAY = 40.0   # a continuum row at length * s >= 40 is below e^-40 < 1e-17
 
 # |g - 1| below this makes a U(1) generator g trivial; bundles.flat_sections_dim
 # applies the same bound to the singular values of the stacked g - I
@@ -86,8 +84,20 @@ class Factor:
         m = self._sites(n)
         j = np.arange(m)
         if self.periodic:
-            return 4 * np.sin((2 * np.pi * j + self.phase) / (2 * m)) ** 2
+            return 4 * np.sin((2 * np.pi * j + self.twist) / (2 * m)) ** 2
         return 4 * np.sin(np.pi * j / (2 * m)) ** 2
+
+    @property
+    def twist(self):
+        """The phase reduced exactly to [-pi, pi]: near 2 pi it keeps its small twist."""
+        return math.remainder(self.phase, 2 * math.pi)
+
+    def _tail(self, x):
+        """log of a row product less its growth x = m phi or length * s: on a circle
+        log((1 - e^-x)^2 + 4 sin^2(theta/2) e^-x), exact as x and theta go to 0."""
+        if self.periodic:
+            return np.log(np.expm1(-x) ** 2 + 4.0 * math.sin(0.5 * self.twist) ** 2 * np.exp(-x))
+        return np.log(-np.expm1(-2.0 * x))
 
     def log_shifted_product(self, n, mu):
         """log prod_j (mu + nu_j) over the mesh eigenvalues nu_j, elementwise in mu >= 0.
@@ -102,28 +112,46 @@ class Factor:
         x = m * phi
         with np.errstate(divide="ignore"):    # -inf at mu = 0 when untwisted, replaced below
             if self.periodic:
-                # log(2 cosh x - 2 cos theta) = x + log((1 - e^-x)^2 + 4 sin^2(theta/2) e^-x)
-                out = x + np.log(np.expm1(-x) ** 2
-                                 + 4.0 * math.sin(0.5 * self.phase) ** 2 * np.exp(-x))
-                log_det_prime = 2.0 * math.log(m)
+                out = x + self._tail(x)
             else:
-                # log(2 tanh(phi/2) sinh x) = log tanh(phi/2) + x + log(1 - e^-2x)
-                out = np.log(np.tanh(0.5 * phi)) + x + np.log(-np.expm1(-2.0 * x))
-                log_det_prime = math.log(m)
+                out = np.log(np.tanh(0.5 * phi)) + x + self._tail(x)
         if self.flat_sections:
-            out = np.where(mu == 0.0, log_det_prime, out)
+            out = np.where(mu == 0.0, 2.0 * math.log(m) if self.periodic else math.log(m), out)
+        return out
+
+    def continuum_log_row(self, s):
+        """log det(Delta + s^2) less length * s, and less log s on a segment,
+        elementwise in s >= 0; at s = 0 an untwisted factor gives its log det'."""
+        s = np.asarray(s, dtype=float)
+        with np.errstate(divide="ignore"):    # -inf at s = 0 when untwisted, replaced below
+            out = self._tail(self.length * s)
+        if self.flat_sections:
+            a = self.length
+            out = np.where(s == 0.0, 2.0 * math.log(a) if self.periodic else math.log(2.0 * a), out)
         return out
 
     def continuum_eigenvalues(self, cutoff):
-        """Untwisted Laplace eigenvalues <= cutoff with multiplicity, unsorted."""
+        """Laplace eigenvalues <= cutoff with multiplicity, unsorted: ((2 pi k +
+        twist) / length)^2, k in Z, on a circle, (pi k / length)^2, k >= 0, on a segment."""
         step = (2 if self.periodic else 1) * math.pi / self.length
-        kmax = math.isqrt(int(cutoff / step ** 2)) + 1
+        c = self.twist / (2 * math.pi)
+        kmax = math.isqrt(int(cutoff / step ** 2)) + 2
         ks = range(-kmax if self.periodic else 0, kmax + 1)
-        return [lam for lam in ((step * k) ** 2 for k in ks) if lam <= cutoff]
+        return [lam for lam in ((step * (k + c)) ** 2 for k in ks) if lam <= cutoff]
 
     def theta(self, t):
-        """Untwisted heat trace of the factor."""
-        return (_theta_periodic if self.periodic else _theta_free)(self.length, t)
+        """Heat trace: sum_k exp(-x (k + twist / 2 pi)^2) on a circle, or its Poisson
+        dual below x = 4 pi^2 t / length^2 = 0.7; (1 + circle of twice the length) / 2."""
+        if not self.periodic:
+            return 0.5 * (1.0 + Factor(True, 2 * self.length).theta(t))
+        x = 4 * math.pi ** 2 * t / self.length ** 2
+        c = self.twist / (2 * math.pi)
+        m = np.arange(1, _SERIES_TERMS)
+        if x > 0.7:
+            return math.exp(-x * c * c) + (float(np.exp(-x * (m + c) * (m + c)).sum())
+                                           + float(np.exp(-x * (m - c) * (m - c)).sum()))
+        dual = float((np.exp(-math.pi ** 2 * m * m / x) * np.cos(2 * math.pi * c * m)).sum())
+        return math.sqrt(math.pi / x) * (1.0 + 2.0 * dual)
 
 
 @dataclass(frozen=True)
@@ -175,11 +203,6 @@ class SeparableSurface:
     def zeta0(self):
         return self.heat_constant - self.dim_h0
 
-    def _refuse_twist(self, what):
-        """HypothesisViolation for a twisted setup: ``what`` has no twisted closed form yet."""
-        if not self.dim_h0:
-            raise HypothesisViolation(f"no closed form for the {what} of twisted {self.label()}")
-
     def mesh_spectrum(self, n):
         """Sorted unrescaled mesh spectrum, the phases on the seams; its kernel is dim_h0."""
         fa, fb = self.factors
@@ -190,7 +213,6 @@ class SeparableSurface:
 
     def continuum_eigenvalues(self, cutoff):
         """All continuum Laplace eigenvalues <= cutoff with multiplicity, sorted."""
-        self._refuse_twist("continuum spectrum")
         if cutoff <= 0:
             return []
         fa, fb = self.factors
@@ -211,7 +233,6 @@ class SeparableSurface:
 
     def heat_trace(self, t):
         """Tr exp(-t Delta) by rapidly convergent theta series."""
-        self._refuse_twist("heat trace")
         if t <= 0:
             raise ValueError("t must be positive")
         fa, fb = self.factors
@@ -231,9 +252,20 @@ class SeparableSurface:
         return const - self.dim_h0
 
     def torsion(self):
-        """Closed-form log det' of the untwisted continuum surface."""
-        self._refuse_twist("log det'")
-        return TORSIONS[self.kind](self.a, self.b)
+        """log det' of the continuum surface: the fsum of the later factor's rows
+        over the roots s < ROW_DECAY / length of the other's spectrum, plus the
+        zeta-regularized sums over all roots of what the rows leave out: length * s
+        gives -2 pi (length / b) B2(c) over a circle of length b twisted by 2 pi c,
+        B2(c) = c^2 - c + 1/6, and log s on segment rows log(2b) / 2."""
+        cols, rows = sorted(self.factors)
+        roots = np.sqrt(cols.continuum_eigenvalues((ROW_DECAY / rows.length) ** 2))
+        c = abs(cols.twist) / (2 * math.pi)
+        # a segment's roots are half of those of the circle of twice its length
+        b2 = c * c - c + 1.0 / 6.0 if cols.periodic else 1.0 / 24.0
+        regularized = [-2.0 * math.pi * rows.length / cols.length * b2]
+        if not rows.periodic:
+            regularized.append(0.5 * math.log(2.0 * cols.length))
+        return math.fsum(rows.continuum_log_row(roots).tolist() + regularized)
 
     def log_det(self, n):
         """log det' of the unrescaled mesh Laplacian: the math.fsum over the rows of
@@ -244,12 +276,7 @@ class SeparableSurface:
         return math.fsum(rows.log_shifted_product(n, cols.mesh_eigenvalues(n)).tolist())
 
     def target(self):
-        """Known limit of the renormalized series, or None for a twisted bundle.
-
-        Each right corner contributes -log(2)/16.
-        """
-        if not self.dim_h0:
-            return None
+        """Known limit of the renormalized series: each right corner contributes -log(2)/16."""
         return self.torsion() - self.corners * math.log(2) / 16
 
     def label(self):
@@ -261,28 +288,6 @@ class SeparableSurface:
             if fb.periodic:
                 tw += f",beta={fb.phase:.6g}"
         return f"{self.kind}({self.a},{self.b}{tw})"
-
-
-def _theta_free(a, t):
-    """sum_{m >= 0} exp(-t pi^2 m^2 / a^2), switched to the dual series for small t."""
-    x = t * math.pi ** 2 / a ** 2
-    if x > 0.7:
-        m = np.arange(_SERIES_TERMS)
-        return float(np.exp(-x * m * m).sum())
-    m = np.arange(1, _SERIES_TERMS)
-    dual = float(np.exp(-math.pi ** 2 * m * m / x).sum())
-    return 0.5 * (1.0 + math.sqrt(math.pi / x) * (1.0 + 2.0 * dual))
-
-
-def _theta_periodic(a, t):
-    """sum_{m in Z} exp(-4 pi^2 t m^2 / a^2), switched to the dual series for small t."""
-    x = 4 * math.pi ** 2 * t / a ** 2
-    if x > 0.7:
-        m = np.arange(1, _SERIES_TERMS)
-        return 1.0 + 2.0 * float(np.exp(-x * m * m).sum())
-    m = np.arange(1, _SERIES_TERMS)
-    dual = float(np.exp(-math.pi ** 2 * m * m / x).sum())
-    return math.sqrt(math.pi / x) * (1.0 + 2.0 * dual)
 
 
 def corner_zeta_term(quadrants):
@@ -343,18 +348,3 @@ def rectangle_torsion(a, b):
     y = a / b
     nu = dedekind_eta(math.exp(-2 * math.pi * a / b))
     return 0.75 * math.log(a * b) + 0.25 * math.log(y * nu ** 4) + 1.5 * math.log(2)
-
-
-def cylinder_torsion(a, b):
-    """log det' of the cylinder (circumference a, height b, free boundary).
-
-    The free cylinder spectrum is the even half of the a x 2b torus spectrum
-    plus the circle modes, whence (1/2) torus value at (a, 2b) plus log a.
-    """
-    if a <= 0 or b <= 0:
-        raise ValueError("dimensions must be positive")
-    return 0.5 * torus_torsion(a, 2 * b) + math.log(a)
-
-
-TORSIONS = {"torus": torus_torsion, "rectangle": rectangle_torsion,
-            "cylinder": cylinder_torsion}

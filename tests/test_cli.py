@@ -186,6 +186,20 @@ def test_over_budget_run_builds_no_mesh(tmp_path, monkeypatch, experiment, n):
     assert meta["error"]["code"] == "BudgetExceeded"
 
 
+def test_refused_crsf_verify_builds_no_mesh(tmp_path, monkeypatch):
+    from torsionlab import meshes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("discretize was called")
+
+    monkeypatch.setattr(meshes, "discretize", refuse)
+    cfg = {"experiment": "crsf-verify", "surface": {"kind": "lshape"}, "n": 256}
+    code, out = _run(tmp_path, cfg)
+    assert code == 3
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["error"]["code"] == "TooLarge"
+
+
 def test_logdet_meta_reports_lanczos_steps_and_scipy(tmp_path):
     import scipy
     from torsionlab.laplacian import LANCZOS_MAX_STEPS
@@ -264,13 +278,44 @@ _TORUS11 = {"kind": "torus", "a": 1, "b": 1}
 _TWIST = {"alpha": 1.3, "beta": -0.7}
 
 
+def test_twisted_torsion_and_heat_trace_write_the_methods_values(tmp_path):
+    from torsionlab.torsion import SeparableSurface
+    setup = SeparableSurface("torus", 1, 1, 1.3, -0.7)
+    cfg = {"experiment": "torsion", "surface": _TORUS11, "bundle": _TWIST}
+    code, out = _run(tmp_path, cfg, name="torsion.json")
+    assert code == 0
+    assert json.loads((out / "meta.json").read_text())["log_det_prime"] == setup.torsion()
+    row = (out / "torsion.csv").read_text().splitlines()[1].split(",")
+    assert float(row[-1]) == setup.torsion() != SeparableSurface("torus", 1, 1).torsion()
+    cfg = {"experiment": "heat-trace", "surface": _TORUS11, "bundle": _TWIST,
+           "t_list": [0.01, 0.05]}
+    code, out = _run(tmp_path, cfg, name="heat.json")
+    assert code == 0
+    rows = [r.split(",") for r in (out / "heat.csv").read_text().splitlines()[1:]]
+    assert [float(r[1]) for r in rows] == [setup.heat_trace(0.01), setup.heat_trace(0.05)]
+
+
 @pytest.mark.parametrize("experiment", ["torsion", "heat-trace"])
 def test_twisted_closed_form_without_a_formula_exits_2(tmp_path, experiment):
-    # no twisted continuum closed form yet: refuse, do not write the untwisted one
-    cfg = {"experiment": experiment, "surface": _TORUS11, "bundle": _TWIST}
+    # the L-shape has no separable closed form, twisted or not: refuse, write no table
+    cfg = {"experiment": experiment, "surface": {"kind": "lshape"}, "bundle": _TWIST,
+           "t_list": [0.01]}
     code, out = _run(tmp_path, cfg)
     assert code == 2
     assert json.loads((out / "meta.json").read_text())["error"]["code"] == "HypothesisViolation"
+    assert not (out / "torsion.csv").exists() and not (out / "heat.csv").exists()
+
+
+def test_twisted_renorm_series_writes_its_target(tmp_path):
+    cfg = {"experiment": "renorm-series", "surface": _TORUS11, "bundle": _TWIST,
+           "n_list": [64, 128, 256]}
+    code, out = _run(tmp_path, cfg)
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert isinstance(meta["target"], float)
+    for row in (out / "series.csv").read_text().splitlines()[1:]:
+        _, _, renorm, _, target, err = map(float, row.split(","))
+        assert target == meta["target"] and err == abs(renorm - target) < 1e-3
 
 
 @pytest.mark.parametrize("experiment,table", [("torsion", "torsion.csv"),
@@ -284,8 +329,9 @@ def test_a_full_turn_runs_as_the_untwisted_setup(tmp_path, experiment, table):
     assert code == 0
     assert (turned / table).read_text() == (out / table).read_text()
     if experiment == "torsion":
+        from torsionlab.torsion import SeparableSurface
         meta = json.loads((turned / "meta.json").read_text())
-        assert meta["log_det_prime"] == -1.0546882809956721
+        assert meta["log_det_prime"] == SeparableSurface("torus", 1, 1).torsion()
 
 
 def test_weyl_check_honours_the_twist(tmp_path):

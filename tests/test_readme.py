@@ -29,3 +29,11 @@ def test_c3_example_prints_the_documented_report(tmp_path):
     code, out = _run(tmp_path, text)
     assert code == 0
     assert (out / "report.txt").read_text() == report + "\n"
+
+
+def test_twisted_torsion_example_prints_the_documented_row(tmp_path):
+    text = re.search(r"cat > twisted.json << 'EOF'\n(.*?\n)EOF\n", README, re.S).group(1)
+    row = re.search(r"tail -1 out_twisted/torsion.csv +# (.*)\n", README).group(1)
+    code, out = _run(tmp_path, text)
+    assert code == 0
+    assert (out / "torsion.csv").read_text().splitlines()[-1] == row
