@@ -29,7 +29,7 @@ from .bundles import (HolonomyRepresentation, UnitaryConnection,
                       random_flat_representation, generator_loop)
 from .laplacian import (HermitianSpectrum, assemble, spectrum, log_det_prime,
                         sparse_log_det, discrete_zeta)
-from .forests import (CRSF, count_spanning_trees, enumerate_crsfs,
+from .forests import (CRSF, CRSFTable, count_spanning_trees, enumerate_crsfs,
                       crsf_weighted_sum, crsf_identity,
                       noncontractible_expectation)
 from .meshspectra import (CATALAN, FourierProfile, catalan_constant,

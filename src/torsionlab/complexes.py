@@ -111,9 +111,6 @@ class SquareComplex:
                     out.append((c, d))
         return out
 
-    def is_paired(self, c, d):
-        return (c, d) in self.pairings
-
     # -- vertex classes -----------------------------------------------------
 
     def _step_ccw(self, c, k):

@@ -1,36 +1,41 @@
-"""Spanning-tree and cycle-rooted spanning forest enumeration by backtracking.
+"""Spanning-tree and cycle-rooted spanning forest enumeration by a block filter.
 
 A CRSF is an edge subset covering every vertex in which each connected
 component has exactly as many edges as vertices, hence a unique cycle.
 Multi-edge copies and loops count as distinct edges throughout.
 
-One depth-first search serves both enumerations.  It adds edges in
-increasing index order to a union-find that it rolls back on the way up, so
-subsets that share a prefix share its work and come out in
-``itertools.combinations`` order.  An edge joining two components merges
-them; an edge inside a component closes that component's cycle, which is
-built there once and interned, so every forest found below that search node,
-and every other forest with the same cycle, refers to one cycle object.  A
-second closing edge in one component, or a merge of two components that
-both have a cycle, prunes the branch; a spanning tree allows no closing edge
-at all.  Each edge still to choose joins or closes an acyclic component, so
-the search also stops a branch once it passes the last edge at one of them.
-With |V| edges no tree component remains.  A CRSF lists its cycles by their
-component's lowest vertex, each starting on its lowest edge index traversed
-u -> v; the census classes follow that order.
+Both enumerations test every ``size``-subset of the edges, drawn from
+``itertools.combinations`` in blocks of ``_CHUNK`` rows.  A block is one
+integer array; its rows are unioned one edge column at a time, each vertex
+relabeled to its component's lowest vertex, and a component is marked when
+an edge inside it closes its cycle.  A CRSF keeps the rows in which no
+component closes twice (a close inside a closed component, or a merge of two
+closed ones); with |V| edges every component has then closed exactly once.
+A spanning tree (|V| - 1 edges, loops left out) keeps the rows with no close
+at all, hence one component.  So ``MAX_SUBSETS`` bounds exactly the subsets
+tested.  On the kept rows, vertices of degree one are peeled until only the
+cycles remain, and each cycle is keyed by the bitmask of its edges.
+
+`enumerate_crsfs` returns a `CRSFTable`: the edges of each forest in
+combinations order, and per forest the indices of its cycles, listed by their
+component's lowest vertex.  Each distinct cycle is walked once, starting on
+its lowest edge index traversed u -> v, and shared by every forest that
+contains it; the census classes follow that order.
 
 The weighted sums, the expectation and the census compute each distinct
-cycle object's weight (and winding) once per call, multiply the cached
-weights of each forest in cycle order and add the forests in list order, so
-their totals are bit-identical to a per-forest product.  Forests built by
-hand, without shared cycle objects, give the same bits without the saving.
-`crsf-verify` enumerates once, for both the sum and the census.
+cycle's weight (and winding) once per call, multiply each forest's weights
+in cycle order and add the forests one by one in table order, so their
+totals are bit-identical to a per-forest product.  A plain list of CRSFs is
+first interned by cycle object: forests built by hand, without shared cycle
+objects, give the same bits without the saving.  `crsf-verify` enumerates
+once, for both the sum and the census.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -41,15 +46,20 @@ from .laplacian import assemble, log_det_prime, spectrum
 from .surfaces import standard_cuts
 
 MAX_VERTICES = 12     # both enumerations refuse larger meshes
+MAX_EDGES = 62        # a cycle is keyed by an int64 bitmask of its edges
 MAX_SUBSETS = 6_000_000
 IDENTITY_TOL = 1e-9
+_CHUNK = 4096         # subsets per block; larger blocks only raise the peak memory
 
 
 def check_enumeration_caps(nv, ne, size):
-    """TooLarge beyond MAX_VERTICES vertices, or MAX_SUBSETS ``size``-subsets of
-    the ``ne`` edges: the enumerations' caps, checked before they search."""
+    """TooLarge beyond MAX_VERTICES vertices, MAX_EDGES edges or MAX_SUBSETS
+    ``size``-subsets of the ``ne`` edges: the enumerations' caps, checked
+    before they draw a subset."""
     if nv > MAX_VERTICES:
         raise TooLarge(f"{nv} vertices exceeds brute-force limit {MAX_VERTICES}")
+    if ne > MAX_EDGES:
+        raise TooLarge(f"{ne} edges exceeds brute-force limit {MAX_EDGES}")
     if math.comb(ne, size) > MAX_SUBSETS:
         raise TooLarge("too many edge subsets")
 
@@ -62,133 +72,174 @@ class CRSF:
     cycles: list   # one list of (edge_index, direction) per component
 
 
-def _search(mesh, size, cyclic):
-    """Every ``size``-edge subset, in combinations order, in which no component
-    holds two cycles, or any cycle at all unless ``cyclic``, as a CRSF with its
-    cycles in CRSF order (no cycles for a tree); see the module docstring."""
-    nv, ends = mesh.n_vertices, mesh.ends
-    ne = len(ends)
-    # one shared (edge, direction) tuple per step: the cycles refer to these
-    steps = {d: [(k, d) for k in range(ne)] for d in (+1, -1)}
-    label = list(range(nv))              # vertex -> its component's lowest vertex
-    members = [[v] for v in range(nv)]   # lowest vertex -> its component
-    reach = [-1] * nv                    # lowest vertex -> last edge index at it
-    for k, (u, v) in enumerate(ends):
-        reach[u] = reach[v] = k
-    acyclic = set(range(nv))             # lowest vertices of acyclic components
-    adj = [[] for _ in range(nv)]        # (edge, other end) per chosen tree edge
-    cycle = {}                           # lowest vertex -> its component's cycle
-    interned = {}
-    chosen = []
-    found = []
+@dataclass(frozen=True, slots=True, eq=False)
+class CRSFTable:
+    """Every CRSF of a mesh, in combinations order; indexing and iteration
+    give `CRSF` views that share the cycle objects."""
 
-    def extend(start):
-        left = size - len(chosen)
-        if not left:
-            found.append(CRSF(tuple(chosen), [cycle[r] for r in sorted(cycle)]))
-            return
-        # each edge still to choose joins or closes an acyclic component, and
-        # each acyclic component needs one, so none may lie past its last edge
-        stop = min(ne - left, min(map(reach.__getitem__, acyclic)))
-        for k in range(start, stop + 1):
-            u, v = ends[k]
-            a, b = label[u], label[v]
-            if a == b:
-                if not cyclic or a in cycle:
-                    continue
-                walk = _cycle(mesh, adj, k, steps)
-                cycle[a] = interned.setdefault(tuple(walk), walk)
-                acyclic.remove(a)
-                chosen.append(k)
-                extend(k + 1)
-                chosen.pop()
-                acyclic.add(a)
-                del cycle[a]
-                continue
-            if a in cycle and b in cycle:
-                continue
-            if a > b:
-                a, b = b, a
-            moved = members[b]
-            for x in moved:
-                label[x] = a
-            members[a] += moved
-            reach_a = reach[a]
-            reach[a] = max(reach_a, reach[b])
-            held = cycle.pop(b, None)
-            if held is not None:
-                cycle[a] = held
-            joined = a if held is not None else b     # the acyclic side
-            acyclic.remove(joined)
-            adj[u].append((k, v))
-            adj[v].append((k, u))
-            chosen.append(k)
-            extend(k + 1)
-            chosen.pop()
-            adj[u].pop()
-            adj[v].pop()
-            acyclic.add(joined)
-            if held is not None:
-                cycle[b] = cycle.pop(a)
-            reach[a] = reach_a
-            del members[a][-len(moved):]
-            for x in moved:
-                label[x] = b
+    edges: np.ndarray       # (N, |V|) edge indices per forest
+    cycle_ids: np.ndarray   # (N, c_max) indices into cycles, lowest vertex first, -1 pad
+    cycles: list            # the distinct directed walks
 
-    extend(0)
-    return found
+    def __len__(self):
+        return len(self.edges)
+
+    def __getitem__(self, i):
+        return CRSF(tuple(self.edges[i].tolist()),
+                    [self.cycles[j] for j in self.cycle_ids[i].tolist() if j >= 0])
+
+    def __iter__(self):
+        cycles = self.cycles
+        for edges, ids in zip(self.edges.tolist(), self.cycle_ids.tolist()):
+            yield CRSF(tuple(edges), [cycles[j] for j in ids if j >= 0])
 
 
-def _cycle(mesh, adj, k, steps):
-    """Edge k, then the tree path back from its head to its tail, rotated to
-    start on the lowest edge index traversed u -> v."""
-    ends = mesh.ends
-    u, v = ends[k]
-    pred = {u: None}
-    stack = [u]
-    while v not in pred:
-        x = stack.pop()
-        for j, y in adj[x]:
-            if y not in pred:
-                pred[y] = (j, x)
-                stack.append(y)
-    walk = [steps[+1][k]]
-    x = v
-    while pred[x] is not None:
-        j, y = pred[x]
-        walk.append(steps[+1 if ends[j][0] == x else -1][j])
-        x = y
-    if min(walk)[1] < 0:
-        walk = [steps[-d][j] for j, d in reversed(walk)]
-    i = walk.index(min(walk))
-    return walk[i:] + walk[:i]
+def _blocks(items, size):
+    """The ``size``-subsets of ``items`` (size >= 1) in combinations order, as
+    int8 arrays of at most _CHUNK rows."""
+    subsets = combinations(items, size)
+    while len(block := np.fromiter(chain.from_iterable(islice(subsets, _CHUNK)),
+                                   dtype=np.int8).reshape(-1, size)):
+        yield block
+
+
+def _cells(mesh, block):
+    """(rows, tails, heads) indexing per-vertex arrays of ``block`` that are
+    laid out vertex by vertex, so a flat index is vertex * len(block) + row:
+    the row numbers, and per edge column the flat index of each row's edge
+    tail and head."""
+    nrow = len(block)
+    rows = np.arange(nrow, dtype=np.int32)
+    return (rows, *((end * nrow).astype(np.int32)[block.T] + rows
+                    for end in (mesh.edge_u, mesh.edge_v)))
+
+
+def _union(mesh, block, cyclic):
+    """(kept, label): the rows of ``block`` whose components each close at
+    most once (``cyclic``) or never, and for those rows each vertex's
+    component, named by its lowest vertex, as a (|V|, kept rows) array."""
+    nrow, nv = len(block), mesh.n_vertices
+    rows, tails, heads = _cells(mesh, block)
+    # a component is named by the flat index of its lowest vertex in row 0
+    label = np.repeat(np.arange(0, nv * nrow, nrow, dtype=np.int32), nrow)
+    grid = label.reshape(nv, nrow)
+    closed = np.zeros(nv * nrow, dtype=bool)     # per component, at its name + row
+    bad = np.zeros(nrow, dtype=bool)
+    for tail, head in zip(tails, heads):
+        a = label[tail]
+        b = label[head]
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        same = lo == hi
+        if cyclic:
+            ca = closed[a + rows]
+            cb = closed[b + rows]
+            bad |= ca & (same | cb)
+            closed[lo + rows] = same | ca | cb
+        else:
+            bad |= same
+        np.copyto(grid, lo, where=grid == hi)
+    kept = ~bad
+    return kept, grid[:, kept] // nrow
+
+
+def _cycle_masks(mesh, block, label):
+    """Per row, the edge bitmask of each component's cycle, lowest vertex
+    first, padded with 0.  Vertices of degree one are peeled until only the
+    cycles remain: a leaf's one neighbour is the sum of its neighbours left."""
+    nv, nrow = label.shape
+    rows, tails, heads = _cells(mesh, block)
+    size = nv * nrow
+    degree = np.bincount(tails.ravel(), minlength=size) + np.bincount(heads.ravel(), minlength=size)
+    neighbours = (np.bincount(tails.ravel(), heads.ravel() // nrow, minlength=size)
+                  + np.bincount(heads.ravel(), tails.ravel() // nrow, minlength=size))
+    while len(leaves := np.flatnonzero(degree == 1)):
+        degree[leaves] = 0
+        nearby = neighbours[leaves].astype(np.intp) * nrow + leaves % nrow
+        degree -= np.bincount(nearby, minlength=size)
+        neighbours -= np.bincount(nearby, leaves // nrow, minlength=size)
+    # the edges left between cycle vertices are the cycles
+    on_cycle = degree > 0
+    bits = np.where(on_cycle[tails] & on_cycle[heads], np.left_shift(1, block.T, dtype=np.int64), 0)
+    # each component's mask goes to its lowest vertex
+    roots = label.ravel()[tails] * nrow + rows
+    masks = np.zeros(size, dtype=np.int64)
+    for root, bit in zip(roots, bits):
+        masks[root] |= bit
+    masks = masks.reshape(nv, nrow).T
+    return np.take_along_axis(masks, np.argsort(masks == 0, axis=1, kind="stable"), axis=1)
+
+
+def _walk(ends, key):
+    """The cycle on the edges of bitmask ``key``: its lowest edge u -> v, then
+    on around the cycle, as (edge_index, direction) steps."""
+    left = [k for k in range(key.bit_length()) if key >> k & 1]
+    k = left.pop(0)
+    walk = [(k, +1)]
+    at = ends[k][1]
+    while left:
+        for i, j in enumerate(left):
+            u, v = ends[j]
+            if u == at or v == at:
+                walk.append((j, +1) if u == at else (j, -1))
+                at = v if u == at else u
+                del left[i]
+                break
+    return walk
 
 
 def count_spanning_trees(mesh):
-    """Exact spanning-tree count by the backtracking search."""
+    """Exact spanning-tree count by the block filter."""
     nv = mesh.n_vertices
-    check_enumeration_caps(nv, sum(u != v for u, v in mesh.ends), nv - 1)
-    return len(_search(mesh, nv - 1, cyclic=False))
+    links = [k for k, (u, v) in enumerate(mesh.ends) if u != v]
+    check_enumeration_caps(nv, len(links), nv - 1)
+    if nv == 1:
+        return 1
+    return sum(int(_union(mesh, block, cyclic=False)[0].sum())
+               for block in _blocks(links, nv - 1))
 
 
 def enumerate_crsfs(mesh):
-    """All cycle-rooted spanning forests, each with its directed cycles."""
+    """All cycle-rooted spanning forests, as a `CRSFTable`."""
     nv = mesh.n_vertices
     check_enumeration_caps(nv, len(mesh.edges), nv)
-    return _search(mesh, nv, cyclic=True)
+    kept_edges = [np.zeros((0, nv), dtype=np.int8)]
+    kept_masks = [np.zeros((0, nv), dtype=np.int64)]
+    for block in _blocks(range(len(mesh.edges)), nv):
+        kept, label = _union(mesh, block, cyclic=True)
+        block = block[kept]
+        kept_edges.append(block)
+        kept_masks.append(_cycle_masks(mesh, block, label))
+    masks = np.concatenate(kept_masks)
+    masks = masks[:, :int((masks != 0).sum(axis=1).max(initial=0))]
+    keys, ids = np.unique(masks[masks != 0], return_inverse=True)
+    cycle_ids = np.full(masks.shape, -1, dtype=np.intp)
+    cycle_ids[masks != 0] = ids
+    ends = mesh.ends
+    return CRSFTable(np.concatenate(kept_edges), cycle_ids,
+                     [_walk(ends, key) for key in keys.tolist()])
 
 
-def _once_per_cycle(fn):
-    """``fn`` memoized on the cycle object.  The cache keeps each cycle it saw
-    alive, so no id is reused while the cache lives."""
-    cache = {}
-
-    def get(cyc):
-        hit = cache.get(id(cyc))
-        if hit is None:
-            hit = cache[id(cyc)] = (cyc, fn(cyc))
-        return hit[1]
-    return get
+def _interned(crsfs):
+    """(cycle_ids, cycles) of a `CRSFTable`, or of a list of CRSFs with its
+    cycles interned by object."""
+    if isinstance(crsfs, CRSFTable):
+        return crsfs.cycle_ids, crsfs.cycles
+    index = {}
+    cycles = []
+    rows = []
+    for f in crsfs:
+        ids = []
+        for c in f.cycles:
+            j = index.setdefault(id(c), len(cycles))
+            if j == len(cycles):
+                cycles.append(c)
+            ids.append(j)
+        rows.append(ids)
+    cycle_ids = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.intp)
+    for r, ids in zip(cycle_ids, rows):
+        r[:len(ids)] = ids
+    return cycle_ids, cycles
 
 
 def _cycle_weight(conn, cyc):
@@ -200,11 +251,22 @@ def _cycle_weight(conn, cyc):
     return float((2 - np.trace(w)).real)
 
 
-def _weighed(conn, crsfs):
-    """(CRSF, the product in cycle order of its cycles' weights) per CRSF."""
-    weight = _once_per_cycle(lambda cyc: _cycle_weight(conn, cyc))
-    for f in crsfs:
-        yield f, math.prod(map(weight, f.cycles))
+def _per_forest(op, values, cycle_ids, identity):
+    """``op`` folded over each forest's cycles left to right, from
+    ``identity``, of ``values`` (one per distinct cycle): for np.multiply the
+    same products, bit for bit, as math.prod in cycle order."""
+    gathered = np.append(np.asarray(values), identity)[cycle_ids]   # the pad, -1, is identity
+    out = np.full(len(cycle_ids), identity)
+    for column in gathered.T:
+        op(out, column, out=out)
+    return out.tolist()
+
+
+def _terms(conn, crsfs):
+    """(cycle_ids, cycles, the product of each forest's cycle weights)."""
+    cycle_ids, cycles = _interned(crsfs)
+    weights = [_cycle_weight(conn, cyc) for cyc in cycles]
+    return cycle_ids, cycles, _per_forest(np.multiply, weights, cycle_ids, 1.0)
 
 
 def _require_weighable(conn):
@@ -229,7 +291,7 @@ def crsf_weighted_sum(conn, crsfs=None):
     if crsfs is None:
         crsfs = enumerate_crsfs(conn.graph)
     total = 0.0
-    for _, term in _weighed(conn, crsfs):   # sum() compensates from Python 3.12 on
+    for term in _terms(conn, crsfs)[2]:   # sum() compensates from Python 3.12 on
         total += term
     return total
 
@@ -258,13 +320,14 @@ def noncontractible_expectation(conn):
         raise RankUnsupported("expectation defined for rank-2 bundles")
     _require_weighable(conn)
     cuts = mesh.refine_cuts(standard_cuts(surf))
-    noncontractible = _once_per_cycle(lambda cyc: any(mesh.cycle_winding(cyc, cuts)))
+    cycle_ids, cycles, terms = _terms(conn, enumerate_crsfs(mesh))
+    noncontractible = [any(mesh.cycle_winding(cyc, cuts)) for cyc in cycles]
     total = 0.0
     nonc_sum = 0.0
     nonc_count = 0
-    for f, term in _weighed(conn, enumerate_crsfs(mesh)):
+    for term, nonc in zip(terms, _per_forest(np.logical_and, noncontractible, cycle_ids, True)):
         total += term
-        if all(map(noncontractible, f.cycles)):
+        if nonc:
             nonc_sum += term
             nonc_count += 1
     det, ok = crsf_identity(conn, total)
@@ -282,10 +345,10 @@ def crsf_census_csv(mesh, conn, crsfs=None):
     if crsfs is None:
         crsfs = enumerate_crsfs(mesh)
     cuts = mesh.refine_cuts(standard_cuts(mesh.surface))
-    cycle_class = _once_per_cycle(
-        lambda cyc: "(" + ",".join(map(str, mesh.cycle_winding(cyc, cuts))) + ")")
+    cycle_ids, cycles, terms = _terms(conn, crsfs)
+    classes = ["(" + ",".join(map(str, mesh.cycle_winding(cyc, cuts))) + ")" for cyc in cycles]
     rows = ["crsf_id,n_components,cycle_classes,weight"]
-    for k, (f, weight) in enumerate(_weighed(conn, crsfs)):
-        classes = "|".join(map(cycle_class, f.cycles))
-        rows.append(f"{k},{len(f.cycles)},{classes},{weight!r}")
+    for k, (ids, weight) in enumerate(zip(cycle_ids.tolist(), terms)):
+        named = [classes[j] for j in ids if j >= 0]
+        rows.append(f"{k},{len(named)},{'|'.join(named)},{weight!r}")
     return "\n".join(rows) + "\n"

@@ -247,8 +247,7 @@ class SeparableSurface:
         """Numeric cross-check of zeta(0): the constant term of the heat trace at
         t = MELLIN_T (the Mellin-split regular part at s=0) minus dim H^0."""
         t = MELLIN_T
-        const = (self.heat_trace(t) - self.area / (4 * math.pi * t)
-                 - self.perimeter / (8 * math.sqrt(math.pi * t)))
+        const = self.heat_trace(t) - self.heat_trace_expansion(t) + float(self.heat_constant)
         return const - self.dim_h0
 
     def torsion(self):

@@ -399,3 +399,33 @@ def test_each_distinct_cycle_is_one_object():
     mesh = meshes.discretize(surfaces.torus(1, 1), 3)
     cycles = [c for f in forests.enumerate_crsfs(mesh) for c in f.cycles]
     assert len({id(c) for c in cycles}) == len({tuple(c) for c in cycles}) == 312
+
+
+def _same_table(mesh, chunk):
+    """The CRSF table and tree count of ``mesh`` with blocks of ``chunk``
+    rows equal those with the default blocks, cycle objects included."""
+    want = forests.enumerate_crsfs(mesh)
+    trees = forests.count_spanning_trees(mesh)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forests, "_CHUNK", chunk)
+        got = forests.enumerate_crsfs(mesh)
+        assert forests.count_spanning_trees(mesh) == trees
+    assert np.array_equal(got.edges, want.edges)
+    assert np.array_equal(got.cycle_ids, want.cycle_ids)
+    assert got.cycles == want.cycles
+    assert len({id(c) for c in got.cycles}) == len({tuple(c) for c in got.cycles})
+    for view, ids in zip(got, got.cycle_ids.tolist()):
+        assert all(c is got.cycles[j] for c, j in zip(view.cycles, ids))
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("surf,n", [(surfaces.torus(1, 1), 2), (surfaces.cylinder(3, 1), 2)],
+                         ids=["torus-n2", "C3-n2"])
+def test_block_seams_change_nothing(surf, n, chunk):
+    _same_table(meshes.discretize(surf, n), chunk)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(surface=glued_surfaces(), chunk=st.sampled_from([1, 7]))
+def test_block_seams_change_nothing_on_glued_surfaces(surface, chunk):
+    _same_table(meshes.discretize(surface, 1), chunk)
