@@ -41,7 +41,7 @@ from .meshspectra import (CATALAN, FourierProfile, catalan_constant,
                           szego_trace_contraction, szego_expansion_predicted)
 from .torsion import (SeparableSurface, zeta_zero, dedekind_eta,
                       torus_torsion, rectangle_torsion)
-from .experiments import (RenormSeries, BumpProfile,
+from .experiments import (RenormSeries, MeshSource, BumpProfile,
                           renormalized_logdet, convergence_study,
                           dense_renorm_series, model_correction_series,
                           ratio_study, uniform_weyl_check, weyl_slope,

@@ -8,6 +8,7 @@ refusal.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -115,18 +116,42 @@ def _separable_from(cfg, which="surface"):
 
 def _run_renorm_series(cfg, rng):
     from .experiments import convergence_study
-    setup = _separable_from(cfg)
-    series = convergence_study(setup, cfg["n_list"])
+    series = convergence_study(_series_source(cfg), cfg["n_list"])
+    no_target = series.target is None
     rows = []
     for n, ld, rn, err in zip(series.ns, series.logdets, series.renorms, series.abs_errors()):
-        rows.append((n, ld, rn, series.extrapolated, series.target, err))
+        rows.append((n, ld, rn, series.extrapolated,
+                     "" if no_target else series.target, "" if no_target else err))
+    meta = {"label": series.label, "extrapolated": series.extrapolated,
+            "err_estimate": series.err_estimate, "target": series.target}
+    if series.health is not None:
+        meta["health"] = [{"n": n, **h} for n, h in zip(series.ns, series.health)]
     return {
         "files": {"series.csv": _csv(rows, ["n", "logdet", "renormalized",
                                             "extrapolated_limit", "target", "abs_error"])},
-        "meta": {"label": series.label, "extrapolated": series.extrapolated,
-                 "err_estimate": series.err_estimate, "target": series.target},
+        "meta": meta,
         "plot": (series.ns, series.abs_errors(), f"renorm error: {series.label}"),
     }
+
+
+def _series_source(cfg):
+    """The closed-form SeparableSurface of a separable kind, else a MeshSource
+    with the trivial bundle; a twist on a kind without factors to carry it
+    raises HypothesisViolation."""
+    from .errors import HypothesisViolation
+    from .experiments import MeshSource
+    from .surfaces import build_surface
+    from .torsion import FLAT_SECTION_TOL, SEPARABLE_KINDS
+    if cfg["surface"].get("kind") in SEPARABLE_KINDS:
+        return _separable_from(cfg)
+    surface = build_surface(cfg["surface"])
+    bundle = cfg.get("bundle") or {}
+    for phase in _PHASES:
+        if abs(cmath.exp(1j * float(bundle.get(phase, 0.0))) - 1.0) >= FLAT_SECTION_TOL:
+            raise HypothesisViolation(
+                f"{surface.name} has no closed form to carry a twist ({phase} "
+                f"{bundle[phase]!r}); its series takes the trivial bundle")
+    return MeshSource(surface)
 
 
 def _run_ratio(cfg, rng):
@@ -324,7 +349,7 @@ def _run_embedding_check(cfg, rng):
     }
 
 
-_PHASES = ("alpha", "beta")                          # read by _separable_from
+_PHASES = ("alpha", "beta")     # read by _separable_from and _series_source
 _HOLONOMY = ("kind", "rank", "seed", "generators")   # read by _bundle_from
 
 # experiment kind -> (runner, the keys its config must hold, the bundle fields

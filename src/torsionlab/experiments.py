@@ -2,10 +2,20 @@
 discrete-to-continuum embedding identities.
 
 The renormalized log-determinant subtracts the area and perimeter growth and
-adds back 2 zeta(0) log n; for tori, cylinders and rectangles it converges
-and the limits are checked against the closed-form torsions.  Those setups
-are torsion.SeparableSurface objects: convergence_study and ratio_study read
-their log_det(n), area, perimeter, zeta(0), target and label.
+adds back 2 zeta(0) log n.  One loop builds every renormalized series, from
+a *source*: an object with log_det(n), rank, area, perimeter, zeta0,
+target() (None without a closed form) and label().
+
+- torsion.SeparableSurface (tori, cylinders, rectangles, twisted or not)
+  gives log_det(n) in closed form, and its limit is the continuum torsion.
+- MeshSource meshes any surface at each n, with the trivial line bundle or
+  a flat bundle, and takes the sparse log det' (laplacian.sparse_log_det);
+  it records each n's kernel gap, Lanczos steps and fill as the series'
+  health.  It has no target.
+
+convergence_study runs the loop on a source.  dense_renorm_series runs it on
+the same meshes through dense eigensolves: it is the oracle of the sparse
+route, and no option selects it elsewhere.
 """
 
 from __future__ import annotations
@@ -17,10 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .bundles import trivial_connection, connection_from_holonomy
+from .bundles import connection_from_holonomy, flat_sections_dim, trivial_connection
 from .errors import BisectionFailure, HypothesisViolation, SupportViolation
-from .laplacian import assemble, log_det_prime, spectrum
-from .meshes import discretize
+from .laplacian import (assemble, check_dense_budget, check_sparse_budget, log_det_prime,
+                        sparse_log_det, spectrum)
+from .meshes import discretize, mesh_counts
 from .meshspectra import CATALAN, LOG_SQRT2M1
 from .surfaces import geometry_summary
 from .torsion import zeta_zero
@@ -66,6 +77,9 @@ class RenormSeries:
     extrapolated: float
     err_estimate: float
     target: float = None
+    # per n, {kernel_gap, lanczos_steps, nnz, factor_nnz} of a MeshSource's
+    # sparse solve; None for the other sources
+    health: list = None
 
     def abs_errors(self):
         if self.target is None:
@@ -73,45 +87,94 @@ class RenormSeries:
         return [abs(x - self.target) for x in self.renorms]
 
 
-def convergence_study(setup, n_list):
-    """Renormalized log-determinant series of a rank-1 SeparableSurface, with
-    Richardson extrapolation."""
+def _series(source, n_list):
+    """The renormalized series of ``source`` at the sorted ns, renormalized at
+    its rank, with Richardson extrapolation.  The one loop behind
+    convergence_study and dense_renorm_series; private, so that a traced run
+    sees no torsionlab function between those two and their solves."""
     ns = sorted(n_list)
     if not ns:
         raise HypothesisViolation("empty n list")
     logdets = []
     renorms = []
     for n in ns:
-        ld = setup.log_det(n)
+        ld = source.log_det(n)
         logdets.append(ld)
-        renorms.append(renormalized_logdet(ld, 1, setup.area, setup.perimeter,
-                                           setup.zeta0, n))
+        renorms.append(renormalized_logdet(ld, source.rank, source.area, source.perimeter,
+                                           source.zeta0, n))
     limit, err = richardson_extrapolate(ns, renorms)
-    return RenormSeries(label=setup.label(), ns=ns, logdets=logdets, renorms=renorms,
-                        extrapolated=limit, err_estimate=err, target=setup.target())
+    health = getattr(source, "health", None)
+    return RenormSeries(label=source.label(), ns=ns, logdets=logdets, renorms=renorms,
+                        extrapolated=limit, err_estimate=err, target=source.target(),
+                        health=None if health is None else [health[n] for n in ns])
+
+
+def convergence_study(source, n_list):
+    """Renormalized log-determinant series of ``source`` (a SeparableSurface or
+    a MeshSource), with Richardson extrapolation."""
+    return _series(source, n_list)
+
+
+class MeshSource:
+    """A surface meshed at each n, carrying the trivial line bundle or the flat
+    bundle of ``rep`` at its rank, solved by the sparse log det'.
+
+    Area and perimeter come from the geometry summary, and zeta(0) from the
+    holonomy's count of flat sections, which does not depend on n.  Each
+    log_det(n) checks the sparse budget before the mesh is built (so an
+    over-budget n raises BudgetExceeded and builds nothing), and its solve
+    confirms the kernel and its gap; ``health[n]`` keeps the solve's numbers.
+    """
+
+    def __init__(self, surface, rep=None):
+        summary = geometry_summary(surface)
+        self.surface = surface
+        self.rep = rep
+        self.rank = 1 if rep is None else rep.rank
+        self.area = summary.area
+        self.perimeter = summary.perimeter
+        dim_h0 = 1 if rep is None else flat_sections_dim(rep)
+        self.zeta0 = zeta_zero(summary, rank=self.rank, dim_h0=dim_h0)
+        self.health = {}
+
+    def _connection(self, n, check_budget):
+        check_budget(self.rank, *mesh_counts(self.surface, n))
+        mesh = discretize(self.surface, n)
+        if self.rep is None:
+            return trivial_connection(mesh)
+        return connection_from_holonomy(mesh, self.rep)
+
+    def log_det(self, n):
+        res = sparse_log_det(self._connection(n, check_sparse_budget))
+        self.health[n] = {"kernel_gap": res.kernel_gap, "lanczos_steps": res.lanczos_steps,
+                          "nnz": res.nnz, "factor_nnz": res.factor_nnz}
+        return res.log_det_prime
+
+    def target(self):
+        return None
+
+    def label(self):
+        return self.surface.name
+
+
+class _DenseSource(MeshSource):
+    """MeshSource solved by a dense eigensolve: the oracle's source."""
+
+    def __init__(self, surface, rep=None):
+        super().__init__(surface, rep)
+        self.health = None
+
+    def log_det(self, n):
+        conn = self._connection(n, lambda rank, nv, ne: check_dense_budget(rank, nv))
+        return log_det_prime(spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections))
 
 
 def dense_renorm_series(surface, n_list, rep=None):
     """Renormalized series for an arbitrary surface via dense eigensolves, of
-    the trivial line bundle or the flat bundle of ``rep`` at its rank;
-    ``laplacian.assemble`` refuses meshes beyond its dense budget."""
-    summary = geometry_summary(surface)
-    ns = sorted(n_list)
-    logdets = []
-    renorms = []
-    for n in ns:
-        mesh = discretize(surface, n)
-        conn = (trivial_connection(mesh) if rep is None
-                else connection_from_holonomy(mesh, rep))
-        spec = spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections)
-        ld = log_det_prime(spec)
-        z0 = zeta_zero(summary, rank=conn.rank, dim_h0=conn.flat_sections)
-        logdets.append(ld)
-        renorms.append(renormalized_logdet(ld, conn.rank, summary.area,
-                                           summary.perimeter, z0, n))
-    limit, err = richardson_extrapolate(ns, renorms)
-    return RenormSeries(label=surface.name, ns=ns, logdets=logdets, renorms=renorms,
-                        extrapolated=limit, err_estimate=err)
+    the trivial line bundle or the flat bundle of ``rep`` at its rank: the
+    oracle of ``convergence_study(MeshSource(surface, rep), n_list)``.
+    Meshes beyond the dense budget are refused before they are built."""
+    return _series(_DenseSource(surface, rep), n_list)
 
 
 def model_correction_series(surface, n_list):
@@ -132,7 +195,7 @@ def model_correction_series(surface, n_list):
     ns = sorted(n_list)
     totals = [0.0] * len(ns)
     for piece in pieces:
-        series = dense_renorm_series(piece, ns)
+        series = convergence_study(MeshSource(piece), ns)
         totals = [t + r for t, r in zip(totals, series.renorms)]
     return ns, totals
 

@@ -168,6 +168,7 @@ class SeparableSurface:
     alpha: float = 0.0
     beta: float = 0.0
     factors: tuple = field(init=False, repr=False, compare=False)
+    rank = 1    # a U(1) twist: the series renormalizes at rank 1
 
     def __post_init__(self):
         periodic = SEPARABLE_KINDS.get(self.kind)

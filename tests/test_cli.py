@@ -248,14 +248,45 @@ def test_szego_and_determinism(tmp_path):
         assert all(math.isfinite(float(field)) for field in row.split(","))
 
 
-@pytest.mark.parametrize("experiment", ["heat-trace", "torsion", "weyl-check",
-                                        "renorm-series"])
+@pytest.mark.parametrize("experiment", ["heat-trace", "torsion", "weyl-check"])
 def test_non_separable_kind_exits_2(tmp_path, experiment):
     cfg = {"experiment": experiment, "surface": {"kind": "lshape"}, "n_list": [4]}
     code, out = _run(tmp_path, cfg)
     assert code == 2
     meta = json.loads((out / "meta.json").read_text())
     assert meta["error"]["code"] == "HypothesisViolation"
+
+
+def test_renorm_series_runs_on_a_kind_without_closed_form(tmp_path):
+    # the L-shape runs through the sparse log det': no target, and the
+    # health of each n's solve in meta.json
+    cfg = {"experiment": "renorm-series", "surface": {"kind": "lshape"}, "n_list": [8, 16, 32]}
+    code, out = _run(tmp_path, cfg)
+    assert code == 0
+    lines = (out / "series.csv").read_text().splitlines()
+    assert lines[0] == "n,logdet,renormalized,extrapolated_limit,target,abs_error"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[4:] for r in rows] == [["", ""]] * 3
+    renorms = [float(r[2]) for r in rows]
+    d = [abs(b - a) for a, b in zip(renorms, renorms[1:])]
+    assert d[1] < d[0]
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["target"] is None and math.isfinite(meta["extrapolated"])
+    assert [h["n"] for h in meta["health"]] == [8, 16, 32]
+    for h in meta["health"]:
+        assert h["kernel_gap"] > 0 and h["lanczos_steps"] > 0 and h["factor_nnz"] >= h["nnz"] > 0
+
+
+def test_twisted_renorm_series_without_closed_form_exits_2(tmp_path):
+    cfg = {"experiment": "renorm-series", "surface": {"kind": "lshape"}, "bundle": _TWIST,
+           "n_list": [8]}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    assert json.loads((out / "meta.json").read_text())["error"]["code"] == "HypothesisViolation"
+    assert not (out / "series.csv").exists()
+    # a full turn is trivial holonomy, so no twist
+    code, _ = _run(tmp_path, {**cfg, "bundle": {"alpha": 2 * math.pi}}, name="turn.json")
+    assert code == 0
 
 
 _SEPARABLE_EXPERIMENTS = ["heat-trace", "torsion", "weyl-check", "renorm-series", "ratio"]

@@ -140,6 +140,50 @@ def test_dense_series_renormalizes_at_the_rank_of_rep():
         assert abs(got - want) <= 1e-9
 
 
+@pytest.mark.parametrize("surf,rep", [
+    (surfaces.cone_model(1), None),
+    (surfaces.lshape(), None),
+    (surfaces.angle_model(4), None),
+    # split SU(2): no flat section (k = 0)
+    (surfaces.torus(1, 1), bundles.HolonomyRepresentation(
+        2, [np.diag(np.exp([1j * p, -1j * p])) for p in (0.7, 0.3)])),
+    # diag(1, e^{i phi}): one flat section of two (0 < k < r), so vertex 0's
+    # fiber is rotated inside every solve of the series
+    (surfaces.torus(1, 1), bundles.HolonomyRepresentation(
+        2, [np.diag([1.0, np.exp(1j * p)]) for p in (0.9, -1.4)])),
+], ids=["cone1", "lshape", "angle4", "torus-su2-split", "torus-rank2-k1"])
+def test_mesh_source_series_matches_the_dense_oracle(surf, rep):
+    got = ex.convergence_study(ex.MeshSource(surf, rep), [2, 4, 8])
+    want = ex.dense_renorm_series(surf, [2, 4, 8], rep=rep)
+    assert got.ns == want.ns and got.label == want.label
+    assert max(abs(x - y) for x, y in zip(got.renorms, want.renorms)) < 1e-9
+    assert abs(got.extrapolated - want.extrapolated) < 1e-9
+    assert got.target is None and want.health is None
+    assert len(got.health) == 3
+    assert all(h["kernel_gap"] > 0 and h["factor_nnz"] >= h["nnz"] > 0 for h in got.health)
+
+
+def test_mesh_source_renormalizes_at_the_holonomy_rank_and_kernel():
+    rep = bundles.HolonomyRepresentation(2, [np.diag([1.0, np.exp(0.9j)]),
+                                             np.diag([1.0, np.exp(-1.4j)])])
+    source = ex.MeshSource(surfaces.torus(1, 1), rep)
+    assert source.rank == 2
+    assert source.zeta0 == zeta_zero(surfaces.geometry_summary(surfaces.torus(1, 1)),
+                                      rank=2, dim_h0=1)
+    assert SeparableSurface("torus", 1, 1).rank == 1
+    assert ex.convergence_study(SeparableSurface("torus", 1, 1), [4, 8]).health is None
+
+
+def test_mesh_source_refuses_an_over_budget_n_before_building(monkeypatch):
+    def no_mesh(*args):
+        raise AssertionError("discretize called for an over-budget n")
+
+    monkeypatch.setattr(ex, "discretize", no_mesh)
+    monkeypatch.setattr(meshes, "discretize", no_mesh)
+    with pytest.raises(BudgetExceeded):
+        ex.MeshSource(surfaces.lshape()).log_det(256)
+
+
 def test_dense_budget():
     with pytest.raises(BudgetExceeded):
         ex.dense_renorm_series(surfaces.rectangle(4, 4), [25])
