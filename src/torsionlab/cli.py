@@ -116,7 +116,7 @@ def _separable_from(cfg, which="surface"):
 
 def _run_renorm_series(cfg, rng):
     from .experiments import convergence_study
-    series = convergence_study(_series_source(cfg), cfg["n_list"])
+    series = convergence_study(_series_source(cfg, rng), cfg["n_list"])
     no_target = series.target is None
     rows = []
     for n, ld, rn, err in zip(series.ns, series.logdets, series.renorms, series.abs_errors()):
@@ -134,24 +134,23 @@ def _run_renorm_series(cfg, rng):
     }
 
 
-def _series_source(cfg):
-    """The closed-form SeparableSurface of a separable kind, else a MeshSource
-    with the trivial bundle; a twist on a kind without factors to carry it
-    raises HypothesisViolation."""
+def _series_source(cfg, rng):
+    """The closed-form SeparableSurface of a separable kind, else the
+    MeshSource of _mesh_source, whose bundle holds only phases and so is
+    trivial; a twist on a kind without factors to carry it raises
+    HypothesisViolation."""
     from .errors import HypothesisViolation
-    from .experiments import MeshSource
-    from .surfaces import build_surface
     from .torsion import FLAT_SECTION_TOL, SEPARABLE_KINDS
     if cfg["surface"].get("kind") in SEPARABLE_KINDS:
         return _separable_from(cfg)
-    surface = build_surface(cfg["surface"])
+    source = _mesh_source(cfg, rng)
     bundle = cfg.get("bundle") or {}
     for phase in _PHASES:
         if abs(cmath.exp(1j * float(bundle.get(phase, 0.0))) - 1.0) >= FLAT_SECTION_TOL:
             raise HypothesisViolation(
-                f"{surface.name} has no closed form to carry a twist ({phase} "
+                f"{source.label()} has no closed form to carry a twist ({phase} "
                 f"{bundle[phase]!r}); its series takes the trivial bundle")
-    return MeshSource(surface)
+    return source
 
 
 def _run_ratio(cfg, rng):
@@ -176,64 +175,53 @@ def _bundle_kind(bundle):
     return bundle.get("kind", "raw" if "generators" in bundle else "trivial")
 
 
-def _bundle_from(cfg, surface, rng):
-    """(rank, holonomy representation) of cfg["bundle"]; None for the trivial bundle."""
+def _mesh_source(cfg, rng):
+    """The experiments.MeshSource of cfg["surface"] and cfg["bundle"]: the
+    trivial bundle at its rank, a random flat bundle drawn from ``rng`` (or
+    from its own seed), or the raw generators."""
     from .bundles import HolonomyRepresentation, random_flat_representation
+    from .experiments import MeshSource
+    from .surfaces import build_surface
+    surface = build_surface(cfg["surface"])
     bundle = cfg.get("bundle") or {}
     rank = int(bundle.get("rank", 1))
     kind = _bundle_kind(bundle)
     if kind == "trivial":
-        return rank, None
+        return MeshSource(surface, rank=rank)
     if kind == "random":
         import numpy as np
         if "seed" in bundle:
             rng = np.random.default_rng(int(bundle["seed"]))
-        return rank, random_flat_representation(surface, rank, rng)
-    rep = HolonomyRepresentation.from_json(bundle)
-    return rep.rank, rep
+        return MeshSource(surface, random_flat_representation(surface, rank, rng))
+    return MeshSource(surface, HolonomyRepresentation.from_json(bundle))
 
 
-def _build_mesh_and_connection(cfg, rng, check_budget=None):
-    """(mesh, connection); the connection carries its flat-section count.
-
-    ``check_budget(rank, n_vertices, n_edges)`` sees the counts the surface's
-    geometry gives before the mesh is built, so a refused run builds none.
-    """
-    from .surfaces import build_surface
-    from .meshes import discretize, mesh_counts
-    from .bundles import trivial_connection, connection_from_holonomy
-    surface = build_surface(cfg["surface"])
-    n = cfg.get("n") or (cfg.get("n_list") or [1])[0]
-    rank, rep = _bundle_from(cfg, surface, rng)
-    if check_budget is not None:
-        check_budget(rank, *mesh_counts(surface, n))
-    mesh = discretize(surface, n)
-    if rep is None:
-        return mesh, trivial_connection(mesh, rank)
-    return mesh, connection_from_holonomy(mesh, rep)
+def _mesh_n(cfg):
+    """The n of a run on one mesh: cfg["n"], else the first of n_list, else 1."""
+    return cfg.get("n") or (cfg.get("n_list") or [1])[0]
 
 
 def _run_spectrum(cfg, rng):
     from .laplacian import assemble, check_dense_budget, spectrum, spectrum_csv
-    mesh, conn = _build_mesh_and_connection(
-        cfg, rng, lambda rank, nv, ne: check_dense_budget(rank, nv))
+    conn = _mesh_source(cfg, rng).connection(
+        _mesh_n(cfg), lambda rank, nv, ne: check_dense_budget(rank, nv))
     spec = spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections)
     return {
         "files": {"spectrum.csv": spectrum_csv(spec)},
-        "meta": {"n_vertices": mesh.n_vertices, "rank": conn.rank,
+        "meta": {"n_vertices": conn.graph.n_vertices, "rank": conn.rank,
                  "kernel_dim": spec.kernel_dim},
     }
 
 
 def _run_logdet(cfg, rng):
     from .laplacian import check_sparse_budget, sparse_log_det
-    mesh, conn = _build_mesh_and_connection(cfg, rng, check_sparse_budget)
+    conn = _mesh_source(cfg, rng).connection(_mesh_n(cfg), check_sparse_budget)
     res = sparse_log_det(conn)
     return {
-        "files": {"logdet.csv": _csv([(mesh.n, res.log_det_prime, res.kernel_dim)],
+        "files": {"logdet.csv": _csv([(conn.graph.n, res.log_det_prime, res.kernel_dim)],
                                      ["n", "logdet_prime", "kernel_dim"])},
         "meta": {"logdet_prime": res.log_det_prime, "kernel_dim": res.kernel_dim,
-                 "kernel_gap": res.kernel_gap, "n_vertices": mesh.n_vertices,
+                 "kernel_gap": res.kernel_gap, "n_vertices": conn.graph.n_vertices,
                  "nnz": res.nnz, "factor_nnz": res.factor_nnz,
                  "lanczos_steps": res.lanczos_steps},
     }
@@ -242,14 +230,14 @@ def _run_logdet(cfg, rng):
 def _run_crsf_verify(cfg, rng):
     from .forests import (check_enumeration_caps, crsf_weighted_sum, crsf_census_csv,
                           crsf_identity, enumerate_crsfs)
-    mesh, conn = _build_mesh_and_connection(
-        cfg, rng, lambda rank, nv, ne: check_enumeration_caps(nv, ne, nv))
-    crsfs = enumerate_crsfs(mesh)
+    conn = _mesh_source(cfg, rng).connection(
+        _mesh_n(cfg), lambda rank, nv, ne: check_enumeration_caps(nv, ne, nv))
+    crsfs = enumerate_crsfs(conn.graph)
     total = crsf_weighted_sum(conn, crsfs)
     det, ok = crsf_identity(conn, total)
     flag = "sqrt_ok" if conn.rank == 2 else "det_ok"
     line = f"sum={total!r} det={det!r} {flag}={str(ok).lower()}"
-    census = crsf_census_csv(mesh, conn, crsfs)
+    census = crsf_census_csv(conn.graph, conn, crsfs)
     return {
         "files": {"crsf.csv": census, "report.txt": line + "\n"},
         "meta": {"sum": total, "det": det, "identity_ok": bool(ok)},
@@ -289,15 +277,10 @@ def _run_heat_trace(cfg, rng):
 
 
 def _run_zeta0(cfg, rng):
-    from .surfaces import build_surface, geometry_summary
-    from .bundles import flat_sections_dim
-    from .torsion import zeta_zero
-    surface = build_surface(cfg["surface"])
-    rank, rep = _bundle_from(cfg, surface, rng)
-    dim_h0 = rank if rep is None else flat_sections_dim(rep)
-    z = zeta_zero(geometry_summary(surface), rank=rank, dim_h0=dim_h0)
+    source = _mesh_source(cfg, rng)
+    z = source.zeta0
     return {
-        "files": {"zeta0.csv": _csv([(surface.name, str(z), float(z))],
+        "files": {"zeta0.csv": _csv([(source.label(), str(z), float(z))],
                                     ["surface", "zeta0_exact", "zeta0_float"])},
         "meta": {"zeta0": str(z)},
     }
@@ -350,7 +333,7 @@ def _run_embedding_check(cfg, rng):
 
 
 _PHASES = ("alpha", "beta")     # read by _separable_from and _series_source
-_HOLONOMY = ("kind", "rank", "seed", "generators")   # read by _bundle_from
+_HOLONOMY = ("kind", "rank", "seed", "generators")   # read by _mesh_source
 
 # experiment kind -> (runner, the keys its config must hold, the bundle fields
 # it reads); only ratio reads bundle_b, with the same fields as its bundle
@@ -393,6 +376,9 @@ def validate_config(cfg):
         raise ConfigError("n must be a positive integer")
     if "trials" in cfg and not _is_count(cfg["trials"], 1):
         raise ConfigError("trials must be a positive integer")
+    if "profile" in cfg and not _is_profile(cfg["profile"]):
+        raise ConfigError("profile needs positive numbers a and b, and coeffs as a list of "
+                          "[i, j, value] with non-negative integers i, j and a finite value")
     ts = cfg.get("t_list", [1.0])
     if not isinstance(ts, list) or not ts or any(not _is_real(t) or t <= 0 for t in ts):
         raise ConfigError("t_list must be a non-empty list of positive times")
@@ -430,6 +416,14 @@ def _is_matrix_list(gens):
             and all(isinstance(z, list) and len(z) == 2 and all(map(_is_real, z)) for z in row)
             for row in g)
         for g in gens)
+
+
+def _is_profile(profile):
+    coeffs = profile.get("coeffs")
+    return (all(_is_real(profile.get(side)) and profile[side] > 0 for side in ("a", "b"))
+            and isinstance(coeffs, list)
+            and all(isinstance(c, list) and len(c) == 3 and _is_count(c[0], 0)
+                    and _is_count(c[1], 0) and _is_real(c[2]) for c in coeffs))
 
 
 def run(args):

@@ -8,14 +8,17 @@ target() (None without a closed form) and label().
 
 - torsion.SeparableSurface (tori, cylinders, rectangles, twisted or not)
   gives log_det(n) in closed form, and its limit is the continuum torsion.
-- MeshSource meshes any surface at each n, with the trivial line bundle or
-  a flat bundle, and takes the sparse log det' (laplacian.sparse_log_det);
-  it records each n's kernel gap, Lanczos steps and fill as the series'
-  health.  It has no target.
+- MeshSource is a surface with a flat bundle (the trivial one at any rank,
+  or a holonomy).  It meshes the surface at each n, and takes the sparse
+  log det' (laplacian.sparse_log_det); it records each n's kernel gap,
+  Lanczos steps and fill as the series' health.  It has no target.  Its
+  connection(n, check_budget) is also the one mesh setup of every CLI run
+  that meshes a surface, each with its own route's budget.
 
-convergence_study runs the loop on a source.  dense_renorm_series runs it on
-the same meshes through dense eigensolves: it is the oracle of the sparse
-route, and no option selects it elsewhere.
+convergence_study runs the loop on a source, solving the largest n first, so
+that a ladder beyond the budget is refused before its first mesh.
+dense_renorm_series runs it on the same meshes through dense eigensolves: it
+is the oracle of the sparse route, and no option selects it elsewhere.
 """
 
 from __future__ import annotations
@@ -91,17 +94,15 @@ def _series(source, n_list):
     """The renormalized series of ``source`` at the sorted ns, renormalized at
     its rank, with Richardson extrapolation.  The one loop behind
     convergence_study and dense_renorm_series; private, so that a traced run
-    sees no torsionlab function between those two and their solves."""
+    sees no torsionlab function between those two and their solves.  The
+    largest n is solved first: a ladder that ends beyond the source's budget
+    is refused before its first mesh."""
     ns = sorted(n_list)
     if not ns:
         raise HypothesisViolation("empty n list")
-    logdets = []
-    renorms = []
-    for n in ns:
-        ld = source.log_det(n)
-        logdets.append(ld)
-        renorms.append(renormalized_logdet(ld, source.rank, source.area, source.perimeter,
-                                           source.zeta0, n))
+    logdets = [source.log_det(n) for n in reversed(ns)][::-1]
+    renorms = [renormalized_logdet(ld, source.rank, source.area, source.perimeter,
+                                   source.zeta0, n) for n, ld in zip(ns, logdets)]
     limit, err = richardson_extrapolate(ns, renorms)
     health = getattr(source, "health", None)
     return RenormSeries(label=source.label(), ns=ns, logdets=logdets, renorms=renorms,
@@ -116,8 +117,8 @@ def convergence_study(source, n_list):
 
 
 class MeshSource:
-    """A surface meshed at each n, carrying the trivial line bundle or the flat
-    bundle of ``rep`` at its rank, solved by the sparse log det'.
+    """A surface meshed at each n, carrying the trivial bundle at ``rank`` or
+    the flat bundle of ``rep`` at its own rank, solved by the sparse log det'.
 
     Area and perimeter come from the geometry summary, and zeta(0) from the
     holonomy's count of flat sections, which does not depend on n.  Each
@@ -126,26 +127,29 @@ class MeshSource:
     confirms the kernel and its gap; ``health[n]`` keeps the solve's numbers.
     """
 
-    def __init__(self, surface, rep=None):
+    def __init__(self, surface, rep=None, rank=1):
         summary = geometry_summary(surface)
         self.surface = surface
         self.rep = rep
-        self.rank = 1 if rep is None else rep.rank
+        self.rank = rank if rep is None else rep.rank
         self.area = summary.area
         self.perimeter = summary.perimeter
-        dim_h0 = 1 if rep is None else flat_sections_dim(rep)
+        dim_h0 = self.rank if rep is None else flat_sections_dim(rep)
         self.zeta0 = zeta_zero(summary, rank=self.rank, dim_h0=dim_h0)
         self.health = {}
 
-    def _connection(self, n, check_budget):
+    def connection(self, n, check_budget):
+        """The bundle's connection on the mesh at n.  ``check_budget(rank,
+        n_vertices, n_edges)`` sees the counts the geometry gives before the
+        mesh is built, so a refused n builds none."""
         check_budget(self.rank, *mesh_counts(self.surface, n))
         mesh = discretize(self.surface, n)
         if self.rep is None:
-            return trivial_connection(mesh)
+            return trivial_connection(mesh, self.rank)
         return connection_from_holonomy(mesh, self.rep)
 
     def log_det(self, n):
-        res = sparse_log_det(self._connection(n, check_sparse_budget))
+        res = sparse_log_det(self.connection(n, check_sparse_budget))
         self.health[n] = {"kernel_gap": res.kernel_gap, "lanczos_steps": res.lanczos_steps,
                           "nnz": res.nnz, "factor_nnz": res.factor_nnz}
         return res.log_det_prime
@@ -165,7 +169,7 @@ class _DenseSource(MeshSource):
         self.health = None
 
     def log_det(self, n):
-        conn = self._connection(n, lambda rank, nv, ne: check_dense_budget(rank, nv))
+        conn = self.connection(n, lambda rank, nv, ne: check_dense_budget(rank, nv))
         return log_det_prime(spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections))
 
 
@@ -231,6 +235,9 @@ def uniform_weyl_check(spectra):
         if not spec.rescale_flag:
             raise ValueError("uniform_weyl_check expects n^2-rescaled spectra")
         lam = spec.eigenvalues
+        if lam.size < 2:
+            raise HypothesisViolation(
+                f"the spectrum at n = {spec.meta.get('n')} has no lambda_i with i >= 1")
         i = np.arange(1, lam.size)
         ratios = lam[1:] / i
         k = int(np.argmin(ratios))

@@ -294,6 +294,9 @@ def from_raw(tiles, pairing_list):
 
     ``pairing_list``: iterable of ((tile, side_name), (tile, side_name), kind).
     """
+    tiles = list(tiles)
+    if not tiles:
+        raise InvalidGluing("a surface needs at least one tile")
     pairings = {}
     for (t1, s1), (t2, s2), kind in pairing_list:
         a = (t1, _side_from_name(s1))
@@ -302,7 +305,7 @@ def from_raw(tiles, pairing_list):
             raise InvalidGluing(f"side listed twice: {a} or {b}")
         pairings[a] = (b[0], b[1], kind)
         pairings[b] = (a[0], a[1], kind)
-    surface = SquareTiledSurface(SquareComplex(list(tiles), pairings), name="raw",
+    surface = SquareTiledSurface(SquareComplex(tiles, pairings), name="raw",
                                  kind="raw", params={})
     if gauss_bonnet_defect(surface) != 0:
         raise InvalidGluing("Gauss-Bonnet defect nonzero: gluing inconsistent")
@@ -358,15 +361,29 @@ def build_surface(spec):
     if kind == "angle":
         return angle_model(_posint(spec, "k"))
     if kind == "raw":
-        tiles = [tuple(t) if isinstance(t, list) else t for t in spec["tiles"]]
+        tiles, pairings = spec.get("tiles"), spec.get("pairings")
+        if not isinstance(tiles, list) or not isinstance(pairings, list):
+            raise InvalidGluing("a raw surface needs a list of tiles and a list of pairings")
         plist = []
-        for entry in spec["pairings"]:
+        for entry in pairings:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                    and all(isinstance(side, (list, tuple)) and len(side) == 2
+                            for side in entry[:2])):
+                raise InvalidGluing(f"pairing {entry!r} is not [[tile, side], [tile, side], kind]")
             (t1, s1), (t2, s2), kind_ = entry
-            t1 = tuple(t1) if isinstance(t1, list) else t1
-            t2 = tuple(t2) if isinstance(t2, list) else t2
-            plist.append(((t1, s1), (t2, s2), kind_))
-        return from_raw(tiles, plist)
+            plist.append(((_tile_id(t1), s1), (_tile_id(t2), s2), kind_))
+        return from_raw([_tile_id(t) for t in tiles], plist)
     raise InvalidGluing(f"unknown surface kind {kind!r}")
+
+
+def _tile_id(t):
+    """A raw spec's tile id, a list read as a tuple; it must be hashable."""
+    t = tuple(t) if isinstance(t, list) else t
+    try:
+        hash(t)
+    except TypeError:
+        raise InvalidGluing(f"tile id {t!r} is not a number, a string or a list of them") from None
+    return t
 
 
 def _posint(spec, key):

@@ -171,33 +171,26 @@ def test_sparse_budget_refusal_exits_3(tmp_path):
     assert meta["error"]["code"] == "BudgetExceeded"
 
 
-@pytest.mark.parametrize("experiment,n", [("logdet", 256), ("spectrum", 64)])
-def test_over_budget_run_builds_no_mesh(tmp_path, monkeypatch, experiment, n):
-    from torsionlab import meshes
+@pytest.mark.parametrize("experiment,size,error", [
+    ("logdet", {"n": 256}, "BudgetExceeded"),
+    ("spectrum", {"n": 64}, "BudgetExceeded"),
+    ("crsf-verify", {"n": 256}, "TooLarge"),
+    ("renorm-series", {"n_list": [64, 128, 256]}, "BudgetExceeded")],
+    ids=["logdet-256", "spectrum-64", "crsf-verify-256", "renorm-series-64-128-256"])
+def test_over_budget_run_builds_no_mesh(tmp_path, monkeypatch, experiment, size, error):
+    # the runners mesh through experiments' own binding of discretize
+    from torsionlab import experiments, meshes
 
     def refuse(*args, **kwargs):
         raise AssertionError("discretize was called")
 
     monkeypatch.setattr(meshes, "discretize", refuse)
-    cfg = {"experiment": experiment, "surface": {"kind": "lshape"}, "n": n}
+    monkeypatch.setattr(experiments, "discretize", refuse)
+    cfg = {"experiment": experiment, "surface": {"kind": "lshape"}, **size}
     code, out = _run(tmp_path, cfg)
     assert code == 3
     meta = json.loads((out / "meta.json").read_text())
-    assert meta["error"]["code"] == "BudgetExceeded"
-
-
-def test_refused_crsf_verify_builds_no_mesh(tmp_path, monkeypatch):
-    from torsionlab import meshes
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("discretize was called")
-
-    monkeypatch.setattr(meshes, "discretize", refuse)
-    cfg = {"experiment": "crsf-verify", "surface": {"kind": "lshape"}, "n": 256}
-    code, out = _run(tmp_path, cfg)
-    assert code == 3
-    meta = json.loads((out / "meta.json").read_text())
-    assert meta["error"]["code"] == "TooLarge"
+    assert meta["error"]["code"] == error
 
 
 def test_logdet_meta_reports_lanczos_steps_and_scipy(tmp_path):
@@ -400,13 +393,46 @@ def test_weyl_check_honours_the_twist(tmp_path):
     {"experiment": "renorm-series", "surface": _TORUS11, "n_list": [2, 4, 8],
      "bundle": {"alpah": 1.3}},
     {"experiment": "renorm-series", "surface": _TORUS11, "n_list": [2, 4, 8],
-     "bundle_b": {"alpha": 1.3}}],
+     "bundle_b": {"alpha": 1.3}},
+    {"experiment": "szego", "profile": {"a": 2, "b": 2}, "n_list": [4]},
+    {"experiment": "szego", "profile": {"a": 2, "b": 2, "coeffs": [[0, 0, "x"]]},
+     "n_list": [4]},
+    {"experiment": "szego", "profile": {"a": 2, "b": "2", "coeffs": [[1, 0, 1.0]]},
+     "n_list": [4]},
+    {"experiment": "szego", "profile": {"a": 2, "b": 2, "coeffs": {"x": 1}}, "n_list": [4]}],
     ids=["n-zero", "n-string", "negative-rank", "alpha-string", "t-zero",
          "ragged-generator", "non-numeric-generator", "logdet-phases",
-         "renorm-series-generators", "misspelt-phase", "bundle_b-outside-ratio"])
+         "renorm-series-generators", "misspelt-phase", "bundle_b-outside-ratio",
+         "profile-no-coeffs", "profile-string-value", "profile-string-b",
+         "profile-coeffs-object"])
 def test_malformed_input_exits_2(tmp_path, cfg):
     code, out = _run(tmp_path, cfg)
     assert code == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["zeta0", "logdet"])
+@pytest.mark.parametrize("spec", [
+    {"kind": "raw", "tiles": [0]},
+    {"kind": "raw", "tiles": 5, "pairings": []},
+    {"kind": "raw", "tiles": [0, 1], "pairings": [[[0, "E"], [1, "W"]]]},
+    {"kind": "raw", "tiles": [{"x": 0}], "pairings": []},
+    {"kind": "raw", "tiles": [], "pairings": []}],
+    ids=["no-pairings", "tiles-number", "two-part-pairing", "object-tile", "no-tiles"])
+def test_malformed_raw_surface_exits_2(tmp_path, experiment, spec):
+    code, out = _run(tmp_path, {"experiment": experiment, "surface": spec})
+    assert code == 2
+    assert json.loads((out / "meta.json").read_text())["error"]["code"] == "InvalidGluing"
+
+
+@pytest.mark.parametrize("surface", [{"kind": "rectangle", "a": 1, "b": 1}, _TORUS11],
+                         ids=["rectangle", "torus"])
+def test_weyl_check_on_a_one_vertex_mesh_exits_2(tmp_path, surface):
+    # at n = 1 the mesh has one vertex, so no lambda_i with i >= 1
+    cfg = {"experiment": "weyl-check", "surface": surface, "n_list": [1, 2]}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    error = json.loads((out / "meta.json").read_text())["error"]
+    assert error["code"] == "HypothesisViolation" and "n = 1" in error["message"]
 
 
 @pytest.mark.parametrize("cfg,key", [

@@ -184,6 +184,22 @@ def test_mesh_source_refuses_an_over_budget_n_before_building(monkeypatch):
         ex.MeshSource(surfaces.lshape()).log_det(256)
 
 
+@pytest.mark.parametrize("series,surface,ns", [
+    (lambda surface, ns: ex.convergence_study(ex.MeshSource(surface), ns),
+     surfaces.lshape(), [64, 128, 256]),
+    (ex.dense_renorm_series, surfaces.rectangle(4, 4), [10, 20, 40])],
+    ids=["mesh-source", "dense"])
+def test_a_ladder_beyond_its_budget_is_refused_before_its_first_mesh(monkeypatch, series,
+                                                                      surface, ns):
+    def no_mesh(*args):
+        raise AssertionError("discretize called for a refused ladder")
+
+    monkeypatch.setattr(ex, "discretize", no_mesh)
+    monkeypatch.setattr(meshes, "discretize", no_mesh)
+    with pytest.raises(BudgetExceeded):
+        series(surface, ns)
+
+
 def test_dense_budget():
     with pytest.raises(BudgetExceeded):
         ex.dense_renorm_series(surfaces.rectangle(4, 4), [25])
