@@ -15,7 +15,7 @@ import numpy as np
 
 from .complexes import E, N
 from .errors import BadCuts, NonUnitaryGauge, NotAClosedWalk, RankMismatch
-from .surfaces import standard_cuts
+from .surfaces import SEPARABLE_KINDS, standard_cuts
 from .torsion import FLAT_SECTION_TOL
 
 UNITARY_TOL = 1e-12
@@ -92,10 +92,6 @@ class UnitaryConnection:
             self._steps = (list(self.transports),
                            list(self.transports.conj().swapaxes(-1, -2)))
         return self._steps
-
-    def transport(self, edge_index, direction):
-        """Transport along edge ``edge_index``; +1 is the stored u -> v direction."""
-        return self.steps()[0 if direction == +1 else 1][edge_index]
 
 
 def trivial_connection(graph, rank=1):
@@ -264,18 +260,19 @@ def random_flat_representation(surface, rank, rng):
 def generator_loop(mesh, generator=0):
     """A directed edge cycle crossing the given standard cut exactly once.
 
-    Works for the torus and cylinder constructors: a straight loop along the
-    periodic direction (generator 0) or the vertical direction (generator 1).
+    A straight loop along side a (generator 0) or side b (generator 1) of a
+    SEPARABLE_KINDS surface; BadCuts unless that side is periodic.
     """
     surf = mesh.surface
+    periodic = SEPARABLE_KINDS.get(surf.kind, (False, False))
+    if generator not in (0, 1) or not periodic[generator]:
+        raise BadCuts(f"{surf.name} has no periodic side for generator {generator}")
     a = surf.params["a"]
     b = surf.params["b"]
     n = mesh.n
     if generator == 0:
         side = E
         vids = [mesh.vertex_id((tile, 0), i, 0) for tile in range(a) for i in range(n)]
-    elif surf.kind != "torus":
-        raise BadCuts("vertical generator exists only on the torus")
     else:
         side = N
         vids = [mesh.vertex_id((0, tile), 0, j) for tile in range(b) for j in range(n)]

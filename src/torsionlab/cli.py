@@ -8,7 +8,6 @@ refusal.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -140,13 +139,13 @@ def _series_source(cfg, rng):
     trivial; a twist on a kind without factors to carry it raises
     HypothesisViolation."""
     from .errors import HypothesisViolation
-    from .torsion import FLAT_SECTION_TOL, SEPARABLE_KINDS
+    from .torsion import SEPARABLE_KINDS, Factor
     if cfg["surface"].get("kind") in SEPARABLE_KINDS:
         return _separable_from(cfg)
     source = _mesh_source(cfg, rng)
     bundle = cfg.get("bundle") or {}
     for phase in _PHASES:
-        if abs(cmath.exp(1j * float(bundle.get(phase, 0.0))) - 1.0) >= FLAT_SECTION_TOL:
+        if not Factor.trivial(float(bundle.get(phase, 0.0))):
             raise HypothesisViolation(
                 f"{source.label()} has no closed form to carry a twist ({phase} "
                 f"{bundle[phase]!r}); its series takes the trivial bundle")

@@ -113,21 +113,13 @@ class SquareComplex:
 
     # -- vertex classes -----------------------------------------------------
 
-    def _step_ccw(self, c, k):
-        """One counterclockwise step around the vertex at corner k of cell c.
+    def _step(self, c, k, sides):
+        """One step around the vertex at corner k of cell c, out through side
+        sides[k]: counterclockwise with EXIT_SIDE, clockwise with ENTER_SIDE.
 
-        Returns (c', k') or None when the exit side is a boundary side.
+        Returns (c', k') or None when that side is a boundary side.
         """
-        d = EXIT_SIDE[k]
-        if (c, d) not in self.pairings:
-            return None
-        c2, d2, kind = self.pairings[(c, d)]
-        t = CORNER_PARAM[(d, k)]
-        t2 = t if kind == TRANSLATION else 1 - t
-        return c2, CORNER_ON_SIDE[d2][t2]
-
-    def _step_cw(self, c, k):
-        d = ENTER_SIDE[k]
+        d = sides[k]
         if (c, d) not in self.pairings:
             return None
         c2, d2, kind = self.pairings[(c, d)]
@@ -149,7 +141,7 @@ class SquareComplex:
                 boundary = False
                 cur = (c, k)
                 while True:
-                    nxt = self._step_ccw(*cur)
+                    nxt = self._step(*cur, EXIT_SIDE)
                     if nxt is None:
                         boundary = True
                         break
@@ -162,7 +154,7 @@ class SquareComplex:
                 if boundary:
                     cur = (c, k)
                     while True:
-                        prv = self._step_cw(*cur)
+                        prv = self._step(*cur, ENTER_SIDE)
                         if prv is None:
                             break
                         fan.insert(0, prv)
@@ -180,6 +172,25 @@ class SquareComplex:
             if (c, k) in vc.corners:
                 return vc
         raise KeyError((c, k))
+
+    def n_components(self):
+        """Number of connected components of the cells under the pairings."""
+        seen = set()
+        count = 0
+        for c in self.cells:
+            if c in seen:
+                continue
+            count += 1
+            seen.add(c)
+            stack = [c]
+            while stack:
+                cell = stack.pop()
+                for d in (E, N, W, S):
+                    other = self.pairings.get((cell, d))
+                    if other is not None and other[0] not in seen:
+                        seen.add(other[0])
+                        stack.append(other[0])
+        return count
 
     def n_side_classes(self):
         paired = len(self.pairings) // 2
@@ -211,18 +222,14 @@ class SquareComplex:
             raise ValueError("subdivision must be >= 1")
         cells = [(c, i, j) for c in self.cells for i in range(n) for j in range(n)]
         pairings = {}
-
-        def add(slot_a, slot_b, kind):
-            pairings[slot_a] = (slot_b[0], slot_b[1], kind)
-            pairings[slot_b] = (slot_a[0], slot_a[1], kind)
-
+        glue = self.glue
         for c in self.cells:
             for i in range(n):
                 for j in range(n):
                     if i + 1 < n:
-                        add(((c, i, j), E), ((c, i + 1, j), W), TRANSLATION)
+                        glue(pairings, ((c, i, j), E), ((c, i + 1, j), W))
                     if j + 1 < n:
-                        add(((c, i, j), N), ((c, i, j + 1), S), TRANSLATION)
+                        glue(pairings, ((c, i, j), N), ((c, i, j + 1), S))
         done = set()
         for (c, d), (c2, d2, kind) in self.pairings.items():
             key = frozenset(((c, d), (c2, d2)))
@@ -231,8 +238,16 @@ class SquareComplex:
             done.add(key)
             for s in range(n):
                 s2 = s if kind == TRANSLATION else n - 1 - s
-                add(self.refined_side(c, d, s, n), self.refined_side(c2, d2, s2, n), kind)
+                glue(pairings, self.refined_side(c, d, s, n), self.refined_side(c2, d2, s2, n),
+                     kind)
         return SquareComplex(cells, pairings, validate=False)
+
+    @staticmethod
+    def glue(pairings, slot_a, slot_b, kind=TRANSLATION):
+        """Pair the (cell, side) slots ``slot_a`` and ``slot_b`` in ``pairings``,
+        stored in both directions as SquareComplex takes them."""
+        pairings[slot_a] = (slot_b[0], slot_b[1], kind)
+        pairings[slot_b] = (slot_a[0], slot_a[1], kind)
 
     @staticmethod
     def refined_side(c, d, s, n):

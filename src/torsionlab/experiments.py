@@ -15,8 +15,9 @@ target() (None without a closed form) and label().
   connection(n, check_budget) is also the one mesh setup of every CLI run
   that meshes a surface, each with its own route's budget.
 
-convergence_study runs the loop on a source, solving the largest n first, so
-that a ladder beyond the budget is refused before its first mesh.
+convergence_study runs the loop on a source.  It checks the ladder and then
+solves the largest n first, so that a ladder the extrapolation refuses, or
+one beyond the budget, is refused before its first mesh.
 dense_renorm_series runs it on the same meshes through dense eigensolves: it
 is the oracle of the sparse route, and no option selects it elsewhere.
 """
@@ -36,7 +37,7 @@ from .laplacian import (assemble, check_dense_budget, check_sparse_budget, log_d
                         sparse_log_det, spectrum)
 from .meshes import discretize, mesh_counts
 from .meshspectra import CATALAN, LOG_SQRT2M1
-from .surfaces import geometry_summary
+from .surfaces import SEPARABLE_KINDS, geometry_summary
 from .torsion import zeta_zero
 
 
@@ -58,10 +59,7 @@ def richardson_extrapolate(ns, xs):
     """
     if len(xs) < 3:
         return xs[-1], float("nan")
-    n1, n2, n3 = ns[-3], ns[-2], ns[-1]
-    if n2 * n2 != n1 * n3:
-        raise HypothesisViolation(
-            f"extrapolation needs a geometric ladder: n = {n1}, {n2}, {n3}")
+    _check_ladder(ns)
     x1, x2, x3 = xs[-3], xs[-2], xs[-1]
     d1, d2 = x2 - x1, x3 - x2
     if d1 == 0 or d2 == 0 or d2 / d1 <= 0 or d2 / d1 >= 1:
@@ -69,6 +67,17 @@ def richardson_extrapolate(ns, xs):
     rho = d2 / d1
     limit = x3 + d2 * rho / (1.0 - rho)
     return limit, abs(x3 - limit)
+
+
+def _check_ladder(ns):
+    """HypothesisViolation unless the last three ns (if there are three)
+    satisfy n2^2 = n1 n3, the geometric ladder of richardson_extrapolate."""
+    if len(ns) < 3:
+        return
+    n1, n2, n3 = ns[-3:]
+    if n2 * n2 != n1 * n3:
+        raise HypothesisViolation(
+            f"extrapolation needs a geometric ladder: n = {n1}, {n2}, {n3}")
 
 
 @dataclass
@@ -95,11 +104,13 @@ def _series(source, n_list):
     its rank, with Richardson extrapolation.  The one loop behind
     convergence_study and dense_renorm_series; private, so that a traced run
     sees no torsionlab function between those two and their solves.  The
-    largest n is solved first: a ladder that ends beyond the source's budget
+    ladder is checked first and the largest n is solved first, so a ladder
+    that the extrapolation refuses, or that ends beyond the source's budget,
     is refused before its first mesh."""
     ns = sorted(n_list)
     if not ns:
         raise HypothesisViolation("empty n list")
+    _check_ladder(ns)
     logdets = [source.log_det(n) for n in reversed(ns)][::-1]
     renorms = [renormalized_logdet(ld, source.rank, source.area, source.perimeter,
                                    source.zeta0, n) for n, ld in zip(ns, logdets)]
@@ -121,13 +132,20 @@ class MeshSource:
     the flat bundle of ``rep`` at its own rank, solved by the sparse log det'.
 
     Area and perimeter come from the geometry summary, and zeta(0) from the
-    holonomy's count of flat sections, which does not depend on n.  Each
+    holonomy's count of flat sections, which does not depend on n; a surface
+    whose tiles fall into more than one component has more flat sections
+    than that count, so it raises HypothesisViolation.  Each
     log_det(n) checks the sparse budget before the mesh is built (so an
     over-budget n raises BudgetExceeded and builds nothing), and its solve
     confirms the kernel and its gap; ``health[n]`` keeps the solve's numbers.
     """
 
     def __init__(self, surface, rep=None, rank=1):
+        components = surface.complex.n_components()
+        if components > 1:
+            raise HypothesisViolation(
+                f"{surface.name} falls into {components} components; dim H^0 is "
+                "decided for a connected surface")
         summary = geometry_summary(surface)
         self.surface = surface
         self.rep = rep
@@ -490,11 +508,12 @@ def embedding_check(mesh, bump, f):
     constraints hold.
     """
     surf = mesh.surface
-    if surf.kind not in ("rectangle", "torus"):
+    sides = SEPARABLE_KINDS.get(surf.kind)
+    if sides not in ((False, False), (True, True)):
         raise SupportViolation("embedding check runs on rectangles and tori")
+    periodic = sides[0]
     a, b, n = surf.params["a"], surf.params["b"], mesh.n
     an, bn = a * n, b * n
-    periodic = surf.kind == "torus"
     f = np.asarray(f, dtype=float)
     if f.shape != (mesh.n_vertices,):
         raise SupportViolation("section must give one value per vertex")

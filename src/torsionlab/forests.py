@@ -309,17 +309,18 @@ def noncontractible_expectation(conn):
     """(expected cycle-weight product under the uniform non-contractible CRSF
     measure, number of non-contractible CRSFs).
 
-    Requires a torus or cylinder mesh so winding numbers classify cycles, and
-    checks that the full CRSF sum reproduces sqrt(det) of the Laplacian.
+    Requires standard cuts (a surface with a periodic side) so winding
+    numbers classify cycles, and checks that the full CRSF sum reproduces
+    sqrt(det) of the Laplacian.
     """
     mesh = conn.graph
-    surf = mesh.surface
-    if surf.kind not in ("torus", "cylinder") or surf.cone_classes():
-        raise NotClassifiable(f"winding classification unavailable on {surf.name}")
+    cuts = standard_cuts(mesh.surface)
+    if not cuts:
+        raise NotClassifiable(f"winding classification unavailable on {mesh.surface.name}")
     if conn.rank != 2:
         raise RankUnsupported("expectation defined for rank-2 bundles")
     _require_weighable(conn)
-    cuts = mesh.refine_cuts(standard_cuts(surf))
+    cuts = mesh.refine_cuts(cuts)
     cycle_ids, cycles, terms = _terms(conn, enumerate_crsfs(mesh))
     noncontractible = [any(mesh.cycle_winding(cyc, cuts)) for cyc in cycles]
     total = 0.0

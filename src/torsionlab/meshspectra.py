@@ -2,7 +2,7 @@
 
 The rectangle, torus and cylinder meshes are products of a cycle or a path
 on each side, so their spectra are the sums of the 1-D factor spectra of
-torsion.SEPARABLE_KINDS: 4 sin^2((2 pi j + theta) / 2m) for a cycle twisted
+surfaces.SEPARABLE_KINDS: 4 sin^2((2 pi j + theta) / 2m) for a cycle twisted
 by theta, 4 sin^2(pi j / 2m) for a path.  The kernel dimension is the
 factors' flat-section count, decided from the holonomy, not from the
 eigenvalues.  The spectrum and the log det' of any separable setup are the

@@ -1,9 +1,16 @@
 """Square-tiled flat surfaces with cone points and boundary corners.
 
 A surface is stored combinatorially: unit-square tiles plus a side-pairing
-involution tagged translation / half-turn.  Interior lattice points of angle
-k*pi (k != 2) are cones; boundary lattice points of angle k*pi/2 (k != 2)
-are corners.
+involution tagged translation / half-turn, each pair made by
+SquareComplex.glue.  Interior lattice points of angle k*pi (k != 2) are
+cones; boundary lattice points of angle k*pi/2 (k != 2) are corners.
+
+This module is the one place that knows the surface kinds.  SEPARABLE_KINDS
+maps each product surface (rectangle, torus, cylinder) to which of its sides
+a and b are periodic; its gluing, its standard cuts, and elsewhere its
+factors, generator loops and embedding check all read that table.
+NAMED_KINDS maps each kind that build_surface makes by name to its
+constructor and spec fields; surface_to_spec writes the same fields back.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from . import complexes as cx
-from .complexes import E, N, W, S, TRANSLATION, HALF_TURN, SquareComplex
+from .complexes import E, N, W, S, HALF_TURN, SquareComplex
 from .errors import InvalidGluing, UnknownPoint, UnsupportedAngle
 
 
@@ -114,44 +121,39 @@ def gauss_bonnet_defect(surface):
 # -- constructors -----------------------------------------------------------
 
 
-def _grid_pairings(a, b, wrap_x=False, wrap_y=False):
+# kind -> (side a periodic?, side b periodic?): the product surfaces, each a
+# product of two 1-D factors, a circle (periodic) or a segment (free)
+SEPARABLE_KINDS = {"rectangle": (False, False), "torus": (True, True),
+                   "cylinder": (True, False)}
+
+
+def _product(kind, a, b):
+    """The a x b grid of SEPARABLE_KINDS[kind], glued across its periodic sides."""
+    periodic_a, periodic_b = SEPARABLE_KINDS[kind]
+    glue = SquareComplex.glue
     pairings = {}
-
-    def add(sa, sb, kind=TRANSLATION):
-        pairings[sa] = (sb[0], sb[1], kind)
-        pairings[sb] = (sa[0], sa[1], kind)
-
     for i in range(a):
         for j in range(b):
-            if i + 1 < a:
-                add(((i, j), E), ((i + 1, j), W))
-            elif wrap_x:
-                add(((i, j), E), (((0, j)), W))
-            if j + 1 < b:
-                add(((i, j), N), ((i, j + 1), S))
-            elif wrap_y:
-                add(((i, j), N), ((i, 0), S))
+            if i + 1 < a or periodic_a:
+                glue(pairings, ((i, j), E), (((i + 1) % a, j), W))
+            if j + 1 < b or periodic_b:
+                glue(pairings, ((i, j), N), ((i, (j + 1) % b), S))
     cells = [(i, j) for i in range(a) for j in range(b)]
-    return cells, pairings
+    return SquareTiledSurface(SquareComplex(cells, pairings), name=f"{kind}({a},{b})",
+                              kind=kind, params={"a": a, "b": b})
 
 
 def rectangle(a, b):
-    cells, pairings = _grid_pairings(a, b)
-    return SquareTiledSurface(SquareComplex(cells, pairings), name=f"rectangle({a},{b})",
-                              kind="rectangle", params={"a": a, "b": b})
+    return _product("rectangle", a, b)
 
 
 def torus(a, b):
-    cells, pairings = _grid_pairings(a, b, wrap_x=True, wrap_y=True)
-    return SquareTiledSurface(SquareComplex(cells, pairings), name=f"torus({a},{b})",
-                              kind="torus", params={"a": a, "b": b})
+    return _product("torus", a, b)
 
 
 def cylinder(a, b):
     """Cylinder with circumference a (periodic) and height b (two boundary circles)."""
-    cells, pairings = _grid_pairings(a, b, wrap_x=True)
-    return SquareTiledSurface(SquareComplex(cells, pairings), name=f"cylinder({a},{b})",
-                              kind="cylinder", params={"a": a, "b": b})
+    return _product("cylinder", a, b)
 
 
 def angle_model(k):
@@ -164,33 +166,29 @@ def angle_model(k):
     if k < 3:
         raise UnsupportedAngle(f"angle model needs k >= 3, got {k}")
     cells = [(q, u, v) for q in range(k) for u in range(2) for v in range(2)]
+    glue = SquareComplex.glue
     pairings = {}
-
-    def add(sa, sb, kind=TRANSLATION):
-        pairings[sa] = (sb[0], sb[1], kind)
-        pairings[sb] = (sa[0], sa[1], kind)
-
     for q in range(k):
         for v in range(2):
-            add(((q, 0, v), E), ((q, 1, v), W))
+            glue(pairings, ((q, 0, v), E), ((q, 1, v), W))
         for u in range(2):
-            add(((q, u, 0), N), ((q, u, 1), S))
+            glue(pairings, ((q, u, 0), N), ((q, u, 1), S))
     # glue quadrant q to q+1 along the shared ray; which sides depends on the
     # planar position q mod 4 (NE, NW, SW, SE)
     for q in range(k - 1):
         pos = q % 4
         if pos == 0:    # NE -> NW: NE's W column to NW's E column, heights match
             for v in range(2):
-                add(((q, 0, v), W), ((q + 1, 1, v), E))
+                glue(pairings, ((q, 0, v), W), ((q + 1, 1, v), E))
         elif pos == 1:  # NW -> SW: NW's S row to SW's N row
             for u in range(2):
-                add(((q, u, 0), S), ((q + 1, u, 1), N))
+                glue(pairings, ((q, u, 0), S), ((q + 1, u, 1), N))
         elif pos == 2:  # SW -> SE: SW's E column to SE's W column
             for v in range(2):
-                add(((q, 1, v), E), ((q + 1, 0, v), W))
+                glue(pairings, ((q, 1, v), E), ((q + 1, 0, v), W))
         else:           # SE -> NE: SE's N row to NE's S row
             for u in range(2):
-                add(((q, u, 1), N), ((q + 1, u, 0), S))
+                glue(pairings, ((q, u, 1), N), ((q + 1, u, 0), S))
     name = {3: "lshape", 4: "slit"}.get(k, f"angle({k}pi/2)")
     return SquareTiledSurface(SquareComplex(cells, pairings), name=name,
                               kind="angle", params={"k": k})
@@ -209,23 +207,19 @@ def _cone_even(k):
     branched over the center.  Sheet s is cut along the ray from the center
     to the right edge; crossing the cut ascends to sheet s+1."""
     cells = [(s, i, j) for s in range(k) for i in range(4) for j in range(4)]
+    glue = SquareComplex.glue
     pairings = {}
-
-    def add(sa, sb, kind=TRANSLATION):
-        pairings[sa] = (sb[0], sb[1], kind)
-        pairings[sb] = (sa[0], sa[1], kind)
-
     for s in range(k):
         for i in range(4):
             for j in range(4):
                 if i + 1 < 4:
-                    add(((s, i, j), E), ((s, i + 1, j), W))
+                    glue(pairings, ((s, i, j), E), ((s, i + 1, j), W))
                 if j + 1 < 4:
                     if j == 1 and i >= 2:
                         continue  # seam between rows 1 and 2 for columns 2,3
-                    add(((s, i, j), N), ((s, i, j + 1), S))
+                    glue(pairings, ((s, i, j), N), ((s, i, j + 1), S))
         for i in (2, 3):
-            add(((s, i, 1), N), (((s + 1) % k, i, 2), S))
+            glue(pairings, ((s, i, 1), N), (((s + 1) % k, i, 2), S))
     return SquareComplex(cells, pairings)
 
 
@@ -235,23 +229,19 @@ def cone_model(k):
         raise UnsupportedAngle("angle 2*pi is a regular point, not a cone")
     if k < 1:
         raise UnsupportedAngle(f"cone angle must be a positive multiple of pi, got {k}")
+    glue = SquareComplex.glue
     if k == 1:
         # 4x2 rectangle with the bottom side folded onto itself by a half-turn
         cells = [(i, j) for i in range(4) for j in range(2)]
         pairings = {}
-
-        def add(sa, sb, kind=TRANSLATION):
-            pairings[sa] = (sb[0], sb[1], kind)
-            pairings[sb] = (sa[0], sa[1], kind)
-
         for i in range(4):
             for j in range(2):
                 if i + 1 < 4:
-                    add(((i, j), E), ((i + 1, j), W))
+                    glue(pairings, ((i, j), E), ((i + 1, j), W))
                 if j + 1 < 2:
-                    add(((i, j), N), ((i, j + 1), S))
-        add(((0, 0), S), ((3, 0), S), HALF_TURN)
-        add(((1, 0), S), ((2, 0), S), HALF_TURN)
+                    glue(pairings, ((i, j), N), ((i, j + 1), S))
+        glue(pairings, ((0, 0), S), ((3, 0), S), HALF_TURN)
+        glue(pairings, ((1, 0), S), ((2, 0), S), HALF_TURN)
         cpx = SquareComplex(cells, pairings)
     elif k % 2 == 0:
         cpx = _cone_even(k // 2)
@@ -262,29 +252,22 @@ def cone_model(k):
         base = _cone_even(m)
         pairings = dict(base.pairings)
 
-        def rm(sa):
-            sb = pairings.pop(sa)
-            del pairings[(sb[0], sb[1])]
-
-        def add(sa, sb, kind=TRANSLATION):
-            pairings[sa] = (sb[0], sb[1], kind)
-            pairings[sb] = (sa[0], sa[1], kind)
-
         for i in (2, 3):
-            rm(((m - 1, i, 1), N))
+            c2, d2, _ = pairings.pop(((m - 1, i, 1), N))
+            del pairings[(c2, d2)]
         cells = list(base.cells) + [("f", i, j) for i in range(4) for j in range(2)]
         for i in range(4):
             for j in range(2):
                 if i + 1 < 4:
-                    add((("f", i, j), E), (("f", i + 1, j), W))
+                    glue(pairings, (("f", i, j), E), (("f", i + 1, j), W))
                 if j + 1 < 2:
-                    add((("f", i, j), N), (("f", i, j + 1), S))
+                    glue(pairings, (("f", i, j), N), (("f", i, j + 1), S))
         # right half of the flap bottom runs along the lower lip (translation);
         # left half folds back onto the upper lip (half-turn, reversed)
-        add((("f", 2, 0), S), ((m - 1, 2, 1), N))
-        add((("f", 3, 0), S), ((m - 1, 3, 1), N))
-        add((("f", 1, 0), S), ((0, 2, 2), S), HALF_TURN)
-        add((("f", 0, 0), S), ((0, 3, 2), S), HALF_TURN)
+        glue(pairings, (("f", 2, 0), S), ((m - 1, 2, 1), N))
+        glue(pairings, (("f", 3, 0), S), ((m - 1, 3, 1), N))
+        glue(pairings, (("f", 1, 0), S), ((0, 2, 2), S), HALF_TURN)
+        glue(pairings, (("f", 0, 0), S), ((0, 3, 2), S), HALF_TURN)
         cpx = SquareComplex(cells, pairings)
     return SquareTiledSurface(cpx, name=f"cone({k}pi)", kind="cone", params={"k": k})
 
@@ -303,8 +286,7 @@ def from_raw(tiles, pairing_list):
         b = (t2, _side_from_name(s2))
         if a in pairings or b in pairings:
             raise InvalidGluing(f"side listed twice: {a} or {b}")
-        pairings[a] = (b[0], b[1], kind)
-        pairings[b] = (a[0], a[1], kind)
+        SquareComplex.glue(pairings, a, b, kind)
     surface = SquareTiledSurface(SquareComplex(tiles, pairings), name="raw",
                                  kind="raw", params={})
     if gauss_bonnet_defect(surface) != 0:
@@ -337,29 +319,24 @@ def rescale(surface, c):
                                       "base_params": surface.params})
 
 
-def build_surface(spec):
-    """Build a surface from a JSON-style dict spec.
+# kind -> (constructor, its spec fields, each a positive integer): the kinds
+# build_surface makes by name, and surface_to_spec writes back
+NAMED_KINDS = {"rectangle": (rectangle, ("a", "b")), "torus": (torus, ("a", "b")),
+               "cylinder": (cylinder, ("a", "b")), "lshape": (lshape, ()),
+               "slit": (slit, ()), "cone": (cone_model, ("k",)),
+               "angle": (angle_model, ("k",))}
 
-    Kinds: rectangle, torus, cylinder (fields a, b), lshape, slit,
-    cone / angle (field k), raw (fields tiles, pairings).
+
+def build_surface(spec):
+    """Build a surface from a JSON-style dict spec: a kind of NAMED_KINDS with
+    its fields, or raw (fields tiles, pairings).
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
     kind = spec.get("kind")
-    if kind == "rectangle":
-        return rectangle(_posint(spec, "a"), _posint(spec, "b"))
-    if kind == "torus":
-        return torus(_posint(spec, "a"), _posint(spec, "b"))
-    if kind == "cylinder":
-        return cylinder(_posint(spec, "a"), _posint(spec, "b"))
-    if kind == "lshape":
-        return lshape()
-    if kind == "slit":
-        return slit()
-    if kind == "cone":
-        return cone_model(_posint(spec, "k"))
-    if kind == "angle":
-        return angle_model(_posint(spec, "k"))
+    if kind in NAMED_KINDS:
+        make, fields = NAMED_KINDS[kind]
+        return make(*(_posint(spec, key) for key in fields))
     if kind == "raw":
         tiles, pairings = spec.get("tiles"), spec.get("pairings")
         if not isinstance(tiles, list) or not isinstance(pairings, list):
@@ -394,18 +371,10 @@ def _posint(spec, key):
 
 
 def surface_to_spec(surface):
-    """Inverse of build_surface for the named constructors."""
-    if surface.kind in ("rectangle", "torus", "cylinder"):
-        return {"kind": surface.kind, "a": surface.params["a"], "b": surface.params["b"]}
-    if surface.kind == "angle":
-        k = surface.params["k"]
-        if k == 3:
-            return {"kind": "lshape"}
-        if k == 4:
-            return {"kind": "slit"}
-        return {"kind": "angle", "k": k}
-    if surface.kind == "cone":
-        return {"kind": "cone", "k": surface.params["k"]}
+    """Inverse of build_surface: the named spec of a NAMED_KINDS surface, else raw."""
+    if surface.kind in NAMED_KINDS:
+        _, fields = NAMED_KINDS[surface.kind]
+        return {"kind": surface.kind, **{key: surface.params[key] for key in fields}}
     pairs = []
     done = set()
     for (c, d), (c2, d2, kind) in surface.complex.pairings.items():
@@ -426,16 +395,17 @@ def surface_to_spec(surface):
 def standard_cuts(surface):
     """Tile-level dual cuts for the fundamental-group generators.
 
-    Torus: two cuts (the wrap seams); cylinder: one.  Each cut maps an
-    oriented tile side slot to +1 (crossing out of that slot is the positive
-    direction); crossing the partner slot counts -1.
+    One cut per periodic side of a SEPARABLE_KINDS surface, side a's first
+    (the seam x = a), then side b's (the seam y = b); none on other kinds.
+    Each cut maps an oriented tile side slot to +1 (crossing out of that slot
+    is the positive direction); crossing the partner slot counts -1.
     """
+    periodic_a, periodic_b = SEPARABLE_KINDS.get(surface.kind, (False, False))
     a = surface.params.get("a")
     b = surface.params.get("b")
-    if surface.kind == "torus":
-        cut_x = {((a - 1, j), E): 1 for j in range(b)}
-        cut_y = {((i, b - 1), N): 1 for i in range(a)}
-        return [cut_x, cut_y]
-    if surface.kind == "cylinder":
-        return [{((a - 1, j), E): 1 for j in range(b)}]
-    return []
+    cuts = []
+    if periodic_a:
+        cuts.append({((a - 1, j), E): 1 for j in range(b)})
+    if periodic_b:
+        cuts.append({((i, b - 1), N): 1 for i in range(a)})
+    return cuts

@@ -3,13 +3,13 @@ Dedekind eta, and closed-form zeta-regularized determinants.
 
 The explicitly solvable surfaces are products of two 1-D factors.  A factor
 is periodic (a circle, with a U(1) twist phase) or free (a segment with free
-ends).  SEPARABLE_KINDS is the one table of them: the a x b rectangle is
-free x free, the torus periodic x periodic, and the cylinder periodic
-circumference a x free height b.  Mesh and continuum spectra, theta series
+ends).  surfaces.SEPARABLE_KINDS is the one table of them: the a x b
+rectangle is free x free, the torus periodic x periodic, and the cylinder
+periodic circumference a x free height b.  Mesh and continuum spectra, theta series
 and log det', twisted or not, perimeter, corner count, dim H^0 and zeta(0)
 all follow from the factors.  A factor's kernel is decided once, from its
 holonomy: a phase with exp(i phase) within FLAT_SECTION_TOL of 1 is trivial
-and is replaced by 0.  SeparableSurface (kind, sides a, b and U(1) phases
+(Factor.trivial) and is replaced by 0.  SeparableSurface (kind, sides a, b and U(1) phases
 alpha, beta) is the one setup of the closed-form experiments.
 
 A factor's mesh and continuum rows are shifted products over its spectrum:
@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import EtaDomainError, HypothesisViolation
 from .laplacian import HermitianSpectrum
+from .surfaces import SEPARABLE_KINDS
 
 _SERIES_TERMS = 64
 
@@ -41,10 +42,6 @@ ROW_DECAY = 40.0   # a continuum row at length * s >= 40 is below e^-40 < 1e-17
 # |g - 1| below this makes a U(1) generator g trivial; bundles.flat_sections_dim
 # applies the same bound to the singular values of the stacked g - I
 FLAT_SECTION_TOL = 1e-10
-
-# kind -> (side a periodic?, side b periodic?)
-SEPARABLE_KINDS = {"rectangle": (False, False), "torus": (True, True),
-                   "cylinder": (True, False)}
 
 
 @dataclass(frozen=True, order=True)
@@ -63,8 +60,13 @@ class Factor:
         if not self.periodic and self.phase:
             raise HypothesisViolation(
                 f"the free side of length {self.length} carries no twist (phase {self.phase!r})")
-        if abs(cmath.exp(1j * self.phase) - 1.0) < FLAT_SECTION_TOL:
+        if self.trivial(self.phase):
             object.__setattr__(self, "phase", 0.0)
+
+    @staticmethod
+    def trivial(phase):
+        """True when the holonomy exp(i phase) is within FLAT_SECTION_TOL of 1."""
+        return abs(cmath.exp(1j * phase) - 1.0) < FLAT_SECTION_TOL
 
     @property
     def flat_sections(self):

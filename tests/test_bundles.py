@@ -178,6 +178,14 @@ def test_face_cycles_flat_and_reversal():
     assert np.allclose(bundles.cycle_monodromy(conn, rev), w.conj().T, atol=1e-12)
 
 
+@pytest.mark.parametrize("surf,generator", [
+    (surfaces.rectangle(2, 1), 0), (surfaces.cylinder(3, 1), 1), (surfaces.lshape(), 0)],
+    ids=["rectangle-0", "cylinder-1", "lshape-0"])
+def test_generator_loop_needs_a_periodic_side(surf, generator):
+    with pytest.raises(BadCuts):
+        bundles.generator_loop(meshes.discretize(surf, 2), generator)
+
+
 def test_not_a_closed_walk():
     mesh = meshes.discretize(surfaces.rectangle(2, 1), 1)
     conn = bundles.trivial_connection(mesh, 1)

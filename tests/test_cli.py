@@ -424,6 +424,16 @@ def test_malformed_raw_surface_exits_2(tmp_path, experiment, spec):
     assert json.loads((out / "meta.json").read_text())["error"]["code"] == "InvalidGluing"
 
 
+@pytest.mark.parametrize("experiment", ["zeta0", "logdet"])
+def test_disconnected_surface_exits_2(tmp_path, experiment):
+    # two unglued squares: each carries its own flat section, so dim H^0 = 2
+    spec = {"kind": "raw", "tiles": [0, 1], "pairings": []}
+    code, out = _run(tmp_path, {"experiment": experiment, "surface": spec})
+    assert code == 2
+    error = json.loads((out / "meta.json").read_text())["error"]
+    assert error["code"] == "HypothesisViolation" and "2 components" in error["message"]
+
+
 @pytest.mark.parametrize("surface", [{"kind": "rectangle", "a": 1, "b": 1}, _TORUS11],
                          ids=["rectangle", "torus"])
 def test_weyl_check_on_a_one_vertex_mesh_exits_2(tmp_path, surface):

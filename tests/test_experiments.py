@@ -200,6 +200,16 @@ def test_a_ladder_beyond_its_budget_is_refused_before_its_first_mesh(monkeypatch
         series(surface, ns)
 
 
+def test_a_ladder_that_is_not_geometric_is_refused_before_its_first_mesh(monkeypatch):
+    def no_mesh(*args):
+        raise AssertionError("discretize called for a refused ladder")
+
+    monkeypatch.setattr(ex, "discretize", no_mesh)
+    monkeypatch.setattr(meshes, "discretize", no_mesh)
+    with pytest.raises(HypothesisViolation, match="geometric ladder"):
+        ex.convergence_study(ex.MeshSource(surfaces.lshape()), [4, 5, 32])
+
+
 def test_dense_budget():
     with pytest.raises(BudgetExceeded):
         ex.dense_renorm_series(surfaces.rectangle(4, 4), [25])

@@ -1,6 +1,8 @@
 """Surface constructors, angle data, Gauss-Bonnet, rescaling, JSON specs."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,13 +184,46 @@ def test_build_surface_json_kinds():
         surfaces.build_surface({"kind": "nonsense"})
 
 
+NAMED_SPECS = [
+    {"kind": "rectangle", "a": 2, "b": 3}, {"kind": "torus", "a": 2, "b": 3},
+    {"kind": "cylinder", "a": 3, "b": 2}, {"kind": "lshape"}, {"kind": "slit"},
+    {"kind": "angle", "k": 5}, {"kind": "cone", "k": 1}, {"kind": "cone", "k": 3},
+    {"kind": "cone", "k": 4}]
+
+
 def test_spec_round_trip():
-    for surf in (surfaces.rectangle(2, 3), surfaces.lshape(), surfaces.cone_model(3)):
-        spec = surfaces.surface_to_spec(surf)
-        again = surfaces.build_surface(spec)
+    assert {spec["kind"] for spec in NAMED_SPECS} == set(surfaces.NAMED_KINDS)
+    for spec in NAMED_SPECS:
+        surf = surfaces.build_surface(spec)
+        again = surfaces.build_surface(surfaces.surface_to_spec(surf))
+        assert again.name == surf.name
+        assert again.complex.cells == surf.complex.cells
+        assert again.complex.pairings == surf.complex.pairings
         s1, s2 = surfaces.geometry_summary(surf), surfaces.geometry_summary(again)
         assert (s1.area, s1.perimeter, s1.cone_angles, s1.corner_angles) == \
                (s2.area, s2.perimeter, s2.cone_angles, s2.corner_angles)
+
+
+def test_product_kinds_are_compared_only_in_surfaces():
+    # SEPARABLE_KINDS is the one copy of which sides are periodic: no other
+    # module compares a kind with a product kind's name
+    names = set(surfaces.SEPARABLE_KINDS)
+    src = Path(surfaces.__file__).parent
+
+    def named(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(named(elt) for elt in node.elts)
+        return isinstance(node, ast.Constant) and node.value in names
+
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "surfaces.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    named(side) for side in [node.left, *node.comparators]):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_singular_point_lookup():
