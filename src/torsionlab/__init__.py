@@ -33,12 +33,11 @@ from .forests import (CRSF, CRSFTable, count_spanning_trees, enumerate_crsfs,
                       crsf_weighted_sum, crsf_identity,
                       noncontractible_expectation)
 from .meshspectra import (CATALAN, FourierProfile, catalan_constant,
-                          mesh_eigenvalue_grid,
                           rectangle_mesh_spectrum, torus_mesh_spectrum,
                           closed_form_log_det,
                           sin_product, sin_product_direct,
                           sin_product_uncorrected, szego_trace_direct,
-                          szego_trace_contraction, szego_expansion_predicted)
+                          szego_expansion_predicted)
 from .torsion import (SeparableSurface, zeta_zero, dedekind_eta,
                       torus_torsion, rectangle_torsion)
 from .experiments import (RenormSeries, MeshSource, BumpProfile,

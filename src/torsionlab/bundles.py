@@ -231,8 +231,14 @@ def random_flat_representation(surface, rank, rng):
 
     Cylinder: one free generator.  Torus: the two cut circles intersect, so
     the generators must commute; they are drawn as a conjugated diagonal pair.
+    A surface without standard cuts gets no generator, the trivial bundle,
+    which is the only flat bundle when its Euler characteristic is at least 1
+    (a disk or a sphere: half-turns keep the orientation); below that it has
+    loops the draw cannot see, so BadCuts.
     """
     n_gens = len(standard_cuts(surface))
+    if n_gens == 0 and surface.complex.euler_characteristic() < 1:
+        raise BadCuts(f"{surface.name} has loops but no standard cuts to draw holonomy on")
     if rank == 1:
         gens = [np.array([[np.exp(2j * math.pi * rng.random())]]) for _ in range(n_gens)]
         return HolonomyRepresentation(rank=1, generators=gens)

@@ -220,16 +220,11 @@ class SquareComplex:
         """
         if n < 1:
             raise ValueError("subdivision must be >= 1")
-        cells = [(c, i, j) for c in self.cells for i in range(n) for j in range(n)]
         pairings = {}
-        glue = self.glue
+        cells = []
         for c in self.cells:
-            for i in range(n):
-                for j in range(n):
-                    if i + 1 < n:
-                        glue(pairings, ((c, i, j), E), ((c, i + 1, j), W))
-                    if j + 1 < n:
-                        glue(pairings, ((c, i, j), N), ((c, i, j + 1), S))
+            cells += self.glue_block(pairings, (c,), n, n)
+        glue = self.glue
         done = set()
         for (c, d), (c2, d2, kind) in self.pairings.items():
             key = frozenset(((c, d), (c2, d2)))
@@ -245,9 +240,34 @@ class SquareComplex:
     @staticmethod
     def glue(pairings, slot_a, slot_b, kind=TRANSLATION):
         """Pair the (cell, side) slots ``slot_a`` and ``slot_b`` in ``pairings``,
-        stored in both directions as SquareComplex takes them."""
+        stored in both directions as SquareComplex takes them.
+
+        A slot that is already paired loses its old partner: the constructors
+        glue a whole block, then re-glue some of its sides elsewhere.  The
+        displaced partner keeps a stale entry until it is glued again too;
+        SquareComplex rejects a stale entry as InvalidGluing.
+        """
         pairings[slot_a] = (slot_b[0], slot_b[1], kind)
         pairings[slot_b] = (slot_a[0], slot_a[1], kind)
+
+    @staticmethod
+    def glue_block(pairings, prefix, a, b, periodic=(False, False)):
+        """Glue the a x b block of cells ``prefix + (i, j)``, i along x and j
+        along y: E to W and N to S between neighbours, and also across side a
+        (x) or side b (y) where ``periodic`` says that side is periodic.
+
+        Returns the block's cell ids, i major.
+        """
+        periodic_a, periodic_b = periodic
+        ids = [[prefix + (i, j) for j in range(b)] for i in range(a)]
+        glue = SquareComplex.glue
+        for i in range(a):
+            for j in range(b):
+                if i + 1 < a or periodic_a:
+                    glue(pairings, (ids[i][j], E), (ids[(i + 1) % a][j], W))
+                if j + 1 < b or periodic_b:
+                    glue(pairings, (ids[i][j], N), (ids[i][(j + 1) % b], S))
+        return [c for column in ids for c in column]
 
     @staticmethod
     def refined_side(c, d, s, n):

@@ -53,9 +53,9 @@ def richardson_extrapolate(ns, xs):
     """Limit estimate from the last three points assuming x_n ~ L + c n^-gamma.
 
     Aitken's delta-squared: the error shrinks by one factor per step only on
-    a geometric ladder, so the last three ns must satisfy n2^2 = n1 n3;
-    otherwise HypothesisViolation.  Returns (limit, error_bar); the error bar
-    is |last - limit|.
+    a geometric ladder, so the last three ns must satisfy n1 < n2 < n3 and
+    n2^2 = n1 n3; otherwise HypothesisViolation.  Returns (limit,
+    error_bar); the error bar is |last - limit|.
     """
     if len(xs) < 3:
         return xs[-1], float("nan")
@@ -71,13 +71,15 @@ def richardson_extrapolate(ns, xs):
 
 def _check_ladder(ns):
     """HypothesisViolation unless the last three ns (if there are three)
-    satisfy n2^2 = n1 n3, the geometric ladder of richardson_extrapolate."""
+    satisfy n1 < n2 < n3 and n2^2 = n1 n3, the geometric ladder of
+    richardson_extrapolate; a constant ladder would give a zero error bar."""
     if len(ns) < 3:
         return
     n1, n2, n3 = ns[-3:]
-    if n2 * n2 != n1 * n3:
+    if not n1 < n2 < n3 or n2 * n2 != n1 * n3:
         raise HypothesisViolation(
-            f"extrapolation needs a geometric ladder: n = {n1}, {n2}, {n3}")
+            f"extrapolation needs a geometric ladder n1 < n2 < n3, n2^2 = n1 n3: "
+            f"n = {n1}, {n2}, {n3}")
 
 
 @dataclass

@@ -63,15 +63,6 @@ CATALAN = catalan_constant()
 # -- closed-form spectra ------------------------------------------------------
 
 
-def mesh_eigenvalue_grid(a, b, n):
-    """All rescaled eigenvalues as an (an, bn) array; the (0,0) slot holds 1."""
-    fa, fb = SeparableSurface("rectangle", a, b).factors
-    # rescale each side before the sum: one rounding of 4 n^2 sin^2 per side
-    lam = (n * n) * fa.mesh_eigenvalues(n)[:, None] + (n * n) * fb.mesh_eigenvalues(n)[None, :]
-    lam[0, 0] = 1.0
-    return lam
-
-
 def rectangle_mesh_spectrum(a, b, n):
     """Sorted unrescaled spectrum of the a x b rectangle mesh, as HermitianSpectrum."""
     return SeparableSurface("rectangle", a, b).mesh_spectrum(n)
@@ -197,35 +188,9 @@ def szego_trace_direct(profile, n):
             col, reflected = fa.log_shifted_product(n, eb[[j, bn - j]])
             total += c * 0.5 * float(col - reflected)
         else:
-            # the four grid entries, rescaled as in mesh_eigenvalue_grid
+            # the four grid entries, each side rescaled before the sum
             L = np.log((n * n) * ea[[i, an - i]][:, None] + (n * n) * eb[[j, bn - j]][None, :])
             total += c * 0.25 * float(L[0, 0] - L[1, 0] - L[0, 1] + L[1, 1])
-    return total
-
-
-def szego_trace_contraction(profile, n):
-    """Independent oracle: full eigenbasis contraction sum_k log(lam_k) <phi f, f>/<f, f>."""
-    profile.check_support(n)
-    a, b = profile.a, profile.b
-    an, bn = a * n, b * n
-    lam = mesh_eigenvalue_grid(a, b, n)
-    xs = (0.5 + np.arange(an)) / n
-    ys = (0.5 + np.arange(bn)) / n
-    phi = np.zeros((an, bn))
-    for (i, j), c in profile.coeffs.items():
-        phi += c * np.outer(np.cos(2 * np.pi * i * xs / a), np.cos(2 * np.pi * j * ys / b))
-    fk = [np.cos(2 * np.pi * k * (0.5 + np.arange(an)) / (2 * an)) for k in range(an)]
-    fl = [np.cos(2 * np.pi * l * (0.5 + np.arange(bn)) / (2 * bn)) for l in range(bn)]
-    total = 0.0
-    for k in range(an):
-        pk = fk[k] * fk[k]
-        for l in range(bn):
-            if k == 0 and l == 0:
-                continue
-            pl = fl[l] * fl[l]
-            num = float(pk @ phi @ pl)
-            den = float(pk.sum() * pl.sum())
-            total += math.log(lam[k, l]) * num / den
     return total
 
 

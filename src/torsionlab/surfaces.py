@@ -1,8 +1,12 @@
 """Square-tiled flat surfaces with cone points and boundary corners.
 
 A surface is stored combinatorially: unit-square tiles plus a side-pairing
-involution tagged translation / half-turn, each pair made by
-SquareComplex.glue.  Interior lattice points of angle k*pi (k != 2) are
+involution tagged translation / half-turn.  Every constructor glues a few
+rectangular blocks of tiles with SquareComplex.glue_block, then pairs or
+re-pairs the sides between blocks with SquareComplex.glue: a product surface
+is one block, periodic where SEPARABLE_KINDS says; an angle model is one 2x2
+block per quadrant; a cone is one 4x4 block per sheet, plus a 4x2 flap at
+odd angles, or a 4x2 block folded at its bottom.  Interior lattice points of angle k*pi (k != 2) are
 cones; boundary lattice points of angle k*pi/2 (k != 2) are corners.
 
 This module is the one place that knows the surface kinds.  SEPARABLE_KINDS
@@ -129,16 +133,8 @@ SEPARABLE_KINDS = {"rectangle": (False, False), "torus": (True, True),
 
 def _product(kind, a, b):
     """The a x b grid of SEPARABLE_KINDS[kind], glued across its periodic sides."""
-    periodic_a, periodic_b = SEPARABLE_KINDS[kind]
-    glue = SquareComplex.glue
     pairings = {}
-    for i in range(a):
-        for j in range(b):
-            if i + 1 < a or periodic_a:
-                glue(pairings, ((i, j), E), (((i + 1) % a, j), W))
-            if j + 1 < b or periodic_b:
-                glue(pairings, ((i, j), N), ((i, (j + 1) % b), S))
-    cells = [(i, j) for i in range(a) for j in range(b)]
+    cells = SquareComplex.glue_block(pairings, (), a, b, SEPARABLE_KINDS[kind])
     return SquareTiledSurface(SquareComplex(cells, pairings), name=f"{kind}({a},{b})",
                               kind=kind, params={"a": a, "b": b})
 
@@ -159,36 +155,22 @@ def cylinder(a, b):
 def angle_model(k):
     """Model angle surface of corner angle k*pi/2, k >= 3: a fan of k quadrants.
 
-    Each quadrant is a 2x2 block of tiles; consecutive quadrants are glued
-    along the ray between them.  4k tiles, one corner of angle k*pi/2 and
-    k+2 right corners.
+    Each quadrant q is a 2x2 block of tiles (q, u, v) at the planar position
+    q mod 4 (NE, NW, SW, SE); it meets quadrant q+1 along the ray between
+    them, through its side (W, S, E, N)[q % 4] and the opposite side of q+1.
+    4k tiles, one corner of angle k*pi/2 and k+2 right corners.
     """
     if k < 3:
         raise UnsupportedAngle(f"angle model needs k >= 3, got {k}")
-    cells = [(q, u, v) for q in range(k) for u in range(2) for v in range(2)]
-    glue = SquareComplex.glue
     pairings = {}
+    cells = []
     for q in range(k):
-        for v in range(2):
-            glue(pairings, ((q, 0, v), E), ((q, 1, v), W))
-        for u in range(2):
-            glue(pairings, ((q, u, 0), N), ((q, u, 1), S))
-    # glue quadrant q to q+1 along the shared ray; which sides depends on the
-    # planar position q mod 4 (NE, NW, SW, SE)
+        cells += SquareComplex.glue_block(pairings, (q,), 2, 2)
     for q in range(k - 1):
-        pos = q % 4
-        if pos == 0:    # NE -> NW: NE's W column to NW's E column, heights match
-            for v in range(2):
-                glue(pairings, ((q, 0, v), W), ((q + 1, 1, v), E))
-        elif pos == 1:  # NW -> SW: NW's S row to SW's N row
-            for u in range(2):
-                glue(pairings, ((q, u, 0), S), ((q + 1, u, 1), N))
-        elif pos == 2:  # SW -> SE: SW's E column to SE's W column
-            for v in range(2):
-                glue(pairings, ((q, 1, v), E), ((q + 1, 0, v), W))
-        else:           # SE -> NE: SE's N row to NE's S row
-            for u in range(2):
-                glue(pairings, ((q, u, 1), N), ((q + 1, u, 0), S))
+        d = (W, S, E, N)[q % 4]
+        for s in range(2):
+            SquareComplex.glue(pairings, SquareComplex.refined_side(q, d, s, 2),
+                               SquareComplex.refined_side(q + 1, cx.OPPOSITE[d], s, 2))
     name = {3: "lshape", 4: "slit"}.get(k, f"angle({k}pi/2)")
     return SquareTiledSurface(SquareComplex(cells, pairings), name=name,
                               kind="angle", params={"k": k})
@@ -205,21 +187,16 @@ def slit():
 def _cone_even(k):
     """Model cone of angle 2k*pi, k >= 2: k-sheeted cover of a 4x4 square
     branched over the center.  Sheet s is cut along the ray from the center
-    to the right edge; crossing the cut ascends to sheet s+1."""
-    cells = [(s, i, j) for s in range(k) for i in range(4) for j in range(4)]
-    glue = SquareComplex.glue
+    to the right edge; crossing the cut ascends to sheet s+1.  Each sheet is
+    glued whole first, then the seam between its rows 1 and 2 in columns 2
+    and 3 is re-glued to the next sheet."""
     pairings = {}
+    cells = []
     for s in range(k):
-        for i in range(4):
-            for j in range(4):
-                if i + 1 < 4:
-                    glue(pairings, ((s, i, j), E), ((s, i + 1, j), W))
-                if j + 1 < 4:
-                    if j == 1 and i >= 2:
-                        continue  # seam between rows 1 and 2 for columns 2,3
-                    glue(pairings, ((s, i, j), N), ((s, i, j + 1), S))
+        cells += SquareComplex.glue_block(pairings, (s,), 4, 4)
+    for s in range(k):
         for i in (2, 3):
-            glue(pairings, ((s, i, 1), N), (((s + 1) % k, i, 2), S))
+            SquareComplex.glue(pairings, ((s, i, 1), N), (((s + 1) % k, i, 2), S))
     return SquareComplex(cells, pairings)
 
 
@@ -232,14 +209,8 @@ def cone_model(k):
     glue = SquareComplex.glue
     if k == 1:
         # 4x2 rectangle with the bottom side folded onto itself by a half-turn
-        cells = [(i, j) for i in range(4) for j in range(2)]
         pairings = {}
-        for i in range(4):
-            for j in range(2):
-                if i + 1 < 4:
-                    glue(pairings, ((i, j), E), ((i + 1, j), W))
-                if j + 1 < 2:
-                    glue(pairings, ((i, j), N), ((i, j + 1), S))
+        cells = SquareComplex.glue_block(pairings, (), 4, 2)
         glue(pairings, ((0, 0), S), ((3, 0), S), HALF_TURN)
         glue(pairings, ((1, 0), S), ((2, 0), S), HALF_TURN)
         cpx = SquareComplex(cells, pairings)
@@ -247,21 +218,12 @@ def cone_model(k):
         cpx = _cone_even(k // 2)
     else:
         # odd angle (2m+1)*pi: cut one seam of the 2m*pi cone open and glue a
-        # folded 4x2 flap into it
+        # folded 4x2 flap into it; the flap's four gluings re-glue all four
+        # sides of the seam
         m = k // 2
         base = _cone_even(m)
         pairings = dict(base.pairings)
-
-        for i in (2, 3):
-            c2, d2, _ = pairings.pop(((m - 1, i, 1), N))
-            del pairings[(c2, d2)]
-        cells = list(base.cells) + [("f", i, j) for i in range(4) for j in range(2)]
-        for i in range(4):
-            for j in range(2):
-                if i + 1 < 4:
-                    glue(pairings, (("f", i, j), E), (("f", i + 1, j), W))
-                if j + 1 < 2:
-                    glue(pairings, (("f", i, j), N), (("f", i, j + 1), S))
+        cells = base.cells + SquareComplex.glue_block(pairings, ("f",), 4, 2)
         # right half of the flap bottom runs along the lower lip (translation);
         # left half folds back onto the upper lip (half-turn, reversed)
         glue(pairings, (("f", 2, 0), S), ((m - 1, 2, 1), N))

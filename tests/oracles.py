@@ -1,9 +1,13 @@
 """Closed forms that only the tests use, kept as oracles: the rectangle mesh's
-eigenvalues and eigenvectors mode by mode, and the rescaling law of log det'."""
+eigenvalues and eigenvectors mode by mode and as a full grid, the Szego trace
+by full eigenbasis contraction, and the rescaling law of log det'."""
 
 import math
 
+import numpy as np
+
 from torsionlab.errors import IndexOutOfRange
+from torsionlab.torsion import SeparableSurface
 
 
 def mesh_eigenvalue(a, b, n, i, j):
@@ -42,3 +46,38 @@ def mesh_eigenvector_norm_sq(a, b, n, i, j):
 def rescale_torsion(logdet, zeta0, c):
     """log det' of the c-rescaled surface: logdet - 2 log(c) zeta(0)."""
     return logdet - 2.0 * math.log(c) * float(zeta0)
+
+
+def mesh_eigenvalue_grid(a, b, n):
+    """All rescaled eigenvalues as an (an, bn) array; the (0,0) slot holds 1."""
+    fa, fb = SeparableSurface("rectangle", a, b).factors
+    # rescale each side before the sum: one rounding of 4 n^2 sin^2 per side
+    lam = (n * n) * fa.mesh_eigenvalues(n)[:, None] + (n * n) * fb.mesh_eigenvalues(n)[None, :]
+    lam[0, 0] = 1.0
+    return lam
+
+
+def szego_trace_contraction(profile, n):
+    """Independent oracle: full eigenbasis contraction sum_k log(lam_k) <phi f, f>/<f, f>."""
+    profile.check_support(n)
+    a, b = profile.a, profile.b
+    an, bn = a * n, b * n
+    lam = mesh_eigenvalue_grid(a, b, n)
+    xs = (0.5 + np.arange(an)) / n
+    ys = (0.5 + np.arange(bn)) / n
+    phi = np.zeros((an, bn))
+    for (i, j), c in profile.coeffs.items():
+        phi += c * np.outer(np.cos(2 * np.pi * i * xs / a), np.cos(2 * np.pi * j * ys / b))
+    fk = [np.cos(2 * np.pi * k * (0.5 + np.arange(an)) / (2 * an)) for k in range(an)]
+    fl = [np.cos(2 * np.pi * l * (0.5 + np.arange(bn)) / (2 * bn)) for l in range(bn)]
+    total = 0.0
+    for k in range(an):
+        pk = fk[k] * fk[k]
+        for l in range(bn):
+            if k == 0 and l == 0:
+                continue
+            pl = fl[l] * fl[l]
+            num = float(pk @ phi @ pl)
+            den = float(pk.sum() * pl.sum())
+            total += math.log(lam[k, l]) * num / den
+    return total

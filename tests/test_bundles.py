@@ -186,6 +186,27 @@ def test_generator_loop_needs_a_periodic_side(surf, generator):
         bundles.generator_loop(meshes.discretize(surf, 2), generator)
 
 
+@pytest.mark.parametrize("surf", [
+    surfaces.from_raw([0, 1], [((0, "E"), (1, "W"), "translation"),
+                               ((1, "E"), (0, "W"), "translation"),
+                               ((0, "N"), (0, "S"), "translation"),
+                               ((1, "N"), (1, "S"), "translation")]),
+    surfaces.rescale(surfaces.torus(1, 1), 2), surfaces.rescale(surfaces.cylinder(2, 1), 2)],
+    ids=["raw-torus", "rescaled-torus", "rescaled-cylinder"])
+def test_random_bundle_needs_cuts_where_there_are_loops(surf):
+    assert surfaces.standard_cuts(surf) == []
+    with pytest.raises(BadCuts):
+        bundles.random_flat_representation(surf, 1, np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("surf", [surfaces.lshape(), surfaces.slit(), surfaces.cone_model(3)],
+                         ids=["lshape", "slit", "cone3"])
+def test_random_bundle_on_a_disk_is_trivial(surf):
+    # chi = 1: a disk, with trivial fundamental group
+    rep = bundles.random_flat_representation(surf, 2, np.random.default_rng(3))
+    assert rep.rank == 2 and rep.generators == []
+
+
 def test_not_a_closed_walk():
     mesh = meshes.discretize(surfaces.rectangle(2, 1), 1)
     conn = bundles.trivial_connection(mesh, 1)

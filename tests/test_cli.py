@@ -434,6 +434,26 @@ def test_disconnected_surface_exits_2(tmp_path, experiment):
     assert error["code"] == "HypothesisViolation" and "2 components" in error["message"]
 
 
+def test_random_bundle_on_a_raw_torus_exits_2(tmp_path):
+    # the 2 x 1 torus as a raw spec has no standard cuts to draw holonomy on
+    spec = {"kind": "raw", "tiles": [0, 1], "pairings": [
+        [[0, "E"], [1, "W"], "translation"], [[1, "E"], [0, "W"], "translation"],
+        [[0, "N"], [0, "S"], "translation"], [[1, "N"], [1, "S"], "translation"]]}
+    cfg = {"experiment": "logdet", "surface": spec, "n": 2,
+           "bundle": {"kind": "random", "rank": 1}}
+    code, out = _run(tmp_path, cfg, extra=("--seed", "3"))
+    assert code == 2
+    assert json.loads((out / "meta.json").read_text())["error"]["code"] == "BadCuts"
+
+
+def test_constant_ladder_exits_2(tmp_path):
+    cfg = {"experiment": "renorm-series", "surface": _TORUS11, "n_list": [16, 16, 16]}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    error = json.loads((out / "meta.json").read_text())["error"]
+    assert error["code"] == "HypothesisViolation" and "n1 < n2 < n3" in error["message"]
+
+
 @pytest.mark.parametrize("surface", [{"kind": "rectangle", "a": 1, "b": 1}, _TORUS11],
                          ids=["rectangle", "torus"])
 def test_weyl_check_on_a_one_vertex_mesh_exits_2(tmp_path, surface):

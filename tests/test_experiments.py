@@ -50,6 +50,12 @@ def test_richardson_needs_a_geometric_ladder():
         ex.richardson_extrapolate([10, 11, 1000], xs)
 
 
+def test_a_constant_ladder_is_refused():
+    # 8^2 = 8 * 8, but three equal ns would give a zero error bar
+    with pytest.raises(HypothesisViolation, match="n1 < n2 < n3"):
+        ex.richardson_extrapolate([8, 8, 8], [1.0, 1.0, 1.0])
+
+
 def test_torus_convergence():
     s = ex.convergence_study(SeparableSurface("torus", 1, 1), [32, 64, 128, 256])
     assert s.target is not None

@@ -373,10 +373,11 @@ def test_weighted_sum_is_bit_identical_to_the_per_forest_product(surface_n, seed
     for rank in (1, 2):
         # a gauged flat bundle (trivial where the surface has no cuts), and
         # transports drawn edge by edge, so that each cycle weighs its own
-        flat = bundles.gauge_transform(
-            bundles.connection_from_holonomy(
-                mesh, bundles.random_flat_representation(mesh.surface, rank, rng)),
-            _random_unitary_field(rank, mesh.n_vertices, rng))
+        rep = (bundles.random_flat_representation(mesh.surface, rank, rng)
+               if surfaces.standard_cuts(mesh.surface)
+               else bundles.HolonomyRepresentation(rank, []))
+        flat = bundles.gauge_transform(bundles.connection_from_holonomy(mesh, rep),
+                                       _random_unitary_field(rank, mesh.n_vertices, rng))
         rough = bundles.UnitaryConnection(
             mesh, rank, _random_unitary_field(rank, len(mesh.edges), rng), np.zeros((rank, 0)))
         for conn in (flat, rough):

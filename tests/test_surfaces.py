@@ -1,6 +1,7 @@
 """Surface constructors, angle data, Gauss-Bonnet, rescaling, JSON specs."""
 
 import ast
+import hashlib
 import math
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from torsionlab import surfaces
+from torsionlab.complexes import E, N, S, TRANSLATION, W, SquareComplex
 from torsionlab.errors import InvalidGluing, UnknownPoint, UnsupportedAngle
 
 HALF_PI = math.pi / 2
@@ -204,6 +206,45 @@ def test_spec_round_trip():
                (s2.area, s2.perimeter, s2.cone_angles, s2.corner_angles)
 
 
+# every constructor's gluing, pinned: each NAMED_KINDS kind -> sha256 (first
+# 16 hex digits) of the sorted reprs of the cells and of the pairing mapping
+# of its specs below, and the same of their refine(3)
+GLUING_SPECS = (
+    [{"kind": kind, "a": a, "b": b} for kind in ("rectangle", "torus", "cylinder")
+     for a in (1, 2, 3) for b in (1, 2)]
+    + [{"kind": "lshape"}, {"kind": "slit"}]
+    + [{"kind": "angle", "k": k} for k in range(3, 10)]
+    + [{"kind": "cone", "k": k} for k in (1, *range(3, 10))])
+GLUING_DIGESTS = {
+    "rectangle": ("a620eb244eda2a1d", "58b31a514f64e692"),
+    "torus": ("e9cd9f1cc73d3498", "42a26e929275759e"),
+    "cylinder": ("a55fbbe8848df039", "136a3573b9e20c4a"),
+    "lshape": ("b31a517c279311f8", "a4f5b6bcda2ee9c2"),
+    "slit": ("d84aad41aafd7af8", "ebdc1abc608abdb8"),
+    "cone": ("37e1028a15810f8a", "656a44037c91341c"),
+    "angle": ("b3f29975e5b12f68", "400f090cb67ef205"),
+}
+
+
+def _gluing_digest(cpx):
+    h = hashlib.sha256()
+    for r in sorted(map(repr, cpx.cells)) + sorted(map(repr, cpx.pairings.items())):
+        h.update(r.encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(GLUING_DIGESTS))
+def test_constructor_gluing_is_pinned(kind):
+    assert set(GLUING_DIGESTS) == set(surfaces.NAMED_KINDS)
+    built, refined = hashlib.sha256(), hashlib.sha256()
+    for spec in GLUING_SPECS:
+        if spec["kind"] == kind:
+            cpx = surfaces.build_surface(spec).complex
+            built.update(_gluing_digest(cpx).encode())
+            refined.update(_gluing_digest(cpx.refine(3)).encode())
+    assert (built.hexdigest()[:16], refined.hexdigest()[:16]) == GLUING_DIGESTS[kind]
+
+
 def test_product_kinds_are_compared_only_in_surfaces():
     # SEPARABLE_KINDS is the one copy of which sides are periodic: no other
     # module compares a kind with a product kind's name
@@ -224,6 +265,34 @@ def test_product_kinds_are_compared_only_in_surfaces():
                     named(side) for side in [node.left, *node.comparators]):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_glue_block():
+    pairings = {}
+    assert SquareComplex.glue_block(pairings, (), 1, 1, (True, True)) == [(0, 0)]
+    assert pairings == {((0, 0), E): ((0, 0), W, TRANSLATION),
+                        ((0, 0), W): ((0, 0), E, TRANSLATION),
+                        ((0, 0), N): ((0, 0), S, TRANSLATION),
+                        ((0, 0), S): ((0, 0), N, TRANSLATION)}
+    for periodic, ew, ns in (((False, False), 3, 4), ((True, False), 6, 4),
+                             ((False, True), 3, 6), ((True, True), 6, 6)):
+        pairings = {}
+        cells = SquareComplex.glue_block(pairings, ("x",), 2, 3, periodic)
+        assert cells == [("x", i, j) for i in range(2) for j in range(3)]
+        sides = [d for (_, d) in pairings]
+        assert (sides.count(E), sides.count(W), sides.count(N), sides.count(S)) == (ew, ew, ns, ns)
+        SquareComplex(cells, pairings)
+
+
+def test_glue_overwrites_a_slot_and_leaves_its_old_partner_stale():
+    pairings = {}
+    cells = SquareComplex.glue_block(pairings, (), 2, 1) + ["z"]
+    SquareComplex.glue(pairings, ((0, 0), E), ("z", W))
+    assert pairings[((0, 0), E)] == ("z", W, TRANSLATION)
+    with pytest.raises(InvalidGluing):
+        SquareComplex(cells, pairings)
+    SquareComplex.glue(pairings, ((1, 0), W), ("z", E))
+    assert SquareComplex(cells, pairings).n_components() == 1
 
 
 def test_singular_point_lookup():
