@@ -15,8 +15,12 @@ import os
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
-from .errors import ConfigError, SelftestFailure
+import numpy as np
+
+from . import (__version__, bundles, errors, experiments, forests, laplacian, meshes,
+               meshspectra, surfaces, torsion)
 
 
 def main(argv=None):
@@ -61,10 +65,10 @@ def _csv(rows, header):
     return "\n".join(out) + "\n"
 
 
-def _svg_error_plot(ns, errors, title):
+def _svg_error_plot(ns, errs, title):
     """Log-scale absolute-error polyline, hand-rolled SVG."""
     width, height, m = 640, 400, 50
-    pts = [(n, e) for n, e in zip(ns, errors) if e and e > 0 and not math.isnan(e)]
+    pts = [(n, e) for n, e in zip(ns, errs) if e and e > 0 and not math.isnan(e)]
     if len(pts) < 2:
         return "<svg xmlns='http://www.w3.org/2000/svg' width='640' height='400'></svg>"
     xs = [math.log10(p[0]) for p in pts]
@@ -105,17 +109,15 @@ def _separable_from(cfg, which="surface"):
     """The SeparableSurface of cfg[which], validated by build_surface, with the
     phases of its bundle; other kinds raise HypothesisViolation.  The five
     closed-form runners call its methods, which honour the twist."""
-    from .surfaces import build_surface
-    from .torsion import SeparableSurface
-    surface = build_surface(cfg[which])
+    surface = surfaces.build_surface(cfg[which])
     bundle = cfg.get("bundle" if which == "surface" else "bundle_b") or {}
-    return SeparableSurface(surface.kind, surface.params.get("a"), surface.params.get("b"),
-                            float(bundle.get("alpha", 0.0)), float(bundle.get("beta", 0.0)))
+    return torsion.SeparableSurface(
+        surface.kind, surface.params.get("a"), surface.params.get("b"),
+        float(bundle.get("alpha", 0.0)), float(bundle.get("beta", 0.0)))
 
 
 def _run_renorm_series(cfg, rng):
-    from .experiments import convergence_study
-    series = convergence_study(_series_source(cfg, rng), cfg["n_list"])
+    series = experiments.convergence_study(_series_source(cfg, rng), cfg["n_list"])
     no_target = series.target is None
     rows = []
     for n, ld, rn, err in zip(series.ns, series.logdets, series.renorms, series.abs_errors()):
@@ -138,26 +140,23 @@ def _series_source(cfg, rng):
     MeshSource of _mesh_source, whose bundle holds only phases and so is
     trivial; a twist on a kind without factors to carry it raises
     HypothesisViolation."""
-    from .errors import HypothesisViolation
-    from .torsion import SEPARABLE_KINDS, Factor
-    if cfg["surface"].get("kind") in SEPARABLE_KINDS:
+    if cfg["surface"].get("kind") in surfaces.SEPARABLE_KINDS:
         return _separable_from(cfg)
     source = _mesh_source(cfg, rng)
     bundle = cfg.get("bundle") or {}
     for phase in _PHASES:
-        if not Factor.trivial(float(bundle.get(phase, 0.0))):
-            raise HypothesisViolation(
+        if not torsion.Factor.trivial(float(bundle.get(phase, 0.0))):
+            raise errors.HypothesisViolation(
                 f"{source.label()} has no closed form to carry a twist ({phase} "
                 f"{bundle[phase]!r}); its series takes the trivial bundle")
     return source
 
 
 def _run_ratio(cfg, rng):
-    from .experiments import ratio_study
     sa = _separable_from(cfg, "surface")
     sb = _separable_from(cfg, "surface_b")
-    ns = sorted(cfg["n_list"])
-    ratios, diffs = ratio_study(sa, sb, ns)
+    ns = cfg["n_list"]
+    ratios, diffs = experiments.ratio_study(sa, sb, ns)
     rows = [(n, r) for n, r in zip(ns, ratios)]
     return {
         "files": {"ratios.csv": _csv(rows, ["n", "ratio"])},
@@ -178,21 +177,19 @@ def _mesh_source(cfg, rng):
     """The experiments.MeshSource of cfg["surface"] and cfg["bundle"]: the
     trivial bundle at its rank, a random flat bundle drawn from ``rng`` (or
     from its own seed), or the raw generators."""
-    from .bundles import HolonomyRepresentation, random_flat_representation
-    from .experiments import MeshSource
-    from .surfaces import build_surface
-    surface = build_surface(cfg["surface"])
+    surface = surfaces.build_surface(cfg["surface"])
     bundle = cfg.get("bundle") or {}
     rank = int(bundle.get("rank", 1))
     kind = _bundle_kind(bundle)
     if kind == "trivial":
-        return MeshSource(surface, rank=rank)
+        return experiments.MeshSource(surface, rank=rank)
     if kind == "random":
-        import numpy as np
         if "seed" in bundle:
             rng = np.random.default_rng(int(bundle["seed"]))
-        return MeshSource(surface, random_flat_representation(surface, rank, rng))
-    return MeshSource(surface, HolonomyRepresentation.from_json(bundle))
+        rep = bundles.random_flat_representation(surface, rank, rng)
+    else:
+        rep = bundles.HolonomyRepresentation.from_json(bundle)
+    return experiments.MeshSource(surface, rep)
 
 
 def _mesh_n(cfg):
@@ -201,21 +198,19 @@ def _mesh_n(cfg):
 
 
 def _run_spectrum(cfg, rng):
-    from .laplacian import assemble, check_dense_budget, spectrum, spectrum_csv
     conn = _mesh_source(cfg, rng).connection(
-        _mesh_n(cfg), lambda rank, nv, ne: check_dense_budget(rank, nv))
-    spec = spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections)
+        _mesh_n(cfg), lambda rank, nv, ne: laplacian.check_dense_budget(rank, nv))
+    spec = laplacian.spectrum(laplacian.assemble(conn), expected_kernel_dim=conn.flat_sections)
     return {
-        "files": {"spectrum.csv": spectrum_csv(spec)},
+        "files": {"spectrum.csv": _csv(enumerate(spec.eigenvalues), ["index", "eigenvalue"])},
         "meta": {"n_vertices": conn.graph.n_vertices, "rank": conn.rank,
                  "kernel_dim": spec.kernel_dim},
     }
 
 
 def _run_logdet(cfg, rng):
-    from .laplacian import check_sparse_budget, sparse_log_det
-    conn = _mesh_source(cfg, rng).connection(_mesh_n(cfg), check_sparse_budget)
-    res = sparse_log_det(conn)
+    conn = _mesh_source(cfg, rng).connection(_mesh_n(cfg), laplacian.check_sparse_budget)
+    res = laplacian.sparse_log_det(conn)
     return {
         "files": {"logdet.csv": _csv([(conn.graph.n, res.log_det_prime, res.kernel_dim)],
                                      ["n", "logdet_prime", "kernel_dim"])},
@@ -227,16 +222,14 @@ def _run_logdet(cfg, rng):
 
 
 def _run_crsf_verify(cfg, rng):
-    from .forests import (check_enumeration_caps, crsf_weighted_sum, crsf_census_csv,
-                          crsf_identity, enumerate_crsfs)
     conn = _mesh_source(cfg, rng).connection(
-        _mesh_n(cfg), lambda rank, nv, ne: check_enumeration_caps(nv, ne, nv))
-    crsfs = enumerate_crsfs(conn.graph)
-    total = crsf_weighted_sum(conn, crsfs)
-    det, ok = crsf_identity(conn, total)
+        _mesh_n(cfg), lambda rank, nv, ne: forests.check_enumeration_caps(nv, ne, nv))
+    crsfs = forests.enumerate_crsfs(conn.graph)
+    total = forests.crsf_weighted_sum(conn, crsfs)
+    det, ok = forests.crsf_identity(conn, total)
     flag = "sqrt_ok" if conn.rank == 2 else "det_ok"
     line = f"sum={total!r} det={det!r} {flag}={str(ok).lower()}"
-    census = crsf_census_csv(conn.graph, conn, crsfs)
+    census = forests.crsf_census_csv(conn.graph, conn, crsfs)
     return {
         "files": {"crsf.csv": census, "report.txt": line + "\n"},
         "meta": {"sum": total, "det": det, "identity_ok": bool(ok)},
@@ -244,21 +237,16 @@ def _run_crsf_verify(cfg, rng):
 
 
 def _run_szego(cfg, rng):
-    from .meshspectra import (FourierProfile, szego_trace_direct,
-                              szego_expansion_predicted)
-    profile = FourierProfile.from_json(cfg["profile"])
+    profile = meshspectra.FourierProfile.from_json(cfg["profile"])
     rows = []
-    ns = sorted(cfg["n_list"])
-    errs = []
-    for n in ns:
-        d = szego_trace_direct(profile, n)
-        p = szego_expansion_predicted(profile, n)
+    for n in cfg["n_list"]:
+        d = meshspectra.szego_trace_direct(profile, n)
+        p = meshspectra.szego_expansion_predicted(profile, n)
         rows.append((n, d, p, abs(d - p)))
-        errs.append(abs(d - p))
     return {
         "files": {"szego.csv": _csv(rows, ["n", "direct", "predicted", "abs_diff"])},
         "meta": {"profile": profile.to_json()},
-        "plot": (ns, errs, "szego: |direct - predicted|"),
+        "plot": (cfg["n_list"], [row[3] for row in rows], "szego: |direct - predicted|"),
     }
 
 
@@ -296,10 +284,9 @@ def _run_torsion(cfg, rng):
 
 
 def _run_weyl_check(cfg, rng):
-    from .experiments import uniform_weyl_check
     s = _separable_from(cfg)
-    spectra = [s.mesh_spectrum(n).rescaled(n) for n in sorted(cfg["n_list"])]
-    cmin, table = uniform_weyl_check(spectra)
+    spectra = [s.mesh_spectrum(n).rescaled(n) for n in cfg["n_list"]]
+    cmin, table = experiments.uniform_weyl_check(spectra)
     return {
         "files": {"weyl.csv": _csv(table, ["n", "argmin_i", "min_ratio"])},
         "meta": {"C_min": cmin},
@@ -307,22 +294,18 @@ def _run_weyl_check(cfg, rng):
 
 
 def _run_embedding_check(cfg, rng):
-    import numpy as np
-    from .surfaces import build_surface
-    from .meshes import discretize
-    from .experiments import build_bump, embedding_check
-    surface = build_surface(cfg["surface"])
-    bump = build_bump()
+    surface = surfaces.build_surface(cfg["surface"])
+    bump = experiments.build_bump()
     rows = []
     worst = 0.0
-    for n in sorted(cfg["n_list"]):
-        mesh = discretize(surface, n)
+    for n in cfg["n_list"]:
+        mesh = meshes.discretize(surface, n)
         excluded = mesh.excluded_vertex_ids()
         for trial in range(cfg.get("trials", 5)):
             f = rng.standard_normal(mesh.n_vertices)
             for v in excluded:
                 f[v] = 0.0
-            nr, fr = embedding_check(mesh, bump, f)
+            nr, fr = experiments.embedding_check(mesh, bump, f)
             rows.append((n, trial, nr, fr))
             worst = max(worst, abs(nr - 1), abs(fr - 1))
     return {
@@ -355,48 +338,51 @@ def validate_config(cfg):
     """``cfg`` itself, or ConfigError naming the first missing or mistyped key,
     or the first bundle field the experiment does not read."""
     if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+        raise errors.ConfigError("config must be a JSON object")
     kind = cfg.get("experiment")
     if kind not in _EXPERIMENTS:
-        raise ConfigError(f"unknown experiment kind {kind!r}; one of {sorted(_EXPERIMENTS)}")
+        raise errors.ConfigError(
+            f"unknown experiment kind {kind!r}; one of {sorted(_EXPERIMENTS)}")
     for key in _EXPERIMENTS[kind][1]:
         if key not in cfg:
-            raise ConfigError(f"{kind} config needs {key!r}")
+            raise errors.ConfigError(f"{kind} config needs {key!r}")
     for key in ("surface", "surface_b", "profile"):
         if key in cfg and not isinstance(cfg[key], dict):
-            raise ConfigError(f"{key} must be a JSON object")
+            raise errors.ConfigError(f"{key} must be a JSON object")
     if "n_list" in cfg:
         ns = cfg["n_list"]
-        if (not isinstance(ns, list) or not ns
-                or any(not _is_count(n, 1) for n in ns)
-                or sorted(ns) != ns):
-            raise ConfigError("n_list must be a non-empty ascending list of positive integers")
+        if (not isinstance(ns, list) or not ns or any(not _is_count(n, 1) for n in ns)
+                or any(m >= n for m, n in zip(ns, ns[1:]))):
+            raise errors.ConfigError(
+                "n_list must be a non-empty strictly ascending list of positive integers")
     if "n" in cfg and not _is_count(cfg["n"], 1):
-        raise ConfigError("n must be a positive integer")
+        raise errors.ConfigError("n must be a positive integer")
     if "trials" in cfg and not _is_count(cfg["trials"], 1):
-        raise ConfigError("trials must be a positive integer")
+        raise errors.ConfigError("trials must be a positive integer")
     if "profile" in cfg and not _is_profile(cfg["profile"]):
-        raise ConfigError("profile needs positive numbers a and b, and coeffs as a list of "
-                          "[i, j, value] with non-negative integers i, j and a finite value")
+        raise errors.ConfigError(
+            "profile needs positive numbers a and b, and coeffs as a list of "
+            "[i, j, value] with non-negative integers i, j and a finite value")
     ts = cfg.get("t_list", [1.0])
     if not isinstance(ts, list) or not ts or any(not _is_real(t) or t <= 0 for t in ts):
-        raise ConfigError("t_list must be a non-empty list of positive times")
+        raise errors.ConfigError("t_list must be a non-empty list of positive times")
     for key in ("bundle", "bundle_b"):
         bundle = cfg.get(key) or {}
         if not isinstance(bundle, dict) or _bundle_kind(bundle) not in _BUNDLE_KINDS:
-            raise ConfigError(f"{key} must be an object of kind one of {list(_BUNDLE_KINDS)}")
+            raise errors.ConfigError(
+                f"{key} must be an object of kind one of {list(_BUNDLE_KINDS)}")
         reads = _EXPERIMENTS[kind][2] if key == "bundle" or kind == "ratio" else ()
         unread = [field for field in bundle if field not in reads]
         if unread:
-            raise ConfigError(f"{kind} reads no {key} field {unread[0]!r}; "
-                              f"it reads {list(reads)}")
+            raise errors.ConfigError(f"{kind} reads no {key} field {unread[0]!r}; "
+                                     f"it reads {list(reads)}")
         for field, ok, what in (
                 ("alpha", _is_real, "a finite number"), ("beta", _is_real, "a finite number"),
                 ("rank", lambda x: _is_count(x, 1), "a positive integer"),
                 ("seed", lambda x: _is_count(x, 0), "a non-negative integer"),
                 ("generators", _is_matrix_list, "a list of square matrices of [re, im] pairs")):
             if field in bundle and not ok(bundle[field]):
-                raise ConfigError(f"{key} {field} must be {what}")
+                raise errors.ConfigError(f"{key} {field} must be {what}")
     return cfg
 
 
@@ -426,13 +412,10 @@ def _is_profile(profile):
 
 
 def run(args):
-    import numpy as np
-    from . import errors as errs
     t0 = time.time()
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
-        cfg = validate_config(cfg)
+            cfg = validate_config(json.load(fh))
     except (OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -440,34 +423,28 @@ def run(args):
     meta = {
         "config": cfg,
         "seed": args.seed,
-        "versions": {"torsionlab": _version(), "numpy": np.__version__,
+        "versions": {"torsionlab": __version__, "numpy": np.__version__,
                      "scipy": _scipy_version(),
                      "python": sys.version.split()[0]},
     }
+    code = 0
     try:
         result = _EXPERIMENTS[cfg["experiment"]][0](cfg, rng)
-    except errs.TorsionLabError as exc:
-        refused = isinstance(exc, (errs.TooLarge, errs.BudgetExceeded))
+    except errors.TorsionLabError as exc:
+        refused = isinstance(exc, (errors.TooLarge, errors.BudgetExceeded))
         meta["error"] = {"code": type(exc).__name__, "message": str(exc)}
-        meta["wall_time_s"] = time.time() - t0
-        _write_atomic(os.path.join(args.out, "meta.json"), json.dumps(meta, indent=2, default=str) + "\n")
         print(f"{'refused' if refused else 'error'}: {exc}", file=sys.stderr)
-        return 3 if refused else 2
-    for name, text in result.get("files", {}).items():
-        _write_atomic(os.path.join(args.out, name), text)
-    if args.plot and "plot" in result:
-        ns, errsq, title = result["plot"]
-        _write_atomic(os.path.join(args.out, "plot.svg"), _svg_error_plot(ns, errsq, title))
-    meta.update(result.get("meta", {}))
+        code = 3 if refused else 2
+    else:
+        for name, text in result.get("files", {}).items():
+            _write_atomic(os.path.join(args.out, name), text)
+        if args.plot and "plot" in result:
+            _write_atomic(os.path.join(args.out, "plot.svg"), _svg_error_plot(*result["plot"]))
+        meta.update(result.get("meta", {}))
     meta["wall_time_s"] = time.time() - t0
     _write_atomic(os.path.join(args.out, "meta.json"),
                   json.dumps(meta, indent=2, default=str) + "\n")
-    return 0
-
-
-def _version():
-    from . import __version__
-    return __version__
+    return code
 
 
 @functools.cache
@@ -484,12 +461,11 @@ def _scipy_version():
 def _require(ok, what):
     """A selftest check that holds under ``python -O``, unlike ``assert``."""
     if not ok:
-        raise SelftestFailure(what)
+        raise errors.SelftestFailure(what)
 
 
 def selftest(seed=0):
     """Fast invariant battery; prints one line per check, exit 1 on any failure."""
-    import numpy as np
     checks = []
 
     def check(name, fn):
@@ -502,166 +478,142 @@ def selftest(seed=0):
     rng = np.random.default_rng(seed)
 
     def surfaces_check():
-        from .surfaces import (rectangle, torus, cylinder, lshape, slit,
-                               cone_model, angle_model, geometry_summary,
-                               gauss_bonnet_defect)
         cases = [
-            (rectangle(4, 4), 16, [], [1] * 4, 16),
-            (cone_model(4), 32, [4 * 2], [1] * 8, 32),
-            (slit(), 16, [], [1] * 6 + [4], 20),
-            (lshape(), 12, [], [1] * 5 + [3], 16),
-            (cone_model(1), 8, [2], [1, 1], 8),
-            (cone_model(3), 24, [6], [1] * 6, 24),
-            (angle_model(5), 20, [], [1] * 7 + [5], 24),
-            (torus(2, 3), 6, [], [], 0),
-            (cylinder(3, 2), 6, [], [], 6),
+            (surfaces.rectangle(4, 4), 16, [], [1] * 4, 16),
+            (surfaces.cone_model(4), 32, [4 * 2], [1] * 8, 32),
+            (surfaces.slit(), 16, [], [1] * 6 + [4], 20),
+            (surfaces.lshape(), 12, [], [1] * 5 + [3], 16),
+            (surfaces.cone_model(1), 8, [2], [1, 1], 8),
+            (surfaces.cone_model(3), 24, [6], [1] * 6, 24),
+            (surfaces.angle_model(5), 20, [], [1] * 7 + [5], 24),
+            (surfaces.torus(2, 3), 6, [], [], 0),
+            (surfaces.cylinder(3, 2), 6, [], [], 6),
         ]
         for surf, area, cones, corners, perim in cases:
-            s = geometry_summary(surf)
+            s = surfaces.geometry_summary(surf)
             _require(s.area == area, f"{surf.name} area {s.area}")
             _require(s.perimeter == perim, f"{surf.name} perimeter {s.perimeter}")
             _require(sorted(round(2 * a / math.pi) for a in s.cone_angles) == sorted(cones),
                      f"{surf.name} cone angles")
             _require(s.corner_angles_over_half_pi() == sorted(corners),
                      f"{surf.name} corner angles")
-            _require(gauss_bonnet_defect(surf) == 0, f"{surf.name} Gauss-Bonnet defect")
+            _require(surfaces.gauss_bonnet_defect(surf) == 0, f"{surf.name} Gauss-Bonnet defect")
 
     check("surface models and Gauss-Bonnet", surfaces_check)
 
     def mesh_check():
-        from .surfaces import rectangle, torus, cone_model
-        from .meshes import discretize
-        m = discretize(rectangle(1, 1), 2)
+        m = meshes.discretize(surfaces.rectangle(1, 1), 2)
         _require(m.n_vertices == 4 and len(m.edges) == 4, "rectangle(1,1) n=2 counts")
-        m = discretize(torus(1, 1), 3)
+        m = meshes.discretize(surfaces.torus(1, 1), 3)
         _require(m.n_vertices == 9 and len(m.edges) == 18, "torus(1,1) n=3 counts")
-        m = discretize(cone_model(1), 2)
+        m = meshes.discretize(surfaces.cone_model(1), 2)
         mult = [v for v in m.edge_multiplicities().values() if v == 2]
         _require(len(mult) == 1, f"cone(2pi) n=2 has {len(mult)} double edges")
 
     check("mesh counts and double edges", mesh_check)
 
     def array_mesh_check():
-        from .surfaces import cone_model, lshape
-        from .meshes import check_against_complex, discretize
-        for surf in (cone_model(1), lshape()):
-            check_against_complex(discretize(surf, 2))
+        for surf in (surfaces.cone_model(1), surfaces.lshape()):
+            meshes.check_against_complex(meshes.discretize(surf, 2))
 
     check("array mesh matches refined complex", array_mesh_check)
 
     def laplacian_check():
-        from .surfaces import rectangle, torus
-        from .meshes import discretize
-        from .bundles import (HolonomyRepresentation, connection_from_holonomy,
-                              trivial_connection)
-        from .laplacian import assemble, spectrum, log_det_prime, sparse_log_det
-        from .meshspectra import closed_form_log_det
-        m = discretize(rectangle(1, 1), 2)
-        conn = trivial_connection(m, 1)
-        spec = spectrum(assemble(conn), expected_kernel_dim=conn.flat_sections)
+        m = meshes.discretize(surfaces.rectangle(1, 1), 2)
+        conn = bundles.trivial_connection(m, 1)
+        spec = laplacian.spectrum(laplacian.assemble(conn), expected_kernel_dim=conn.flat_sections)
         _require(np.allclose(spec.eigenvalues, [0, 2, 2, 4], atol=1e-12),
                  f"eigenvalues {spec.eigenvalues}")
-        _require(abs(log_det_prime(spec) - math.log(16)) < 1e-12, "log det' is not log 16")
-        got = sparse_log_det(conn).log_det_prime
+        _require(abs(laplacian.log_det_prime(spec) - math.log(16)) < 1e-12,
+                 "log det' is not log 16")
+        got = laplacian.sparse_log_det(conn).log_det_prime
         _require(abs(got - math.log(16)) < 1e-12, f"sparse log det' {got} is not log 16")
         alpha, beta = 1.3, -0.7
-        rep = HolonomyRepresentation(1, [np.array([[np.exp(1j * alpha)]]),
-                                         np.array([[np.exp(1j * beta)]])])
-        got = sparse_log_det(connection_from_holonomy(discretize(torus(1, 1), 4), rep))
-        want = closed_form_log_det("torus", 1, 1, 4, alpha, beta)
+        rep = bundles.HolonomyRepresentation(1, [np.array([[np.exp(1j * alpha)]]),
+                                                 np.array([[np.exp(1j * beta)]])])
+        mesh = meshes.discretize(surfaces.torus(1, 1), 4)
+        got = laplacian.sparse_log_det(bundles.connection_from_holonomy(mesh, rep))
+        want = meshspectra.closed_form_log_det("torus", 1, 1, 4, alpha, beta)
         _require(abs(got.log_det_prime - want) < 1e-12,
                  f"sparse twisted torus log det' {got.log_det_prime} vs closed form {want}")
 
     check("log det': 2x2 grid dense and sparse, twisted torus sparse", laplacian_check)
 
     def forest_check():
-        from .surfaces import rectangle, cylinder
-        from .meshes import discretize
-        from .forests import count_spanning_trees, enumerate_crsfs
-        _require(count_spanning_trees(discretize(rectangle(2, 2), 1)) == 4, "2x2 trees")
-        _require(count_spanning_trees(discretize(rectangle(3, 3), 1)) == 192, "3x3 trees")
-        _require(len(enumerate_crsfs(discretize(cylinder(3, 1), 1))) == 1, "C3 CRSFs")
+        for side, trees in ((2, 4), (3, 192)):
+            mesh = meshes.discretize(surfaces.rectangle(side, side), 1)
+            _require(forests.count_spanning_trees(mesh) == trees, f"{side}x{side} trees")
+        mesh = meshes.discretize(surfaces.cylinder(3, 1), 1)
+        _require(len(forests.enumerate_crsfs(mesh)) == 1, "C3 CRSFs")
 
     check("matrix-tree and CRSF counts", forest_check)
 
     def kenyon_check():
-        from .surfaces import cylinder
-        from .meshes import discretize
-        from .bundles import random_flat_representation, connection_from_holonomy
-        from .forests import crsf_weighted_sum, crsf_identity
-        mesh = discretize(cylinder(3, 1), 1)
+        mesh = meshes.discretize(surfaces.cylinder(3, 1), 1)
         for _ in range(5):
-            rep = random_flat_representation(mesh.surface, 2, rng)
-            conn = connection_from_holonomy(mesh, rep)
-            det, ok = crsf_identity(conn, crsf_weighted_sum(conn))
+            rep = bundles.random_flat_representation(mesh.surface, 2, rng)
+            conn = bundles.connection_from_holonomy(mesh, rep)
+            det, ok = forests.crsf_identity(conn, forests.crsf_weighted_sum(conn))
             _require(ok, f"CRSF sum does not match sqrt(det) {math.sqrt(det)}")
 
     check("Kenyon square identity (seeded)", kenyon_check)
 
     def sinprod_check():
-        from .meshspectra import sin_product, sin_product_direct, sin_product_uncorrected
         for m in (1, 2, 7, 32):
             for x in (0.1, 1.0, 3.0):
-                b = sin_product_direct(m, x)
-                _require(abs(sin_product(m, x) - b) <= 1e-12 * b, f"sin_product({m}, {x})")
-        _require(abs(sin_product_uncorrected(2, 1.0) - math.sqrt(2)) < 1e-12,
+                b = meshspectra.sin_product_direct(m, x)
+                _require(abs(meshspectra.sin_product(m, x) - b) <= 1e-12 * b,
+                         f"sin_product({m}, {x})")
+        _require(abs(meshspectra.sin_product_uncorrected(2, 1.0) - math.sqrt(2)) < 1e-12,
                  "sin_product_uncorrected(2, 1)")
 
     check("sine product closed form", sinprod_check)
 
     def eta_check():
-        from .torsion import SeparableSurface, dedekind_eta, torus_torsion
         eta_i = math.gamma(0.25) / (2 * math.pi ** 0.75)
-        v = dedekind_eta(math.exp(-2 * math.pi))
+        v = torsion.dedekind_eta(math.exp(-2 * math.pi))
         _require(abs(v - eta_i) < 1e-12, f"eta(e^-2pi) = {v}")
-        _require(abs(torus_torsion(1, 2) - torus_torsion(2, 1)) < 1e-12,
+        _require(abs(torsion.torus_torsion(1, 2) - torsion.torus_torsion(2, 1)) < 1e-12,
                  "torus torsion is not symmetric")
-        rows = SeparableSurface("torus", 1, 1).torsion()
+        rows = torsion.SeparableSurface("torus", 1, 1).torsion()
         _require(abs(rows - 4 * math.log(eta_i)) < 1e-14, f"torus(1,1) row torsion {rows}")
 
     check("Dedekind eta, torsion symmetry and row torsion", eta_check)
 
     def zeta_check():
-        from fractions import Fraction
-        from .surfaces import rectangle, lshape, torus, geometry_summary
-        from .torsion import zeta_zero
-        for surf, want in ((rectangle(1, 1), Fraction(-3, 4)), (lshape(), Fraction(-13, 18)),
-                           (torus(1, 1), Fraction(-1))):
-            got = zeta_zero(geometry_summary(surf))
+        for surf, want in ((surfaces.rectangle(1, 1), Fraction(-3, 4)),
+                           (surfaces.lshape(), Fraction(-13, 18)),
+                           (surfaces.torus(1, 1), Fraction(-1))):
+            got = torsion.zeta_zero(surfaces.geometry_summary(surf))
             _require(got == want, f"{surf.name} zeta(0) = {got}")
 
     check("zeta(0) exact values", zeta_check)
 
     def renorm_check():
-        from .experiments import convergence_study
-        from .torsion import SeparableSurface
-        series = convergence_study(SeparableSurface("torus", 1, 1), [32, 64, 128])
+        series = experiments.convergence_study(torsion.SeparableSurface("torus", 1, 1),
+                                               [32, 64, 128])
         _require(abs(series.renorms[-1] - series.target) < 5e-4,
                  f"renormalized {series.renorms[-1]} vs {series.target}")
-        twisted = SeparableSurface("torus", 1, 1, 1.3, -0.7)
-        series = convergence_study(twisted, [64, 128, 256, 512, 1024])
+        twisted = torsion.SeparableSurface("torus", 1, 1, 1.3, -0.7)
+        series = experiments.convergence_study(twisted, [64, 128, 256, 512, 1024])
         _require(abs(series.extrapolated - series.target) < 1e-7, f"twisted {series.extrapolated}")
 
     check("renormalized determinant trend, untwisted and twisted", renorm_check)
 
     def bump_check():
-        from .experiments import build_bump
-        bump = build_bump()
+        bump = experiments.build_bump()
         _require(max(bump.residuals.values()) < 1e-10, f"residuals {bump.residuals}")
         _require(0.0 < bump.t_mix < 1.0 and bump.C > 0, f"t_mix {bump.t_mix}, C {bump.C}")
 
     check("bump profile constraints", bump_check)
 
     def embed_check():
-        from .surfaces import rectangle
-        from .meshes import discretize
-        from .experiments import build_bump, embedding_check
-        mesh = discretize(rectangle(2, 2), 2)
-        bump = build_bump()
+        mesh = meshes.discretize(surfaces.rectangle(2, 2), 2)
+        bump = experiments.build_bump()
         f = np.zeros(mesh.n_vertices)
         inner = [v for v in range(mesh.n_vertices) if v not in mesh.excluded_vertex_ids()]
         f[inner[0]] = 1.0
-        nr, fr = embedding_check(mesh, bump, f)
+        nr, fr = experiments.embedding_check(mesh, bump, f)
         _require(abs(nr - 1) < 1e-7 and abs(fr - 1) < 1e-7, f"ratios {nr}, {fr}")
 
     check("embedding identities (single vertex)", embed_check)

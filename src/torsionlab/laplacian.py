@@ -246,6 +246,11 @@ def _largest_eigenvalue(apply, size, dtype):
     residual beta_j |s_j,last| is within LANCZOS_TOL of its value, at
     breakdown, or after ``size`` steps: then the Krylov space is invariant and
     the Ritz value exact.  LanczosNoConvergence after LANCZOS_MAX_STEPS.
+
+    That residual holds only for a Hermitian operator, so the top Ritz vector
+    is then applied once more: KernelMismatch when its true residual is above
+    100 LANCZOS_TOL of the Ritz value.  L^+ is that far from Hermitian when
+    L_red has a pivot near zero, a zero mode the flat basis does not count.
     """
     w = np.random.default_rng(0).standard_normal(size).astype(dtype)
     b = _norm(w)
@@ -264,6 +269,12 @@ def _largest_eigenvalue(apply, size, dtype):
         theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
         residual = b * abs(s[-1, -1])
         if residual <= LANCZOS_TOL * theta[-1] or b == 0.0 or j + 1 == size:
+            ritz = np.einsum("j,ji->i", s[:, -1], basis[:j + 1])
+            true = _norm(apply(ritz) - theta[-1] * ritz)
+            if true > 100 * LANCZOS_TOL * theta[-1]:
+                raise KernelMismatch(f"Lanczos: true Ritz residual {true / theta[-1]:.3e} "
+                                     "relative, the operator is not Hermitian: more zero "
+                                     "modes than the flat basis")
             return float(theta[-1]), j + 1
     raise LanczosNoConvergence(f"Lanczos: Ritz residual {residual:.3e} of {theta[-1]:.6e} "
                                f"above {LANCZOS_TOL} relative after {len(basis)} steps")
@@ -279,10 +290,3 @@ def discrete_zeta(spec, z):
         raise ValueError("discrete_zeta needs an n^2-rescaled spectrum")
     lam = spec.nonzero.astype(complex)
     return complex(np.sum(lam ** (-z)))
-
-
-def spectrum_csv(spec):
-    lines = ["index,eigenvalue"]
-    for k, lam in enumerate(spec.eigenvalues):
-        lines.append(f"{k},{lam!r}")
-    return "\n".join(lines) + "\n"

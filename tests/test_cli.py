@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import torsionlab
@@ -191,6 +192,41 @@ def test_over_budget_run_builds_no_mesh(tmp_path, monkeypatch, experiment, size,
     assert code == 3
     meta = json.loads((out / "meta.json").read_text())
     assert meta["error"]["code"] == error
+
+
+def test_logdet_of_a_holonomy_within_rounding_of_trivial_exits_2(tmp_path):
+    # an e^{1e-9 i} twist has no flat section, but a mode of eigenvalue
+    # ~1e-18, which L_red's LU meets as a pivot of 1e-15
+    twist = [[[math.cos(1e-9), math.sin(1e-9)]]]
+    cfg = {"experiment": "logdet", "surface": _TORUS11, "n": 4,
+           "bundle": {"generators": [twist, twist]}}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    assert json.loads((out / "meta.json").read_text())["error"]["code"] == "KernelMismatch"
+
+
+def test_runners_call_the_library_through_its_module(tmp_path, monkeypatch):
+    # the tracer and the selftest's test rebind module attributes: a runner
+    # must look its library functions up there at call time
+    from torsionlab import laplacian
+    monkeypatch.setattr(laplacian, "sparse_log_det",
+                        lambda conn: laplacian.SparseLogDet(1.5, 1, 0.25, 1, 1, 1))
+    cfg = {"experiment": "logdet", "surface": _TORUS11, "n": 2}
+    code, out = _run(tmp_path, cfg)
+    assert code == 0
+    assert json.loads((out / "meta.json").read_text())["logdet_prime"] == 1.5
+    assert (out / "logdet.csv").read_text() == "n,logdet_prime,kernel_dim\n2,1.5,1\n"
+
+
+def test_spectrum_csv_cells_are_numbers(tmp_path):
+    cfg = {"experiment": "spectrum", "surface": {"kind": "rectangle", "a": 1, "b": 1}, "n": 2}
+    code, out = _run(tmp_path, cfg)
+    assert code == 0
+    lines = (out / "spectrum.csv").read_text().strip().split("\n")
+    assert lines[0] == "index,eigenvalue" and len(lines) == 5
+    cells = [line.split(",") for line in lines[1:]]
+    assert [int(i) for i, _ in cells] == [0, 1, 2, 3]
+    assert np.allclose([float(lam) for _, lam in cells], [0, 2, 2, 4], atol=1e-12)
 
 
 def test_logdet_meta_reports_lanczos_steps_and_scipy(tmp_path):
@@ -446,12 +482,18 @@ def test_random_bundle_on_a_raw_torus_exits_2(tmp_path):
     assert json.loads((out / "meta.json").read_text())["error"]["code"] == "BadCuts"
 
 
-def test_constant_ladder_exits_2(tmp_path):
+def test_constant_ladder_exits_2(tmp_path, capsys):
     cfg = {"experiment": "renorm-series", "surface": _TORUS11, "n_list": [16, 16, 16]}
     code, out = _run(tmp_path, cfg)
-    assert code == 2
-    error = json.loads((out / "meta.json").read_text())["error"]
-    assert error["code"] == "HypothesisViolation" and "n1 < n2 < n3" in error["message"]
+    assert code == 2 and not out.exists()
+    assert "ConfigError: n_list must be a non-empty strictly ascending" in capsys.readouterr().err
+
+
+def test_repeated_n_exits_2_with_no_output(tmp_path):
+    # a repeated n would write its row twice
+    cfg = {"experiment": "weyl-check", "surface": _TORUS11, "n_list": [8, 8]}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2 and not out.exists()
 
 
 @pytest.mark.parametrize("surface", [{"kind": "rectangle", "a": 1, "b": 1}, _TORUS11],

@@ -140,14 +140,6 @@ def test_discrete_zeta_approaches_continuum():
     assert abs(z2 - cont) < 1e-3 + tail
 
 
-def test_spectrum_csv():
-    mesh = meshes.discretize(surfaces.rectangle(1, 1), 2)
-    spec = laplacian.spectrum(laplacian.assemble(bundles.trivial_connection(mesh, 1)))
-    csv = laplacian.spectrum_csv(spec)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "index,eigenvalue" and len(lines) == 5
-
-
 # (surface spec, largest n): every kind the CLI builds, small enough for eigvalsh
 SPARSE_CASES = [
     ({"kind": "rectangle", "a": 2, "b": 3}, 3), ({"kind": "torus", "a": 1, "b": 1}, 4),
@@ -221,6 +213,21 @@ def test_sparse_log_det_refuses_a_kernel_the_holonomy_does_not_give():
     claimed = bundles.UnitaryConnection(mesh, 1, twisted.transports, np.eye(1))
     with pytest.raises(KernelMismatch):
         laplacian.sparse_log_det(claimed)
+
+
+@pytest.mark.parametrize("surface,n,gens", [
+    (surfaces.torus(1, 1), 4, [np.exp(1e-9j) * np.eye(1)] * 2),
+    (surfaces.cylinder(2, 1), 6, [np.exp(1e-9j) * np.eye(1)]),
+    (surfaces.torus(1, 1), 4, [np.diag([1, np.exp(1e-9j)])] * 2)],
+    ids=["torus", "cylinder", "rank-2"])
+def test_sparse_log_det_refuses_a_holonomy_within_rounding_of_trivial(surface, n, gens):
+    # no flat section (or one, of rank 2), but a mode of eigenvalue ~1e-18:
+    # L_red has a pivot of 1e-15, its LU inverse is far from Hermitian and
+    # Lanczos on it settles on a meaningless gap
+    rep = bundles.HolonomyRepresentation(len(gens[0]), gens)
+    conn = bundles.connection_from_holonomy(meshes.discretize(surface, n), rep)
+    with pytest.raises(KernelMismatch, match="not Hermitian"):
+        laplacian.sparse_log_det(conn)
 
 
 def test_assemble_is_real_for_real_transports():
