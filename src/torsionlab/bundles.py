@@ -4,10 +4,15 @@ A connection is one unitary per edge copy, stored for the canonical
 direction u -> v; the reverse transport is the inverse.  Flatness means the
 monodromy around every face of the subtile complex (including the rings
 around cone points) is the identity.
+
+A walk is a pair of (W, L) integer arrays, edge indices and directions (+1
+along u -> v), one row per walk; `walk_monodromies` multiplies the
+transports along walks, for faces, CRSF cycles and loops alike.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -16,10 +21,12 @@ import numpy as np
 from .complexes import E, N
 from .errors import BadCuts, NonUnitaryGauge, NotAClosedWalk, RankMismatch
 from .surfaces import SEPARABLE_KINDS, standard_cuts
-from .torsion import FLAT_SECTION_TOL
 
 UNITARY_TOL = 1e-12
 FLATNESS_TOL = 1e-10
+# a singular value of the generators' stacked g - I below this is a flat
+# section: the one kernel rule, for meshes and closed forms alike
+FLAT_SECTION_TOL = 1e-10
 
 
 def _check_unitary(m, what="matrix"):
@@ -51,6 +58,11 @@ class HolonomyRepresentation:
                 for g in spec["generators"]]
         return cls(rank=int(spec.get("rank", len(gens[0]) if gens else 1)), generators=gens)
 
+    @classmethod
+    def from_phases(cls, phases):
+        """The rank-1 representation with generators exp(i phase)."""
+        return cls(rank=1, generators=[[[cmath.exp(1j * p)]] for p in phases])
+
     def to_json(self):
         return {
             "rank": self.rank,
@@ -78,20 +90,11 @@ class UnitaryConnection:
         self.transports = np.asarray(transports, dtype=complex)
         if self.transports.shape != (len(graph.edges), rank, rank):
             raise ValueError("one rank x rank transport per edge copy required")
-        self._steps = None
 
     @property
     def flat_sections(self):
         """Dimension of the flat sections, the Laplacian's kernel."""
         return self.flat_basis.shape[1]
-
-    def steps(self):
-        """(transports, their inverses) as lists of matrices, for walks that
-        take one edge at a time."""
-        if self._steps is None:
-            self._steps = (list(self.transports),
-                           list(self.transports.conj().swapaxes(-1, -2)))
-        return self._steps
 
 
 def trivial_connection(graph, rank=1):
@@ -106,7 +109,8 @@ def connection_from_holonomy(graph, rep, cuts=None):
     ``cuts`` are tile-level crossing maps (see surfaces.standard_cuts); when
     omitted they default to the standard cuts of the underlying surface.  An
     edge crossing several cuts carries the product of their generators, the
-    first cut's applied first.
+    first cut's applied first; an edge crossing against a cut carries the
+    generator's inverse.
     """
     if cuts is None:
         cuts = standard_cuts(graph.surface)
@@ -115,11 +119,8 @@ def connection_from_holonomy(graph, rep, cuts=None):
     r = rep.rank
     transports = np.tile(np.eye(r, dtype=complex), (len(graph.edges), 1, 1))
     for gen, cut in zip(rep.generators, graph.refine_cuts(cuts)):
-        if not cut:
-            continue
-        idx = np.fromiter(cut, dtype=np.int64, count=len(cut))
-        forward = np.fromiter(cut.values(), dtype=np.int64, count=len(cut)) > 0
-        step = np.where(forward[:, None, None], gen, gen.conj().T)
+        idx = np.flatnonzero(cut)
+        step = np.where((cut[idx] > 0)[:, None, None], gen, gen.conj().T)
         transports[idx] = step @ transports[idx]
     # in this gauge a flat section is one vector of the generators' fixed space
     conn = UnitaryConnection(graph, r, transports, flat_basis(rep))
@@ -145,6 +146,20 @@ def gauge_transform(conn, u):
     return UnitaryConnection(g, conn.rank, transports, mats[0] @ conn.flat_basis)
 
 
+def walk_monodromies(conn, idx, dirs):
+    """(W, r, r) ordered products of transports along the walks (idx, dirs),
+    the first step's transport applied first; a step against an edge's
+    direction takes its transport's inverse.  The walks are not checked to
+    be closed (``MeshGraph.check_closed`` does that)."""
+    steps = conn.transports[idx]                    # (W, L, r, r)
+    back = dirs < 0
+    steps[back] = steps[back].conj().swapaxes(-1, -2)
+    word = steps[:, 0]
+    for k in range(1, steps.shape[1]):
+        word = steps[:, k] @ word
+    return word
+
+
 def cycle_monodromy(conn, cycle):
     """Ordered product of transports along a closed directed edge sequence.
 
@@ -153,39 +168,19 @@ def cycle_monodromy(conn, cycle):
     """
     if not cycle:
         raise NotAClosedWalk("empty cycle")
-    ends = conn.graph.ends
-    forward, backward = conn.steps()
-    idx0, d0 = cycle[0]
-    u0, v0 = ends[idx0]
-    pos, start = (v0, u0) if d0 == +1 else (u0, v0)
-    word = (forward if d0 == +1 else backward)[idx0]
-    for idx, d in cycle[1:]:
-        u, v = ends[idx]
-        tail, head = (u, v) if d == +1 else (v, u)
-        if tail != pos:
-            raise NotAClosedWalk(f"edge {idx} does not start at vertex {pos}")
-        word = (forward if d == +1 else backward)[idx] @ word
-        pos = head
-    if pos != start:
-        raise NotAClosedWalk("walk does not return to its starting vertex")
-    return word
+    steps = np.array([cycle])
+    idx, dirs = steps[..., 0], steps[..., 1]
+    conn.graph.check_closed(idx, dirs)
+    return walk_monodromies(conn, idx, dirs)[0]
 
 
 def flat_check(conn):
-    """(all faces flat to FLATNESS_TOL?, worst face defect).
-
-    The monodromies of all faces of one length are multiplied out together;
-    a step against an edge's direction takes its transport's inverse.
-    """
+    """(all faces flat to FLATNESS_TOL?, worst face defect), the faces of one
+    length walked together."""
     worst = 0.0
     eye = np.eye(conn.rank)
     for _, idx, dirs in conn.graph.face_cycles().values():
-        steps = conn.transports[idx]                    # (F, L, r, r)
-        back = dirs < 0
-        steps[back] = steps[back].conj().swapaxes(-1, -2)
-        word = steps[:, 0]
-        for k in range(1, steps.shape[1]):
-            word = steps[:, k] @ word
+        word = walk_monodromies(conn, idx, dirs)
         worst = max(worst, float(np.max(np.abs(word - eye))))
     return worst <= FLATNESS_TOL, worst
 

@@ -137,18 +137,19 @@ def _run_renorm_series(cfg, rng):
 
 def _series_source(cfg, rng):
     """The closed-form SeparableSurface of a separable kind, else the
-    MeshSource of _mesh_source, whose bundle holds only phases and so is
-    trivial; a twist on a kind without factors to carry it raises
+    MeshSource of _mesh_source, whose bundle holds only phases and so must
+    have a flat section (bundles.flat_sections_dim, as SeparableSurface
+    decides it): a twist on a kind without factors to carry it raises
     HypothesisViolation."""
     if cfg["surface"].get("kind") in surfaces.SEPARABLE_KINDS:
         return _separable_from(cfg)
     source = _mesh_source(cfg, rng)
     bundle = cfg.get("bundle") or {}
-    for phase in _PHASES:
-        if not torsion.Factor.trivial(float(bundle.get(phase, 0.0))):
-            raise errors.HypothesisViolation(
-                f"{source.label()} has no closed form to carry a twist ({phase} "
-                f"{bundle[phase]!r}); its series takes the trivial bundle")
+    phases = [float(bundle.get(phase, 0.0)) for phase in _PHASES]
+    if not bundles.flat_sections_dim(bundles.HolonomyRepresentation.from_phases(phases)):
+        raise errors.HypothesisViolation(
+            f"{source.label()} has no closed form to carry a twist (alpha, beta = "
+            f"{phases[0]!r}, {phases[1]!r}); its series takes the trivial bundle")
     return source
 
 
@@ -192,14 +193,9 @@ def _mesh_source(cfg, rng):
     return experiments.MeshSource(surface, rep)
 
 
-def _mesh_n(cfg):
-    """The n of a run on one mesh: cfg["n"], else the first of n_list, else 1."""
-    return cfg.get("n") or (cfg.get("n_list") or [1])[0]
-
-
 def _run_spectrum(cfg, rng):
     conn = _mesh_source(cfg, rng).connection(
-        _mesh_n(cfg), lambda rank, nv, ne: laplacian.check_dense_budget(rank, nv))
+        cfg["n"], lambda rank, nv, ne: laplacian.check_dense_budget(rank, nv))
     spec = laplacian.spectrum(laplacian.assemble(conn), expected_kernel_dim=conn.flat_sections)
     return {
         "files": {"spectrum.csv": _csv(enumerate(spec.eigenvalues), ["index", "eigenvalue"])},
@@ -209,7 +205,7 @@ def _run_spectrum(cfg, rng):
 
 
 def _run_logdet(cfg, rng):
-    conn = _mesh_source(cfg, rng).connection(_mesh_n(cfg), laplacian.check_sparse_budget)
+    conn = _mesh_source(cfg, rng).connection(cfg["n"], laplacian.check_sparse_budget)
     res = laplacian.sparse_log_det(conn)
     return {
         "files": {"logdet.csv": _csv([(conn.graph.n, res.log_det_prime, res.kernel_dim)],
@@ -223,7 +219,7 @@ def _run_logdet(cfg, rng):
 
 def _run_crsf_verify(cfg, rng):
     conn = _mesh_source(cfg, rng).connection(
-        _mesh_n(cfg), lambda rank, nv, ne: forests.check_enumeration_caps(nv, ne, nv))
+        cfg["n"], lambda rank, nv, ne: forests.check_enumeration_caps(nv, ne, nv))
     crsfs = forests.enumerate_crsfs(conn.graph)
     total = forests.crsf_weighted_sum(conn, crsfs)
     det, ok = forests.crsf_identity(conn, total)
@@ -320,11 +316,11 @@ _HOLONOMY = ("kind", "rank", "seed", "generators")   # read by _mesh_source
 # experiment kind -> (runner, the keys its config must hold, the bundle fields
 # it reads); only ratio reads bundle_b, with the same fields as its bundle
 _EXPERIMENTS = {
-    "spectrum": (_run_spectrum, ("surface",), _HOLONOMY),
-    "logdet": (_run_logdet, ("surface",), _HOLONOMY),
+    "spectrum": (_run_spectrum, ("surface", "n"), _HOLONOMY),
+    "logdet": (_run_logdet, ("surface", "n"), _HOLONOMY),
     "renorm-series": (_run_renorm_series, ("surface", "n_list"), _PHASES),
     "ratio": (_run_ratio, ("surface", "surface_b", "n_list"), _PHASES),
-    "crsf-verify": (_run_crsf_verify, ("surface",), _HOLONOMY),
+    "crsf-verify": (_run_crsf_verify, ("surface", "n"), _HOLONOMY),
     "szego": (_run_szego, ("profile", "n_list"), ()),
     "heat-trace": (_run_heat_trace, ("surface",), _PHASES),
     "zeta0": (_run_zeta0, ("surface",), _HOLONOMY),
@@ -529,8 +525,7 @@ def selftest(seed=0):
         got = laplacian.sparse_log_det(conn).log_det_prime
         _require(abs(got - math.log(16)) < 1e-12, f"sparse log det' {got} is not log 16")
         alpha, beta = 1.3, -0.7
-        rep = bundles.HolonomyRepresentation(1, [np.array([[np.exp(1j * alpha)]]),
-                                                 np.array([[np.exp(1j * beta)]])])
+        rep = bundles.HolonomyRepresentation.from_phases([alpha, beta])
         mesh = meshes.discretize(surfaces.torus(1, 1), 4)
         got = laplacian.sparse_log_det(bundles.connection_from_holonomy(mesh, rep))
         want = meshspectra.closed_form_log_det("torus", 1, 1, 4, alpha, beta)

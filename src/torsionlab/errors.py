@@ -70,11 +70,12 @@ class EtaDomainError(TorsionLabError):
 
 
 class HypothesisViolation(TorsionLabError):
-    """Comparison setups do not share the invariants needed for ratio limits."""
+    """An input outside a method's hypotheses: no closed form for the kind or
+    twist, unequal ratio invariants, a disconnected surface, a bad ladder."""
 
 
 class BudgetExceeded(TorsionLabError):
-    """Requested computation exceeds the dense-solve budget."""
+    """Requested computation exceeds its dense or sparse solve budget."""
 
 
 class SupportViolation(TorsionLabError):

@@ -266,17 +266,21 @@ def uniform_weyl_check(spectra):
     return cmin, table
 
 
-def weyl_slope(spec, area, i_min=50, i_max=200):
-    """Least-squares slope of lambda_i over i on [i_min, i_max], normalized by 4 pi/A."""
+def weyl_slope(spec, area):
+    """Least-squares slope of lambda_i over i on [50, 200], normalized by 4 pi/A."""
     lam = spec.eigenvalues
-    if lam.size <= i_max:
+    if lam.size <= 200:
         raise ValueError("spectrum too short for the slope window")
-    i = np.arange(i_min, i_max + 1)
-    slope = np.polyfit(i, lam[i_min:i_max + 1], 1)[0]
+    i = np.arange(50, 201)
+    slope = np.polyfit(i, lam[i], 1)[0]
     return float(slope * area / (4 * math.pi))
 
 
 # -- piecewise polynomial bumps ------------------------------------------------
+
+# 8-point Gauss-Legendre nodes and weights, exact to degree 15: above the
+# bumps' cubic pieces and the products of two
+_GAUSS = np.polynomial.legendre.leggauss(8)
 
 
 class PiecewisePoly:
@@ -302,14 +306,12 @@ class PiecewisePoly:
     def derivative(self):
         return PiecewisePoly(self.breaks, [p.deriv() for p in self.polys])
 
-    def integrate(self, lo=None, hi=None, nodes=8):
-        """Gauss-Legendre panel integration, exact for the stored degrees."""
-        lo = self.breaks[0] if lo is None else lo
-        hi = self.breaks[-1] if hi is None else hi
-        xg, wg = np.polynomial.legendre.leggauss(nodes)
+    def integrate(self):
+        """Integral over the support by Gauss-Legendre panels, exact for the
+        stored degrees."""
+        xg, wg = _GAUSS
         total = 0.0
-        cuts = [lo] + [b for b in self.breaks if lo < b < hi] + [hi]
-        for x0, x1 in zip(cuts[:-1], cuts[1:]):
+        for x0, x1 in zip(self.breaks[:-1], self.breaks[1:]):
             mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
             total += half * float(np.sum(wg * self(mid + half * xg)))
         return total
@@ -328,7 +330,7 @@ class PiecewisePoly:
         return PiecewisePoly(breaks, polys)
 
 
-def product_integral(pp1, pp2, shift=0.0, nodes=8):
+def product_integral(pp1, pp2, shift=0.0):
     """integral of pp1(u) * pp2(u - shift) over the overlap of the supports."""
     lo = max(pp1.breaks[0], pp2.breaks[0] + shift)
     hi = min(pp1.breaks[-1], pp2.breaks[-1] + shift)
@@ -337,7 +339,7 @@ def product_integral(pp1, pp2, shift=0.0, nodes=8):
     cuts = sorted(set([lo, hi]
                       + [b for b in pp1.breaks if lo < b < hi]
                       + [b + shift for b in pp2.breaks if lo < b + shift < hi]))
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = _GAUSS
     total = 0.0
     for x0, x1 in zip(cuts[:-1], cuts[1:]):
         mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)

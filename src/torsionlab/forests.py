@@ -23,12 +23,12 @@ its lowest edge index traversed u -> v, and shared by every forest that
 contains it; the census classes follow that order.
 
 The weighted sums, the expectation and the census compute each distinct
-cycle's weight (and winding) once per call, multiply each forest's weights
-in cycle order and add the forests one by one in table order, so their
-totals are bit-identical to a per-forest product.  A plain list of CRSFs is
-first interned by cycle object: forests built by hand, without shared cycle
-objects, give the same bits without the saving.  `crsf-verify` enumerates
-once, for both the sum and the census.
+cycle's weight (and winding) once per call, one `walk_monodromies` call per
+cycle length, multiply each forest's weights in cycle order and add the
+forests one by one in table order, so their totals are bit-identical to a
+per-forest product.  A plain list of CRSFs is first interned by cycle object:
+forests built by hand, without shared cycle objects, give the same bits
+without the saving.  `crsf-verify` enumerates once, for the sum and census.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import (IdentityMismatch, NegativeUnderSqrt, NotClassifiable,
                      RankUnsupported, TooLarge)
-from .bundles import cycle_monodromy
+from .bundles import walk_monodromies
 from .laplacian import assemble, log_det_prime, spectrum
 from .surfaces import standard_cuts
 
@@ -242,13 +242,24 @@ def _interned(crsfs):
     return cycle_ids, cycles
 
 
-def _cycle_weight(conn, cyc):
-    """2 - w - 1/w (rank 1) or 2 - tr w (rank 2) for the monodromy w of ``cyc``."""
-    w = cycle_monodromy(conn, cyc)
-    if conn.rank == 1:
-        z = w[0, 0]
-        return float((2 - z - 1 / z).real)
-    return float((2 - np.trace(w)).real)
+def _cycle_weights(conn, cycles):
+    """2 - w - 1/w (rank 1) or 2 - tr w (rank 2) for the monodromy w of each
+    cycle; the cycles of one length are walked together."""
+    weights = np.empty(len(cycles))
+    by_length = {}
+    for j, cyc in enumerate(cycles):
+        by_length.setdefault(len(cyc), []).append(j)
+    for rows in by_length.values():
+        steps = np.array([cycles[j] for j in rows])
+        idx, dirs = steps[..., 0], steps[..., 1]
+        conn.graph.check_closed(idx, dirs)
+        w = walk_monodromies(conn, idx, dirs)
+        if conn.rank == 1:
+            z = w[:, 0, 0]
+            weights[rows] = (2 - z - 1 / z).real
+        else:
+            weights[rows] = (2 - np.trace(w, axis1=1, axis2=2)).real
+    return weights
 
 
 def _per_forest(op, values, cycle_ids, identity):
@@ -265,8 +276,8 @@ def _per_forest(op, values, cycle_ids, identity):
 def _terms(conn, crsfs):
     """(cycle_ids, cycles, the product of each forest's cycle weights)."""
     cycle_ids, cycles = _interned(crsfs)
-    weights = [_cycle_weight(conn, cyc) for cyc in cycles]
-    return cycle_ids, cycles, _per_forest(np.multiply, weights, cycle_ids, 1.0)
+    return cycle_ids, cycles, _per_forest(np.multiply, _cycle_weights(conn, cycles),
+                                          cycle_ids, 1.0)
 
 
 def _require_weighable(conn):

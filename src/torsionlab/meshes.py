@@ -289,19 +289,20 @@ class MeshGraph:
                 continue
             slots = (cycles & ~3) + _EXIT[cycles & 3]
             idx, dirs = self.slot_edge_index[slots], self.slot_direction[slots]
-            self._check_closed(idx, dirs)
+            self.check_closed(idx, dirs)
             out[length] = (cycles[:, 0], idx, dirs)
         self._face_cycles = out
         return out
 
-    def _check_closed(self, idx, dirs):
-        """NotAClosedWalk unless each row of steps chains head to tail."""
+    def check_closed(self, idx, dirs):
+        """NotAClosedWalk unless each row of the walks (idx, dirs), (W, L)
+        edge indices and directions, chains head to tail back to its start."""
         forward = dirs > 0
         head = np.where(forward, self.edge_v[idx], self.edge_u[idx])
         tail = np.where(forward, self.edge_u[idx], self.edge_v[idx])
         bad = np.flatnonzero(np.any(np.roll(tail, -1, axis=1) != head, axis=1))
         if len(bad):
-            raise NotAClosedWalk(f"face through edges {idx[bad[0]].tolist()} is not a closed walk")
+            raise NotAClosedWalk(f"walk through edges {idx[bad[0]].tolist()} is not closed")
 
     def faces(self):
         """Directed edge cycles around the interior lattice points.
@@ -322,17 +323,14 @@ class MeshGraph:
     # -- cuts and winding -----------------------------------------------------
 
     def refine_cuts(self, tile_cuts):
-        """Refine tile-level cuts to edge-level crossing maps.
-
-        Returns one dict per generator mapping edge index -> +-1, the signed
-        crossing when the edge is traversed u -> v.  A cut through a boundary
-        side raises BadCuts.
+        """Refine tile-level cuts to a (cuts, E) integer array: row k holds
+        each edge's signed crossing of cut k when traversed u -> v, or 0.  A
+        cut through a boundary side raises BadCuts.
         """
         n = self.n
         s = np.arange(n)
-        out = []
-        for cut in tile_cuts:
-            ecut = {}
+        out = np.zeros((len(tile_cuts), len(self.edge_u)), dtype=np.int64)
+        for row, cut in zip(out, tile_cuts):
             for (tile, d), sign in cut.items():
                 if tile not in self.tile_index:
                     raise BadCuts(f"cut slot {(tile, d)} names no tile")
@@ -342,17 +340,14 @@ class MeshGraph:
                 idx = self.slot_edge_index[slots]
                 if np.any(idx < 0):
                     raise BadCuts(f"cut slot {(tile, d)} is a boundary side")
-                ecut.update(zip(idx.tolist(), (sign * self.slot_direction[slots]).tolist()))
-            out.append(ecut)
+                row[idx] = sign * self.slot_direction[slots]
         return out
 
     def cycle_winding(self, cycle, edge_cuts):
-        """Total signed crossings of each cut along a directed edge cycle."""
-        w = [0] * len(edge_cuts)
-        for k, cut in enumerate(edge_cuts):
-            for idx, direction in cycle:
-                w[k] += direction * cut.get(idx, 0)
-        return tuple(w)
+        """Total signed crossings of each cut of ``edge_cuts`` (refine_cuts)
+        along a directed edge cycle, a list of (edge_index, direction)."""
+        idx, dirs = np.array(cycle).T
+        return tuple((edge_cuts[:, idx] @ dirs).tolist())
 
     # -- export ---------------------------------------------------------------
 

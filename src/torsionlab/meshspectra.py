@@ -39,12 +39,13 @@ SQRT2M1 = math.sqrt(2.0) - 1.0
 LOG_SQRT2M1 = math.log(SQRT2M1)
 
 
-def catalan_constant(terms=48):
+def catalan_constant():
     """Catalan's constant 1 - 1/9 + 1/25 - ... by accelerated alternating summation.
 
     Chebyshev-weighted acceleration of the alternating series; 48 terms give
     full double precision.
     """
+    terms = 48
     d = (3.0 + math.sqrt(8.0)) ** terms
     d = (d + 1.0 / d) / 2.0
     b = -1.0

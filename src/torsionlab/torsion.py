@@ -7,10 +7,11 @@ ends).  surfaces.SEPARABLE_KINDS is the one table of them: the a x b
 rectangle is free x free, the torus periodic x periodic, and the cylinder
 periodic circumference a x free height b.  Mesh and continuum spectra, theta series
 and log det', twisted or not, perimeter, corner count, dim H^0 and zeta(0)
-all follow from the factors.  A factor's kernel is decided once, from its
-holonomy: a phase with exp(i phase) within FLAT_SECTION_TOL of 1 is trivial
-(Factor.trivial) and is replaced by 0.  SeparableSurface (kind, sides a, b and U(1) phases
-alpha, beta) is the one setup of the closed-form experiments.
+all follow from the factors.  SeparableSurface (kind, sides a, b and U(1)
+phases alpha, beta) is the one setup of the closed-form experiments.  Its
+kernel is decided once, by the rule a mesh connection uses
+(bundles.flat_basis) applied to the generators exp(i phase) of its periodic
+sides: with a flat section, dim H^0 = 1 and every such phase is replaced by 0.
 
 A factor's mesh and continuum rows are shifted products over its spectrum:
 2 cosh(m phi) - 2 cos theta for a cycle of m sites twisted by theta at shift
@@ -23,13 +24,13 @@ torus_torsion and rectangle_torsion (dedekind_eta) are its references.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from .bundles import HolonomyRepresentation, flat_sections_dim
 from .errors import EtaDomainError, HypothesisViolation
 from .laplacian import HermitianSpectrum
 from .surfaces import SEPARABLE_KINDS
@@ -38,10 +39,6 @@ _SERIES_TERMS = 64
 
 MELLIN_T = 1e-3    # heat-trace time at which zeta0_from_heat_trace reads zeta(0)
 ROW_DECAY = 40.0   # a continuum row at length * s >= 40 is below e^-40 < 1e-17
-
-# |g - 1| below this makes a U(1) generator g trivial; bundles.flat_sections_dim
-# applies the same bound to the singular values of the stacked g - I
-FLAT_SECTION_TOL = 1e-10
 
 
 @dataclass(frozen=True, order=True)
@@ -60,17 +57,12 @@ class Factor:
         if not self.periodic and self.phase:
             raise HypothesisViolation(
                 f"the free side of length {self.length} carries no twist (phase {self.phase!r})")
-        if self.trivial(self.phase):
+        if self.twist == 0.0:       # a whole number of turns, exactly: no twist
             object.__setattr__(self, "phase", 0.0)
-
-    @staticmethod
-    def trivial(phase):
-        """True when the holonomy exp(i phase) is within FLAT_SECTION_TOL of 1."""
-        return abs(cmath.exp(1j * phase) - 1.0) < FLAT_SECTION_TOL
 
     @property
     def flat_sections(self):
-        """1 when the factor carries a flat section (free, or trivial holonomy), else 0."""
+        """1 when the factor carries a flat section (free, or phase 0), else 0."""
         return int(self.phase == 0.0)
 
     def _sites(self, n):
@@ -161,7 +153,9 @@ class SeparableSurface:
     """A surface in SEPARABLE_KINDS with its two factors, side a then side b.
 
     Raises HypothesisViolation for a kind outside the table and for a twist
-    on a free side.
+    on a free side.  ``dim_h0`` is the flat sections' dimension that
+    bundles.flat_sections_dim gives the periodic sides' generators; when it
+    is 1 their factors carry phase 0.
     """
 
     kind: str
@@ -170,14 +164,21 @@ class SeparableSurface:
     alpha: float = 0.0
     beta: float = 0.0
     factors: tuple = field(init=False, repr=False, compare=False)
+    dim_h0: int = field(init=False, repr=False, compare=False)
     rank = 1    # a U(1) twist: the series renormalizes at rank 1
 
     def __post_init__(self):
         periodic = SEPARABLE_KINDS.get(self.kind)
         if periodic is None:
             raise HypothesisViolation(f"no closed form for kind {self.kind!r}")
-        object.__setattr__(self, "factors", (Factor(periodic[0], self.a, self.alpha),
-                                             Factor(periodic[1], self.b, self.beta)))
+        phases = (self.alpha, self.beta)
+        dim_h0 = flat_sections_dim(HolonomyRepresentation.from_phases(
+            [p for p, per in zip(phases, periodic) if per]))
+        if dim_h0:
+            phases = [0.0 if per else p for p, per in zip(phases, periodic)]
+        object.__setattr__(self, "dim_h0", dim_h0)
+        object.__setattr__(self, "factors", tuple(
+            Factor(per, side, p) for per, side, p in zip(periodic, (self.a, self.b), phases)))
 
     @property
     def area(self):
@@ -197,10 +198,6 @@ class SeparableSurface:
     def heat_constant(self):
         """Constant term of the small-time heat trace: a right corner gives 1/16."""
         return Fraction(self.corners, 16)
-
-    @property
-    def dim_h0(self):
-        return self.factors[0].flat_sections * self.factors[1].flat_sections
 
     @property
     def zeta0(self):

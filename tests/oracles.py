@@ -1,12 +1,13 @@
 """Closed forms that only the tests use, kept as oracles: the rectangle mesh's
 eigenvalues and eigenvectors mode by mode and as a full grid, the Szego trace
-by full eigenbasis contraction, and the rescaling law of log det'."""
+by full eigenbasis contraction, the rescaling law of log det', and the
+monodromy of a cycle walked one edge at a time."""
 
 import math
 
 import numpy as np
 
-from torsionlab.errors import IndexOutOfRange
+from torsionlab.errors import IndexOutOfRange, NotAClosedWalk
 from torsionlab.torsion import SeparableSurface
 
 
@@ -81,3 +82,28 @@ def szego_trace_contraction(profile, n):
             den = float(pk.sum() * pl.sum())
             total += math.log(lam[k, l]) * num / den
     return total
+
+
+def step_monodromy(conn, cycle):
+    """Independent oracle: the ordered product of transports along a closed
+    directed edge cycle, a list of (edge_index, direction), multiplied one
+    edge at a time and checked to chain head to tail as it goes."""
+    if not cycle:
+        raise NotAClosedWalk("empty cycle")
+    ends = conn.graph.ends
+    forward = conn.transports
+    backward = conn.transports.conj().swapaxes(-1, -2)
+    idx0, d0 = cycle[0]
+    u0, v0 = ends[idx0]
+    pos, start = (v0, u0) if d0 == +1 else (u0, v0)
+    word = (forward if d0 == +1 else backward)[idx0]
+    for idx, d in cycle[1:]:
+        u, v = ends[idx]
+        tail, head = (u, v) if d == +1 else (v, u)
+        if tail != pos:
+            raise NotAClosedWalk(f"edge {idx} does not start at vertex {pos}")
+        word = (forward if d == +1 else backward)[idx] @ word
+        pos = head
+    if pos != start:
+        raise NotAClosedWalk("walk does not return to its starting vertex")
+    return word

@@ -435,15 +435,18 @@ def test_weyl_check_honours_the_twist(tmp_path):
      "n_list": [4]},
     {"experiment": "szego", "profile": {"a": 2, "b": "2", "coeffs": [[1, 0, 1.0]]},
      "n_list": [4]},
-    {"experiment": "szego", "profile": {"a": 2, "b": 2, "coeffs": {"x": 1}}, "n_list": [4]}],
+    {"experiment": "szego", "profile": {"a": 2, "b": 2, "coeffs": {"x": 1}}, "n_list": [4]},
+    # a run on one mesh reads n, not the first of an n_list
+    {"experiment": "logdet", "surface": _TORUS11, "n_list": [4, 8]}],
     ids=["n-zero", "n-string", "negative-rank", "alpha-string", "t-zero",
          "ragged-generator", "non-numeric-generator", "logdet-phases",
          "renorm-series-generators", "misspelt-phase", "bundle_b-outside-ratio",
          "profile-no-coeffs", "profile-string-value", "profile-string-b",
-         "profile-coeffs-object"])
-def test_malformed_input_exits_2(tmp_path, cfg):
+         "profile-coeffs-object", "logdet-n_list-without-n"])
+def test_malformed_input_exits_2(tmp_path, cfg, capsys):
     code, out = _run(tmp_path, cfg)
     assert code == 2 and not out.exists()
+    assert "ConfigError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("experiment", ["zeta0", "logdet"])
@@ -455,7 +458,7 @@ def test_malformed_input_exits_2(tmp_path, cfg):
     {"kind": "raw", "tiles": [], "pairings": []}],
     ids=["no-pairings", "tiles-number", "two-part-pairing", "object-tile", "no-tiles"])
 def test_malformed_raw_surface_exits_2(tmp_path, experiment, spec):
-    code, out = _run(tmp_path, {"experiment": experiment, "surface": spec})
+    code, out = _run(tmp_path, {"experiment": experiment, "surface": spec, "n": 1})
     assert code == 2
     assert json.loads((out / "meta.json").read_text())["error"]["code"] == "InvalidGluing"
 
@@ -464,7 +467,7 @@ def test_malformed_raw_surface_exits_2(tmp_path, experiment, spec):
 def test_disconnected_surface_exits_2(tmp_path, experiment):
     # two unglued squares: each carries its own flat section, so dim H^0 = 2
     spec = {"kind": "raw", "tiles": [0, 1], "pairings": []}
-    code, out = _run(tmp_path, {"experiment": experiment, "surface": spec})
+    code, out = _run(tmp_path, {"experiment": experiment, "surface": spec, "n": 1})
     assert code == 2
     error = json.loads((out / "meta.json").read_text())["error"]
     assert error["code"] == "HypothesisViolation" and "2 components" in error["message"]

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from torsionlab import bundles, cli, forests, laplacian, meshes, surfaces
 from torsionlab.complexes import E, HALF_TURN, N, S, SquareComplex, TRANSLATION, W
-from torsionlab.errors import (KernelMismatch, NegativeUnderSqrt, NotClassifiable,
+from torsionlab.errors import (BadCuts, KernelMismatch, NegativeUnderSqrt, NotClassifiable,
                                RankUnsupported, TooLarge)
+from oracles import step_monodromy
 
 
 def _det(conn, expected_kernel_dim=0):
@@ -345,18 +346,50 @@ def _random_unitary_field(rank, size, rng):
 
 
 def _naive_weighted_sum(conn, crsfs):
-    """The CRSF sum forest by forest: every cycle's monodromy, every time."""
+    """The CRSF sum forest by forest: every cycle's monodromy, every time,
+    walked one edge at a time by the oracle."""
     total = 0.0
     for f in crsfs:
         weight = 1.0
         for cyc in f.cycles:
-            w = bundles.cycle_monodromy(conn, cyc)
+            w = step_monodromy(conn, cyc)
             if conn.rank == 1:
                 weight *= float((2 - w[0, 0] - 1 / w[0, 0]).real)
             else:
                 weight *= float((2 - np.trace(w)).real)
         total += weight
     return total
+
+
+def _walks(mesh):
+    """Every face, every distinct CRSF cycle and each generator loop of ``mesh``."""
+    walks = list(mesh.faces()) + forests.enumerate_crsfs(mesh).cycles
+    for generator in (0, 1):
+        try:
+            walks.append(bundles.generator_loop(mesh, generator))
+        except BadCuts:
+            pass
+    return walks
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(surface_n=st.sampled_from(SMALL_MESHES) | st.tuples(glued_surfaces(), st.just(1)),
+       seed=st.integers(0, 2**32 - 1))
+def test_walk_monodromies_match_the_step_oracle_bit_for_bit(surface_n, seed):
+    rng = np.random.default_rng(seed)
+    mesh = meshes.discretize(*surface_n)
+    walks = _walks(mesh)
+    for rank in (1, 2):
+        conn = bundles.UnitaryConnection(
+            mesh, rank, _random_unitary_field(rank, len(mesh.edges), rng), np.zeros((rank, 0)))
+        for walk in walks:     # one-row walk_monodromies calls
+            assert (bundles.cycle_monodromy(conn, walk).tobytes()
+                    == step_monodromy(conn, walk).tobytes())
+        # the faces of one length walked together, as flat_check walks them
+        for _, idx, dirs in mesh.face_cycles().values():
+            got = bundles.walk_monodromies(conn, idx, dirs)
+            for row, face in zip(got, zip(idx.tolist(), dirs.tolist())):
+                assert row.tobytes() == step_monodromy(conn, list(zip(*face))).tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -270,6 +270,17 @@ def test_factor_table_matches_dense_and_holonomy(kind, a, b, n, alpha, beta):
             == bundles.flat_sections_dim(rep))
 
 
+@pytest.mark.parametrize("alpha,beta", [(8e-11, 8e-11), (5e-11, 5e-11), (5e-11, 0.5),
+                                        (1.2e-10, 0.0), (2 * math.pi, 0.0)])
+def test_closed_form_and_mesh_count_the_same_kernel_near_a_trivial_twist(alpha, beta):
+    # one rule for both: the stacked g - I of the generators, not each phase alone
+    rep = bundles.HolonomyRepresentation(1, [np.array([[np.exp(1j * p)]]) for p in (alpha, beta)])
+    conn = bundles.connection_from_holonomy(meshes.discretize(surfaces.torus(1, 1), 2), rep)
+    setup = torsion.SeparableSurface("torus", 1, 1, alpha, beta)
+    assert setup.dim_h0 == setup.mesh_spectrum(2).kernel_dim == conn.flat_sections
+    assert all(f.phase == 0.0 for f in setup.factors) == bool(setup.dim_h0)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(["rectangle", "torus", "cylinder"]),
        a=st.integers(1, 3), b=st.integers(1, 3), n=st.integers(1, 64),
