@@ -1,20 +1,21 @@
-"""Spanning-tree and cycle-rooted spanning forest enumeration by a block filter.
+"""Spanning-tree and cycle-rooted spanning forest enumeration by prefix growth.
 
 A CRSF is an edge subset covering every vertex in which each connected
 component has exactly as many edges as vertices, hence a unique cycle.
 Multi-edge copies and loops count as distinct edges throughout.
 
-Both enumerations test every ``size``-subset of the edges, drawn from
-``itertools.combinations`` in blocks of ``_CHUNK`` rows.  A block is one
-integer array; its rows are unioned one edge column at a time, each vertex
-relabeled to its component's lowest vertex, and a component is marked when
-an edge inside it closes its cycle.  A CRSF keeps the rows in which no
+Both enumerations grow the ``size``-subsets of the edges one edge at a time,
+level by level in combinations order, in blocks of at most ``_CHUNK`` rows.
+A child row copies its prefix's labels (each vertex's component, named by its
+lowest vertex) and unions only its new edge.  A CRSF prefix is dropped when a
 component closes twice (a close inside a closed component, or a merge of two
-closed ones); with |V| edges every component has then closed exactly once.
-A spanning tree (|V| - 1 edges, loops left out) keeps the rows with no close
-at all, hence one component.  So ``MAX_SUBSETS`` bounds exactly the subsets
-tested.  On the kept rows, vertices of degree one are peeled until only the
-cycles remain, and each cycle is keyed by the bitmask of its edges.
+closed ones), a spanning-tree prefix (|V| - 1 edges, loops left out) when any
+component closes; a dropped prefix is never extended.  With |V| edges every
+component of a CRSF has closed exactly once.  ``MAX_SUBSETS`` bounds the
+subsets of the last level, of which only the extensions of kept prefixes are
+reached.  Each vertex carries the edge bitmask of its tree path to its
+component's lowest vertex, so the edge that closes a component gives that
+component's cycle mask at once.
 
 `enumerate_crsfs` returns a `CRSFTable`: the edges of each forest in
 combinations order, and per forest the indices of its cycles, listed by their
@@ -23,19 +24,19 @@ its lowest edge index traversed u -> v, and shared by every forest that
 contains it; the census classes follow that order.
 
 The weighted sums, the expectation and the census compute each distinct
-cycle's weight (and winding) once per call, one `walk_monodromies` call per
-cycle length, multiply each forest's weights in cycle order and add the
-forests one by one in table order, so their totals are bit-identical to a
-per-forest product.  A plain list of CRSFs is first interned by cycle object:
-forests built by hand, without shared cycle objects, give the same bits
-without the saving.  `crsf-verify` enumerates once, for the sum and census.
+cycle's weight (and winding) once per call, with one `walk_monodromies` call
+(and one cut product) per cycle length, multiply each forest's weights in
+cycle order and add the forests one by one in table order, so their totals
+are bit-identical to a per-forest product.  A plain list of CRSFs is first
+interned by cycle object: forests built by hand, without shared cycle
+objects, give the same bits without the saving.  `crsf-verify` enumerates
+once, for the sum and census.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -49,7 +50,7 @@ MAX_VERTICES = 12     # both enumerations refuse larger meshes
 MAX_EDGES = 62        # a cycle is keyed by an int64 bitmask of its edges
 MAX_SUBSETS = 6_000_000
 IDENTITY_TOL = 1e-9
-_CHUNK = 4096         # subsets per block; larger blocks only raise the peak memory
+_CHUNK = 4096         # rows per block at each level; larger blocks only raise the peak memory
 
 
 def check_enumeration_caps(nv, ne, size):
@@ -94,129 +95,105 @@ class CRSFTable:
             yield CRSF(tuple(edges), [cycles[j] for j in ids if j >= 0])
 
 
-def _blocks(items, size):
-    """The ``size``-subsets of ``items`` (size >= 1) in combinations order, as
-    int8 arrays of at most _CHUNK rows."""
-    subsets = combinations(items, size)
-    while len(block := np.fromiter(chain.from_iterable(islice(subsets, _CHUNK)),
-                                   dtype=np.int8).reshape(-1, size)):
-        yield block
+def _grow(mesh, links, size, cyclic):
+    """The ``size``-subsets of the edges ``links`` in which no component
+    closes twice (``cyclic``) or at all, in combinations order, as blocks
+    (edges, masks): per subset its edge indices and, lowest vertex first, the
+    cycle mask of each of its components that closed, padded with 0.
 
+    A row's masks hold, per vertex, the XOR of the edge bits on its tree path
+    to its component's lowest vertex, and at that lowest vertex, whose path
+    is empty, the component's cycle mask (0 while it is open).  An edge
+    e = (u, v) closing a component closes it on p(u) ^ p(v) ^ bit(e); merging
+    two components XORs that same value into the paths of the relabeled side.
+    """
+    links = np.asarray(links, dtype=np.int8)
+    nv = mesh.n_vertices
+    tails, heads = mesh.edge_u[links], mesh.edge_v[links]
+    bits = np.left_shift(1, links, dtype=np.int64)
+    top = len(links) - size      # a d-edge prefix's next pick is at most top + d
 
-def _cells(mesh, block):
-    """(rows, tails, heads) indexing per-vertex arrays of ``block`` that are
-    laid out vertex by vertex, so a flat index is vertex * len(block) + row:
-    the row numbers, and per edge column the flat index of each row's edge
-    tail and head."""
-    nrow = len(block)
-    rows = np.arange(nrow, dtype=np.int32)
-    return (rows, *((end * nrow).astype(np.int32)[block.T] + rows
-                    for end in (mesh.edge_u, mesh.edge_v)))
+    def extend(picked, label, mask):
+        d = picked.shape[1]
+        last = picked[:, -1].astype(np.intp) if d else np.full(1, -1)
+        counts = np.maximum(top + d - last, 0)     # children pick last + 1 .. top + d
+        parents = np.repeat(np.arange(len(picked), dtype=np.int32), counts)
+        picks = (np.arange(len(parents)) - np.repeat(np.cumsum(counts) - counts - last - 1,
+                                                     counts)).astype(np.int8)
+        for start in range(0, len(parents), _CHUNK):
+            par, pick = parents[start:start + _CHUNK], picks[start:start + _CHUNK]
+            u, v = tails[pick], heads[pick]
+            a, b = label[par, u], label[par, v]
+            same = a == b
+            bad = (mask[par, a] != 0) & (same | (mask[par, b] != 0)) if cyclic else same
+            keep = np.flatnonzero(~bad)
+            par, pick, u, v, a, b, same = (z[keep] for z in (par, pick, u, v, a, b, same))
+            lab, m = label[par], mask[par]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            moved = (lab == hi[:, None]) & ~same[:, None]
+            if cyclic:
+                rows = np.arange(len(par))
+                # p(u) ^ p(v) ^ bit(e), where a lowest vertex's own path is empty
+                x = np.where(a == u, 0, m[rows, u]) ^ np.where(b == v, 0, m[rows, v]) ^ bits[pick]
+                cycles = m[rows, a] | m[rows, b]
+                m ^= moved * x[:, None]
+                m[rows, hi] = x
+                m[rows, lo] = np.where(same, x, cycles)
+            np.copyto(lab, lo[:, None], where=moved)
+            kids = np.column_stack([picked[par], pick])
+            if d + 1 < size:
+                yield from extend(kids, lab, m)
+            else:
+                masks = np.where(lab == np.arange(nv), m, 0)
+                yield links[kids], np.take_along_axis(
+                    masks, np.argsort(masks == 0, axis=1, kind="stable"), axis=1)
 
-
-def _union(mesh, block, cyclic):
-    """(kept, label): the rows of ``block`` whose components each close at
-    most once (``cyclic``) or never, and for those rows each vertex's
-    component, named by its lowest vertex, as a (|V|, kept rows) array."""
-    nrow, nv = len(block), mesh.n_vertices
-    rows, tails, heads = _cells(mesh, block)
-    # a component is named by the flat index of its lowest vertex in row 0
-    label = np.repeat(np.arange(0, nv * nrow, nrow, dtype=np.int32), nrow)
-    grid = label.reshape(nv, nrow)
-    closed = np.zeros(nv * nrow, dtype=bool)     # per component, at its name + row
-    bad = np.zeros(nrow, dtype=bool)
-    for tail, head in zip(tails, heads):
-        a = label[tail]
-        b = label[head]
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        same = lo == hi
-        if cyclic:
-            ca = closed[a + rows]
-            cb = closed[b + rows]
-            bad |= ca & (same | cb)
-            closed[lo + rows] = same | ca | cb
-        else:
-            bad |= same
-        np.copyto(grid, lo, where=grid == hi)
-    kept = ~bad
-    return kept, grid[:, kept] // nrow
-
-
-def _cycle_masks(mesh, block, label):
-    """Per row, the edge bitmask of each component's cycle, lowest vertex
-    first, padded with 0.  Vertices of degree one are peeled until only the
-    cycles remain: a leaf's one neighbour is the sum of its neighbours left."""
-    nv, nrow = label.shape
-    rows, tails, heads = _cells(mesh, block)
-    size = nv * nrow
-    degree = np.bincount(tails.ravel(), minlength=size) + np.bincount(heads.ravel(), minlength=size)
-    neighbours = (np.bincount(tails.ravel(), heads.ravel() // nrow, minlength=size)
-                  + np.bincount(heads.ravel(), tails.ravel() // nrow, minlength=size))
-    while len(leaves := np.flatnonzero(degree == 1)):
-        degree[leaves] = 0
-        nearby = neighbours[leaves].astype(np.intp) * nrow + leaves % nrow
-        degree -= np.bincount(nearby, minlength=size)
-        neighbours -= np.bincount(nearby, leaves // nrow, minlength=size)
-    # the edges left between cycle vertices are the cycles
-    on_cycle = degree > 0
-    bits = np.where(on_cycle[tails] & on_cycle[heads], np.left_shift(1, block.T, dtype=np.int64), 0)
-    # each component's mask goes to its lowest vertex
-    roots = label.ravel()[tails] * nrow + rows
-    masks = np.zeros(size, dtype=np.int64)
-    for root, bit in zip(roots, bits):
-        masks[root] |= bit
-    masks = masks.reshape(nv, nrow).T
-    return np.take_along_axis(masks, np.argsort(masks == 0, axis=1, kind="stable"), axis=1)
+    yield from extend(np.zeros((1, 0), dtype=np.int8), np.arange(nv, dtype=np.int8)[None],
+                      np.zeros((1, nv), dtype=np.int64))
 
 
 def _walk(ends, key):
     """The cycle on the edges of bitmask ``key``: its lowest edge u -> v, then
     on around the cycle, as (edge_index, direction) steps."""
-    left = [k for k in range(key.bit_length()) if key >> k & 1]
-    k = left.pop(0)
+    edges = [k for k in range(key.bit_length()) if key >> k & 1]
+    touching = {}
+    for k in edges:
+        for x in ends[k]:
+            touching.setdefault(x, []).append(k)
+    k = edges[0]
     walk = [(k, +1)]
     at = ends[k][1]
-    while left:
-        for i, j in enumerate(left):
-            u, v = ends[j]
-            if u == at or v == at:
-                walk.append((j, +1) if u == at else (j, -1))
-                at = v if u == at else u
-                del left[i]
-                break
+    for _ in edges[1:]:
+        k = next(j for j in touching[at] if j != k)
+        u, v = ends[k]
+        walk.append((k, +1) if u == at else (k, -1))
+        at = v if u == at else u
     return walk
 
 
 def count_spanning_trees(mesh):
-    """Exact spanning-tree count by the block filter."""
+    """Exact spanning-tree count by prefix growth."""
     nv = mesh.n_vertices
     links = [k for k, (u, v) in enumerate(mesh.ends) if u != v]
     check_enumeration_caps(nv, len(links), nv - 1)
     if nv == 1:
         return 1
-    return sum(int(_union(mesh, block, cyclic=False)[0].sum())
-               for block in _blocks(links, nv - 1))
+    return sum(len(edges) for edges, _ in _grow(mesh, links, nv - 1, cyclic=False))
 
 
 def enumerate_crsfs(mesh):
     """All cycle-rooted spanning forests, as a `CRSFTable`."""
     nv = mesh.n_vertices
     check_enumeration_caps(nv, len(mesh.edges), nv)
-    kept_edges = [np.zeros((0, nv), dtype=np.int8)]
-    kept_masks = [np.zeros((0, nv), dtype=np.int64)]
-    for block in _blocks(range(len(mesh.edges)), nv):
-        kept, label = _union(mesh, block, cyclic=True)
-        block = block[kept]
-        kept_edges.append(block)
-        kept_masks.append(_cycle_masks(mesh, block, label))
-    masks = np.concatenate(kept_masks)
+    blocks = [(np.zeros((0, nv), dtype=np.int8), np.zeros((0, nv), dtype=np.int64)),
+              *_grow(mesh, range(len(mesh.edges)), nv, cyclic=True)]
+    masks = np.concatenate([m for _, m in blocks])
     masks = masks[:, :int((masks != 0).sum(axis=1).max(initial=0))]
     keys, ids = np.unique(masks[masks != 0], return_inverse=True)
     cycle_ids = np.full(masks.shape, -1, dtype=np.intp)
     cycle_ids[masks != 0] = ids
     ends = mesh.ends
-    return CRSFTable(np.concatenate(kept_edges), cycle_ids,
+    return CRSFTable(np.concatenate([e for e, _ in blocks]), cycle_ids,
                      [_walk(ends, key) for key in keys.tolist()])
 
 
@@ -242,16 +219,31 @@ def _interned(crsfs):
     return cycle_ids, cycles
 
 
-def _cycle_weights(conn, cycles):
-    """2 - w - 1/w (rank 1) or 2 - tr w (rank 2) for the monodromy w of each
-    cycle; the cycles of one length are walked together."""
-    weights = np.empty(len(cycles))
+def _by_length(cycles):
+    """(rows, idx, dirs) per cycle length: the positions in ``cycles`` of the
+    cycles of that length, and their edge indices and directions as arrays."""
     by_length = {}
     for j, cyc in enumerate(cycles):
         by_length.setdefault(len(cyc), []).append(j)
     for rows in by_length.values():
         steps = np.array([cycles[j] for j in rows])
-        idx, dirs = steps[..., 0], steps[..., 1]
+        yield rows, steps[..., 0], steps[..., 1]
+
+
+def _windings(edge_cuts, cycles):
+    """Each cycle's signed crossings of each cut of ``edge_cuts`` (see
+    `MeshGraph.refine_cuts`), a (cycles, cuts) array; one product per length."""
+    windings = np.zeros((len(cycles), len(edge_cuts)), dtype=np.int64)
+    for rows, idx, dirs in _by_length(cycles):
+        windings[rows] = (edge_cuts[:, idx] * dirs).sum(axis=2).T
+    return windings
+
+
+def _cycle_weights(conn, cycles):
+    """2 - w - 1/w (rank 1) or 2 - tr w (rank 2) for the monodromy w of each
+    cycle; the cycles of one length are walked together."""
+    weights = np.empty(len(cycles))
+    for rows, idx, dirs in _by_length(cycles):
         conn.graph.check_closed(idx, dirs)
         w = walk_monodromies(conn, idx, dirs)
         if conn.rank == 1:
@@ -333,7 +325,7 @@ def noncontractible_expectation(conn):
     _require_weighable(conn)
     cuts = mesh.refine_cuts(cuts)
     cycle_ids, cycles, terms = _terms(conn, enumerate_crsfs(mesh))
-    noncontractible = [any(mesh.cycle_winding(cyc, cuts)) for cyc in cycles]
+    noncontractible = _windings(cuts, cycles).any(axis=1)
     total = 0.0
     nonc_sum = 0.0
     nonc_count = 0
@@ -358,7 +350,7 @@ def crsf_census_csv(mesh, conn, crsfs=None):
         crsfs = enumerate_crsfs(mesh)
     cuts = mesh.refine_cuts(standard_cuts(mesh.surface))
     cycle_ids, cycles, terms = _terms(conn, crsfs)
-    classes = ["(" + ",".join(map(str, mesh.cycle_winding(cyc, cuts))) + ")" for cyc in cycles]
+    classes = ["(" + ",".join(map(str, w)) + ")" for w in _windings(cuts, cycles).tolist()]
     rows = ["crsf_id,n_components,cycle_classes,weight"]
     for k, (ids, weight) in enumerate(zip(cycle_ids.tolist(), terms)):
         named = [classes[j] for j in ids if j >= 0]

@@ -435,6 +435,25 @@ def test_each_distinct_cycle_is_one_object():
     assert len({id(c) for c in cycles}) == len({tuple(c) for c in cycles}) == 312
 
 
+# sha256 of the table's edges, cycle ids and cycles and of the tree count,
+# computed with a block filter that tested every edge subset on its own
+TABLE_DIGESTS = {"torus(1,1)": (3, "c8c1d3eb793741aa"), "cylinder(3,1)": (2, "264cd30f224e542a"),
+                 "torus(2,1)": (2, "6468428c0c55ceb5")}
+
+
+@pytest.mark.parametrize("surf", [surfaces.torus(1, 1), surfaces.cylinder(3, 1),
+                                  surfaces.torus(2, 1)], ids=lambda s: s.name)
+def test_crsf_table_is_pinned(surf):
+    n, digest = TABLE_DIGESTS[surf.name]
+    mesh = meshes.discretize(surf, n)
+    table = forests.enumerate_crsfs(mesh)
+    h = hashlib.sha256()
+    for part in (table.edges.tolist(), table.cycle_ids.tolist(), table.cycles,
+                 forests.count_spanning_trees(mesh)):
+        h.update(json.dumps(part).encode())
+    assert h.hexdigest()[:16] == digest
+
+
 def _same_table(mesh, chunk):
     """The CRSF table and tree count of ``mesh`` with blocks of ``chunk``
     rows equal those with the default blocks, cycle objects included."""
