@@ -83,7 +83,8 @@ class SupportViolation(TorsionLabError):
 
 
 class BisectionFailure(TorsionLabError):
-    """Mixing-parameter bisection found no sign change."""
+    """The bump's seed defects do not bracket a root: the defect of the mix
+    has no sign change between mixing weights 0 and 1."""
 
 
 class IdentityMismatch(TorsionLabError):

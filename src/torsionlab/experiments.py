@@ -428,44 +428,38 @@ class BumpProfile:
 def build_bump():
     """Mix the plateau and tall bumps so that int rho (1 - rho) = 0.
 
-    Bisection on the mixing weight; raises BisectionFailure when the two
-    seed profiles fail to bracket a root.  The profile is a constant, built
-    once per process: every caller shares it and its pair-integral tables.
+    With m = r2 + t d, d = r1 - r2, the defect int m - int m^2 is the
+    quadratic c0 + c1 t + c2 t^2, where c0 = int r2 - int r2^2,
+    c1 = int d - 2 int r2 d and c2 = -int d^2.  The mixing weight is its root
+    in [0, 1], by the cancellation-free quadratic formula; raises
+    BisectionFailure when the seed defects c0 (t = 0) and c0 + c1 + c2
+    (t = 1) do not bracket a root.  The profile is a constant, built once
+    per process: every caller shares it and its pair-integral tables.
     """
     r1 = _rho1_half()
     r2 = _rho2_half()
-
-    def defect(t):
-        mix = PiecewisePoly.linear_combination([r1, r2], [t, 1.0 - t])
-        prod = product_integral(mix, mix)
-        lin = mix.integrate()
-        return lin - prod
-
-    lo, hi = 0.0, 1.0
-    f_lo, f_hi = defect(0.0), defect(1.0)
-    if not (f_lo < 0.0 < f_hi):
-        raise BisectionFailure(f"seed defects do not bracket zero: {f_lo}, {f_hi}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = defect(mid)
-        if abs(fm) < 1e-12 or hi - lo < 1e-16:
-            break
-        if fm > 0:
-            hi = mid
-        else:
-            lo = mid
-    t0 = 0.5 * (lo + hi)
+    d = PiecewisePoly.linear_combination([r1, r2], [1.0, -1.0])
+    c0 = r2.integrate() - product_integral(r2, r2)
+    c1 = d.integrate() - 2.0 * product_integral(r2, d)
+    c2 = -product_integral(d, d)
+    if not (c0 < 0.0 < c0 + c1 + c2):
+        raise BisectionFailure(f"seed defects do not bracket zero: {c0}, {c0 + c1 + c2}")
+    # q != 0: c1 = 0 with a zero discriminant would need c2 = 0, and then no bracket
+    q = -0.5 * (c1 + math.copysign(math.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0)), c1))
+    # one root lies in (0, 1), the other outside it (at infinity when c2 = 0)
+    t0 = float(min((c0 / q, q / c2 if c2 else math.inf), key=lambda t: abs(t - 0.5)))
     half = PiecewisePoly.linear_combination([r1, r2], [t0, 1.0 - t0])
     dhalf = half.derivative()
+    lin, sq = half.integrate(), product_integral(half, half)
     grid = np.linspace(0.0, 0.5, 2001)
     shift_resid = float(np.max(np.abs(half(0.5 + grid) + half(0.5 - grid) - 1.0)))
     res = {
         "plateau": max(abs(float(half(0.0)) - 1.0), abs(float(half(1.0)))),
         "evenness": 0.0,   # even by construction: evaluation uses |x|
         "half_shift": shift_resid,
-        "orthogonality": abs(defect(t0)),
-        "int_rho": abs(half.integrate() - 0.5),
-        "int_rho_sq": abs(product_integral(half, half) - 0.5),
+        "orthogonality": abs(lin - sq),   # the defect, on the full mix
+        "int_rho": abs(lin - 0.5),
+        "int_rho_sq": abs(sq - 0.5),
     }
     C = product_integral(dhalf, dhalf)
     return BumpProfile(half=half, t_mix=t0, residuals=res, C=C)

@@ -99,7 +99,8 @@ def _grow(mesh, links, size, cyclic):
     """The ``size``-subsets of the edges ``links`` in which no component
     closes twice (``cyclic``) or at all, in combinations order, as blocks
     (edges, masks): per subset its edge indices and, lowest vertex first, the
-    cycle mask of each of its components that closed, padded with 0.
+    cycle mask of each of its components that closed, padded with 0 to the
+    block's widest row.
 
     A row's masks hold, per vertex, the XOR of the edge bits on its tree path
     to its component's lowest vertex, and at that lowest vertex, whose path
@@ -145,8 +146,9 @@ def _grow(mesh, links, size, cyclic):
                 yield from extend(kids, lab, m)
             else:
                 masks = np.where(lab == np.arange(nv), m, 0)
-                yield links[kids], np.take_along_axis(
-                    masks, np.argsort(masks == 0, axis=1, kind="stable"), axis=1)
+                width = int((masks != 0).sum(axis=1).max(initial=0))
+                order = np.argsort(masks == 0, axis=1, kind="stable")[:, :width]
+                yield links[kids], np.take_along_axis(masks, order, axis=1)
 
     yield from extend(np.zeros((1, 0), dtype=np.int8), np.arange(nv, dtype=np.int8)[None],
                       np.zeros((1, nv), dtype=np.int64))
@@ -185,16 +187,21 @@ def enumerate_crsfs(mesh):
     """All cycle-rooted spanning forests, as a `CRSFTable`."""
     nv = mesh.n_vertices
     check_enumeration_caps(nv, len(mesh.edges), nv)
-    blocks = [(np.zeros((0, nv), dtype=np.int8), np.zeros((0, nv), dtype=np.int64)),
-              *_grow(mesh, range(len(mesh.edges)), nv, cyclic=True)]
-    masks = np.concatenate([m for _, m in blocks])
-    masks = masks[:, :int((masks != 0).sum(axis=1).max(initial=0))]
-    keys, ids = np.unique(masks[masks != 0], return_inverse=True)
-    cycle_ids = np.full(masks.shape, -1, dtype=np.intp)
-    cycle_ids[masks != 0] = ids
+    blocks = list(_grow(mesh, range(len(mesh.edges)), nv, cyclic=True))
+    rows = sum(len(e) for e, _ in blocks)
+    # the distinct cycle masks, after 0 (no cycle), so a mask's index - 1 is its id
+    keys = np.unique(np.concatenate([np.zeros(1, dtype=np.int64),
+                                     *(np.unique(m) for _, m in blocks)]))
+    edges = np.empty((rows, nv), dtype=np.int8)
+    cycle_ids = np.full((rows, max((m.shape[1] for _, m in blocks), default=0)), -1,
+                        dtype=np.intp)
+    while blocks:   # last block first, each dropped once copied in
+        e, m = blocks.pop()
+        edges[rows - len(e):rows] = e
+        cycle_ids[rows - len(e):rows, :m.shape[1]] = np.searchsorted(keys, m) - 1
+        rows -= len(e)
     ends = mesh.ends
-    return CRSFTable(np.concatenate([e for e, _ in blocks]), cycle_ids,
-                     [_walk(ends, key) for key in keys.tolist()])
+    return CRSFTable(edges, cycle_ids, [_walk(ends, key) for key in keys[1:].tolist()])
 
 
 def _interned(crsfs):
@@ -262,7 +269,14 @@ def _per_forest(op, values, cycle_ids, identity):
     out = np.full(len(cycle_ids), identity)
     for column in gathered.T:
         op(out, column, out=out)
-    return out.tolist()
+    return out
+
+
+def _sum_in_order(terms):
+    """The sum of ``terms`` added left to right from 0.0, as a Python loop
+    adds them: np.add.accumulate keeps that order, where np.sum and, from
+    Python 3.12 on, sum() do not, so the bits would change."""
+    return float(np.add.accumulate(np.append(0.0, terms))[-1])
 
 
 def _terms(conn, crsfs):
@@ -293,10 +307,7 @@ def crsf_weighted_sum(conn, crsfs=None):
     _require_weighable(conn)
     if crsfs is None:
         crsfs = enumerate_crsfs(conn.graph)
-    total = 0.0
-    for term in _terms(conn, crsfs)[2]:   # sum() compensates from Python 3.12 on
-        total += term
-    return total
+    return _sum_in_order(_terms(conn, crsfs)[2])
 
 
 def crsf_identity(conn, total):
@@ -325,15 +336,10 @@ def noncontractible_expectation(conn):
     _require_weighable(conn)
     cuts = mesh.refine_cuts(cuts)
     cycle_ids, cycles, terms = _terms(conn, enumerate_crsfs(mesh))
-    noncontractible = _windings(cuts, cycles).any(axis=1)
-    total = 0.0
-    nonc_sum = 0.0
-    nonc_count = 0
-    for term, nonc in zip(terms, _per_forest(np.logical_and, noncontractible, cycle_ids, True)):
-        total += term
-        if nonc:
-            nonc_sum += term
-            nonc_count += 1
+    nonc = _per_forest(np.logical_and, _windings(cuts, cycles).any(axis=1), cycle_ids, True)
+    total = _sum_in_order(terms)
+    nonc_sum = _sum_in_order(terms[nonc])
+    nonc_count = int(np.count_nonzero(nonc))
     det, ok = crsf_identity(conn, total)
     if not ok:
         raise IdentityMismatch(f"CRSF sum {total} does not match sqrt(det) {math.sqrt(det)}")
@@ -352,7 +358,7 @@ def crsf_census_csv(mesh, conn, crsfs=None):
     cycle_ids, cycles, terms = _terms(conn, crsfs)
     classes = ["(" + ",".join(map(str, w)) + ")" for w in _windings(cuts, cycles).tolist()]
     rows = ["crsf_id,n_components,cycle_classes,weight"]
-    for k, (ids, weight) in enumerate(zip(cycle_ids.tolist(), terms)):
+    for k, (ids, weight) in enumerate(zip(cycle_ids.tolist(), terms.tolist())):
         named = [classes[j] for j in ids if j >= 0]
         rows.append(f"{k},{len(named)},{'|'.join(named)},{weight!r}")
     return "\n".join(rows) + "\n"

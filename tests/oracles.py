@@ -1,13 +1,15 @@
 """Closed forms that only the tests use, kept as oracles: the rectangle mesh's
 eigenvalues and eigenvectors mode by mode and as a full grid, the Szego trace
-by full eigenbasis contraction, the rescaling law of log det', and the
-monodromy of a cycle walked one edge at a time."""
+by full eigenbasis contraction, the rescaling law of log det', the
+monodromy of a cycle walked one edge at a time, and the bump profile with its
+mixing weight found by bisection."""
 
 import math
 
 import numpy as np
 
-from torsionlab.errors import IndexOutOfRange, NotAClosedWalk
+from torsionlab import experiments as ex
+from torsionlab.errors import BisectionFailure, IndexOutOfRange, NotAClosedWalk
 from torsionlab.torsion import SeparableSurface
 
 
@@ -107,3 +109,43 @@ def step_monodromy(conn, cycle):
     if pos != start:
         raise NotAClosedWalk("walk does not return to its starting vertex")
     return word
+
+
+def bisection_bump():
+    """Independent oracle: the bump profile whose mixing weight is found by
+    bisection on the defect int m - int m^2 of the mix m = t r1 + (1 - t) r2,
+    each step rebuilding the mix and integrating it."""
+    r1 = ex._rho1_half()
+    r2 = ex._rho2_half()
+
+    def defect(t):
+        mix = ex.PiecewisePoly.linear_combination([r1, r2], [t, 1.0 - t])
+        return mix.integrate() - ex.product_integral(mix, mix)
+
+    lo, hi = 0.0, 1.0
+    f_lo, f_hi = defect(0.0), defect(1.0)
+    if not (f_lo < 0.0 < f_hi):
+        raise BisectionFailure(f"seed defects do not bracket zero: {f_lo}, {f_hi}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = defect(mid)
+        if abs(fm) < 1e-12 or hi - lo < 1e-16:
+            break
+        if fm > 0:
+            hi = mid
+        else:
+            lo = mid
+    t0 = 0.5 * (lo + hi)
+    half = ex.PiecewisePoly.linear_combination([r1, r2], [t0, 1.0 - t0])
+    dhalf = half.derivative()
+    grid = np.linspace(0.0, 0.5, 2001)
+    res = {
+        "plateau": max(abs(float(half(0.0)) - 1.0), abs(float(half(1.0)))),
+        "evenness": 0.0,
+        "half_shift": float(np.max(np.abs(half(0.5 + grid) + half(0.5 - grid) - 1.0))),
+        "orthogonality": abs(defect(t0)),
+        "int_rho": abs(half.integrate() - 0.5),
+        "int_rho_sq": abs(ex.product_integral(half, half) - 0.5),
+    }
+    return ex.BumpProfile(half=half, t_mix=t0, residuals=res,
+                          C=ex.product_integral(dhalf, dhalf))

@@ -615,6 +615,17 @@ def test_selftest_passes():
     assert cli.selftest(seed=12345) == 0
 
 
+def test_selftest_lets_a_programming_error_propagate(monkeypatch, capsys):
+    # a failed check is reported and the battery goes on; a bug is not a FAIL
+    def broken(surface):
+        raise KeyError("tile")
+
+    monkeypatch.setattr(cli.surfaces, "geometry_summary", broken)
+    with pytest.raises(KeyError):
+        cli.selftest()
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
 def test_selftest_fails_under_python_O():
     # -O strips assert statements; a failing check must still report FAIL
     code = ("import sys; from torsionlab import cli, forests; "

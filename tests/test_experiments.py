@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from torsionlab import bundles, experiments as ex, meshes, surfaces
-from torsionlab.errors import (BudgetExceeded, HypothesisViolation,
-                               SupportViolation)
+from torsionlab.errors import (BisectionFailure, BudgetExceeded,
+                               HypothesisViolation, SupportViolation)
 from torsionlab.meshspectra import (CATALAN, closed_form_log_det,
                                     rectangle_mesh_spectrum, torus_mesh_spectrum)
 from torsionlab.torsion import SeparableSurface, zeta_zero
+
+import oracles
 
 
 def test_renormalized_logdet_formula():
@@ -319,6 +321,40 @@ def test_bump_dirichlet_constant():
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     simpson = h / 3 * float(np.sum(w * dp * dp))
     assert abs(simpson - bump.C) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def bisected_bump():
+    return oracles.bisection_bump()
+
+
+def test_bump_quadratic_root_matches_the_bisection_oracle(bisected_bump):
+    bump = ex.build_bump()
+    assert abs(bump.t_mix - bisected_bump.t_mix) < 1e-12
+    assert abs(bump.C - bisected_bump.C) < 1e-10
+    assert all(r < 1e-10 for r in bump.residuals.values())
+    assert bump.residuals["orthogonality"] <= bisected_bump.residuals["orthogonality"]
+
+
+def test_bump_embedding_ratios_match_the_bisection_oracle(bisected_bump):
+    # the six meshes of the mesh-build workload's embedding tasks
+    bump = ex.build_bump()
+    rng = np.random.default_rng(11)
+    for surf in (surfaces.torus(2, 2), surfaces.rectangle(2, 2)):
+        for n in (3, 4, 6):
+            mesh = meshes.discretize(surf, n)
+            f = rng.standard_normal(mesh.n_vertices)
+            f[sorted(mesh.excluded_vertex_ids())] = 0.0
+            ours = ex.embedding_check(mesh, bump, f)
+            theirs = ex.embedding_check(mesh, bisected_bump, f)
+            assert max(abs(a - b) for a, b in zip(ours, theirs)) < 1e-12
+
+
+def test_bump_identical_seed_profiles_bracket_no_root(monkeypatch):
+    # d = r1 - r2 = 0 leaves the constant defect c0 < 0, with no sign change
+    monkeypatch.setattr(ex, "_rho1_half", ex._rho2_half)
+    with pytest.raises(BisectionFailure):
+        ex.build_bump.__wrapped__()
 
 
 # -- embedding identities -----------------------------------------------------

@@ -161,6 +161,27 @@ def test_noncontractible_expectation_c3():
     assert abs(e - (2 - np.trace(rep.generators[0])).real) < 1e-12
 
 
+def test_crsf_sums_are_bit_identical_to_a_loop_in_table_order():
+    # the sums add the forests left to right from 0.0, as a Python loop does
+    rng = np.random.default_rng(79)
+    surf = surfaces.torus(1, 1)
+    mesh = meshes.discretize(surf, 3)
+    conn = bundles.connection_from_holonomy(mesh, bundles.random_flat_representation(surf, 2, rng))
+    table = forests.enumerate_crsfs(mesh)
+    terms = forests._terms(conn, table)[2].tolist()
+    winds = forests._windings(mesh.refine_cuts(surfaces.standard_cuts(surf)), table.cycles)
+    total = nonc_sum = 0.0
+    nonc_count = 0
+    for term, ids in zip(terms, table.cycle_ids.tolist()):
+        total += term
+        if all(winds[j].any() for j in ids if j >= 0):
+            nonc_sum += term
+            nonc_count += 1
+    assert forests.crsf_weighted_sum(conn, crsfs=table).hex() == total.hex()
+    e, cnt = forests.noncontractible_expectation(conn)
+    assert cnt == nonc_count and e.hex() == (nonc_sum / nonc_count).hex()
+
+
 def test_expectation_refuses_a_flat_u2_bundle_that_is_not_su2():
     # the CRSF sum (13.567) would miss sqrt(det') (13.302): the identity needs
     # SU(2), so the weighability guard refuses before the forests are enumerated
