@@ -8,14 +8,6 @@ spanning forests, discrete spectra and zeta-regularized determinants.
 
 __version__ = "0.1.0"
 
-import os as _os
-
-# honor TORSIONLAB_THREADS before numpy binds its thread pools
-_threads = _os.environ.get("TORSIONLAB_THREADS", "")
-if _threads.isdigit() and int(_threads) > 0:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
 from . import errors
 from .surfaces import (SquareTiledSurface, GeometrySummary, build_surface,
                        geometry_summary, rescale, rectangle, torus, cylinder,

@@ -220,12 +220,11 @@ def _run_logdet(cfg, rng):
 def _run_crsf_verify(cfg, rng):
     conn = _mesh_source(cfg, rng).connection(
         cfg["n"], lambda rank, nv, ne: forests.check_enumeration_caps(nv, ne, nv))
-    crsfs = forests.enumerate_crsfs(conn.graph)
-    total = forests.crsf_weighted_sum(conn, crsfs)
+    rows, total = forests.crsf_census(conn)
     det, ok = forests.crsf_identity(conn, total)
     flag = "sqrt_ok" if conn.rank == 2 else "det_ok"
     line = f"sum={total!r} det={det!r} {flag}={str(ok).lower()}"
-    census = forests.crsf_census_csv(conn.graph, conn, crsfs)
+    census = _csv(rows, ["crsf_id", "n_components", "cycle_classes", "weight"])
     return {
         "files": {"crsf.csv": census, "report.txt": line + "\n"},
         "meta": {"sum": total, "det": det, "identity_ok": bool(ok)},

@@ -37,7 +37,7 @@ from .laplacian import (assemble, check_dense_budget, check_sparse_budget, log_d
                         sparse_log_det, spectrum)
 from .meshes import discretize, mesh_counts
 from .meshspectra import CATALAN, LOG_SQRT2M1
-from .surfaces import SEPARABLE_KINDS, geometry_summary
+from .surfaces import SEPARABLE_KINDS, angle_model, cone_model, geometry_summary
 from .torsion import zeta_zero
 
 
@@ -209,8 +209,7 @@ def model_correction_series(surface, n_list):
     angle.  The sequence is defined only up to an additive constant depending
     on the angle data, so only its differences are meaningful.
     """
-    from .surfaces import cone_model, angle_model, geometry_summary as summarize
-    summary = summarize(surface)
+    summary = geometry_summary(surface)
     pieces = []
     for ang in summary.cone_angles:
         pieces.append(cone_model(round(ang / math.pi)))

@@ -29,8 +29,8 @@ cycle's weight (and winding) once per call, with one `walk_monodromies` call
 cycle order and add the forests one by one in table order, so their totals
 are bit-identical to a per-forest product.  A plain list of CRSFs is first
 interned by cycle object: forests built by hand, without shared cycle
-objects, give the same bits without the saving.  `crsf-verify` enumerates
-once, for the sum and census.
+objects, give the same bits without the saving.  `crsf_census` returns its
+rows with that total, so `crsf-verify` weighs its forests once.
 """
 
 from __future__ import annotations
@@ -286,15 +286,21 @@ def _terms(conn, crsfs):
                                           cycle_ids, 1.0)
 
 
+def _classified(conn, crsfs):
+    """(cycle_ids, the product of each forest's cycle weights, each distinct
+    cycle's windings across the standard cuts of ``conn.graph``)."""
+    cycle_ids, cycles, terms = _terms(conn, crsfs)
+    mesh = conn.graph
+    return cycle_ids, terms, _windings(mesh.refine_cuts(standard_cuts(mesh.surface)), cycles)
+
+
 def _require_weighable(conn):
     """RankUnsupported outside ranks 1 and 2, NegativeUnderSqrt for rank-2
     transports outside SU(2): their cycle weights stand for no determinant."""
     if conn.rank not in (1, 2):
         raise RankUnsupported(f"rank {conn.rank}")
-    if conn.rank == 2:
-        for t in conn.transports:
-            if abs(np.linalg.det(t) - 1) > 1e-9:
-                raise NegativeUnderSqrt("rank-2 transports must be special unitary")
+    if conn.rank == 2 and np.any(abs(np.linalg.det(conn.transports) - 1) > 1e-9):
+        raise NegativeUnderSqrt("rank-2 transports must be special unitary")
 
 
 def crsf_weighted_sum(conn, crsfs=None):
@@ -328,15 +334,13 @@ def noncontractible_expectation(conn):
     sqrt(det) of the Laplacian.
     """
     mesh = conn.graph
-    cuts = standard_cuts(mesh.surface)
-    if not cuts:
+    if not standard_cuts(mesh.surface):
         raise NotClassifiable(f"winding classification unavailable on {mesh.surface.name}")
     if conn.rank != 2:
         raise RankUnsupported("expectation defined for rank-2 bundles")
     _require_weighable(conn)
-    cuts = mesh.refine_cuts(cuts)
-    cycle_ids, cycles, terms = _terms(conn, enumerate_crsfs(mesh))
-    nonc = _per_forest(np.logical_and, _windings(cuts, cycles).any(axis=1), cycle_ids, True)
+    cycle_ids, terms, windings = _classified(conn, enumerate_crsfs(mesh))
+    nonc = _per_forest(np.logical_and, windings.any(axis=1), cycle_ids, True)
     total = _sum_in_order(terms)
     nonc_sum = _sum_in_order(terms[nonc])
     nonc_count = int(np.count_nonzero(nonc))
@@ -348,17 +352,20 @@ def noncontractible_expectation(conn):
     return nonc_sum / nonc_count, nonc_count
 
 
-def crsf_census_csv(mesh, conn, crsfs=None):
-    """CSV census: one row per CRSF with component count, cycle classes
-    (winding numbers across the standard cuts) and weight under ``conn``."""
+def crsf_census(conn, crsfs=None):
+    """(rows, total): per CRSF, in table order, the row (crsf_id,
+    n_components, cycle_classes, weight), where cycle_classes joins each
+    cycle's winding numbers across the standard cuts with "|", as in
+    "(1,0)|(1,0)", and weight is its product of cycle weights under ``conn``;
+    total adds the weights in table order, the bits of `crsf_weighted_sum`.
+    The bundle is checked before ``crsfs`` defaults to every CRSF of the mesh."""
     _require_weighable(conn)
     if crsfs is None:
-        crsfs = enumerate_crsfs(mesh)
-    cuts = mesh.refine_cuts(standard_cuts(mesh.surface))
-    cycle_ids, cycles, terms = _terms(conn, crsfs)
-    classes = ["(" + ",".join(map(str, w)) + ")" for w in _windings(cuts, cycles).tolist()]
-    rows = ["crsf_id,n_components,cycle_classes,weight"]
+        crsfs = enumerate_crsfs(conn.graph)
+    cycle_ids, terms, windings = _classified(conn, crsfs)
+    classes = ["(" + ",".join(map(str, w)) + ")" for w in windings.tolist()]
+    rows = []
     for k, (ids, weight) in enumerate(zip(cycle_ids.tolist(), terms.tolist())):
         named = [classes[j] for j in ids if j >= 0]
-        rows.append(f"{k},{len(named)},{'|'.join(named)},{weight!r}")
-    return "\n".join(rows) + "\n"
+        rows.append((k, len(named), "|".join(named), weight))
+    return rows, _sum_in_order(terms)

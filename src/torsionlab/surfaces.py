@@ -52,14 +52,6 @@ class SquareTiledSurface:
         self.name = name
         self.kind = kind
         self.params = dict(params or {})
-        self._check_angles()
-
-    def _check_angles(self):
-        # every lattice point must have a positive number of quadrants;
-        # interior points of angle 2*pi and boundary points of angle pi are regular
-        for vc in self.complex.vertex_classes():
-            if vc.quadrants < 1:
-                raise InvalidGluing("empty vertex link")
 
     # -- derived data -------------------------------------------------------
 
@@ -276,9 +268,7 @@ def rescale(surface, c):
     refined = surface.complex.refine(c)
     name = f"rescale({surface.name},{c})"
     return SquareTiledSurface(refined, name=name, kind="rescaled",
-                              params={"base": surface, "c": c,
-                                      "base_kind": surface.kind,
-                                      "base_params": surface.params})
+                              params={"base": surface, "c": c})
 
 
 # kind -> (constructor, its spec fields, each a positive integer): the kinds

@@ -7,6 +7,7 @@ fails here instead of lowering the benchmark's success rate.  Each workload
 draws its phases and bundles from its seed, so a pass runs at seeds 1 to 5.
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import measure  # noqa: E402
 import workloads  # noqa: E402
+from torsionlab import cli  # noqa: E402
 
 
 _CASES = [(name, seed) for name in sorted(workloads.TASK_LISTS) for seed in range(1, 6)]
@@ -28,3 +30,24 @@ def test_one_pass_of_the_workload_has_no_failures(tmp_path, name, seed):
     result = measure.run_pass(workloads.build(name, seed, tmp_path))
     assert len(result.latencies) == 25
     assert result.failures == [], "\n".join(result.failures)
+
+
+# sha256 of crsf.csv and report.txt of the crsf workload's crsf-verify run,
+# computed before the census and the sum were one pass over the forests
+CRSF_VERIFY_DIGESTS = {
+    1: ("449f0398b679014bb3c7c91f0a6f26becdb63418825f7fd839f37717a04a3ed8",
+        "185fec191f0c3c7255474d94b9d0b303438f72accbe3cd3f7ce4c899aa050a44"),
+    7: ("e67eee2b5e182c171995aafd7a8c6f89633cb377def1ce2ab1c4f19e37f0acfb",
+        "d23da6af9b019712a1093f914ec28b4bab26b8c92a2b17948b5235e1a7a537c5"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CRSF_VERIFY_DIGESTS))
+def test_crsf_verify_files_are_pinned(tmp_path, seed):
+    workloads.build("crsf", seed, tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(tmp_path / "crsf-verify-torus11n2.json"),
+                     "--out", str(out), "--seed", str(seed)]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("crsf.csv", "report.txt"))
+    assert digests == CRSF_VERIFY_DIGESTS[seed]

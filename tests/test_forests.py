@@ -16,6 +16,8 @@ from torsionlab.errors import (BadCuts, KernelMismatch, NegativeUnderSqrt, NotCl
                                RankUnsupported, TooLarge)
 from oracles import step_monodromy
 
+CENSUS_HEADER = ["crsf_id", "n_components", "cycle_classes", "weight"]
+
 
 def _det(conn, expected_kernel_dim=0):
     spec = laplacian.spectrum(laplacian.assemble(conn),
@@ -236,9 +238,9 @@ def test_census_and_expectation_refuse_what_the_sum_refuses(monkeypatch):
         mesh, bundles.HolonomyRepresentation(2, [np.diag([1j, 1j])]))
     monkeypatch.setattr(forests, "enumerate_crsfs", None)    # refused before enumerating
     with pytest.raises(RankUnsupported):
-        forests.crsf_census_csv(mesh, bundles.trivial_connection(mesh, 3))
+        forests.crsf_census(bundles.trivial_connection(mesh, 3))
     with pytest.raises(NegativeUnderSqrt):
-        forests.crsf_census_csv(mesh, su2_only)
+        forests.crsf_census(su2_only)
     with pytest.raises(NegativeUnderSqrt):
         forests.noncontractible_expectation(su2_only)
 
@@ -246,7 +248,7 @@ def test_census_and_expectation_refuse_what_the_sum_refuses(monkeypatch):
 def test_census_csv():
     mesh = meshes.discretize(surfaces.torus(1, 1), 2)
     conn = bundles.trivial_connection(mesh, 2)
-    csv = forests.crsf_census_csv(mesh, conn)
+    csv = cli._csv(forests.crsf_census(conn)[0], CENSUS_HEADER)
     lines = csv.strip().split("\n")
     assert lines[0] == "crsf_id,n_components,cycle_classes,weight"
     assert len(lines) > 1
@@ -266,7 +268,8 @@ def test_census_golden_columns():
 
     def columns(n):
         mesh = meshes.discretize(surfaces.torus(1, 1), n)
-        csv = forests.crsf_census_csv(mesh, bundles.trivial_connection(mesh, 2))
+        csv = cli._csv(forests.crsf_census(bundles.trivial_connection(mesh, 2))[0],
+                       CENSUS_HEADER)
         return [line.rsplit(",", 1)[0] for line in csv.splitlines()]
 
     rows = columns(2)
@@ -292,6 +295,37 @@ def test_crsf_verify_enumerates_once(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
     assert len((tmp_path / "out" / "crsf.csv").read_text().splitlines()) == 67
+
+
+def test_crsf_verify_weighs_once(tmp_path, monkeypatch):
+    calls = []
+    cycle_weights = forests._cycle_weights
+
+    def counted(conn, cycles):
+        calls.append(len(cycles))
+        return cycle_weights(conn, cycles)
+
+    monkeypatch.setattr(forests, "_cycle_weights", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "crsf-verify", "n": 2,
+                               "surface": {"kind": "torus", "a": 1, "b": 1},
+                               "bundle": {"kind": "random", "rank": 2}}))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_crsf_verify_refuses_rank_3_before_enumerating(tmp_path, monkeypatch):
+    def refused(mesh):
+        pytest.fail("enumerated a bundle the census refuses")
+
+    monkeypatch.setattr(forests, "enumerate_crsfs", refused)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "crsf-verify", "n": 1,
+                               "surface": {"kind": "cylinder", "a": 3, "b": 1},
+                               "bundle": {"kind": "trivial", "rank": 3}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads((out / "meta.json").read_text())["error"]["code"] == "RankUnsupported"
 
 
 def _components(mesh, subset):
@@ -438,6 +472,7 @@ def test_weighted_sum_is_bit_identical_to_the_per_forest_product(surface_n, seed
             want = _naive_weighted_sum(conn, crsfs).hex()
             assert forests.crsf_weighted_sum(conn, crsfs=crsfs).hex() == want
             assert forests.crsf_weighted_sum(conn, crsfs=unshared).hex() == want
+            assert forests.crsf_census(conn, crsfs)[1].hex() == want
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
