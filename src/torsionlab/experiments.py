@@ -210,11 +210,8 @@ def model_correction_series(surface, n_list):
     on the angle data, so only its differences are meaningful.
     """
     summary = geometry_summary(surface)
-    pieces = []
-    for ang in summary.cone_angles:
-        pieces.append(cone_model(round(ang / math.pi)))
-    for ang in summary.nonright_angle_multiset:
-        pieces.append(angle_model(round(ang / (math.pi / 2))))
+    pieces = ([cone_model(q // 2) for q in summary.cone_quadrants]
+              + [angle_model(q) for q in summary.corner_quadrants if q != 1])
     ns = sorted(n_list)
     totals = [0.0] * len(ns)
     for piece in pieces:
@@ -230,8 +227,8 @@ def ratio_study(setup_a, setup_b, n_list):
     Returns (ratios, cauchy_diffs) where cauchy_diffs[k] = |r_{2 n_k} - r_{n_k}|
     whenever both levels are present.
     """
-    inv_a = (setup_a.area, setup_a.perimeter, setup_a.dim_h0, setup_a.corners)
-    inv_b = (setup_b.area, setup_b.perimeter, setup_b.dim_h0, setup_b.corners)
+    inv_a = (setup_a.area, setup_a.perimeter, setup_a.dim_h0, setup_a.corner_quadrants)
+    inv_b = (setup_b.area, setup_b.perimeter, setup_b.dim_h0, setup_b.corner_quadrants)
     if inv_a != inv_b:
         raise HypothesisViolation(
             f"setups do not share (area, perimeter, dim H0, corners): {inv_a} vs {inv_b}")

@@ -195,7 +195,7 @@ def szego_trace_direct(profile, n):
     return total
 
 
-def szego_expansion_predicted(profile, n, corrected_constants=True):
+def szego_expansion_predicted(profile, n):
     """Large-n prediction for tr(phi log(n^2 Delta^perp)).
 
     Leading terms 2ab n^2 log(n) a00 + (4G/pi) ab n^2 a00, a boundary term
@@ -204,9 +204,8 @@ def szego_expansion_predicted(profile, n, corrected_constants=True):
     pure horizontal mode i is
         (1/2)[log(e^{pi i b/a} - 1) + log(1 + e^{-pi i b/a})
               + log(pi i / 2a) + log(2)/2];
-    the middle sign is "+" (with "-" the prediction misses the computed trace
-    by a nonvanishing constant; set corrected_constants=False to reproduce
-    that defect).  Mixed modes contribute
+    the middle sign is "+" (with the printed "-" the prediction misses the
+    computed trace by a nonvanishing constant).  Mixed modes contribute
     (1/4)[log(pi^2 i^2/a^2 + pi^2 j^2/b^2) - log 2].
     """
     profile.check_support(n)
@@ -219,15 +218,14 @@ def szego_expansion_predicted(profile, n, corrected_constants=True):
     out = 2 * a * b * n * n * logn * a00 + (4 * CATALAN / math.pi) * a * b * n * n * a00
     out += LOG_SQRT2M1 * n * (b * sx + a * sy)
     out -= 0.5 * logn * sall
-    sgn = 1.0 if corrected_constants else -1.0
     for (i, j), c in sorted(profile.coeffs.items()):
         if i > 0 and j == 0:
             e = math.exp(math.pi * i * b / a)
-            out += 0.5 * c * (math.log(e - 1) + math.log1p(sgn / e)
+            out += 0.5 * c * (math.log(e - 1) + math.log1p(1 / e)
                               + math.log(math.pi * i / (2 * a)) + math.log(2) / 2)
         elif i == 0 and j > 0:
             e = math.exp(math.pi * j * a / b)
-            out += 0.5 * c * (math.log(e - 1) + math.log1p(sgn / e)
+            out += 0.5 * c * (math.log(e - 1) + math.log1p(1 / e)
                               + math.log(math.pi * j / (2 * b)) + math.log(2) / 2)
         elif i > 0 and j > 0:
             out += 0.25 * c * (math.log(math.pi ** 2 * i * i / (a * a)

@@ -20,7 +20,6 @@ constructor and spec fields; surface_to_spec writes the same fields back.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from . import complexes as cx
@@ -30,18 +29,13 @@ from .errors import InvalidGluing, UnknownPoint, UnsupportedAngle
 
 @dataclass
 class GeometrySummary:
-    """Area, perimeter, angle data and Euler characteristic of a surface."""
+    """Area, perimeter, angles and Euler characteristic; an angle q*pi/2 is stored as q."""
 
     area: int
     perimeter: int
-    cone_angles: list          # multiset of angles, multiples of pi
-    corner_angles: list        # multiset of angles, multiples of pi/2
+    cone_quadrants: list       # sorted; even, as every cone angle is a multiple of pi
+    corner_quadrants: list     # sorted
     euler_char: int
-    right_angle_count: int
-    nonright_angle_multiset: list
-
-    def corner_angles_over_half_pi(self):
-        return sorted(round(a / (math.pi / 2)) for a in self.corner_angles)
 
 
 class SquareTiledSurface:
@@ -92,20 +86,14 @@ class SquareTiledSurface:
 
 
 def geometry_summary(surface):
-    """Area, perimeter, angle multisets and Euler characteristic."""
+    """Area, perimeter, cone and corner quadrant counts and Euler characteristic."""
     cpx = surface.complex
-    cones = surface.cone_classes()
-    corners = surface.corner_classes()
-    corner_angles = sorted(vc.quadrants * math.pi / 2 for vc in corners)
-    nonright = [a for a in corner_angles if abs(a - math.pi / 2) > 1e-12]
     return GeometrySummary(
         area=cpx.n_cells,
         perimeter=len(cpx.boundary_slots()),
-        cone_angles=sorted(vc.quadrants * math.pi / 2 for vc in cones),
-        corner_angles=corner_angles,
+        cone_quadrants=sorted(vc.quadrants for vc in surface.cone_classes()),
+        corner_quadrants=sorted(vc.quadrants for vc in surface.corner_classes()),
         euler_char=cpx.euler_characteristic(),
-        right_angle_count=len(corner_angles) - len(nonright),
-        nonright_angle_multiset=nonright,
     )
 
 

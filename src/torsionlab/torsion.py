@@ -6,8 +6,8 @@ is periodic (a circle, with a U(1) twist phase) or free (a segment with free
 ends).  surfaces.SEPARABLE_KINDS is the one table of them: the a x b
 rectangle is free x free, the torus periodic x periodic, and the cylinder
 periodic circumference a x free height b.  Mesh and continuum spectra, theta series
-and log det', twisted or not, perimeter, corner count, dim H^0 and zeta(0)
-all follow from the factors.  SeparableSurface (kind, sides a, b and U(1)
+and log det', twisted or not, perimeter, corners, dim H^0 and zeta(0) (by
+zeta_zero's angle rule) all follow from the factors.  SeparableSurface (kind, sides a, b and U(1)
 phases alpha, beta) is the one setup of the closed-form experiments.  Its
 kernel is decided once, by the rule a mesh connection uses
 (bundles.flat_basis) applied to the generators exp(i phase) of its periodic
@@ -24,6 +24,7 @@ torus_torsion and rectangle_torsion (dedekind_eta) are its references.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -166,6 +167,7 @@ class SeparableSurface:
     factors: tuple = field(init=False, repr=False, compare=False)
     dim_h0: int = field(init=False, repr=False, compare=False)
     rank = 1    # a U(1) twist: the series renormalizes at rank 1
+    cone_quadrants = ()     # a product surface has no cones
 
     def __post_init__(self):
         periodic = SEPARABLE_KINDS.get(self.kind)
@@ -191,17 +193,19 @@ class SeparableSurface:
         return sum(2 * other.length for f, other in ((fa, fb), (fb, fa)) if not f.periodic)
 
     @property
-    def corners(self):
-        return 0 if any(f.periodic for f in self.factors) else 4
+    def corner_quadrants(self):
+        """Four right corners on two segments, none with a periodic side."""
+        return () if any(f.periodic for f in self.factors) else (1, 1, 1, 1)
+
+    @functools.cached_property
+    def zeta0(self):
+        """zeta_zero's angle rule, reading the setup as a geometry summary."""
+        return zeta_zero(self, dim_h0=self.dim_h0)
 
     @property
     def heat_constant(self):
-        """Constant term of the small-time heat trace: a right corner gives 1/16."""
-        return Fraction(self.corners, 16)
-
-    @property
-    def zeta0(self):
-        return self.heat_constant - self.dim_h0
+        """Constant term of the small-time heat trace: zeta(0) + dim H^0."""
+        return self.zeta0 + self.dim_h0
 
     def mesh_spectrum(self, n):
         """Sorted unrescaled mesh spectrum, the phases on the seams; its kernel is dim_h0."""
@@ -276,7 +280,7 @@ class SeparableSurface:
 
     def target(self):
         """Known limit of the renormalized series: each right corner contributes -log(2)/16."""
-        return self.torsion() - self.corners * math.log(2) / 16
+        return self.torsion() - len(self.corner_quadrants) * math.log(2) / 16
 
     def label(self):
         """kind(a,b), with the factors' phases when either is a twist."""
@@ -305,13 +309,11 @@ def zeta_zero(summary, rank=1, dim_h0=1):
     """zeta(0) of the Friedrichs Laplacian, exact in the angle data.
 
     -dim H^0 + (rank/12) [sum over cones (4 pi^2 - th^2)/(2 pi th)
-                          + sum over corners (pi^2 - th^2)/(2 pi th)].
+                          + sum over corners (pi^2 - th^2)/(2 pi th)],
+    th = q pi/2 for q in summary.cone_quadrants and summary.corner_quadrants.
     """
-    tot = Fraction(0)
-    for ang in summary.cone_angles:
-        tot += cone_zeta_term(round(ang / (math.pi / 2)))
-    for ang in summary.corner_angles:
-        tot += corner_zeta_term(round(ang / (math.pi / 2)))
+    tot = (sum(map(cone_zeta_term, summary.cone_quadrants))
+           + sum(map(corner_zeta_term, summary.corner_quadrants)))
     return -Fraction(dim_h0) + Fraction(rank, 12) * tot
 
 

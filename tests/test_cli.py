@@ -1,5 +1,6 @@
 """End-to-end CLI runs: artifacts, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -131,6 +132,22 @@ def test_zeta0_takes_dim_h0_from_the_bundle(tmp_path, bundle, expect):
     code, out = _run(tmp_path, cfg)
     assert code == 0
     assert json.loads((out / "meta.json").read_text())["zeta0"] == expect
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    cfg = {"experiment": "zeta0", "surface": {"kind": "torus", "a": 1, "b": 1}}
+    assert _run(tmp_path, cfg, name="warm.json")[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for name in ("first.json", "second.json"):
+        assert _run(tmp_path, cfg, name=name)[0] == 0
+    assert built == []
 
 
 def test_bad_n_list_exits_2(tmp_path):

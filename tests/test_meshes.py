@@ -1,8 +1,6 @@
 """Discretization: counts, multiplicities, neighbor sets, isomorphisms, and the
 index-array mesh against the refined complex walked as dicts."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,10 +34,10 @@ def test_mesh_invariants(surf, n):
     mesh = meshes.discretize(surf, n)
     assert mesh.n_vertices == summary.area * n * n
     n_double = sum(1 for m in mesh.edge_multiplicities().values() if m == 2)
-    n_pi_cones = sum(1 for a in summary.cone_angles if abs(a - math.pi) < 1e-9)
+    n_pi_cones = summary.cone_quadrants.count(2)
     if not _has_short_systole(surf, n):
         assert n_double == n_pi_cones
-    if not summary.cone_angles and not _has_short_systole(surf, n):
+    if not summary.cone_quadrants and not _has_short_systole(surf, n):
         assert all(m == 1 for m in mesh.edge_multiplicities().values())
     # interior vertices have degree 4; boundary-adjacent ones degree 3
     boundary = mesh.boundary_vertex_ids()

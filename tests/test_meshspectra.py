@@ -206,12 +206,15 @@ def test_szego_expansion_converges():
 
 def test_szego_printed_constant_is_off():
     # with the other sign inside the pure-mode constant the prediction misses
-    # the computed trace by about 0.043 for phi = cos(pi x) on the 2x2 square
+    # the computed trace by about 0.043 for phi = cos(pi x) on the 2x2 square:
+    # the printed sign turns log1p(e^-pi) into log1p(-e^-pi), times 1/2
     prof = ms.FourierProfile(2, 2, {(1, 0): 1.0})
     n = 128
-    good = abs(ms.szego_trace_direct(prof, n) - ms.szego_expansion_predicted(prof, n))
-    bad = abs(ms.szego_trace_direct(prof, n)
-              - ms.szego_expansion_predicted(prof, n, corrected_constants=False))
+    predicted = ms.szego_expansion_predicted(prof, n)
+    printed = predicted + 0.5 * (math.log1p(-math.exp(-math.pi))
+                                 - math.log1p(math.exp(-math.pi)))
+    good = abs(ms.szego_trace_direct(prof, n) - predicted)
+    bad = abs(ms.szego_trace_direct(prof, n) - printed)
     assert good < 0.005
     assert 0.03 < bad < 0.06
 

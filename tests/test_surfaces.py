@@ -2,7 +2,6 @@
 
 import ast
 import hashlib
-import math
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +10,6 @@ import pytest
 from torsionlab import surfaces
 from torsionlab.complexes import E, N, S, TRANSLATION, W, SquareComplex
 from torsionlab.errors import InvalidGluing, UnknownPoint, UnsupportedAngle
-
-HALF_PI = math.pi / 2
-
 
 MODEL_DATA = [
     # surface, area, perimeter, cone angles (units pi/2), corner angles (units pi/2)
@@ -41,9 +37,8 @@ def test_model_counts(surf, area, perim, cones, corners):
     s = surfaces.geometry_summary(surf)
     assert s.area == area
     assert s.perimeter == perim
-    assert sorted(round(a / HALF_PI) for a in s.cone_angles) == sorted(cones)
-    assert s.corner_angles_over_half_pi() == sorted(corners)
-    assert s.right_angle_count + len(s.nonright_angle_multiset) == len(s.corner_angles)
+    assert s.cone_quadrants == cones
+    assert s.corner_quadrants == corners
     assert (s.perimeter == 0) == (len(surf.boundary_sides) == 0)
 
 
@@ -62,10 +57,10 @@ def test_euler_characteristics():
 
 
 def test_lshape_gauss_bonnet_by_hand():
-    # five right corners and one 3 pi/2 corner: 5 (pi/2) - pi/2 = 2 pi chi
+    # five right corners and one 3 pi/2 corner: 5 (pi/2) - pi/2 = 2 pi chi,
+    # in quarter turns sum (2 - q) = 4 chi
     s = surfaces.geometry_summary(surfaces.lshape())
-    total = sum(math.pi - a for a in s.corner_angles)
-    assert abs(total - 2 * math.pi * s.euler_char) < 1e-12
+    assert sum(2 - q for q in s.corner_quadrants) == 4 * s.euler_char
 
 
 def test_cone_model_rejects_2pi():
@@ -79,7 +74,7 @@ def test_rescale_counts_and_composition():
     base = surfaces.rectangle(1, 1)
     s2 = surfaces.geometry_summary(surfaces.rescale(base, 2))
     assert s2.area == 4 and s2.perimeter == 8
-    assert s2.corner_angles_over_half_pi() == [1, 1, 1, 1]
+    assert s2.corner_quadrants == [1, 1, 1, 1]
     t3 = surfaces.geometry_summary(surfaces.rescale(surfaces.torus(1, 1), 3))
     assert t3.area == 9 and t3.perimeter == 0
     # composition: tile counts and angle data of rescale(rescale(s,2),3) match rescale(s,6)
@@ -87,7 +82,7 @@ def test_rescale_counts_and_composition():
     b = surfaces.rescale(surfaces.lshape(), 6)
     sa, sb = surfaces.geometry_summary(a), surfaces.geometry_summary(b)
     assert (sa.area, sa.perimeter) == (sb.area, sb.perimeter)
-    assert sa.corner_angles_over_half_pi() == sb.corner_angles_over_half_pi()
+    assert sa.corner_quadrants == sb.corner_quadrants
 
 
 def test_rescale_preserves_angles():
@@ -96,8 +91,8 @@ def test_rescale_preserves_angles():
         s2 = surfaces.geometry_summary(surfaces.rescale(surf, 2))
         assert s2.area == 4 * s1.area
         assert s2.perimeter == 2 * s1.perimeter
-        assert s2.cone_angles == s1.cone_angles
-        assert s2.corner_angles == s1.corner_angles
+        assert s2.cone_quadrants == s1.cone_quadrants
+        assert s2.corner_quadrants == s1.corner_quadrants
 
 
 def test_raw_gluing_validation():
@@ -124,7 +119,7 @@ def test_raw_cylinder_round_trip():
                          [[2, "E"], [0, "W"], "translation"]]}
     surf = surfaces.build_surface(spec)
     s = surfaces.geometry_summary(surf)
-    assert s.area == 3 and s.perimeter == 6 and not s.cone_angles
+    assert s.area == 3 and s.perimeter == 6 and not s.cone_quadrants
 
 
 def test_raw_half_turn_fold():
@@ -135,8 +130,8 @@ def test_raw_half_turn_fold():
     surf = surfaces.build_surface(spec)
     s = surfaces.geometry_summary(surf)
     assert s.area == 2 and s.perimeter == 4
-    assert [round(a / HALF_PI) for a in s.cone_angles] == [2]
-    assert s.corner_angles_over_half_pi() == [1, 1]
+    assert s.cone_quadrants == [2]
+    assert s.corner_quadrants == [1, 1]
 
 
 def _random_valid_gluing(rng, n_tiles):
@@ -202,8 +197,8 @@ def test_spec_round_trip():
         assert again.complex.cells == surf.complex.cells
         assert again.complex.pairings == surf.complex.pairings
         s1, s2 = surfaces.geometry_summary(surf), surfaces.geometry_summary(again)
-        assert (s1.area, s1.perimeter, s1.cone_angles, s1.corner_angles) == \
-               (s2.area, s2.perimeter, s2.cone_angles, s2.corner_angles)
+        assert (s1.area, s1.perimeter, s1.cone_quadrants, s1.corner_quadrants) == \
+               (s2.area, s2.perimeter, s2.cone_quadrants, s2.corner_quadrants)
 
 
 # every constructor's gluing, pinned: each NAMED_KINDS kind -> sha256 (first
@@ -263,6 +258,23 @@ def test_product_kinds_are_compared_only_in_surfaces():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Compare) and any(
                     named(side) for side in [node.left, *node.comparators]):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_module_decodes_an_angle_from_radians():
+    # angles are stored as quadrant counts: no module rounds a multiple of
+    # math.pi back to an integer
+    def has_pi(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "pi"
+                   and isinstance(n.value, ast.Name) and n.value.id == "math"
+                   for n in ast.walk(node))
+
+    found = []
+    for path in sorted(Path(surfaces.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "round" and has_pi(node)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

@@ -130,6 +130,19 @@ def test_zeta_zero_mellin_cross_check():
     assert abs(z - (-1.0)) < 1e-6
 
 
+@pytest.mark.parametrize("kind", sorted(surfaces.SEPARABLE_KINDS))
+def test_separable_zeta0_is_the_angle_rule(kind):
+    # a product setup's zeta(0) is zeta_zero of its surface's angle data, flat
+    # or twisted; its heat constant is 1/16 per right corner
+    twists = (0.0, 1.3) if any(surfaces.SEPARABLE_KINDS[kind]) else (0.0,)
+    for a, b in ((1, 1), (2, 3), (3, 1)):
+        summary = surfaces.geometry_summary(surfaces.build_surface({"kind": kind, "a": a, "b": b}))
+        for alpha in twists:
+            setup = ts.SeparableSurface(kind, a, b, alpha)
+            assert setup.zeta0 == ts.zeta_zero(summary, dim_h0=setup.dim_h0)
+            assert setup.heat_constant == Fraction(4 if kind == "rectangle" else 0, 16)
+
+
 def test_dedekind_eta():
     v = ts.dedekind_eta(math.exp(-2 * math.pi))
     assert abs(v - math.gamma(0.25) / (2 * math.pi ** 0.75)) < 1e-12
@@ -207,7 +220,7 @@ def test_row_torsion_matches_the_eta_references(kind):
         for b in (0.25, 1, 2, 3):
             setup = ts.SeparableSurface(kind, a, b)
             assert abs(setup.torsion() - reference(a, b)) < 1e-14
-            corners = setup.corners * math.log(2) / 16
+            corners = len(setup.corner_quadrants) * math.log(2) / 16
             assert abs(setup.target() - (reference(a, b) - corners)) < 1e-14
 
 
