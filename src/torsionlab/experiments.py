@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from .bundles import connection_from_holonomy, flat_sections_dim, trivial_connection
 from .errors import BisectionFailure, HypothesisViolation, SupportViolation
+from .forests import sum_in_order
 from .laplacian import (assemble, check_dense_budget, check_sparse_budget, log_det_prime,
                         sparse_log_det, spectrum)
 from .meshes import discretize, mesh_counts
@@ -398,26 +399,36 @@ class BumpProfile:
     t_mix: float
     residuals: dict
     C: float
-    _axes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rho(self, x):
         return self.half(np.abs(np.asarray(x, dtype=float)))
 
-    def _axis_profile(self, kind):
-        if kind not in self._axes:
-            self._axes[kind] = _AxisProfile(self, kind)
-        return self._axes[kind]
+    @functools.cached_property
+    def _axis_profiles(self):
+        return [_AxisProfile(self, kind) for kind in _AXIS_KINDS]
 
-    def pair_integral(self, kind1, kind2, delta, deriv):
-        """Overlap integral of two axis profiles, or of their derivatives,
-        shifted ``delta`` apart; each is computed once per profile."""
-        key = (kind1, kind2, delta, deriv)
-        if key not in self._pairs:
-            p1, p2 = self._axis_profile(kind1), self._axis_profile(kind2)
-            f1, f2 = (p1.dpp, p2.dpp) if deriv else (p1.pp, p2.pp)
-            self._pairs[key] = product_integral(f1, f2, shift=float(delta))
-        return self._pairs[key]
+    @functools.cached_property
+    def _pair_table(self):
+        # (deriv, kind1, kind2, shift + 1); NaN until first used
+        return np.full((2, len(_AXIS_KINDS), len(_AXIS_KINDS), 3), np.nan)
+
+    def pair_integrals(self, kind1, kind2, shift):
+        """(overlaps, derivative overlaps) of the axis profiles ``kind1`` and
+        ``kind2`` (indices into _AXIS_KINDS) shifted ``shift`` in {-1, 0, 1}
+        apart, for integer arrays of one shape.  They are read from one table
+        indexed (deriv, kind1, kind2, shift + 1), whose entries are computed
+        once per profile, on first use."""
+        table = self._pair_table.reshape(2, -1)
+        cell = (kind1 * len(_AXIS_KINDS) + kind2) * 3 + shift + 1
+        used = np.zeros(table.shape[1], dtype=bool)
+        used[cell] = True
+        # (np.unique would import numpy.ma, about 1 MB, on its first call)
+        for c in np.flatnonzero(used & np.isnan(table[0])).tolist():
+            k12, s = divmod(c, 3)
+            p1, p2 = (self._axis_profiles[k] for k in divmod(k12, len(_AXIS_KINDS)))
+            table[0, c] = product_integral(p1.pp, p2.pp, shift=float(s - 1))
+            table[1, c] = product_integral(p1.dpp, p2.dpp, shift=float(s - 1))
+        return table[0, cell], table[1, cell]
 
 
 @functools.cache
@@ -430,7 +441,7 @@ def build_bump():
     in [0, 1], by the cancellation-free quadratic formula; raises
     BisectionFailure when the seed defects c0 (t = 0) and c0 + c1 + c2
     (t = 1) do not bracket a root.  The profile is a constant, built once
-    per process: every caller shares it and its pair-integral tables.
+    per process: every caller shares it and its pair-integral table.
     """
     r1 = _rho1_half()
     r2 = _rho2_half()
@@ -464,8 +475,13 @@ def build_bump():
 # -- embedding identities -------------------------------------------------------
 
 
+# the axis profile of a lattice coordinate, by index: a wall on its left adds
+# 1, one on its right 2 (a rectangle axis of one cell has both)
+_AXIS_KINDS = ("interior", "bleft", "bright", "walls")
+
+
 class _AxisProfile:
-    """Per-axis bump profile of a vertex: interior, boundary-left or boundary-right."""
+    """Per-axis bump profile of a vertex, of a kind in _AXIS_KINDS."""
 
     def __init__(self, bump, kind):
         h = bump.half
@@ -478,19 +494,25 @@ class _AxisProfile:
             self.pp = PiecewisePoly([-0.5] + list(h.breaks), [Polynomial([1.0])] + h.polys)
         elif kind == "bright":    # wall at u = +1/2
             self.pp = PiecewisePoly(neg_breaks + [0.5], neg_polys + [Polynomial([1.0])])
+        elif kind == "walls":     # walls at u = -1/2 and u = +1/2
+            self.pp = PiecewisePoly([-0.5, 0.5], [Polynomial([1.0])])
         else:
             raise ValueError(kind)
         self.dpp = self.pp.derivative()
 
 
-def _axis_kind(g, size, periodic):
-    if periodic:
-        return "interior"
-    if g == 0:
-        return "bleft"
-    if g == size - 1:
-        return "bright"
-    return "interior"
+def _axis_kinds(size, periodic):
+    """The index into _AXIS_KINDS of each coordinate of an axis of ``size``
+    cells."""
+    kinds = np.zeros(size, dtype=np.int64)
+    if not periodic:
+        kinds[0] += 1
+        kinds[-1] += 2
+    return kinds
+
+
+# the nine lattice translates (dx, dy), in lexicographic order
+_OFFSETS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 
 
 def embedding_check(mesh, bump, f):
@@ -500,6 +522,12 @@ def embedding_check(mesh, bump, f):
     section; form_ratio compares the graph Dirichlet form against 1/C times
     the quadrature Dirichlet energy.  Both are 1 when the admissibility
     constraints hold.
+
+    The quadrature sums run over the pairs (v, w) of support vertices where w
+    is one of v's nine lattice translates (wrapped on a torus, inside a
+    rectangle), every translate counted, so a small torus whose translates
+    meet sums each of them.  The pairs are taken by v, then w, then the
+    offset, and the terms are added in that order.
     """
     surf = mesh.surface
     sides = SEPARABLE_KINDS.get(surf.kind)
@@ -511,8 +539,7 @@ def embedding_check(mesh, bump, f):
     f = np.asarray(f, dtype=float)
     if f.shape != (mesh.n_vertices,):
         raise SupportViolation("section must give one value per vertex")
-    excluded = mesh.excluded_vertex_ids()
-    if any(f[v] for v in excluded):
+    if np.any(f[sorted(mesh.excluded_vertex_ids())]):
         raise SupportViolation("section must vanish on the cone/corner neighbor sets")
     if not np.any(f):
         return 1.0, 1.0
@@ -520,54 +547,38 @@ def embedding_check(mesh, bump, f):
     # lattice coordinates of each vertex, and the vertex at each coordinate
     t, ij = np.divmod(np.arange(mesh.n_vertices), n * n)
     tiles = np.array(surf.complex.cells).reshape(-1, 2)
-    gx = (tiles[t, 0] * n + ij // n).tolist()
-    gy = (tiles[t, 1] * n + ij % n).tolist()
+    gx = tiles[t, 0] * n + ij // n
+    gy = tiles[t, 1] * n + ij % n
     at = np.full((an, bn), -1)
     at[gx, gy] = np.arange(mesh.n_vertices)
-    at = at.tolist()
-    kind_x = [_axis_kind(g, an, periodic) for g in range(an)]
-    kind_y = [_axis_kind(g, bn, periodic) for g in range(bn)]
 
-    def wrap(d, size):
-        if not periodic:
-            return d
-        return (d + size // 2) % size - size // 2
+    # each support vertex's translates, as target * 9 + offset, sorted per row
+    # (invalid ones last), so the kept pairs run by source, target, offset
+    src = np.flatnonzero(f)
+    tx = gx[src, None] + _OFFSETS[:, 0]
+    ty = gy[src, None] + _OFFSETS[:, 1]
+    if periodic:
+        tx %= an
+        ty %= bn
+    inside = (tx >= 0) & (tx < an) & (ty >= 0) & (ty < bn)
+    past = 9 * mesh.n_vertices
+    # (the wrap only keeps the index in range; the outside keys are masked)
+    key = np.where(inside, 9 * at[tx % an, ty % bn] + np.arange(9), past)
+    key.sort(axis=1)
+    keep = key < past
+    keep[keep] = f[key[keep] // 9] != 0
+    src = np.broadcast_to(src[:, None], key.shape)[keep]
+    tgt, off = np.divmod(key[keep], 9)
 
-    def near(g, size):
-        """The coordinates within one step of g, wrapped on a torus."""
-        if periodic:
-            return {(g + d) % size for d in (-1, 0, 1)}
-        return [x for x in (g - 1, g, g + 1) if 0 <= x < size]
-
-    fv = f.tolist()
-    norm_quad = 0.0
-    energy_quad = 0.0
-    for vi in range(mesh.n_vertices):
-        if not fv[vi]:
-            continue
-        gi, gj = gx[vi], gy[vi]
-        ki, kj = kind_x[gi], kind_y[gj]
-        # the support's lattice neighbors, in ascending vertex id as in a scan
-        # of the whole support (the sums below are order-sensitive)
-        for vj in sorted(at[x][y] for x in near(gi, an) for y in near(gj, bn)):
-            if not fv[vj]:
-                continue
-            dx = wrap(gx[vj] - gi, an)
-            dy = wrap(gy[vj] - gj, bn)
-            li, lj = kind_x[gx[vj]], kind_y[gy[vj]]
-            ix = bump.pair_integral(ki, li, dx, False)
-            iy = bump.pair_integral(kj, lj, dy, False)
-            dxx = bump.pair_integral(ki, li, dx, True)
-            dyy = bump.pair_integral(kj, lj, dy, True)
-            w = fv[vi] * fv[vj]
-            norm_quad += w * ix * iy
-            energy_quad += w * (dxx * iy + ix * dyy)
-    norm_quad /= n * n
+    kind_x, kind_y = _axis_kinds(an, periodic), _axis_kinds(bn, periodic)
+    ix, dxx = bump.pair_integrals(kind_x[gx[src]], kind_x[gx[tgt]], _OFFSETS[off, 0])
+    iy, dyy = bump.pair_integrals(kind_y[gy[src]], kind_y[gy[tgt]], _OFFSETS[off, 1])
+    w = f[src] * f[tgt]
+    norm_quad = sum_in_order(w * ix * iy) / (n * n)
+    energy_quad = sum_in_order(w * (dxx * iy + ix * dyy))
 
     norm_graph = float(np.sum(f * f)) / (n * n)
-    energy_graph = 0.0
-    for u, v in mesh.ends:
-        energy_graph += (fv[u] - fv[v]) ** 2
+    energy_graph = sum_in_order((f[mesh.edge_u] - f[mesh.edge_v]) ** 2)
     norm_ratio = norm_graph / norm_quad
     form_ratio = energy_graph / (energy_quad / bump.C)
     return norm_ratio, form_ratio

@@ -272,7 +272,7 @@ def _per_forest(op, values, cycle_ids, identity):
     return out
 
 
-def _sum_in_order(terms):
+def sum_in_order(terms):
     """The sum of ``terms`` added left to right from 0.0, as a Python loop
     adds them: np.add.accumulate keeps that order, where np.sum and, from
     Python 3.12 on, sum() do not, so the bits would change."""
@@ -313,7 +313,7 @@ def crsf_weighted_sum(conn, crsfs=None):
     _require_weighable(conn)
     if crsfs is None:
         crsfs = enumerate_crsfs(conn.graph)
-    return _sum_in_order(_terms(conn, crsfs)[2])
+    return sum_in_order(_terms(conn, crsfs)[2])
 
 
 def crsf_identity(conn, total):
@@ -341,8 +341,8 @@ def noncontractible_expectation(conn):
     _require_weighable(conn)
     cycle_ids, terms, windings = _classified(conn, enumerate_crsfs(mesh))
     nonc = _per_forest(np.logical_and, windings.any(axis=1), cycle_ids, True)
-    total = _sum_in_order(terms)
-    nonc_sum = _sum_in_order(terms[nonc])
+    total = sum_in_order(terms)
+    nonc_sum = sum_in_order(terms[nonc])
     nonc_count = int(np.count_nonzero(nonc))
     det, ok = crsf_identity(conn, total)
     if not ok:
@@ -368,4 +368,4 @@ def crsf_census(conn, crsfs=None):
     for k, (ids, weight) in enumerate(zip(cycle_ids.tolist(), terms.tolist())):
         named = [classes[j] for j in ids if j >= 0]
         rows.append((k, len(named), "|".join(named), weight))
-    return rows, _sum_in_order(terms)
+    return rows, sum_in_order(terms)

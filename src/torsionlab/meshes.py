@@ -16,7 +16,6 @@ subdivision gives (``mesh.complex``) is built only on request, as a reference.
 
 from __future__ import annotations
 
-import io
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -356,14 +355,13 @@ class MeshGraph:
         n = self.n
         heads = [",".join(map(str, c)) if isinstance(c, tuple) else str(c)
                  for c in self.surface.complex.cells]
-        return [f"{h}:{i}:{j}" for h in heads for i in range(n) for j in range(n)]
+        suffixes = [f":{i}:{j}" for i in range(n) for j in range(n)]
+        return [h + s for h in heads for s in suffixes]
 
     def edges_csv(self):
         labels = self.vertex_labels()
-        buf = io.StringIO()
-        buf.write("u,v,multiplicity\n")
-        buf.writelines(f"{labels[u]},{labels[v]},{m}\n" for u, v, m in zip(*self._vertex_pairs()))
-        return buf.getvalue()
+        return "u,v,multiplicity\n" + "".join([f"{labels[u]},{labels[v]},{m}\n"
+                                               for u, v, m in zip(*self._vertex_pairs())])
 
 
 def discretize(surface, n):

@@ -51,3 +51,36 @@ def test_crsf_verify_files_are_pinned(tmp_path, seed):
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in ("crsf.csv", "report.txt"))
     assert digests == CRSF_VERIFY_DIGESTS[seed]
+
+
+# float.hex of each embedding-* task's result (the worst ratio deviation), and
+# sha256 of embedding.csv of the mesh-build workload's embedding-check run,
+# computed before the embedding identities were one array pass
+EMBEDDING_BITS = {
+    1: ({"embedding-torus(2,2)-n3": "0x1.b100000000000p-44",
+         "embedding-torus(2,2)-n4": "0x1.ea00000000000p-44",
+         "embedding-torus(2,2)-n6": "0x1.f700000000000p-44",
+         "embedding-rectangle(2,2)-n3": "0x1.a100000000000p-44",
+         "embedding-rectangle(2,2)-n4": "0x1.b500000000000p-44",
+         "embedding-rectangle(2,2)-n6": "0x1.c400000000000p-44"},
+        "7a82e25b17e893db6d7d6944604dd56311c040f2f67d523a16b2781faaf363d8"),
+    7: ({"embedding-torus(2,2)-n3": "0x1.7d00000000000p-44",
+         "embedding-torus(2,2)-n4": "0x1.0480000000000p-43",
+         "embedding-torus(2,2)-n6": "0x1.e000000000000p-44",
+         "embedding-rectangle(2,2)-n3": "0x1.d200000000000p-44",
+         "embedding-rectangle(2,2)-n4": "0x1.9500000000000p-44",
+         "embedding-rectangle(2,2)-n6": "0x1.7700000000000p-44"},
+        "86fef1c37b38f31864c9c47559f708a49e92e48cf07181f4e2803ec63c797b9c"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EMBEDDING_BITS))
+def test_embedding_results_are_pinned(tmp_path, seed):
+    tasks = workloads.build("mesh-build", seed, tmp_path)
+    results = {t.name: float(t.run()).hex() for t in tasks
+               if t.name.startswith("embedding-") and t.name != "embedding-check-torus22"}
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(tmp_path / "embedding-check-torus22.json"),
+                     "--out", str(out), "--seed", str(seed)]) == 0
+    digest = hashlib.sha256((out / "embedding.csv").read_bytes()).hexdigest()
+    assert (results, digest) == EMBEDDING_BITS[seed]

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from torsionlab import bundles, experiments as ex, meshes, surfaces
 from torsionlab.errors import (BisectionFailure, BudgetExceeded,
@@ -408,13 +409,24 @@ def test_embedding_support_violation(bump):
 
 
 def _embedding_all_pairs(mesh, bump, f):
-    """The embedding ratios from a scan over every pair of support vertices."""
+    """The embedding ratios from a scan over every pair of support vertices,
+    summing every lattice translate (dx, dy) that takes the first to the
+    second."""
     surf = mesh.surface
     n = mesh.n
     an, bn = surf.params["a"] * n, surf.params["b"] * n
     periodic = surf.kind == "torus"
     coords = [(p * n + i, q * n + j) for (p, q), i, j in mesh.vertices]
-    profiles = {k: ex._AxisProfile(bump, k) for k in ("interior", "bleft", "bright")}
+    profiles = {k: ex._AxisProfile(bump, k) for k in ("interior", "bleft", "bright", "walls")}
+
+    def kind(g, size):
+        if periodic:
+            return "interior"
+        return {(True, True): "walls", (True, False): "bleft",
+                (False, True): "bright", (False, False): "interior"}[g == 0, g == size - 1]
+
+    def moved(g, d, size):
+        return (g + d) % size if periodic else g + d
 
     @functools.lru_cache(maxsize=None)
     def pair(k1, k2, delta, deriv):
@@ -423,25 +435,23 @@ def _embedding_all_pairs(mesh, bump, f):
             return ex.product_integral(p1.dpp, p2.dpp, shift=float(delta))
         return ex.product_integral(p1.pp, p2.pp, shift=float(delta))
 
-    def wrap(d, size):
-        return (d + size // 2) % size - size // 2 if periodic else d
-
     support = [v for v in range(mesh.n_vertices) if f[v]]
     norm_quad = energy_quad = 0.0
     for vi in support:
         gi, gj = coords[vi]
-        ki, kj = ex._axis_kind(gi, an, periodic), ex._axis_kind(gj, bn, periodic)
+        ki, kj = kind(gi, an), kind(gj, bn)
         for vj in support:
             hi, hj = coords[vj]
-            dx, dy = wrap(hi - gi, an), wrap(hj - gj, bn)
-            if abs(dx) > 1 or abs(dy) > 1:
-                continue
-            li, lj = ex._axis_kind(hi, an, periodic), ex._axis_kind(hj, bn, periodic)
-            ix, iy = pair(ki, li, dx, False), pair(kj, lj, dy, False)
-            dxx, dyy = pair(ki, li, dx, True), pair(kj, lj, dy, True)
-            w = f[vi] * f[vj]
-            norm_quad += w * ix * iy
-            energy_quad += w * (dxx * iy + ix * dyy)
+            li, lj = kind(hi, an), kind(hj, bn)
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    if (moved(gi, dx, an), moved(gj, dy, bn)) != (hi, hj):
+                        continue
+                    ix, iy = pair(ki, li, dx, False), pair(kj, lj, dy, False)
+                    dxx, dyy = pair(ki, li, dx, True), pair(kj, lj, dy, True)
+                    w = f[vi] * f[vj]
+                    norm_quad += w * ix * iy
+                    energy_quad += w * (dxx * iy + ix * dyy)
     energy_graph = 0.0
     for e in mesh.edges:
         energy_graph += (f[e.u] - f[e.v]) ** 2
@@ -449,9 +459,15 @@ def _embedding_all_pairs(mesh, bump, f):
         energy_graph / (energy_quad / bump.C)
 
 
+# the meshes from torus(2,2) at n = 1 on are those where translates meet (a
+# torus axis of at most 2 cells) or an axis touches both walls (a rectangle
+# axis of 1 cell)
 @pytest.mark.parametrize("surf,n", [(surfaces.torus(1, 1), 1), (surfaces.torus(1, 1), 2),
                                     (surfaces.torus(1, 1), 3), (surfaces.torus(2, 1), 2),
-                                    (surfaces.rectangle(3, 2), 2), (surfaces.rectangle(2, 2), 4)],
+                                    (surfaces.rectangle(3, 2), 2), (surfaces.rectangle(2, 2), 4),
+                                    (surfaces.torus(2, 2), 1), (surfaces.torus(1, 2), 2),
+                                    (surfaces.torus(2, 3), 1), (surfaces.rectangle(1, 3), 1),
+                                    (surfaces.rectangle(1, 5), 1)],
                          ids=lambda x: getattr(x, "name", str(x)))
 def test_embedding_neighbor_scan_equals_all_pairs_bit_for_bit(surf, n, bump):
     rng = np.random.default_rng(7 * n)
@@ -460,4 +476,26 @@ def test_embedding_neighbor_scan_equals_all_pairs_bit_for_bit(surf, n, bump):
         f = rng.standard_normal(mesh.n_vertices) * (rng.random(mesh.n_vertices) < keep)
         f[sorted(mesh.excluded_vertex_ids())] = 0.0
         if f.any():
-            assert ex.embedding_check(mesh, bump, f) == _embedding_all_pairs(mesh, bump, f)
+            ratios = ex.embedding_check(mesh, bump, f)
+            assert ratios == _embedding_all_pairs(mesh, bump, f)
+            # a one-vertex torus has constant sections: its form ratio is 0/0
+            if mesh.n_vertices > 1:
+                assert all(abs(r - 1.0) < 1e-10 for r in ratios)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from([surfaces.torus, surfaces.rectangle]), a=st.integers(1, 3),
+       b=st.integers(1, 3), n=st.integers(1, 4), sparse=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_embedding_identities_hold_and_match_all_pairs(kind, a, b, n, sparse, seed, bump):
+    assume(not (kind is surfaces.torus and a * b * n * n == 1))    # form ratio 0/0
+    mesh = meshes.discretize(kind(a, b), n)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(mesh.n_vertices)
+    if sparse:
+        f *= rng.random(mesh.n_vertices) < 0.3
+    f[sorted(mesh.excluded_vertex_ids())] = 0.0
+    ratios = ex.embedding_check(mesh, bump, f)
+    assert all(abs(r - 1.0) < 1e-7 for r in ratios)
+    if f.any():
+        assert ratios == _embedding_all_pairs(mesh, bump, f)
