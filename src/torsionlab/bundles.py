@@ -7,7 +7,10 @@ around cone points) is the identity.
 
 A walk is a pair of (W, L) integer arrays, edge indices and directions (+1
 along u -> v), one row per walk; `walk_monodromies` multiplies the
-transports along walks, for faces, CRSF cycles and loops alike.
+transports along walks, for faces, CRSF cycles and loops alike.  `flat_check`
+walks only the faces through an edge whose transport is not exactly I, so
+its work follows the holonomy: none for the trivial bundle, the faces along
+the cuts for a cut-built one.
 """
 
 from __future__ import annotations
@@ -86,10 +89,12 @@ class UnitaryConnection:
         self.rank = rank
         self.flat_basis = np.asarray(flat_basis)
         if self.flat_basis.ndim != 2 or self.flat_basis.shape[0] != rank:
-            raise ValueError("flat_basis must be a rank x k array")
+            raise RankMismatch(f"flat basis of shape {self.flat_basis.shape} in a rank-{rank} "
+                               "bundle; it must be rank x k")
         self.transports = np.asarray(transports, dtype=complex)
         if self.transports.shape != (len(graph.edges), rank, rank):
-            raise ValueError("one rank x rank transport per edge copy required")
+            raise RankMismatch(f"transports of shape {self.transports.shape}; a rank-{rank} "
+                               f"bundle needs one {rank} x {rank} transport per edge copy")
 
     @property
     def flat_sections(self):
@@ -175,13 +180,22 @@ def cycle_monodromy(conn, cycle):
 
 
 def flat_check(conn):
-    """(all faces flat to FLATNESS_TOL?, worst face defect), the faces of one
-    length walked together."""
+    """(all faces flat to FLATNESS_TOL?, worst face defect).
+
+    Every face is built, and so checked to be a closed walk, but only the
+    faces through an edge whose transport is not exactly I are walked, those
+    of one length together: a face of identity transports has monodromy
+    exactly I and defect exactly 0.0, so the result is that of walking them
+    all.  The trivial connection walks no face; a cut-built one, only the
+    faces along its cuts."""
     worst = 0.0
     eye = np.eye(conn.rank)
+    moved = np.any(conn.transports != eye, axis=(1, 2))
     for _, idx, dirs in conn.graph.face_cycles().values():
-        word = walk_monodromies(conn, idx, dirs)
-        worst = max(worst, float(np.max(np.abs(word - eye))))
+        rows = np.flatnonzero(moved[idx].any(axis=1))
+        if len(rows):
+            word = walk_monodromies(conn, idx[rows], dirs[rows])
+            worst = max(worst, float(np.max(np.abs(word - eye))))
     return worst <= FLATNESS_TOL, worst
 
 

@@ -46,7 +46,7 @@ class RankUnsupported(TorsionLabError):
 
 
 class RankMismatch(TorsionLabError):
-    """Generator matrices do not match the stated bundle rank."""
+    """Generators, transports or a flat basis do not match the stated bundle rank."""
 
 
 class NegativeUnderSqrt(TorsionLabError):

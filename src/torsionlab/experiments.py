@@ -293,11 +293,15 @@ class PiecewisePoly:
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         idx = np.clip(np.searchsorted(self.breaks, arr, side="right") - 1,
                       0, len(self.polys) - 1)
-        out = np.empty_like(arr)
-        for k, p in enumerate(self.polys):
-            m = idx == k
-            if np.any(m):
-                out[m] = p(arr[m])
+        lo, hi = idx.min(initial=len(self.polys)), idx.max(initial=-1)
+        if lo == hi:        # one piece: a panel, or a point
+            out = self.polys[lo](arr)
+        else:               # only the pieces between the lowest and the highest one hit
+            out = np.empty_like(arr)
+            for k in range(lo, hi + 1):
+                m = idx == k
+                if np.any(m):
+                    out[m] = self.polys[k](arr[m])
         return out if np.ndim(x) else float(out[0])
 
     def derivative(self):

@@ -18,17 +18,23 @@ component's lowest vertex, so the edge that closes a component gives that
 component's cycle mask at once.
 
 `enumerate_crsfs` returns a `CRSFTable`: the edges of each forest in
-combinations order, and per forest the indices of its cycles, listed by their
+combinations order, and per forest the ids of its cycles, listed by their
 component's lowest vertex.  Each distinct cycle is walked once, starting on
 its lowest edge index traversed u -> v, and shared by every forest that
-contains it; the census classes follow that order.
+contains it; the census classes follow that order.  The table keeps the
+cycles as walk arrays, the format of `bundles.walk_monodromies`: per cycle
+length, the cycles' ids and their (W, L) edge indices and directions, all
+cycles of all lengths walked from their masks in one array pass.  Its
+``cycles``, one list of (edge_index, direction) steps per cycle, is built
+from them on first access.
 
 The weighted sums, the expectation and the census compute each distinct
 cycle's weight (and winding) once per call, with one `walk_monodromies` call
-(and one cut product) per cycle length, multiply each forest's weights in
-cycle order and add the forests one by one in table order, so their totals
-are bit-identical to a per-forest product.  A plain list of CRSFs is first
-interned by cycle object: forests built by hand, without shared cycle
+(and one cut product) per cycle length, read straight from the table's walk
+arrays, multiply each forest's weights in cycle order and add the forests
+one by one in table order, so their totals are bit-identical to a per-forest
+product.  A plain list of CRSFs is first interned by cycle object and its
+cycles turned into walk arrays: forests built by hand, without shared cycle
 objects, give the same bits without the saving.  `crsf_census` returns its
 rows with that total, so `crsf-verify` weighs its forests once.
 """
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,14 +80,14 @@ class CRSF:
     cycles: list   # one list of (edge_index, direction) per component
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class CRSFTable:
     """Every CRSF of a mesh, in combinations order; indexing and iteration
     give `CRSF` views that share the cycle objects."""
 
     edges: np.ndarray       # (N, |V|) edge indices per forest
-    cycle_ids: np.ndarray   # (N, c_max) indices into cycles, lowest vertex first, -1 pad
-    cycles: list            # the distinct directed walks
+    cycle_ids: np.ndarray   # (N, c_max) ids of the distinct cycles, lowest vertex first, -1 pad
+    walks: list             # per cycle length, (ids, idx, dirs): the cycles' ids and walks
 
     def __len__(self):
         return len(self.edges)
@@ -93,6 +100,16 @@ class CRSFTable:
         cycles = self.cycles
         for edges, ids in zip(self.edges.tolist(), self.cycle_ids.tolist()):
             yield CRSF(tuple(edges), [cycles[j] for j in ids if j >= 0])
+
+    @cached_property
+    def cycles(self):
+        """The distinct cycles by id, each one list of (edge_index,
+        direction) steps, built from ``walks`` on first access."""
+        out = [None] * _n_cycles(self.walks)
+        for ids, idx, dirs in self.walks:
+            for j, i, d in zip(ids.tolist(), idx.tolist(), dirs.tolist()):
+                out[j] = list(zip(i, d))
+        return out
 
 
 def _grow(mesh, links, size, cyclic):
@@ -154,23 +171,36 @@ def _grow(mesh, links, size, cyclic):
                       np.zeros((1, nv), dtype=np.int64))
 
 
-def _walk(ends, key):
-    """The cycle on the edges of bitmask ``key``: its lowest edge u -> v, then
-    on around the cycle, as (edge_index, direction) steps."""
-    edges = [k for k in range(key.bit_length()) if key >> k & 1]
-    touching = {}
-    for k in edges:
-        for x in ends[k]:
-            touching.setdefault(x, []).append(k)
-    k = edges[0]
-    walk = [(k, +1)]
-    at = ends[k][1]
-    for _ in edges[1:]:
-        k = next(j for j in touching[at] if j != k)
-        u, v = ends[k]
-        walk.append((k, +1) if u == at else (k, -1))
-        at = v if u == at else u
-    return walk
+def _walks(mesh, keys):
+    """Per cycle length, (ids, idx, dirs) of the cycles on the edges of the
+    bitmasks ``keys``: the positions of the masks with that many edges, and
+    each cycle walked from its lowest edge u -> v on around, as (W, L) edge
+    indices and directions.
+
+    Each cycle edge has two ends, its tail 2t and its head 2t + 1 (t counts
+    the set bits, cycle by cycle); at each vertex of a cycle two ends meet,
+    and each is the other's partner.  A walk leaves an edge through the end
+    it did not enter by and enters the next edge through that end's partner,
+    so all cycles step together, one gather per step."""
+    rows, edges = np.nonzero((keys[:, None] >> np.arange(len(mesh.edge_u))) & 1)
+    lengths = np.bincount(rows, minlength=len(keys))
+    vertex = np.column_stack([mesh.edge_u[edges], mesh.edge_v[edges]]).ravel()
+    pairs = np.argsort(np.repeat(rows * mesh.n_vertices, 2) + vertex, kind="stable").reshape(-1, 2)
+    partner = np.empty(len(vertex), dtype=np.intp)
+    partner[pairs[:, 0]] = pairs[:, 1]
+    partner[pairs[:, 1]] = pairs[:, 0]
+    end = 2 * (np.cumsum(lengths) - lengths)        # each lowest edge, entered at its tail
+    ends = [end]
+    for _ in range(1, int(lengths.max(initial=0))):
+        end = partner[end ^ 1]
+        ends.append(end)
+    ends = np.stack(ends, axis=1)
+    idx, dirs = edges[ends >> 1], 1 - 2 * (ends & 1)
+    out = []
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        ids = np.flatnonzero(lengths == length)
+        out.append((ids, idx[ids, :length], dirs[ids, :length]))
+    return out
 
 
 def count_spanning_trees(mesh):
@@ -200,15 +230,14 @@ def enumerate_crsfs(mesh):
         edges[rows - len(e):rows] = e
         cycle_ids[rows - len(e):rows, :m.shape[1]] = np.searchsorted(keys, m) - 1
         rows -= len(e)
-    ends = mesh.ends
-    return CRSFTable(edges, cycle_ids, [_walk(ends, key) for key in keys[1:].tolist()])
+    return CRSFTable(edges, cycle_ids, _walks(mesh, keys[1:]))
 
 
 def _interned(crsfs):
-    """(cycle_ids, cycles) of a `CRSFTable`, or of a list of CRSFs with its
-    cycles interned by object."""
+    """(cycle_ids, walks) of a `CRSFTable`, or of a list of CRSFs with its
+    cycles interned by object; walks as in `CRSFTable.walks`."""
     if isinstance(crsfs, CRSFTable):
-        return crsfs.cycle_ids, crsfs.cycles
+        return crsfs.cycle_ids, crsfs.walks
     index = {}
     cycles = []
     rows = []
@@ -223,41 +252,47 @@ def _interned(crsfs):
     cycle_ids = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.intp)
     for r, ids in zip(cycle_ids, rows):
         r[:len(ids)] = ids
-    return cycle_ids, cycles
+    return cycle_ids, _by_length(cycles)
 
 
 def _by_length(cycles):
-    """(rows, idx, dirs) per cycle length: the positions in ``cycles`` of the
-    cycles of that length, and their edge indices and directions as arrays."""
+    """The walks, as in `CRSFTable.walks`, of a list of cycles, each a list
+    of (edge_index, direction) steps."""
     by_length = {}
     for j, cyc in enumerate(cycles):
         by_length.setdefault(len(cyc), []).append(j)
-    for rows in by_length.values():
-        steps = np.array([cycles[j] for j in rows])
-        yield rows, steps[..., 0], steps[..., 1]
+    walks = []
+    for ids in by_length.values():
+        steps = np.array([cycles[j] for j in ids])
+        walks.append((np.array(ids), steps[..., 0], steps[..., 1]))
+    return walks
 
 
-def _windings(edge_cuts, cycles):
+def _n_cycles(walks):
+    return sum(len(ids) for ids, _, _ in walks)
+
+
+def _windings(edge_cuts, walks):
     """Each cycle's signed crossings of each cut of ``edge_cuts`` (see
     `MeshGraph.refine_cuts`), a (cycles, cuts) array; one product per length."""
-    windings = np.zeros((len(cycles), len(edge_cuts)), dtype=np.int64)
-    for rows, idx, dirs in _by_length(cycles):
-        windings[rows] = (edge_cuts[:, idx] * dirs).sum(axis=2).T
+    windings = np.zeros((_n_cycles(walks), len(edge_cuts)), dtype=np.int64)
+    for ids, idx, dirs in walks:
+        windings[ids] = (edge_cuts[:, idx] * dirs).sum(axis=2).T
     return windings
 
 
-def _cycle_weights(conn, cycles):
+def _cycle_weights(conn, walks):
     """2 - w - 1/w (rank 1) or 2 - tr w (rank 2) for the monodromy w of each
     cycle; the cycles of one length are walked together."""
-    weights = np.empty(len(cycles))
-    for rows, idx, dirs in _by_length(cycles):
+    weights = np.empty(_n_cycles(walks))
+    for ids, idx, dirs in walks:
         conn.graph.check_closed(idx, dirs)
         w = walk_monodromies(conn, idx, dirs)
         if conn.rank == 1:
             z = w[:, 0, 0]
-            weights[rows] = (2 - z - 1 / z).real
+            weights[ids] = (2 - z - 1 / z).real
         else:
-            weights[rows] = (2 - np.trace(w, axis1=1, axis2=2)).real
+            weights[ids] = (2 - np.trace(w, axis1=1, axis2=2)).real
     return weights
 
 
@@ -280,18 +315,18 @@ def sum_in_order(terms):
 
 
 def _terms(conn, crsfs):
-    """(cycle_ids, cycles, the product of each forest's cycle weights)."""
-    cycle_ids, cycles = _interned(crsfs)
-    return cycle_ids, cycles, _per_forest(np.multiply, _cycle_weights(conn, cycles),
-                                          cycle_ids, 1.0)
+    """(cycle_ids, walks, the product of each forest's cycle weights)."""
+    cycle_ids, walks = _interned(crsfs)
+    return cycle_ids, walks, _per_forest(np.multiply, _cycle_weights(conn, walks),
+                                         cycle_ids, 1.0)
 
 
 def _classified(conn, crsfs):
     """(cycle_ids, the product of each forest's cycle weights, each distinct
     cycle's windings across the standard cuts of ``conn.graph``)."""
-    cycle_ids, cycles, terms = _terms(conn, crsfs)
+    cycle_ids, walks, terms = _terms(conn, crsfs)
     mesh = conn.graph
-    return cycle_ids, terms, _windings(mesh.refine_cuts(standard_cuts(mesh.surface)), cycles)
+    return cycle_ids, terms, _windings(mesh.refine_cuts(standard_cuts(mesh.surface)), walks)
 
 
 def _require_weighable(conn):

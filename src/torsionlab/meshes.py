@@ -10,8 +10,10 @@ the t-th cell of ``surface.complex``, is vertex ``t*n*n + i*n + j``; side d of
 vertex v is slot ``4*v + d`` and corner k of it is corner ``4*v + k`` (side
 and corner labels as in ``complexes``).  ``partner[slot]`` is the slot glued
 to it, or -1 on the boundary.  Edges, faces, neighbor sets and cut crossings
-are index arithmetic on these.  The refined ``SquareComplex`` that the same
-subdivision gives (``mesh.complex``) is built only on request, as a reference.
+are index arithmetic on these; the faces are stepped out of the corner turn
+(`MeshGraph.corner_step`) for all corners together, with no per-corner loop.
+The refined ``SquareComplex`` that the same subdivision gives
+(``mesh.complex``) is built only on request, as a reference.
 """
 
 from __future__ import annotations
@@ -253,37 +255,31 @@ class MeshGraph:
 
         A face is the counterclockwise corner cycle around an interior lattice
         point, started at its smallest corner id.  The regular 4-cycles are
-        found at once; only cone fans and boundary fans are walked one corner
-        at a time.  Every face is checked to be a closed walk when built.
+        found at once; the cone and boundary fans are stepped together, each
+        from every one of its corners, and a walk is dropped as soon as it
+        reaches a smaller corner or leaves the boundary, so each closed fan is
+        kept once, from its smallest corner.  Every face is checked to be a
+        closed walk when built.
         """
         if self._face_cycles is not None:
             return self._face_cycles
+        step = self.corner_step()
         corner = np.arange(len(self.partner))
-        gate = self.partner[(corner & ~3) + _EXIT[corner & 3]]
-        step = np.append(np.where(gate < 0, -1, (gate & ~3) + _NEXT_CORNER[corner & 3, gate & 3]),
-                         -1)        # step[-1] = -1: a walk off the boundary stays off
         c1 = step[corner]
         c2 = step[c1]
         c3 = step[c2]
         regular = (step[c3] == corner) & (c2 != corner)
         first = regular & (corner < c1) & (corner < c2) & (corner < c3)
-        groups = {4: [np.stack([corner, c1, c2, c3], axis=1)[first]]}
-        nxt = step.tolist()
-        seen = set()
-        for c in np.flatnonzero(~regular).tolist():
-            if c in seen:
-                continue
-            fan = [c]
-            cur = nxt[c]
-            while cur != c and cur >= 0:
-                fan.append(cur)
-                cur = nxt[cur]
-            seen.update(fan)
-            if cur == c:
-                groups.setdefault(len(fan), []).append(np.array([fan]))
+        groups = {4: np.stack([corner, c1, c2, c3], axis=1)[first]}
+        fan = np.flatnonzero(~regular)[:, None]       # (walks, corners so far)
+        while len(fan):
+            nxt = step[fan[:, -1]]
+            shut = nxt == fan[:, 0]
+            if shut.any():
+                groups[fan.shape[1]] = fan[shut]
+            fan = np.column_stack([fan, nxt])[nxt > fan[:, 0]]
         out = {}
-        for length, parts in sorted(groups.items()):
-            cycles = np.concatenate(parts)
+        for length, cycles in sorted(groups.items()):
             if not len(cycles):
                 continue
             slots = (cycles & ~3) + _EXIT[cycles & 3]
@@ -292,6 +288,16 @@ class MeshGraph:
             out[length] = (cycles[:, 0], idx, dirs)
         self._face_cycles = out
         return out
+
+    def corner_step(self):
+        """The counterclockwise corner turn, one entry per corner id and a
+        last entry -1: step[c] is the next corner around c's lattice point,
+        or -1 where c's exit side is on the boundary (and step[-1] = -1, so a
+        walk off the boundary stays off)."""
+        corner = np.arange(len(self.partner))
+        gate = self.partner[(corner & ~3) + _EXIT[corner & 3]]
+        return np.append(np.where(gate < 0, -1, (gate & ~3) + _NEXT_CORNER[corner & 3, gate & 3]),
+                         -1)
 
     def check_closed(self, idx, dirs):
         """NotAClosedWalk unless each row of the walks (idx, dirs), (W, L)

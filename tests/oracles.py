@@ -1,14 +1,16 @@
-"""Closed forms that only the tests use, kept as oracles: the rectangle mesh's
-eigenvalues and eigenvectors mode by mode and as a full grid, the Szego trace
-by full eigenbasis contraction, the rescaling law of log det', the
-monodromy of a cycle walked one edge at a time, and the bump profile with its
-mixing weight found by bisection."""
+"""Closed forms and loops that only the tests use, kept as oracles: the
+rectangle mesh's eigenvalues and eigenvectors mode by mode and as a full grid,
+the Szego trace by full eigenbasis contraction, the rescaling law of log det',
+the monodromy of a cycle walked one edge at a time, the flatness defect of
+every face, the faces and the CRSF cycles walked one corner or edge at a
+time, the piecewise polynomial evaluated piece by piece, and the bump profile
+with its mixing weight found by bisection."""
 
 import math
 
 import numpy as np
 
-from torsionlab import experiments as ex
+from torsionlab import bundles, experiments as ex, meshes
 from torsionlab.errors import BisectionFailure, IndexOutOfRange, NotAClosedWalk
 from torsionlab.torsion import SeparableSurface
 
@@ -109,6 +111,78 @@ def step_monodromy(conn, cycle):
     if pos != start:
         raise NotAClosedWalk("walk does not return to its starting vertex")
     return word
+
+
+def all_faces_flat_check(conn):
+    """Independent oracle: (all faces flat to FLATNESS_TOL?, worst face
+    defect), every face walked, those of one length together."""
+    worst = 0.0
+    eye = np.eye(conn.rank)
+    for _, idx, dirs in conn.graph.face_cycles().values():
+        word = bundles.walk_monodromies(conn, idx, dirs)
+        worst = max(worst, float(np.max(np.abs(word - eye))))
+    return worst <= bundles.FLATNESS_TOL, worst
+
+
+def corner_walk_faces(mesh):
+    """Independent oracle: the faces of ``mesh`` in the format of
+    `MeshGraph.face_cycles`, found by walking the corner turn from each
+    corner in id order, one corner at a time; a walk that comes back to its
+    start is a face, started at its smallest corner, and its corners are not
+    walked again."""
+    nxt = mesh.corner_step().tolist()
+    seen = set()
+    groups = {}
+    for c in range(len(mesh.partner)):
+        if c in seen:
+            continue
+        fan = [c]
+        cur = nxt[c]
+        while cur != c and cur >= 0:
+            fan.append(cur)
+            cur = nxt[cur]
+        seen.update(fan)
+        if cur == c:
+            groups.setdefault(len(fan), []).append(fan)
+    out = {}
+    for length, fans in sorted(groups.items()):
+        cycles = np.array(fans)
+        slots = (cycles & ~3) + meshes._EXIT[cycles & 3]
+        out[length] = (cycles[:, 0], mesh.slot_edge_index[slots], mesh.slot_direction[slots])
+    return out
+
+
+def cycle_walk(ends, key):
+    """Independent oracle: the cycle on the edges of bitmask ``key``, walked
+    from its lowest edge u -> v on around, one edge at a time, as
+    (edge_index, direction) steps; ``ends`` holds (u, v) per edge."""
+    edges = [k for k in range(key.bit_length()) if key >> k & 1]
+    touching = {}
+    for k in edges:
+        for x in ends[k]:
+            touching.setdefault(x, []).append(k)
+    k = edges[0]
+    walk = [(k, +1)]
+    at = ends[k][1]
+    for _ in edges[1:]:
+        k = next(j for j in touching[at] if j != k)
+        u, v = ends[k]
+        walk.append((k, +1) if u == at else (k, -1))
+        at = v if u == at else u
+    return walk
+
+
+def piecewise_by_piece(pp, x):
+    """Independent oracle: ``pp`` at ``x``, every piece tested against every
+    point with a boolean mask."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    idx = np.clip(np.searchsorted(pp.breaks, arr, side="right") - 1, 0, len(pp.polys) - 1)
+    out = np.empty_like(arr)
+    for k, p in enumerate(pp.polys):
+        m = idx == k
+        if np.any(m):
+            out[m] = p(arr[m])
+    return out if np.ndim(x) else float(out[0])
 
 
 def bisection_bump():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsionlab import bundles, forests, laplacian, meshes, surfaces
-from torsionlab.errors import BadCuts, NonUnitaryGauge, NotAClosedWalk
+from torsionlab.errors import BadCuts, NonUnitaryGauge, NotAClosedWalk, RankMismatch
 
 
 def test_trivial_connection():
@@ -55,6 +55,50 @@ def test_flat_check_random_su2_torus():
     ok, worst = bundles.flat_check(conn)
     assert ok and worst < 1e-10
     assert len(mesh.faces()) == 16
+
+
+def _walked_faces(monkeypatch, conn):
+    """flat_check(conn), and the (edge indices, directions) rows it passed
+    to walk_monodromies."""
+    rows = []
+    walk = bundles.walk_monodromies
+
+    def counting(conn, idx, dirs):
+        rows.extend(zip(map(tuple, idx.tolist()), map(tuple, dirs.tolist())))
+        return walk(conn, idx, dirs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bundles, "walk_monodromies", counting)
+        return bundles.flat_check(conn), rows
+
+
+def test_flat_check_walks_only_the_faces_the_holonomy_touches(monkeypatch):
+    surf = surfaces.torus(3, 2)
+    mesh = meshes.discretize(surf, 24)
+    assert _walked_faces(monkeypatch, bundles.trivial_connection(mesh, 2)) == ((True, 0.0), [])
+    rep = bundles.random_flat_representation(surf, 2, np.random.default_rng(41))
+    (ok, worst), rows = _walked_faces(monkeypatch, bundles.connection_from_holonomy(mesh, rep))
+    assert ok and 0.0 < worst < bundles.FLATNESS_TOL
+    cut = np.any(mesh.refine_cuts(surfaces.standard_cuts(surf)), axis=0)
+    want = {(tuple(i), tuple(d)) for _, idx, dirs in mesh.face_cycles().values()
+            for i, d in zip(idx.tolist(), dirs.tolist()) if cut[i].any()}
+    assert len(rows) == len(set(rows)) and set(rows) == want
+    # one face per step along the two cut circles, 3 * 24 and 2 * 24 steps
+    # long, less the face where they cross: O(n) of the 3456 faces
+    assert len(rows) == (3 + 2) * 24 - 1 and len(mesh.faces()) == 3456
+
+
+def test_connection_shapes_must_match_the_rank():
+    mesh = meshes.discretize(surfaces.torus(1, 1), 2)
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(RankMismatch):
+        bundles.UnitaryConnection(mesh, 2, np.tile(eye, (len(mesh.edges) - 1, 1, 1)), eye)
+    with pytest.raises(RankMismatch):
+        bundles.UnitaryConnection(mesh, 2, np.ones((len(mesh.edges), 1, 1)), eye)
+    with pytest.raises(RankMismatch):
+        bundles.UnitaryConnection(mesh, 2, np.tile(eye, (len(mesh.edges), 1, 1)), np.eye(3))
+    with pytest.raises(RankMismatch):
+        bundles.UnitaryConnection(mesh, 2, np.tile(eye, (len(mesh.edges), 1, 1)), np.ones(2))
 
 
 def test_noncommuting_torus_rejected():

@@ -351,6 +351,33 @@ def test_bump_embedding_ratios_match_the_bisection_oracle(bisected_bump):
             assert max(abs(a - b) for a, b in zip(ours, theirs)) < 1e-12
 
 
+def _pair_table(bump):
+    """Every pair integral of ``bump``, (deriv, kind1, kind2, shift + 1)."""
+    k1, k2, shift = np.meshgrid(*(np.arange(len(ex._AXIS_KINDS)),) * 2, np.arange(-1, 2),
+                                indexing="ij")
+    return np.stack(bump.pair_integrals(k1, k2, shift))
+
+
+def test_piecewise_evaluation_matches_the_piece_by_piece_oracle(monkeypatch):
+    fresh = ex.build_bump.__wrapped__()
+    profiles = [p for prof in fresh._axis_profiles for p in (prof.pp, prof.dpp)]
+    rng = np.random.default_rng(97)
+    for pp in [fresh.half, fresh.half.derivative(), *profiles]:
+        lo, hi = pp.breaks[0], pp.breaks[-1]
+        for x in (rng.uniform(lo - 0.5, hi + 0.5, 257), pp.breaks, np.empty(0),
+                  0.5 * (pp.breaks[1:] + pp.breaks[:-1])[:, None], 0.3 * lo + 0.7 * hi, hi):
+            got, want = pp(x), oracles.piecewise_by_piece(pp, x)
+            assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the bump and all 96 pair integrals carry the oracle's bits
+    table = _pair_table(fresh)
+    monkeypatch.setattr(ex.PiecewisePoly, "__call__", oracles.piecewise_by_piece)
+    slow = ex.build_bump.__wrapped__()
+    assert (fresh.t_mix.hex(), fresh.C.hex()) == (slow.t_mix.hex(), slow.C.hex())
+    assert {k: v.hex() for k, v in fresh.residuals.items()} == {
+        k: v.hex() for k, v in slow.residuals.items()}
+    assert table.tobytes() == _pair_table(slow).tobytes()
+
+
 def test_bump_identical_seed_profiles_bracket_no_root(monkeypatch):
     # d = r1 - r2 = 0 leaves the constant defect c0 < 0, with no sign change
     monkeypatch.setattr(ex, "_rho1_half", ex._rho2_half)

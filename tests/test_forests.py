@@ -14,7 +14,7 @@ from torsionlab import bundles, cli, forests, laplacian, meshes, surfaces
 from torsionlab.complexes import E, HALF_TURN, N, S, SquareComplex, TRANSLATION, W
 from torsionlab.errors import (BadCuts, KernelMismatch, NegativeUnderSqrt, NotClassifiable,
                                RankUnsupported, TooLarge)
-from oracles import step_monodromy
+from oracles import all_faces_flat_check, corner_walk_faces, cycle_walk, step_monodromy
 
 CENSUS_HEADER = ["crsf_id", "n_components", "cycle_classes", "weight"]
 
@@ -171,7 +171,7 @@ def test_crsf_sums_are_bit_identical_to_a_loop_in_table_order():
     conn = bundles.connection_from_holonomy(mesh, bundles.random_flat_representation(surf, 2, rng))
     table = forests.enumerate_crsfs(mesh)
     terms = forests._terms(conn, table)[2].tolist()
-    winds = forests._windings(mesh.refine_cuts(surfaces.standard_cuts(surf)), table.cycles)
+    winds = forests._windings(mesh.refine_cuts(surfaces.standard_cuts(surf)), table.walks)
     total = nonc_sum = 0.0
     nonc_count = 0
     for term, ids in zip(terms, table.cycle_ids.tolist()):
@@ -445,6 +445,95 @@ def test_walk_monodromies_match_the_step_oracle_bit_for_bit(surface_n, seed):
             got = bundles.walk_monodromies(conn, idx, dirs)
             for row, face in zip(got, zip(idx.tolist(), dirs.tolist())):
                 assert row.tobytes() == step_monodromy(conn, list(zip(*face))).tobytes()
+
+
+# one surface of each NAMED_KINDS kind and size class: cone(2pi) is a regular
+# point, and angle(3) and angle(4) are the L-shape and the slit
+NAMED_SURFACES = [surfaces.rectangle(1, 1), surfaces.rectangle(2, 1), surfaces.torus(1, 1),
+                  surfaces.torus(2, 1), surfaces.cylinder(2, 1), surfaces.cylinder(1, 2),
+                  surfaces.lshape(), surfaces.slit(),
+                  *[surfaces.cone_model(k) for k in (1, 3, 4)]]
+SMALL_OR_GLUED = st.sampled_from(SMALL_MESHES) | st.tuples(glued_surfaces(), st.just(1))
+
+
+def _same_fans(mesh):
+    """The array fans of ``mesh`` equal the corner-walk oracle's exactly."""
+    got, want = mesh.face_cycles(), corner_walk_faces(mesh)
+    assert list(got) == list(want)
+    for length, arrays in want.items():
+        for a, b in zip(got[length], arrays):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(surface_n=SMALL_OR_GLUED)
+def test_face_fans_match_the_corner_walk_oracle(surface_n):
+    _same_fans(meshes.discretize(*surface_n))
+
+
+@pytest.mark.parametrize("surf", NAMED_SURFACES, ids=lambda s: s.name)
+def test_named_face_fans_match_the_corner_walk_oracle(surf):
+    for n in range(1, 5):
+        _same_fans(meshes.discretize(surf, n))
+
+
+def _same_cycle_walks(mesh):
+    """The CRSF table's walk arrays equal the one-edge-at-a-time oracle's
+    walks exactly, ids in ascending mask order, lengths ascending."""
+    table = forests.enumerate_crsfs(mesh)
+    keys = [None] * len(table.cycles)
+    for ids, idx, dirs in table.walks:
+        assert idx.shape == dirs.shape == (len(ids), idx.shape[1])
+        for j, row, signs in zip(ids.tolist(), idx.tolist(), dirs.tolist()):
+            keys[j] = sum(1 << k for k in row)
+            assert list(zip(row, signs)) == cycle_walk(mesh.ends, keys[j]) == table.cycles[j]
+    assert keys == sorted(set(keys))
+    lengths = [idx.shape[1] for _, idx, _ in table.walks]
+    assert lengths == sorted(set(lengths))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(surface_n=SMALL_OR_GLUED)
+def test_cycle_walks_match_the_walk_oracle(surface_n):
+    _same_cycle_walks(meshes.discretize(*surface_n))
+
+
+@pytest.mark.parametrize("surf", [s for s in NAMED_SURFACES
+                                  if meshes.mesh_counts(s, 1)[0] <= forests.MAX_VERTICES],
+                         ids=lambda s: s.name)
+def test_named_cycle_walks_match_the_walk_oracle(surf):
+    _same_cycle_walks(meshes.discretize(surf, 1))
+
+
+def _flat_check_equals_the_all_faces_walk(mesh, rng):
+    """`flat_check` gives the bits of walking every face on the trivial, a
+    cut-built, a gauge-transformed and a per-edge random connection."""
+    for rank in (1, 2):
+        rep = (bundles.random_flat_representation(mesh.surface, rank, rng)
+               if surfaces.standard_cuts(mesh.surface)
+               else bundles.HolonomyRepresentation(rank, []))
+        built = bundles.connection_from_holonomy(mesh, rep)
+        gauged = bundles.gauge_transform(built, _random_unitary_field(rank, mesh.n_vertices, rng))
+        rough = bundles.UnitaryConnection(
+            mesh, rank, _random_unitary_field(rank, len(mesh.edges), rng), np.zeros((rank, 0)))
+        for conn in (bundles.trivial_connection(mesh, rank), built, gauged, rough):
+            ok, worst = bundles.flat_check(conn)
+            want_ok, want_worst = all_faces_flat_check(conn)
+            assert ok == want_ok and worst.hex() == want_worst.hex()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(surface_n=SMALL_OR_GLUED, seed=st.integers(0, 2**32 - 1))
+def test_flat_check_equals_the_all_faces_walk_bit_for_bit(surface_n, seed):
+    _flat_check_equals_the_all_faces_walk(meshes.discretize(*surface_n),
+                                          np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("surf", NAMED_SURFACES, ids=lambda s: s.name)
+def test_named_flat_check_equals_the_all_faces_walk_bit_for_bit(surf):
+    rng = np.random.default_rng(89)
+    for n in range(1, 5):
+        _flat_check_equals_the_all_faces_walk(meshes.discretize(surf, n), rng)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
