@@ -1,6 +1,9 @@
 """Discretization: counts, multiplicities, neighbor sets, isomorphisms, and the
 index-array mesh against the refined complex walked as dicts."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -380,3 +383,39 @@ def test_mesh_counts_equal_the_discretized_counts(surf):
     for n in (1, 2, 5):
         mesh = meshes.discretize(surf, n)
         assert meshes.mesh_counts(surf, n) == (mesh.n_vertices, len(mesh.edges))
+
+
+# sha256 (first 16 hex digits) of each structure, as JSON, of four large meshes
+MESH_DIGESTS = {
+    "cone(3pi)": (14, {"partner": "2da6559fbf0dd61b", "edge_u": "dbb2841927d4791b",
+                       "edge_v": "4ca5b468df371767", "slot_u": "cc0a6f7b6453e1d2",
+                       "slot_v": "592596825c8c2f20", "faces": "5a73cb4fc04aa3b1",
+                       "edges_csv": "7f08b54d4d326086", "cone_neighbor_sets": "b99d1f0fcc7a5c62"}),
+    "slit": (18, {"partner": "cd1060005fab0daf", "edge_u": "e539f829f58840c8",
+                  "edge_v": "ee23604a25f2bcbc", "slot_u": "203de2ea7da4e963",
+                  "slot_v": "47eef0ee078dd02f", "faces": "db0587b596f68198",
+                  "edges_csv": "50beb8c3f637953e", "cone_neighbor_sets": "5f365528b45fb3f2"}),
+    "lshape": (20, {"partner": "3589bc2ee8b86c4c", "edge_u": "d686d643805cd87d",
+                    "edge_v": "cf6d59a8e2d92c1e", "slot_u": "8775ab13ec26871b",
+                    "slot_v": "18b6f2bdec6d0976", "faces": "d0f33cdd2451ab82",
+                    "edges_csv": "7791a9c7a5690540", "cone_neighbor_sets": "b161c61215c54729"}),
+    "torus(3,2)": (24, {"partner": "0222a6ac03a76220", "edge_u": "ad4d8340a73f28f0",
+                        "edge_v": "5d632d13892e7aa9", "slot_u": "0ff928557c930614",
+                        "slot_v": "9d69bca111fc9c8c", "faces": "ac7d6655991ed37c",
+                        "edges_csv": "d561923cbd0edb77", "cone_neighbor_sets": "4f53cda18c2baa0c"}),
+}
+
+
+@pytest.mark.parametrize("surf", [surfaces.cone_model(3), surfaces.slit(), surfaces.lshape(),
+                                  surfaces.torus(3, 2)], ids=lambda s: s.name)
+def test_mesh_layer_is_pinned(surf):
+    n, want = MESH_DIGESTS[surf.name]
+    mesh = meshes.discretize(surf, n)
+    parts = {name: getattr(mesh, name).tolist()
+             for name in ("partner", "edge_u", "edge_v", "slot_u", "slot_v")}
+    parts["faces"] = mesh.faces()
+    parts["edges_csv"] = mesh.edges_csv()
+    parts["cone_neighbor_sets"] = sorted(mesh.cone_neighbor_sets().items())
+    got = {name: hashlib.sha256(json.dumps(part).encode()).hexdigest()[:16]
+           for name, part in parts.items()}
+    assert got == want
