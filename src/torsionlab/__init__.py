@@ -21,9 +21,8 @@ from .bundles import (HolonomyRepresentation, UnitaryConnection,
                       random_flat_representation, generator_loop)
 from .laplacian import (HermitianSpectrum, assemble, spectrum, log_det_prime,
                         sparse_log_det, discrete_zeta)
-from .forests import (CRSF, CRSFTable, count_spanning_trees, enumerate_crsfs,
-                      crsf_weighted_sum, crsf_identity,
-                      noncontractible_expectation)
+from .forests import (CRSFTable, count_spanning_trees, enumerate_crsfs,
+                      crsf_weighted_sum, crsf_identity, noncontractible_expectation)
 from .meshspectra import (CATALAN, FourierProfile, catalan_constant,
                           rectangle_mesh_spectrum, torus_mesh_spectrum,
                           closed_form_log_det,

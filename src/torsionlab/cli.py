@@ -511,11 +511,28 @@ def selftest(seed=0):
 
     check("mesh counts and double edges", mesh_check)
 
-    def array_mesh_check():
+    def mesh_arrays_check():
         for surf in (surfaces.cone_model(1), surfaces.lshape()):
-            meshes.check_against_complex(meshes.discretize(surf, 2))
+            summary = surfaces.geometry_summary(surf)
+            for n in (1, 2):
+                m = meshes.discretize(surf, n)
+                at = f"{surf.name} n={n}"
+                _require((m.n_vertices, len(m.edges)) == meshes.mesh_counts(surf, n),
+                         f"{at} counts")
+                glued = np.flatnonzero(m.partner >= 0)
+                _require(np.all(m.partner[m.partner[glued]] == glued)
+                         and np.all(m.partner[glued] != glued),
+                         f"{at} partner is not an involution without fixed points")
+                lengths = [L for L, (first, _, _) in m.face_cycles().items() for _ in first]
+                _require(len(lengths) == summary.euler_char + len(m.edges) - m.n_vertices,
+                         f"{at} has {len(lengths)} faces")
+                _require(sorted(L for L in lengths if L != 4) == summary.cone_quadrants,
+                         f"{at} non-square faces differ from the cone angles")
+                for pid, ids in m.cone_neighbor_sets().items():
+                    _require(len(set(ids)) == surf.singular_point(pid).quadrants,
+                             f"{at} neighbors of {pid}")
 
-    check("array mesh matches refined complex", array_mesh_check)
+    check("mesh arrays: counts, gluing, faces and cone fans", mesh_arrays_check)
 
     def laplacian_check():
         m = meshes.discretize(surfaces.rectangle(1, 1), 2)

@@ -91,10 +91,6 @@ class IdentityMismatch(TorsionLabError):
     """A determinant identity the input should satisfy does not hold numerically."""
 
 
-class MeshMismatch(TorsionLabError):
-    """The array mesh disagrees with the refined square complex it discretizes."""
-
-
 class ConfigError(TorsionLabError, ValueError):
     """An experiment config lacks a required key or holds a value of the wrong type."""
 

@@ -24,26 +24,23 @@ its lowest edge index traversed u -> v, and shared by every forest that
 contains it; the census classes follow that order.  The table keeps the
 cycles as walk arrays, the format of `bundles.walk_monodromies`: per cycle
 length, the cycles' ids and their (W, L) edge indices and directions, all
-cycles of all lengths walked from their masks in one array pass.  Its
-``cycles``, one list of (edge_index, direction) steps per cycle, is built
-from them on first access.
+cycles of all lengths walked from their masks in one array pass.  These
+arrays are the table's one representation.
 
 The weighted sums, the expectation and the census compute each distinct
 cycle's weight (and winding) once per call, with one `walk_monodromies` call
 (and one cut product) per cycle length, read straight from the table's walk
 arrays, multiply each forest's weights in cycle order and add the forests
 one by one in table order, so their totals are bit-identical to a per-forest
-product.  A plain list of CRSFs is first interned by cycle object and its
-cycles turned into walk arrays: forests built by hand, without shared cycle
-objects, give the same bits without the saving.  `crsf_census` returns its
-rows with that total, so `crsf-verify` weighs its forests once.
+product.  They read a `CRSFTable`, or enumerate one when given none.
+`crsf_census` returns its rows with that total, so `crsf-verify` weighs its
+forests once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -72,18 +69,9 @@ def check_enumeration_caps(nv, ne, size):
         raise TooLarge("too many edge subsets")
 
 
-@dataclass(slots=True)
-class CRSF:
-    """A cycle-rooted spanning forest: edges plus one directed cycle per component."""
-
-    edge_indices: tuple
-    cycles: list   # one list of (edge_index, direction) per component
-
-
 @dataclass(frozen=True, eq=False)
 class CRSFTable:
-    """Every CRSF of a mesh, in combinations order; indexing and iteration
-    give `CRSF` views that share the cycle objects."""
+    """Every CRSF of a mesh, in combinations order."""
 
     edges: np.ndarray       # (N, |V|) edge indices per forest
     cycle_ids: np.ndarray   # (N, c_max) ids of the distinct cycles, lowest vertex first, -1 pad
@@ -91,25 +79,6 @@ class CRSFTable:
 
     def __len__(self):
         return len(self.edges)
-
-    def __getitem__(self, i):
-        return CRSF(tuple(self.edges[i].tolist()),
-                    [self.cycles[j] for j in self.cycle_ids[i].tolist() if j >= 0])
-
-    def __iter__(self):
-        cycles = self.cycles
-        for edges, ids in zip(self.edges.tolist(), self.cycle_ids.tolist()):
-            yield CRSF(tuple(edges), [cycles[j] for j in ids if j >= 0])
-
-    @cached_property
-    def cycles(self):
-        """The distinct cycles by id, each one list of (edge_index,
-        direction) steps, built from ``walks`` on first access."""
-        out = [None] * _n_cycles(self.walks)
-        for ids, idx, dirs in self.walks:
-            for j, i, d in zip(ids.tolist(), idx.tolist(), dirs.tolist()):
-                out[j] = list(zip(i, d))
-        return out
 
 
 def _grow(mesh, links, size, cyclic):
@@ -206,7 +175,7 @@ def _walks(mesh, keys):
 def count_spanning_trees(mesh):
     """Exact spanning-tree count by prefix growth."""
     nv = mesh.n_vertices
-    links = [k for k, (u, v) in enumerate(mesh.ends) if u != v]
+    links = np.flatnonzero(mesh.edge_u != mesh.edge_v)
     check_enumeration_caps(nv, len(links), nv - 1)
     if nv == 1:
         return 1
@@ -217,7 +186,7 @@ def enumerate_crsfs(mesh):
     """All cycle-rooted spanning forests, as a `CRSFTable`."""
     nv = mesh.n_vertices
     check_enumeration_caps(nv, len(mesh.edges), nv)
-    blocks = list(_grow(mesh, range(len(mesh.edges)), nv, cyclic=True))
+    blocks = list(_grow(mesh, mesh.edges, nv, cyclic=True))
     rows = sum(len(e) for e, _ in blocks)
     # the distinct cycle masks, after 0 (no cycle), so a mask's index - 1 is its id
     keys = np.unique(np.concatenate([np.zeros(1, dtype=np.int64),
@@ -233,48 +202,14 @@ def enumerate_crsfs(mesh):
     return CRSFTable(edges, cycle_ids, _walks(mesh, keys[1:]))
 
 
-def _interned(crsfs):
-    """(cycle_ids, walks) of a `CRSFTable`, or of a list of CRSFs with its
-    cycles interned by object; walks as in `CRSFTable.walks`."""
-    if isinstance(crsfs, CRSFTable):
-        return crsfs.cycle_ids, crsfs.walks
-    index = {}
-    cycles = []
-    rows = []
-    for f in crsfs:
-        ids = []
-        for c in f.cycles:
-            j = index.setdefault(id(c), len(cycles))
-            if j == len(cycles):
-                cycles.append(c)
-            ids.append(j)
-        rows.append(ids)
-    cycle_ids = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.intp)
-    for r, ids in zip(cycle_ids, rows):
-        r[:len(ids)] = ids
-    return cycle_ids, _by_length(cycles)
-
-
-def _by_length(cycles):
-    """The walks, as in `CRSFTable.walks`, of a list of cycles, each a list
-    of (edge_index, direction) steps."""
-    by_length = {}
-    for j, cyc in enumerate(cycles):
-        by_length.setdefault(len(cyc), []).append(j)
-    walks = []
-    for ids in by_length.values():
-        steps = np.array([cycles[j] for j in ids])
-        walks.append((np.array(ids), steps[..., 0], steps[..., 1]))
-    return walks
-
-
 def _n_cycles(walks):
     return sum(len(ids) for ids, _, _ in walks)
 
 
-def _windings(edge_cuts, walks):
-    """Each cycle's signed crossings of each cut of ``edge_cuts`` (see
+def _windings(mesh, walks):
+    """Each cycle's signed crossings of each standard cut of ``mesh`` (see
     `MeshGraph.refine_cuts`), a (cycles, cuts) array; one product per length."""
+    edge_cuts = mesh.refine_cuts(standard_cuts(mesh.surface))
     windings = np.zeros((_n_cycles(walks), len(edge_cuts)), dtype=np.int64)
     for ids, idx, dirs in walks:
         windings[ids] = (edge_cuts[:, idx] * dirs).sum(axis=2).T
@@ -314,19 +249,9 @@ def sum_in_order(terms):
     return float(np.add.accumulate(np.append(0.0, terms))[-1])
 
 
-def _terms(conn, crsfs):
-    """(cycle_ids, walks, the product of each forest's cycle weights)."""
-    cycle_ids, walks = _interned(crsfs)
-    return cycle_ids, walks, _per_forest(np.multiply, _cycle_weights(conn, walks),
-                                         cycle_ids, 1.0)
-
-
-def _classified(conn, crsfs):
-    """(cycle_ids, the product of each forest's cycle weights, each distinct
-    cycle's windings across the standard cuts of ``conn.graph``)."""
-    cycle_ids, walks, terms = _terms(conn, crsfs)
-    mesh = conn.graph
-    return cycle_ids, terms, _windings(mesh.refine_cuts(standard_cuts(mesh.surface)), walks)
+def _terms(conn, table):
+    """The product of each forest's cycle weights, per row of ``table``."""
+    return _per_forest(np.multiply, _cycle_weights(conn, table.walks), table.cycle_ids, 1.0)
 
 
 def _require_weighable(conn):
@@ -339,7 +264,8 @@ def _require_weighable(conn):
 
 
 def crsf_weighted_sum(conn, crsfs=None):
-    """Sum over CRSFs of the product of cycle weights.
+    """Sum over the CRSFs of the `CRSFTable` ``crsfs`` (by default every CRSF
+    of the mesh) of the product of cycle weights.
 
     Rank 1: weight (2 - w - w^{-1}) per cycle and the sum equals det of the
     twisted Laplacian.  Rank 2 (special unitary): weight (2 - tr w) and the
@@ -348,7 +274,7 @@ def crsf_weighted_sum(conn, crsfs=None):
     _require_weighable(conn)
     if crsfs is None:
         crsfs = enumerate_crsfs(conn.graph)
-    return sum_in_order(_terms(conn, crsfs)[2])
+    return sum_in_order(_terms(conn, crsfs))
 
 
 def crsf_identity(conn, total):
@@ -374,8 +300,10 @@ def noncontractible_expectation(conn):
     if conn.rank != 2:
         raise RankUnsupported("expectation defined for rank-2 bundles")
     _require_weighable(conn)
-    cycle_ids, terms, windings = _classified(conn, enumerate_crsfs(mesh))
-    nonc = _per_forest(np.logical_and, windings.any(axis=1), cycle_ids, True)
+    table = enumerate_crsfs(mesh)
+    terms = _terms(conn, table)
+    nonc = _per_forest(np.logical_and, _windings(mesh, table.walks).any(axis=1),
+                       table.cycle_ids, True)
     total = sum_in_order(terms)
     nonc_sum = sum_in_order(terms[nonc])
     nonc_count = int(np.count_nonzero(nonc))
@@ -393,14 +321,16 @@ def crsf_census(conn, crsfs=None):
     cycle's winding numbers across the standard cuts with "|", as in
     "(1,0)|(1,0)", and weight is its product of cycle weights under ``conn``;
     total adds the weights in table order, the bits of `crsf_weighted_sum`.
-    The bundle is checked before ``crsfs`` defaults to every CRSF of the mesh."""
+    ``crsfs`` is a `CRSFTable`; the bundle is checked before it defaults to
+    every CRSF of the mesh."""
     _require_weighable(conn)
     if crsfs is None:
         crsfs = enumerate_crsfs(conn.graph)
-    cycle_ids, terms, windings = _classified(conn, crsfs)
-    classes = ["(" + ",".join(map(str, w)) + ")" for w in windings.tolist()]
+    terms = _terms(conn, crsfs)
+    classes = ["(" + ",".join(map(str, w)) + ")"
+               for w in _windings(conn.graph, crsfs.walks).tolist()]
     rows = []
-    for k, (ids, weight) in enumerate(zip(cycle_ids.tolist(), terms.tolist())):
+    for k, (ids, weight) in enumerate(zip(crsfs.cycle_ids.tolist(), terms.tolist())):
         named = [classes[j] for j in ids if j >= 0]
         rows.append((k, len(named), "|".join(named), weight))
     return rows, sum_in_order(terms)

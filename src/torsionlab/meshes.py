@@ -12,21 +12,20 @@ and corner labels as in ``complexes``).  ``partner[slot]`` is the slot glued
 to it, or -1 on the boundary.  Edges, faces, neighbor sets and cut crossings
 are index arithmetic on these; the faces are stepped out of the corner turn
 (`MeshGraph.corner_step`) for all corners together, with no per-corner loop.
-The refined ``SquareComplex`` that the same subdivision gives
-(``mesh.complex``) is built only on request, as a reference.
+The arrays are the mesh's one representation: ``mesh.edges`` is
+``range(E)``, and the refined ``SquareComplex`` of the same subdivision,
+walked as dicts, is only the tests' reference mesh.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
 from .complexes import (CORNER_ON_SIDE, CORNER_PARAM, EXIT_SIDE, HALF_TURN, OPPOSITE,
                         E, N, W, S, SquareComplex)
-from .errors import BadCuts, MeshMismatch, NotAClosedWalk, UnknownPoint
+from .errors import BadCuts, NotAClosedWalk, UnknownPoint
 from .surfaces import geometry_summary
 
 # Turning counterclockwise around corner k of a subcell leaves it through side
@@ -47,48 +46,6 @@ def _next_corner_table():
 
 
 _NEXT_CORNER = _next_corner_table()
-
-
-@dataclass(frozen=True)
-class EdgeCopy:
-    """One copy of a graph edge, identified by the subtile side pair it crosses.
-
-    ``slot_u`` is the side of u's subcell crossed when traversing u -> v;
-    ``slot_v`` the side entered on v's subcell.
-    """
-
-    u: int
-    v: int
-    slot_u: tuple
-    slot_v: tuple
-
-
-class EdgeList(Sequence):
-    """``mesh.edges``: EdgeCopy records, made on the first item access.
-
-    ``len`` reads the edge arrays, so counting edges builds no records.
-    """
-
-    def __init__(self, mesh):
-        self._mesh = mesh
-        self._records = None
-
-    def __len__(self):
-        return len(self._mesh.edge_u)
-
-    def __getitem__(self, k):
-        return self._items()[k]
-
-    def __iter__(self):
-        return iter(self._items())
-
-    def _items(self):
-        if self._records is None:
-            m = self._mesh
-            slot = m.slot_tuple
-            self._records = [EdgeCopy(u, v, slot(a), slot(b)) for (u, v), a, b
-                             in zip(m.ends, m.slot_u.tolist(), m.slot_v.tolist())]
-        return self._records
 
 
 class MeshGraph:
@@ -120,7 +77,7 @@ class MeshGraph:
             partner[src] = dst
         self.partner = partner
         self._build_edges()
-        self.edges = EdgeList(self)
+        self.edges = range(len(self.edge_u))
         self._faces = None
         self._face_cycles = None
         self._cone_neighbors = None
@@ -160,44 +117,10 @@ class MeshGraph:
         self.slot_direction[self.slot_u] = 1
         self.slot_direction[self.slot_v] = -1
 
-    # -- id conversions and lazily built views --------------------------------
-
-    @cached_property
-    def ends(self):
-        """(u, v) per edge as a plain list, for loops over single edges."""
-        return list(zip(self.edge_u.tolist(), self.edge_v.tolist()))
-
-    @cached_property
-    def vertices(self):
-        """(tile, i, j) per vertex id."""
-        n = self.n
-        return [(c, i, j) for c in self.surface.complex.cells
-                for i in range(n) for j in range(n)]
-
-    @cached_property
-    def complex(self):
-        """The refined SquareComplex of the same subdivision (a reference)."""
-        return self.surface.complex.refine(self.n)
-
-    @cached_property
-    def slot_edge(self):
-        """Paired side slot ((tile, i, j), side) -> (edge index, +1 for the
-        edge's slot_u, -1 for its slot_v)."""
-        out = {}
-        slot = self.slot_tuple
-        for idx, (a, b) in enumerate(zip(self.slot_u.tolist(), self.slot_v.tolist())):
-            out[slot(a)] = (idx, +1)
-            out[slot(b)] = (idx, -1)
-        return out
-
-    def slot_tuple(self, slot):
-        """((tile, i, j), side) of a slot id."""
-        return self.vertices[slot >> 2], slot & 3
+    # -- basic structure ----------------------------------------------------
 
     def vertex_id(self, tile, i, j):
         return (self.tile_index[tile] * self.n + i) * self.n + j
-
-    # -- basic structure ----------------------------------------------------
 
     def degrees(self):
         nv = self.n_vertices
@@ -370,10 +293,15 @@ class MeshGraph:
                                                for u, v, m in zip(*self._vertex_pairs())])
 
 
+def _require_subdivision(n):
+    """ValueError unless n is an integer >= 1 (a bool is refused, np.int64 is not)."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+
+
 def discretize(surface, n):
     """The mesh graph of ``surface`` at subdivision n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_subdivision(n)
     return MeshGraph(surface, n)
 
 
@@ -381,6 +309,7 @@ def mesh_counts(surface, n):
     """(|V|, |E|) of ``discretize(surface, n)`` without building it: one vertex
     per refined cell, and four half-edges per vertex less the perimeter * n
     boundary sides, two to an edge."""
+    _require_subdivision(n)
     summary = geometry_summary(surface)
     nv = summary.area * n * n
     return nv, 2 * nv - summary.perimeter * n // 2
@@ -393,30 +322,3 @@ def cone_neighbors(mesh, point_id):
         raise UnknownPoint(point_id)
     return sets[point_id]
 
-
-def check_against_complex(mesh):
-    """MeshMismatch unless the mesh agrees with its refined SquareComplex.
-
-    Checks that the edges pair exactly the slots the complex pairs, that the
-    faces are the complex's interior corner fans in its scan order, and that
-    each singular point's neighbors are the fan around it, in order.
-    """
-    cpx = mesh.complex
-    if mesh.vertices != cpx.cells:
-        raise MeshMismatch("vertex order differs from the refined cells")
-    for idx, e in enumerate(mesh.edges):
-        if cpx.pairings.get(e.slot_u, ())[:2] != e.slot_v or (e.u, e.v) != (
-                cpx.cell_index[e.slot_u[0]], cpx.cell_index[e.slot_v[0]]):
-            raise MeshMismatch(f"edge {idx} does not cross a side pair of the complex")
-    if set(mesh.slot_edge) != set(cpx.pairings):
-        raise MeshMismatch("edges do not cover every side pair of the complex")
-    faces = [[mesh.slot_edge[(c, EXIT_SIDE[k])] for c, k in vc.corners]
-             for vc in cpx.vertex_classes() if not vc.boundary]
-    if mesh.faces() != faces:
-        raise MeshMismatch("faces differ from the complex's interior vertex fans")
-    for pid, vc in mesh.surface.singular_points().items():
-        cell, corner = vc.corners[0]
-        fan = cpx.vertex_class_of(*SquareComplex.refined_corner(cell, corner, mesh.n))
-        want = tuple(dict.fromkeys(cpx.cell_index[c] for c, _ in fan.corners))
-        if mesh.cone_neighbor_sets()[pid] != want:
-            raise MeshMismatch(f"neighbors of {pid} differ from its fan in the complex")

@@ -1,17 +1,29 @@
-"""Closed forms and loops that only the tests use, kept as oracles: the
-rectangle mesh's eigenvalues and eigenvectors mode by mode and as a full grid,
-the Szego trace by full eigenbasis contraction, the rescaling law of log det',
-the monodromy of a cycle walked one edge at a time, the flatness defect of
-every face, the faces and the CRSF cycles walked one corner or edge at a
-time, the piecewise polynomial evaluated piece by piece, and the bump profile
-with its mixing weight found by bisection."""
+"""Closed forms, loops and record views that only the tests use, kept as
+oracles: the rectangle mesh's eigenvalues and eigenvectors mode by mode and as
+a full grid, the Szego trace by full eigenbasis contraction, the rescaling law
+of log det', the monodromy of a cycle walked one edge at a time, the flatness
+defect of every face, the faces and the CRSF cycles walked one corner or edge
+at a time, the piecewise polynomial evaluated piece by piece, and the bump
+profile with its mixing weight found by bisection.
+
+The library keeps one representation of the mesh and of the CRSF table, their
+arrays.  The record views of both live here: each edge as (u, v, slot_u,
+slot_v) with its slots as ((tile, i, j), side), each vertex as (tile, i, j),
+the slot -> edge map, the mesh of the refined square complex built by walking
+its dicts (`DictMesh`, whose `check` holds the array mesh to it), and each
+forest as a `CRSF` of edge indices and (edge_index, direction) cycle lists,
+with a list of them turned back into a `CRSFTable` by interning its cycles."""
 
 import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from torsionlab import bundles, experiments as ex, meshes
+from torsionlab.complexes import EXIT_SIDE, SquareComplex
 from torsionlab.errors import BisectionFailure, IndexOutOfRange, NotAClosedWalk
+from torsionlab.forests import CRSFTable
 from torsionlab.torsion import SeparableSurface
 
 
@@ -94,7 +106,7 @@ def step_monodromy(conn, cycle):
     edge at a time and checked to chain head to tail as it goes."""
     if not cycle:
         raise NotAClosedWalk("empty cycle")
-    ends = conn.graph.ends
+    ends = edge_ends(conn.graph)
     forward = conn.transports
     backward = conn.transports.conj().swapaxes(-1, -2)
     idx0, d0 = cycle[0]
@@ -223,3 +235,209 @@ def bisection_bump():
     }
     return ex.BumpProfile(half=half, t_mix=t0, residuals=res,
                           C=ex.product_integral(dhalf, dhalf))
+
+
+# -- the mesh as records ----------------------------------------------------------
+
+
+class EdgeCopy(NamedTuple):
+    """One copy of a graph edge, identified by the subtile side pair it
+    crosses: ``slot_u`` is the side ((tile, i, j), side) of u's subcell
+    crossed when traversing u -> v, ``slot_v`` the side entered on v's."""
+
+    u: int
+    v: int
+    slot_u: tuple
+    slot_v: tuple
+
+
+def vertex_cells(mesh):
+    """(tile, i, j) per vertex id."""
+    n = mesh.n
+    return [(c, i, j) for c in mesh.surface.complex.cells for i in range(n) for j in range(n)]
+
+
+def slot_cell(mesh, slot):
+    """((tile, i, j), side) of a slot id."""
+    return vertex_cells(mesh)[slot >> 2], slot & 3
+
+
+def edge_ends(mesh):
+    """(u, v) per edge."""
+    return list(zip(mesh.edge_u.tolist(), mesh.edge_v.tolist()))
+
+
+def edge_copies(mesh):
+    """`EdgeCopy` per edge."""
+    cells = vertex_cells(mesh)
+    return [EdgeCopy(u, v, (cells[a >> 2], a & 3), (cells[b >> 2], b & 3))
+            for (u, v), a, b in zip(edge_ends(mesh), mesh.slot_u.tolist(), mesh.slot_v.tolist())]
+
+
+def slot_edges(mesh):
+    """Paired side slot ((tile, i, j), side) -> (edge index, +1 for the
+    edge's slot_u, -1 for its slot_v)."""
+    out = {}
+    for idx, e in enumerate(edge_copies(mesh)):
+        out[e.slot_u] = (idx, +1)
+        out[e.slot_v] = (idx, -1)
+    return out
+
+
+def _slot_key(slot):
+    cell, d = slot
+    return tuple(str(x) for x in cell), d
+
+
+class DictMesh:
+    """The mesh of the refined square complex of ``mesh``'s subdivision, built
+    by walking its dicts: one edge per side pair, sorted by the printed ids of
+    its slots; faces and neighbor sets from the complex's corner fans."""
+
+    def __init__(self, mesh):
+        self.complex = cpx = mesh.surface.complex.refine(mesh.n)
+        self.n = mesh.n
+        self.n_vertices = len(cpx.cells)
+        edges = {}
+        for c in cpx.cells:
+            for d in range(4):
+                if (c, d) not in cpx.pairings:
+                    continue
+                c2, d2, _ = cpx.pairings[(c, d)]
+                key = frozenset(((c, d), (c2, d2)))
+                if key not in edges:
+                    su, sv = sorted(((c, d), (c2, d2)), key=_slot_key)
+                    edges[key] = (cpx.cell_index[su[0]], cpx.cell_index[sv[0]], su, sv)
+        self.edges = [edges[k] for k in sorted(edges, key=lambda fs: sorted(map(_slot_key, fs)))]
+        self.slot_edge = {}
+        for idx, (_, _, su, sv) in enumerate(self.edges):
+            self.slot_edge[su] = (idx, +1)
+            self.slot_edge[sv] = (idx, -1)
+        self.faces = [[self.slot_edge[(c, EXIT_SIDE[k])] for c, k in vc.corners]
+                      for vc in cpx.vertex_classes() if not vc.boundary]
+        self.cone_sets = {}
+        for pid, vc in mesh.surface.singular_points().items():
+            cell, corner = vc.corners[0]
+            fan = cpx.vertex_class_of(*SquareComplex.refined_corner(cell, corner, mesh.n))
+            self.cone_sets[pid] = tuple(dict.fromkeys(cpx.cell_index[c] for c, _ in fan.corners))
+        mult = {}
+        for u, v, _, _ in self.edges:
+            mult[(min(u, v), max(u, v))] = mult.get((min(u, v), max(u, v)), 0) + 1
+
+        def label(vid):
+            tile, i, j = cpx.cells[vid]
+            head = ",".join(map(str, tile)) if isinstance(tile, tuple) else str(tile)
+            return f"{head}:{i}:{j}"
+
+        self.csv = "u,v,multiplicity\n" + "".join(
+            f"{label(u)},{label(v)},{m}\n" for (u, v), m in sorted(mult.items()))
+
+    def check(self, mesh):
+        """AssertionError unless the array ``mesh`` has this mesh's vertex
+        order, edges, slot map, faces, neighbor sets and edge export."""
+        assert vertex_cells(mesh) == self.complex.cells
+        assert edge_copies(mesh) == self.edges
+        assert len(mesh.edges) == len(self.edges)
+        assert slot_edges(mesh) == self.slot_edge
+        assert set(self.slot_edge) == set(self.complex.pairings)
+        assert mesh.faces() == self.faces
+        assert mesh.cone_neighbor_sets() == self.cone_sets
+        assert mesh.edges_csv() == self.csv
+
+    def transports(self, rep, cuts):
+        """Per edge, the product of the generators of the cuts it crosses."""
+        edge_cuts = []
+        for cut in cuts:
+            ecut = {}
+            for (tile, d), sign in cut.items():
+                for s in range(self.n):
+                    idx, direction = self.slot_edge[SquareComplex.refined_side(tile, d, s, self.n)]
+                    ecut[idx] = sign * direction
+            edge_cuts.append(ecut)
+        out = []
+        for idx in range(len(self.edges)):
+            t = np.eye(rep.rank, dtype=complex)
+            for gen, cut in zip(rep.generators, edge_cuts):
+                if cut.get(idx, 0) == +1:
+                    t = gen @ t
+                elif cut.get(idx, 0) == -1:
+                    t = gen.conj().T @ t
+            out.append(t)
+        return out
+
+    def laplacian(self, transports):
+        r = len(transports[0]) if transports else 1
+        A = np.zeros((r * self.n_vertices, r * self.n_vertices), dtype=complex)
+        eye = np.eye(r, dtype=complex)
+        for (u, v, _, _), t in zip(self.edges, transports):
+            su, sv = u * r, v * r
+            A[su:su + r, su:su + r] += eye
+            A[sv:sv + r, sv:sv + r] += eye
+            A[sv:sv + r, su:su + r] -= t
+            A[su:su + r, sv:sv + r] -= t.conj().T
+        return A
+
+    def flat_defect(self, transports):
+        worst = 0.0
+        for face in self.faces:
+            word = np.eye(len(transports[0]), dtype=complex)
+            for idx, d in face:
+                word = (transports[idx] if d == +1 else transports[idx].conj().T) @ word
+            worst = max(worst, float(np.max(np.abs(word - np.eye(len(word))))))
+        return worst
+
+
+# -- the CRSF table as records ----------------------------------------------------
+
+
+@dataclass(slots=True)
+class CRSF:
+    """A cycle-rooted spanning forest: edges plus one directed cycle per component."""
+
+    edge_indices: tuple
+    cycles: list   # one list of (edge_index, direction) per component
+
+
+def table_cycles(table):
+    """The distinct cycles of a `CRSFTable` by id, each one list of
+    (edge_index, direction) steps."""
+    out = [None] * sum(len(ids) for ids, _, _ in table.walks)
+    for ids, idx, dirs in table.walks:
+        for j, i, d in zip(ids.tolist(), idx.tolist(), dirs.tolist()):
+            out[j] = list(zip(i, d))
+    return out
+
+
+def crsf_views(table):
+    """The forests of a `CRSFTable` as `CRSF` records, in table order; forests
+    with a cycle in common share its list."""
+    cycles = table_cycles(table)
+    return [CRSF(tuple(edges), [cycles[j] for j in ids if j >= 0])
+            for edges, ids in zip(table.edges.tolist(), table.cycle_ids.tolist())]
+
+
+def crsf_table(crsfs):
+    """The `CRSFTable` of a list of `CRSF` records, its cycles interned by
+    object: forests without shared cycle lists give each copy its own id."""
+    index = {}
+    cycles = []
+    rows = []
+    for f in crsfs:
+        ids = []
+        for c in f.cycles:
+            j = index.setdefault(id(c), len(cycles))
+            if j == len(cycles):
+                cycles.append(c)
+            ids.append(j)
+        rows.append(ids)
+    cycle_ids = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.intp)
+    for r, ids in zip(cycle_ids, rows):
+        r[:len(ids)] = ids
+    by_length = {}
+    for j, cyc in enumerate(cycles):
+        by_length.setdefault(len(cyc), []).append(j)
+    walks = []
+    for ids in by_length.values():
+        steps = np.array([cycles[j] for j in ids])
+        walks.append((np.array(ids), steps[..., 0], steps[..., 1]))
+    return CRSFTable(np.array([f.edge_indices for f in crsfs], dtype=np.int8), cycle_ids, walks)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from torsionlab import bundles, forests, laplacian, meshes, surfaces
 from torsionlab.errors import BadCuts, NonUnitaryGauge, NotAClosedWalk, RankMismatch
+from oracles import slot_edges
 
 
 def test_trivial_connection():
@@ -191,10 +192,7 @@ def test_homotopic_loops_equal_traces():
     mesh = meshes.discretize(surf, 2)
     rep = bundles.random_flat_representation(surf, 2, rng)
     conn = bundles.connection_from_holonomy(mesh, rep)
-    by_slot = {}
-    for idx, e in enumerate(mesh.edges):
-        by_slot[e.slot_u] = (idx, +1)
-        by_slot[e.slot_v] = (idx, -1)
+    by_slot = slot_edges(mesh)
     from torsionlab.complexes import E as SIDE_E
     rows = []
     for gj in (0, 1, 3):

@@ -13,7 +13,7 @@ import pytest
 
 import torsionlab
 
-from torsionlab import cli
+from torsionlab import cli, meshes
 from torsionlab.errors import ConfigError
 
 
@@ -657,3 +657,35 @@ def test_selftest_fails_under_python_O():
     assert ("[FAIL] matrix-tree and CRSF counts :: SelftestFailure: 2x2 trees"
             in proc.stdout.splitlines())
     assert "11/12 checks passed" in proc.stdout
+
+
+def _drop_one_face(face_cycles):
+    def dropped(mesh):
+        out = dict(face_cycles(mesh))
+        if out:
+            length = next(iter(out))
+            out[length] = tuple(a[1:] for a in out[length])
+        return out
+    return dropped
+
+
+def _drop_one_neighbor(cone_neighbor_sets):
+    def dropped(mesh):
+        out = dict(cone_neighbor_sets(mesh))
+        pid = next(iter(out))
+        out[pid] = out[pid][1:]
+        return out
+    return dropped
+
+
+@pytest.mark.parametrize("method,defect", [("face_cycles", _drop_one_face),
+                                           ("cone_neighbor_sets", _drop_one_neighbor)])
+def test_selftest_mesh_check_catches_a_dropped_face_or_neighbor(monkeypatch, capsys, method,
+                                                                defect):
+    monkeypatch.setattr(meshes.MeshGraph, method, defect(getattr(meshes.MeshGraph, method)))
+    assert cli.selftest(seed=0) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(failed) == 1
+    assert failed[0].startswith("[FAIL] mesh arrays: counts, gluing, faces and cone fans :: ")
+    assert lines[-1] == "11/12 checks passed"

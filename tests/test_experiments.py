@@ -443,7 +443,7 @@ def _embedding_all_pairs(mesh, bump, f):
     n = mesh.n
     an, bn = surf.params["a"] * n, surf.params["b"] * n
     periodic = surf.kind == "torus"
-    coords = [(p * n + i, q * n + j) for (p, q), i, j in mesh.vertices]
+    coords = [(p * n + i, q * n + j) for (p, q), i, j in oracles.vertex_cells(mesh)]
     profiles = {k: ex._AxisProfile(bump, k) for k in ("interior", "bleft", "bright", "walls")}
 
     def kind(g, size):
@@ -480,8 +480,8 @@ def _embedding_all_pairs(mesh, bump, f):
                     norm_quad += w * ix * iy
                     energy_quad += w * (dxx * iy + ix * dyy)
     energy_graph = 0.0
-    for e in mesh.edges:
-        energy_graph += (f[e.u] - f[e.v]) ** 2
+    for u, v in oracles.edge_ends(mesh):
+        energy_graph += (f[u] - f[v]) ** 2
     return (float(np.sum(f * f)) / (n * n)) / (norm_quad / (n * n)), \
         energy_graph / (energy_quad / bump.C)
 

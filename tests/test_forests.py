@@ -14,7 +14,8 @@ from torsionlab import bundles, cli, forests, laplacian, meshes, surfaces
 from torsionlab.complexes import E, HALF_TURN, N, S, SquareComplex, TRANSLATION, W
 from torsionlab.errors import (BadCuts, KernelMismatch, NegativeUnderSqrt, NotClassifiable,
                                RankUnsupported, TooLarge)
-from oracles import all_faces_flat_check, corner_walk_faces, cycle_walk, step_monodromy
+from oracles import (all_faces_flat_check, corner_walk_faces, crsf_table, crsf_views, cycle_walk,
+                     edge_ends, step_monodromy, table_cycles)
 
 CENSUS_HEADER = ["crsf_id", "n_components", "cycle_classes", "weight"]
 
@@ -64,21 +65,21 @@ def test_too_large():
 
 def test_crsf_enumeration_small():
     mesh = meshes.discretize(surfaces.cylinder(3, 1), 1)
-    crsfs = forests.enumerate_crsfs(mesh)
+    crsfs = crsf_views(forests.enumerate_crsfs(mesh))
     assert len(crsfs) == 1
     assert len(crsfs[0].cycles) == 1 and len(crsfs[0].cycles[0]) == 3
     mesh = meshes.discretize(surfaces.rectangle(2, 2), 1)
-    crsfs = forests.enumerate_crsfs(mesh)
+    crsfs = crsf_views(forests.enumerate_crsfs(mesh))
     assert len(crsfs) == 1 and len(crsfs[0].cycles[0]) == 4
     mesh = meshes.discretize(surfaces.torus(1, 1), 1)
-    crsfs = forests.enumerate_crsfs(mesh)
+    crsfs = crsf_views(forests.enumerate_crsfs(mesh))
     assert len(crsfs) == 2
     assert all(len(f.cycles) == 1 and len(f.cycles[0]) == 1 for f in crsfs)
 
 
 def test_crsf_components_balance():
     mesh = meshes.discretize(surfaces.torus(1, 1), 2)
-    for f in forests.enumerate_crsfs(mesh):
+    for f in crsf_views(forests.enumerate_crsfs(mesh)):
         assert len(f.edge_indices) == mesh.n_vertices
         assert len(f.cycles) >= 1
 
@@ -134,9 +135,9 @@ def test_contractible_cycles_contribute_zero():
     cuts = mesh.refine_cuts(surfaces.standard_cuts(surf))
     crsfs = forests.enumerate_crsfs(mesh)
     full = forests.crsf_weighted_sum(conn, crsfs=crsfs)
-    nonc = [f for f in crsfs
+    nonc = [f for f in crsf_views(crsfs)
             if all(any(mesh.cycle_winding(c, cuts)) for c in f.cycles)]
-    pruned = forests.crsf_weighted_sum(conn, crsfs=nonc)
+    pruned = forests.crsf_weighted_sum(conn, crsfs=crsf_table(nonc))
     assert abs(full - pruned) < 1e-12 * max(1.0, abs(full))
 
 
@@ -170,8 +171,8 @@ def test_crsf_sums_are_bit_identical_to_a_loop_in_table_order():
     mesh = meshes.discretize(surf, 3)
     conn = bundles.connection_from_holonomy(mesh, bundles.random_flat_representation(surf, 2, rng))
     table = forests.enumerate_crsfs(mesh)
-    terms = forests._terms(conn, table)[2].tolist()
-    winds = forests._windings(mesh.refine_cuts(surfaces.standard_cuts(surf)), table.walks)
+    terms = forests._terms(conn, table).tolist()
+    winds = forests._windings(mesh, table.walks)
     total = nonc_sum = 0.0
     nonc_count = 0
     for term, ids in zip(terms, table.cycle_ids.tolist()):
@@ -332,10 +333,11 @@ def _components(mesh, subset):
     """Component label (its lowest vertex) per vertex, and whether every
     component has as many edges as vertices, by breadth-first search."""
     ends = [[] for _ in range(mesh.n_vertices)]
+    edges = edge_ends(mesh)
     for k in subset:
-        e = mesh.edges[k]
-        ends[e.u].append(e.v)
-        ends[e.v].append(e.u)      # a loop lists its vertex twice
+        u, v = edges[k]
+        ends[u].append(v)
+        ends[v].append(u)      # a loop lists its vertex twice
     label = [-1] * mesh.n_vertices
     balanced = True
     for v0 in range(mesh.n_vertices):
@@ -378,13 +380,14 @@ SMALL_MESHES = [(surfaces.torus(1, 1), 1), (surfaces.torus(1, 1), 2), (surfaces.
 def test_enumeration_finds_every_unicyclic_subset_in_canonical_order(surface_n):
     mesh = meshes.discretize(*surface_n)
     nv = mesh.n_vertices
-    found = forests.enumerate_crsfs(mesh)
+    found = crsf_views(forests.enumerate_crsfs(mesh))
     want = [s for s in combinations(range(len(mesh.edges)), nv) if _components(mesh, s)[1]]
     assert [f.edge_indices for f in found] == want
     conn = bundles.trivial_connection(mesh, 1)
+    ends = edge_ends(mesh)
     for f in found:
         label, _ = _components(mesh, f.edge_indices)
-        tails = [mesh.edges[cyc[0][0]].u for cyc in f.cycles]
+        tails = [ends[cyc[0][0]][0] for cyc in f.cycles]
         assert [label[v] for v in tails] == sorted(set(label))   # by lowest vertex
         edges = [k for cyc in f.cycles for k, _ in cyc]
         assert len(edges) == len(set(edges)) and set(edges) <= set(f.edge_indices)
@@ -404,7 +407,7 @@ def _naive_weighted_sum(conn, crsfs):
     """The CRSF sum forest by forest: every cycle's monodromy, every time,
     walked one edge at a time by the oracle."""
     total = 0.0
-    for f in crsfs:
+    for f in crsf_views(crsfs):
         weight = 1.0
         for cyc in f.cycles:
             w = step_monodromy(conn, cyc)
@@ -418,7 +421,7 @@ def _naive_weighted_sum(conn, crsfs):
 
 def _walks(mesh):
     """Every face, every distinct CRSF cycle and each generator loop of ``mesh``."""
-    walks = list(mesh.faces()) + forests.enumerate_crsfs(mesh).cycles
+    walks = list(mesh.faces()) + table_cycles(forests.enumerate_crsfs(mesh))
     for generator in (0, 1):
         try:
             walks.append(bundles.generator_loop(mesh, generator))
@@ -481,12 +484,13 @@ def _same_cycle_walks(mesh):
     """The CRSF table's walk arrays equal the one-edge-at-a-time oracle's
     walks exactly, ids in ascending mask order, lengths ascending."""
     table = forests.enumerate_crsfs(mesh)
-    keys = [None] * len(table.cycles)
+    cycles, ends = table_cycles(table), edge_ends(mesh)
+    keys = [None] * len(cycles)
     for ids, idx, dirs in table.walks:
         assert idx.shape == dirs.shape == (len(ids), idx.shape[1])
         for j, row, signs in zip(ids.tolist(), idx.tolist(), dirs.tolist()):
             keys[j] = sum(1 << k for k in row)
-            assert list(zip(row, signs)) == cycle_walk(mesh.ends, keys[j]) == table.cycles[j]
+            assert list(zip(row, signs)) == cycle_walk(ends, keys[j]) == cycles[j]
     assert keys == sorted(set(keys))
     lengths = [idx.shape[1] for _, idx, _ in table.walks]
     assert lengths == sorted(set(lengths))
@@ -544,7 +548,7 @@ def test_weighted_sum_is_bit_identical_to_the_per_forest_product(surface_n, seed
     mesh = meshes.discretize(*surface_n)
     crsfs = forests.enumerate_crsfs(mesh)
     # one copy per forest, so no cycle object is shared between forests
-    unshared = [copy.deepcopy(f) for f in crsfs]
+    unshared = [copy.deepcopy(f) for f in crsf_views(crsfs)]
     cycles = [c for f in unshared for c in f.cycles]
     assert len({id(c) for c in cycles}) == len(cycles)
     for rank in (1, 2):
@@ -560,7 +564,7 @@ def test_weighted_sum_is_bit_identical_to_the_per_forest_product(surface_n, seed
         for conn in (flat, rough):
             want = _naive_weighted_sum(conn, crsfs).hex()
             assert forests.crsf_weighted_sum(conn, crsfs=crsfs).hex() == want
-            assert forests.crsf_weighted_sum(conn, crsfs=unshared).hex() == want
+            assert forests.crsf_weighted_sum(conn, crsfs=crsf_table(unshared)).hex() == want
             assert forests.crsf_census(conn, crsfs)[1].hex() == want
 
 
@@ -569,15 +573,18 @@ def test_weighted_sum_is_bit_identical_to_the_per_forest_product(surface_n, seed
 def test_spanning_tree_count_matches_subset_oracle(surface_n):
     mesh = meshes.discretize(*surface_n)
     nv = mesh.n_vertices
-    links = [k for k, e in enumerate(mesh.edges) if e.u != e.v]
+    links = [k for k, (u, v) in enumerate(edge_ends(mesh)) if u != v]
     want = sum(set(_components(mesh, s)[0]) == {0} for s in combinations(links, nv - 1))
     assert forests.count_spanning_trees(mesh) == want
 
 
 def test_each_distinct_cycle_is_one_object():
+    # each distinct cycle has one id, shared by every forest that contains it
     mesh = meshes.discretize(surfaces.torus(1, 1), 3)
-    cycles = [c for f in forests.enumerate_crsfs(mesh) for c in f.cycles]
-    assert len({id(c) for c in cycles}) == len({tuple(c) for c in cycles}) == 312
+    table = forests.enumerate_crsfs(mesh)
+    cycles = table_cycles(table)
+    assert len(cycles) == len({tuple(c) for c in cycles}) == 312
+    assert set(table.cycle_ids.ravel().tolist()) - {-1} == set(range(312))
 
 
 # sha256 of the table's edges, cycle ids and cycles and of the tree count,
@@ -593,7 +600,7 @@ def test_crsf_table_is_pinned(surf):
     mesh = meshes.discretize(surf, n)
     table = forests.enumerate_crsfs(mesh)
     h = hashlib.sha256()
-    for part in (table.edges.tolist(), table.cycle_ids.tolist(), table.cycles,
+    for part in (table.edges.tolist(), table.cycle_ids.tolist(), table_cycles(table),
                  forests.count_spanning_trees(mesh)):
         h.update(json.dumps(part).encode())
     assert h.hexdigest()[:16] == digest
@@ -601,7 +608,7 @@ def test_crsf_table_is_pinned(surf):
 
 def _same_table(mesh, chunk):
     """The CRSF table and tree count of ``mesh`` with blocks of ``chunk``
-    rows equal those with the default blocks, cycle objects included."""
+    rows equal those with the default blocks, walk arrays included."""
     want = forests.enumerate_crsfs(mesh)
     trees = forests.count_spanning_trees(mesh)
     with pytest.MonkeyPatch.context() as patch:
@@ -610,10 +617,12 @@ def _same_table(mesh, chunk):
         assert forests.count_spanning_trees(mesh) == trees
     assert np.array_equal(got.edges, want.edges)
     assert np.array_equal(got.cycle_ids, want.cycle_ids)
-    assert got.cycles == want.cycles
-    assert len({id(c) for c in got.cycles}) == len({tuple(c) for c in got.cycles})
-    for view, ids in zip(got, got.cycle_ids.tolist()):
-        assert all(c is got.cycles[j] for c, j in zip(view.cycles, ids))
+    cycles = table_cycles(got)
+    assert cycles == table_cycles(want)
+    assert len(cycles) == len({tuple(c) for c in cycles})
+    assert len(got.walks) == len(want.walks)
+    for a, b in zip(got.walks, want.walks):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("chunk", [1, 7])

@@ -1,5 +1,5 @@
 """Discretization: counts, multiplicities, neighbor sets, isomorphisms, and the
-index-array mesh against the refined complex walked as dicts."""
+index-array mesh against the refined complex walked as dicts (`oracles.DictMesh`)."""
 
 import hashlib
 import json
@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torsionlab import bundles, laplacian, meshes, surfaces
-from torsionlab.complexes import (E, EXIT_SIDE, HALF_TURN, N, S, SIDE_NAMES, TRANSLATION, W,
-                                  SquareComplex)
-from torsionlab.errors import MeshMismatch, NotAClosedWalk, UnknownPoint
+from torsionlab import bundles, experiments, laplacian, meshes, surfaces
+from torsionlab.complexes import E, HALF_TURN, N, S, SIDE_NAMES, TRANSLATION, W
+from torsionlab.errors import NotAClosedWalk, UnknownPoint
+from oracles import DictMesh, edge_copies, edge_ends, slot_cell, slot_edges, vertex_cells
 
 ALL_MODELS = [
     surfaces.rectangle(1, 1), surfaces.rectangle(2, 3), surfaces.torus(1, 1),
@@ -61,7 +61,7 @@ def test_small_examples():
     # n = 1 on the unit torus: one vertex carrying two loops
     m = meshes.discretize(surfaces.torus(1, 1), 1)
     assert m.n_vertices == 1 and len(m.edges) == 2
-    assert all(e.u == e.v for e in m.edges)
+    assert all(u == v for u, v in edge_ends(m))
 
 
 def test_cone_pi_double_edge():
@@ -93,7 +93,7 @@ def test_cone_neighbors_counts():
 def _global_coords(mesh, nested, n_inner):
     """Vertex -> (base tile, global subtile coords), flattening one nesting level."""
     out = {}
-    for vid, (tile, i, j) in enumerate(mesh.vertices):
+    for vid, (tile, i, j) in enumerate(vertex_cells(mesh)):
         if nested:
             base, ci, cj = tile
             out[vid] = (base, ci * n_inner + i, cj * n_inner + j)
@@ -103,7 +103,7 @@ def _global_coords(mesh, nested, n_inner):
 
 
 def _edge_multiset(mesh, coords):
-    return sorted(tuple(sorted((coords[e.u], coords[e.v]))) for e in mesh.edges)
+    return sorted(tuple(sorted((coords[u], coords[v]))) for u, v in edge_ends(mesh))
 
 
 @pytest.mark.parametrize("surf", [surfaces.lshape(), surfaces.cone_model(1),
@@ -135,16 +135,17 @@ def test_faces():
 @pytest.mark.parametrize("n", [1, 3])
 def test_slot_map_and_refined_cuts(surf, n):
     mesh = meshes.discretize(surf, n)
-    assert set(mesh.slot_edge) == set(mesh.complex.pairings)
-    for idx, e in enumerate(mesh.edges):
-        assert mesh.slot_edge[e.slot_u] == (idx, +1) and mesh.slot_edge[e.slot_v] == (idx, -1)
+    slot_edge, edges = slot_edges(mesh), edge_copies(mesh)
+    assert set(slot_edge) == set(DictMesh(mesh).complex.pairings)
+    for idx, e in enumerate(edges):
+        assert slot_edge[e.slot_u] == (idx, +1) and slot_edge[e.slot_v] == (idx, -1)
     # an edge crosses a cut when one of its slots lies on a subside of a cut tile side
     on_side = {E: lambda i, j: i == n - 1, W: lambda i, j: i == 0,
                N: lambda i, j: j == n - 1, S: lambda i, j: j == 0}
     cuts = surfaces.standard_cuts(surf)
     for cut, ecut in zip(cuts, mesh.refine_cuts(cuts)):
         want = {}
-        for idx, e in enumerate(mesh.edges):
+        for idx, e in enumerate(edges):
             for ((tile, i, j), d), direction in ((e.slot_u, +1), (e.slot_v, -1)):
                 if (tile, d) in cut and on_side[d](i, j):
                     want[idx] = direction * cut[(tile, d)]
@@ -178,106 +179,9 @@ EVERY_KIND = [
 ]
 
 
-def _slot_key(slot):
-    cell, d = slot
-    return tuple(str(x) for x in cell), d
-
-
-class DictMesh:
-    """The mesh of ``mesh.complex`` built by walking its dicts: one edge per
-    side pair, sorted by the printed ids of its slots; faces and neighbor sets
-    from the complex's corner fans."""
-
-    def __init__(self, mesh):
-        cpx = mesh.complex
-        self.n_vertices = len(cpx.cells)
-        edges = {}
-        for c in cpx.cells:
-            for d in range(4):
-                if (c, d) not in cpx.pairings:
-                    continue
-                c2, d2, _ = cpx.pairings[(c, d)]
-                key = frozenset(((c, d), (c2, d2)))
-                if key not in edges:
-                    su, sv = sorted(((c, d), (c2, d2)), key=_slot_key)
-                    edges[key] = (cpx.cell_index[su[0]], cpx.cell_index[sv[0]], su, sv)
-        self.edges = [edges[k] for k in sorted(edges, key=lambda fs: sorted(map(_slot_key, fs)))]
-        self.slot_edge = {}
-        for idx, (_, _, su, sv) in enumerate(self.edges):
-            self.slot_edge[su] = (idx, +1)
-            self.slot_edge[sv] = (idx, -1)
-        self.faces = [[self.slot_edge[(c, EXIT_SIDE[k])] for c, k in vc.corners]
-                      for vc in cpx.vertex_classes() if not vc.boundary]
-        self.cone_sets = {}
-        for pid, vc in mesh.surface.singular_points().items():
-            cell, corner = vc.corners[0]
-            fan = cpx.vertex_class_of(*SquareComplex.refined_corner(cell, corner, mesh.n))
-            self.cone_sets[pid] = tuple(dict.fromkeys(cpx.cell_index[c] for c, _ in fan.corners))
-        mult = {}
-        for u, v, _, _ in self.edges:
-            mult[(min(u, v), max(u, v))] = mult.get((min(u, v), max(u, v)), 0) + 1
-
-        def label(vid):
-            tile, i, j = cpx.cells[vid]
-            head = ",".join(map(str, tile)) if isinstance(tile, tuple) else str(tile)
-            return f"{head}:{i}:{j}"
-
-        self.csv = "u,v,multiplicity\n" + "".join(
-            f"{label(u)},{label(v)},{m}\n" for (u, v), m in sorted(mult.items()))
-        self.n = mesh.n
-
-    def transports(self, rep, cuts):
-        """Per edge, the product of the generators of the cuts it crosses."""
-        edge_cuts = []
-        for cut in cuts:
-            ecut = {}
-            for (tile, d), sign in cut.items():
-                for s in range(self.n):
-                    idx, direction = self.slot_edge[SquareComplex.refined_side(tile, d, s, self.n)]
-                    ecut[idx] = sign * direction
-            edge_cuts.append(ecut)
-        out = []
-        for idx in range(len(self.edges)):
-            t = np.eye(rep.rank, dtype=complex)
-            for gen, cut in zip(rep.generators, edge_cuts):
-                if cut.get(idx, 0) == +1:
-                    t = gen @ t
-                elif cut.get(idx, 0) == -1:
-                    t = gen.conj().T @ t
-            out.append(t)
-        return out
-
-    def laplacian(self, transports):
-        r = len(transports[0]) if transports else 1
-        A = np.zeros((r * self.n_vertices, r * self.n_vertices), dtype=complex)
-        eye = np.eye(r, dtype=complex)
-        for (u, v, _, _), t in zip(self.edges, transports):
-            su, sv = u * r, v * r
-            A[su:su + r, su:su + r] += eye
-            A[sv:sv + r, sv:sv + r] += eye
-            A[sv:sv + r, su:su + r] -= t
-            A[su:su + r, sv:sv + r] -= t.conj().T
-        return A
-
-    def flat_defect(self, transports):
-        worst = 0.0
-        for face in self.faces:
-            word = np.eye(len(transports[0]), dtype=complex)
-            for idx, d in face:
-                word = (transports[idx] if d == +1 else transports[idx].conj().T) @ word
-            worst = max(worst, float(np.max(np.abs(word - np.eye(len(word))))))
-        return worst
-
-
 def assert_matches_dict_walk(mesh):
     oracle = DictMesh(mesh)
-    assert [(e.u, e.v, e.slot_u, e.slot_v) for e in mesh.edges] == oracle.edges
-    assert len(mesh.edges) == len(oracle.edges)
-    assert mesh.slot_edge == oracle.slot_edge
-    assert mesh.faces() == oracle.faces
-    assert mesh.cone_neighbor_sets() == oracle.cone_sets
-    assert mesh.edges_csv() == oracle.csv
-    meshes.check_against_complex(mesh)
+    oracle.check(mesh)
     if oracle.edges:
         lap = laplacian.assemble(bundles.trivial_connection(mesh, 1))
         assert np.array_equal(lap, oracle.laplacian([np.eye(1, dtype=complex)] * len(oracle.edges)))
@@ -355,27 +259,29 @@ def test_broken_face_is_not_a_closed_walk():
         bundles.flat_check(bundles.trivial_connection(mesh, 1))
 
 
-def test_check_against_complex_reports_a_changed_edge():
+def test_dict_walk_reports_a_changed_edge():
     mesh = meshes.discretize(surfaces.lshape(), 2)
-    meshes.check_against_complex(mesh)
+    DictMesh(mesh).check(mesh)
     mesh = meshes.discretize(surfaces.lshape(), 2)
     mesh.edge_u[3], mesh.edge_v[3] = mesh.edge_v[3], mesh.edge_u[3]
-    with pytest.raises(MeshMismatch):
-        meshes.check_against_complex(mesh)
+    with pytest.raises(AssertionError):
+        DictMesh(mesh).check(mesh)
 
 
 def test_ids_follow_the_tile_order():
     surf = surfaces.cone_model(3)
     mesh = meshes.discretize(surf, 3)
     cells = surf.complex.cells
+    vertices = vertex_cells(mesh)
     for vid in (0, 7, 9 * 5 + 4, mesh.n_vertices - 1):
         tile, ij = divmod(vid, 9)
-        assert mesh.vertices[vid] == (cells[tile], *divmod(ij, 3))
-        assert mesh.vertex_id(*mesh.vertices[vid]) == vid
+        assert vertices[vid] == (cells[tile], *divmod(ij, 3))
+        assert mesh.vertex_id(*vertices[vid]) == vid
+    refined = DictMesh(mesh).complex
     for slot in np.flatnonzero(mesh.partner >= 0)[:50].tolist():
         assert mesh.partner[mesh.partner[slot]] == slot
-        (cell, d), (cell2, d2) = mesh.slot_tuple(slot), mesh.slot_tuple(int(mesh.partner[slot]))
-        assert mesh.complex.pairings[(cell, d)][:2] == (cell2, d2), SIDE_NAMES[d]
+        (cell, d), (cell2, d2) = slot_cell(mesh, slot), slot_cell(mesh, int(mesh.partner[slot]))
+        assert refined.pairings[(cell, d)][:2] == (cell2, d2), SIDE_NAMES[d]
 
 
 @pytest.mark.parametrize("surf", EVERY_KIND, ids=lambda s: s.name)
@@ -419,3 +325,24 @@ def test_mesh_layer_is_pinned(surf):
     got = {name: hashlib.sha256(json.dumps(part).encode()).hexdigest()[:16]
            for name, part in parts.items()}
     assert got == want
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, True, "2", 0, -1], ids=repr)
+def test_a_subdivision_that_is_not_an_integer_is_refused(n):
+    torus = surfaces.torus(1, 1)
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        meshes.discretize(torus, n)
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        meshes.mesh_counts(torus, n)
+
+    def budget(rank, nv, ne):
+        pytest.fail(f"the budget saw n = {n!r}")
+
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        experiments.MeshSource(torus).connection(n, budget)
+
+
+def test_a_numpy_integer_subdivision_is_accepted():
+    torus = surfaces.torus(1, 1)
+    mesh = meshes.discretize(torus, np.int64(3))
+    assert meshes.mesh_counts(torus, np.int64(3)) == (mesh.n_vertices, len(mesh.edges)) == (9, 18)

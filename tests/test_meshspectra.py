@@ -39,7 +39,7 @@ def test_mesh_eigenvalue_examples():
 
 def _vertex_permutation(mesh, a, b, n):
     order = []
-    for (tile, i, j) in mesh.vertices:
+    for (tile, i, j) in oracles.vertex_cells(mesh):
         p, q = tile
         order.append((p * n + i) * b * n + (q * n + j))
     return np.array(order)
