@@ -11,6 +11,10 @@ transports along walks, for faces, CRSF cycles and loops alike.  `flat_check`
 walks only the faces through an edge whose transport is not exactly I, so
 its work follows the holonomy: none for the trivial bundle, the faces along
 the cuts for a cut-built one.
+
+Commuting generators split the bundle into characters, rank-1 bundles of one
+phase per generator (HolonomyRepresentation.characters); on a torus or a
+cylinder every flat bundle does, and torsion.CharacterSum reads the split.
 """
 
 from __future__ import annotations
@@ -65,6 +69,31 @@ class HolonomyRepresentation:
     def from_phases(cls, phases):
         """The rank-1 representation with generators exp(i phase)."""
         return cls(rank=1, generators=[[[cmath.exp(1j * p)]] for p in phases])
+
+    def characters(self):
+        """(rank, generators) array of phases in [-pi, pi]: row j is character j,
+        the rank-1 bundle of one phase per generator, and the bundle is their
+        direct sum.  Commuting unitaries share an eigenbasis, which one eigh of
+        a generic Hermitian combination of them finds; each generator's
+        diagonal in that basis gives its phases.  BadCuts when two generators
+        do not commute to FLATNESS_TOL: on a torus their cuts cross, and the
+        cut-built connection would not be flat."""
+        gens = self.generators
+        for i, g in enumerate(gens):
+            for h in gens[i + 1:]:
+                defect = float(np.max(np.abs(g @ h - h @ g)))
+                if defect > FLATNESS_TOL:
+                    raise BadCuts(f"generators do not commute (defect {defect:.2e}); "
+                                  "only commuting generators split into characters")
+        if not gens:
+            return np.zeros((self.rank, 0))
+        # fixed generic weights on the Hermitian parts g + g* and i(g - g*)
+        weights = np.random.default_rng(0).standard_normal((len(gens), 2))
+        combo = sum(x * (g + g.conj().T) + y * 1j * (g - g.conj().T)
+                    for (x, y), g in zip(weights, gens))
+        basis = np.linalg.eigh(combo)[1]
+        return np.stack([np.angle(np.einsum("ji,jk,ki->i", basis.conj(), g, basis))
+                         for g in gens], axis=1)
 
     def to_json(self):
         return {
@@ -202,9 +231,14 @@ def flat_check(conn):
 def flat_basis(rep):
     """Orthonormal (rank, k) basis of the joint fixed subspace of the
     generators: the right singular vectors of the stacked g - I whose
-    singular values are below FLAT_SECTION_TOL; real for real generators."""
+    singular values are below FLAT_SECTION_TOL; real for real generators.
+    At rank 1 the stacked g - I is one column, whose one singular value is
+    its norm, and the fiber's basis is 1."""
     if not rep.generators:
         return np.eye(rep.rank)
+    if rep.rank == 1:
+        norm = math.hypot(*(abs(g[0, 0] - 1) for g in rep.generators))
+        return np.ones((1, int(norm < FLAT_SECTION_TOL)))
     stacked = np.vstack([g - np.eye(rep.rank) for g in rep.generators])
     if not np.any(stacked.imag):
         stacked = stacked.real

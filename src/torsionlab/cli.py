@@ -179,23 +179,29 @@ def _bundle_kind(bundle):
     return bundle.get("kind", "raw" if "generators" in bundle else "trivial")
 
 
-def _mesh_source(cfg, rng):
-    """The experiments.MeshSource of cfg["surface"] and cfg["bundle"]: the
-    trivial bundle at its rank, a random flat bundle drawn from ``rng`` (or
-    from its own seed), or the raw generators."""
-    surface = surfaces.build_surface(cfg["surface"])
+def _holonomy(cfg, surface, rng):
+    """(rep, rank) of cfg["bundle"] on ``surface``: rep None for the trivial
+    bundle at its rank, a random flat bundle drawn from ``rng`` (or from its
+    own seed), or the raw generators."""
     bundle = cfg.get("bundle") or {}
     rank = int(bundle.get("rank", 1))
     kind = _bundle_kind(bundle)
     if kind == "trivial":
-        return experiments.MeshSource(surface, rank=rank)
+        return None, rank
     if kind == "random":
         if "seed" in bundle:
             rng = np.random.default_rng(int(bundle["seed"]))
         rep = bundles.random_flat_representation(surface, rank, rng)
     else:
         rep = bundles.HolonomyRepresentation.from_json(bundle)
-    return experiments.MeshSource(surface, rep)
+    return rep, rep.rank
+
+
+def _mesh_source(cfg, rng):
+    """The experiments.MeshSource of cfg["surface"] and cfg["bundle"] (_holonomy)."""
+    surface = surfaces.build_surface(cfg["surface"])
+    rep, rank = _holonomy(cfg, surface, rng)
+    return experiments.MeshSource(surface, rep, rank)
 
 
 def _run_spectrum(cfg, rng):
@@ -210,15 +216,29 @@ def _run_spectrum(cfg, rng):
 
 
 def _run_logdet(cfg, rng):
-    conn = _mesh_source(cfg, rng).connection(cfg["n"], laplacian.check_sparse_budget)
-    res = laplacian.sparse_log_det(conn)
+    """log det' of one mesh.  A separable kind takes the closed form of the
+    bundle's characters (torsion.CharacterSum), any bundle at any rank; every
+    other kind meshes the surface and takes the sparse LU."""
+    n = cfg["n"]
+    if cfg["surface"].get("kind") in surfaces.SEPARABLE_KINDS:
+        surface = surfaces.build_surface(cfg["surface"])
+        split = torsion.CharacterSum.from_holonomy(
+            surface.kind, surface.params["a"], surface.params["b"],
+            *_holonomy(cfg, surface, rng))
+        log_det, kernel_dim = split.log_det(n), split.dim_h0
+        meta = {"route": "closed-form", "kernel_gap": split.kernel_gap(n),
+                "n_vertices": meshes.mesh_counts(surface, n)[0]}
+    else:
+        conn = _mesh_source(cfg, rng).connection(n, laplacian.check_sparse_budget)
+        res = laplacian.sparse_log_det(conn)
+        log_det, kernel_dim = res.log_det_prime, res.kernel_dim
+        meta = {"route": "sparse", "kernel_gap": res.kernel_gap,
+                "n_vertices": conn.graph.n_vertices, "nnz": res.nnz,
+                "factor_nnz": res.factor_nnz, "lanczos_steps": res.lanczos_steps}
     return {
-        "files": {"logdet.csv": _csv([(conn.graph.n, res.log_det_prime, res.kernel_dim)],
+        "files": {"logdet.csv": _csv([(n, log_det, kernel_dim)],
                                      ["n", "logdet_prime", "kernel_dim"])},
-        "meta": {"logdet_prime": res.log_det_prime, "kernel_dim": res.kernel_dim,
-                 "kernel_gap": res.kernel_gap, "n_vertices": conn.graph.n_vertices,
-                 "nnz": res.nnz, "factor_nnz": res.factor_nnz,
-                 "lanczos_steps": res.lanczos_steps},
+        "meta": {"logdet_prime": log_det, "kernel_dim": kernel_dim, **meta},
     }
 
 
@@ -285,7 +305,8 @@ def _run_torsion(cfg, rng):
 
 def _run_weyl_check(cfg, rng):
     s = _separable_from(cfg)
-    spectra = [s.mesh_spectrum(n).rescaled(n) for n in cfg["n_list"]]
+    # the largest n first: a list that ends beyond the budget builds no grid
+    spectra = [s.mesh_spectrum(n).rescaled(n) for n in reversed(cfg["n_list"])][::-1]
     cmin, table = experiments.uniform_weyl_check(spectra)
     return {
         "files": {"weyl.csv": _csv(table, ["n", "argmin_i", "min_ratio"])},
@@ -370,6 +391,8 @@ def validate_config(cfg):
         if not isinstance(bundle, dict) or _bundle_kind(bundle) not in _BUNDLE_KINDS:
             raise errors.ConfigError(
                 f"{key} must be an object of kind one of {list(_BUNDLE_KINDS)}")
+        if _bundle_kind(bundle) == "raw" and "generators" not in bundle:
+            raise errors.ConfigError(f"a raw {key} needs its generators")
         reads = _EXPERIMENTS[kind][2] if key == "bundle" or kind == "ratio" else ()
         unread = [field for field in bundle if field not in reads]
         if unread:
@@ -551,8 +574,14 @@ def selftest(seed=0):
         want = meshspectra.closed_form_log_det("torus", 1, 1, 4, alpha, beta)
         _require(abs(got.log_det_prime - want) < 1e-12,
                  f"sparse twisted torus log det' {got.log_det_prime} vs closed form {want}")
+        rep = bundles.random_flat_representation(mesh.surface, 2, rng)
+        got = laplacian.sparse_log_det(bundles.connection_from_holonomy(mesh, rep))
+        want = torsion.CharacterSum.from_holonomy("torus", 1, 1, rep).log_det(4)
+        _require(abs(got.log_det_prime - want) < 1e-12 * abs(want),
+                 f"sparse SU(2) torus log det' {got.log_det_prime} vs its characters {want}")
 
-    check("log det': 2x2 grid dense and sparse, twisted torus sparse", laplacian_check)
+    check("log det': 2x2 grid dense and sparse, twisted tori sparse and closed form",
+          laplacian_check)
 
     def forest_check():
         for side, trees in ((2, 4), (3, 192)):

@@ -20,6 +20,12 @@ mu = 4 sinh^2(phi/2), 2 tanh(phi/2) sinh(m phi) for a path; det(Delta + s^2)
 segment; at zero shift an untwisted factor leaves its det' m^2, m, a^2, 2a.
 The continuum torsion sums Kronecker's second limit formula row by row;
 torus_torsion and rectangle_torsion (dedekind_eta) are its references.
+
+A flat U(r) bundle on a torus or a cylinder is a direct sum of r characters,
+since pi_1 is abelian there (bundles.HolonomyRepresentation.characters).
+CharacterSum holds one SeparableSurface per character: its mesh log det' is
+the sum of theirs, and dim H^0 the number of trivial characters.  Every array
+a closed form builds is checked against CLOSED_FORM_BUDGET first.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bundles import HolonomyRepresentation, flat_sections_dim
-from .errors import EtaDomainError, HypothesisViolation
+from .errors import BadCuts, BudgetExceeded, EtaDomainError, HypothesisViolation
 from .laplacian import HermitianSpectrum
 from .surfaces import SEPARABLE_KINDS
 
@@ -40,6 +46,13 @@ _SERIES_TERMS = 64
 
 MELLIN_T = 1e-3    # heat-trace time at which zeta0_from_heat_trace reads zeta(0)
 ROW_DECAY = 40.0   # a continuum row at length * s >= 40 is below e^-40 < 1e-17
+# the most doubles one closed-form array may hold: a factor's length * n
+# eigenvalues (log_det, kernel_gap, the Szego traces) or the (an, bn) grid of
+# mesh_spectrum.  2^22 doubles are 34 MB, and a weyl-check holds about four
+# arrays of its grid's size at once (the sums, the sorted and the rescaled
+# spectrum, the ratios).  It admits a side of 32 at n = 2^17 and the grid of
+# rectangle(1,1) at n = 2048, and refuses the 34 GB grid at n = 65536
+CLOSED_FORM_BUDGET = 2 ** 22
 
 
 @dataclass(frozen=True, order=True)
@@ -67,11 +80,15 @@ class Factor:
         return int(self.phase == 0.0)
 
     def _sites(self, n):
-        """The site count length * n; HypothesisViolation unless a positive integer."""
+        """The site count length * n; HypothesisViolation unless a positive
+        integer, BudgetExceeded beyond CLOSED_FORM_BUDGET."""
         m = self.length * n
         if not (m > 0 and float(m).is_integer()):
             raise HypothesisViolation(
                 f"a side of length {self.length} has {m} sites at n = {n}, not a positive count")
+        if m > CLOSED_FORM_BUDGET:
+            raise BudgetExceeded(f"closed-form budget: a side of length {self.length} has "
+                                 f"{m:.6g} sites at n = {n} > {CLOSED_FORM_BUDGET}")
         return int(m)
 
     def mesh_eigenvalues(self, n):
@@ -208,8 +225,13 @@ class SeparableSurface:
         return self.zeta0 + self.dim_h0
 
     def mesh_spectrum(self, n):
-        """Sorted unrescaled mesh spectrum, the phases on the seams; its kernel is dim_h0."""
+        """Sorted unrescaled mesh spectrum, the phases on the seams; its kernel is
+        dim_h0.  BudgetExceeded, before any array, beyond CLOSED_FORM_BUDGET."""
         fa, fb = self.factors
+        size = fa._sites(n) * fb._sites(n)
+        if size > CLOSED_FORM_BUDGET:
+            raise BudgetExceeded(f"closed-form budget: the {self.label()} grid has {size:.6g} "
+                                 f"entries at n = {n} > {CLOSED_FORM_BUDGET}")
         grid = fa.mesh_eigenvalues(n)[:, None] + fb.mesh_eigenvalues(n)[None, :]
         return HermitianSpectrum(grid.ravel(), kernel_dim=self.dim_h0,
                                  meta={"surface": f"{self.kind}({self.a},{self.b})", "n": n,
@@ -274,9 +296,21 @@ class SeparableSurface:
         """log det' of the unrescaled mesh Laplacian: the math.fsum over the rows of
         the (an, bn) grid of the row factor's shifted products.  The row factor is
         the first in the factors' canonical order, so the same factors on swapped
-        sides (e.g. swapped torus phases) give bit-identical values."""
+        sides (e.g. swapped torus phases) give bit-identical values.  Both sides
+        are checked against CLOSED_FORM_BUDGET before either array is built."""
         rows, cols = sorted(self.factors)
+        rows._sites(n)
         return math.fsum(rows.log_shifted_product(n, cols.mesh_eigenvalues(n)).tolist())
+
+    def kernel_gap(self, n):
+        """The smallest mesh eigenvalue past the dim_h0 zero mode, exactly: the
+        grid's two smallest sums lie among those of each factor's two smallest
+        eigenvalues.  None on one vertex with a flat section."""
+        rows, cols = sorted(self.factors)
+        rows._sites(n)
+        low = [np.sort(f.mesh_eigenvalues(n))[:2] for f in (rows, cols)]
+        sums = np.sort(np.add.outer(*low), axis=None)[self.dim_h0:]
+        return float(sums[0]) if sums.size else None
 
     def target(self):
         """Known limit of the renormalized series: each right corner contributes -log(2)/16."""
@@ -291,6 +325,54 @@ class SeparableSurface:
             if fb.periodic:
                 tw += f",beta={fb.phase:.6g}"
         return f"{self.kind}({self.a},{self.b}{tw})"
+
+
+@dataclass(frozen=True)
+class CharacterSum:
+    """A flat U(r) bundle on a SEPARABLE_KINDS surface as the direct sum of its
+    r characters, one rank-1 SeparableSurface each: pi_1 of a torus or a
+    cylinder is abelian, so every flat bundle there splits.  Its mesh log det'
+    is the fsum of theirs, its kernel gap their smallest, and dim H^0 the
+    number of trivial characters, each decided by SeparableSurface's rule
+    (bundles.flat_sections_dim of its phases)."""
+
+    setups: tuple
+
+    @classmethod
+    def from_holonomy(cls, kind, a, b, rep=None, rank=1):
+        """The characters of ``rep`` (HolonomyRepresentation.characters), or
+        ``rank`` untwisted copies for the trivial bundle.  BadCuts unless
+        ``rep`` has one generator per periodic side, side a's first."""
+        trivial = SeparableSurface(kind, a, b)
+        if rep is None:
+            return cls((trivial,) * rank)
+        periodic = SEPARABLE_KINDS[kind]
+        if len(rep.generators) != sum(periodic):
+            raise BadCuts(f"{sum(periodic)} cuts for {len(rep.generators)} generators")
+        setups = []
+        for row in rep.characters().tolist():
+            phases = iter(row)
+            setups.append(SeparableSurface(kind, a, b,
+                                           *(next(phases) if per else 0.0 for per in periodic)))
+        return cls(tuple(setups))
+
+    @property
+    def rank(self):
+        return len(self.setups)
+
+    @property
+    def dim_h0(self):
+        return sum(s.dim_h0 for s in self.setups)
+
+    def log_det(self, n):
+        """log det' of the unrescaled rank-r mesh Laplacian."""
+        return math.fsum(s.log_det(n) for s in self.setups)
+
+    def kernel_gap(self, n):
+        """The smallest nonzero mesh eigenvalue over the characters; None when
+        there is none."""
+        gaps = [g for g in (s.kernel_gap(n) for s in self.setups) if g is not None]
+        return min(gaps, default=None)
 
 
 def corner_zeta_term(quadrants):

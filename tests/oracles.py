@@ -1,7 +1,8 @@
 """Closed forms, loops and record views that only the tests use, kept as
 oracles: the rectangle mesh's eigenvalues and eigenvectors mode by mode and as
 a full grid, the Szego trace by full eigenbasis contraction, the rescaling law
-of log det', the monodromy of a cycle walked one edge at a time, the flatness
+of log det', the flat basis by SVD at every rank, the monodromy of a cycle
+walked one edge at a time, the flatness
 defect of every face, the faces and the CRSF cycles walked one corner or edge
 at a time, the piecewise polynomial evaluated piece by piece, and the bump
 profile with its mixing weight found by bisection.
@@ -123,6 +124,16 @@ def step_monodromy(conn, cycle):
     if pos != start:
         raise NotAClosedWalk("walk does not return to its starting vertex")
     return word
+
+
+def svd_flat_basis(rep):
+    """Independent oracle: the flat basis of ``rep`` by the SVD of the stacked
+    g - I at every rank, rank 1 included."""
+    if not rep.generators:
+        return np.eye(rep.rank)
+    stacked = np.vstack([g - np.eye(rep.rank) for g in rep.generators])
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    return vh[s < bundles.FLAT_SECTION_TOL].conj().T
 
 
 def all_faces_flat_check(conn):

@@ -1,11 +1,14 @@
 """Connections: construction, flatness, gauge moves, monodromy, flat sections."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsionlab import bundles, forests, laplacian, meshes, surfaces
 from torsionlab.errors import BadCuts, NonUnitaryGauge, NotAClosedWalk, RankMismatch
+import oracles
 from oracles import slot_edges
 
 
@@ -272,6 +275,18 @@ def test_flat_sections_dim():
     assert bundles.flat_sections_dim(bundles.HolonomyRepresentation(3, [])) == 3
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(phases=st.lists(st.one_of(st.just(0.0), st.floats(-12, 0).map(lambda e: 10.0 ** e),
+                                 st.floats(-math.pi, math.pi)), max_size=3))
+def test_rank_1_flat_basis_is_the_svd_rule(phases):
+    # one column's singular value is its norm: the rank-1 path keeps the
+    # SVD's count, and its basis up to a unit factor
+    rep = bundles.HolonomyRepresentation.from_phases(phases)
+    got, want = bundles.flat_basis(rep), oracles.svd_flat_basis(rep)
+    assert got.shape == want.shape
+    assert np.allclose(np.abs(got), np.abs(want), rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("rank", [1, 2])
 @pytest.mark.parametrize("surfname,n", [("torus", 2), ("torus", 3), ("torus", 4),
                                         ("cylinder", 2), ("cylinder", 3),
@@ -307,3 +322,30 @@ def test_bad_cuts_on_boundary():
     rep = bundles.HolonomyRepresentation(1, [np.array([[1j]])])
     with pytest.raises(BadCuts):
         bundles.connection_from_holonomy(mesh, rep, cuts=[{((0, 0), 2): 1}])
+
+
+def _rows(phases):
+    """The rows of a phase array in lexicographic order: characters come in
+    the eigenbasis' order."""
+    return np.array(sorted(map(tuple, np.asarray(phases).tolist())))
+
+
+def test_characters_read_the_phases_through_a_gauge():
+    phases = np.array([[0.3, -1.2], [2.0, 0.0], [0.3, -1.2]])
+    g = bundles.random_unitary(np.random.default_rng(4), 3)
+    gens = [g @ np.diag(np.exp(1j * phases[:, k])) @ g.conj().T for k in range(2)]
+    got = bundles.HolonomyRepresentation(3, gens).characters()
+    assert got.shape == (3, 2)
+    assert np.allclose(_rows(got), _rows(phases), rtol=0, atol=1e-12)
+    assert bundles.HolonomyRepresentation(2, []).characters().shape == (2, 0)
+    assert bundles.HolonomyRepresentation.from_phases([0.7]).characters().tolist() == [[0.7]]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rank=st.integers(2, 3))
+def test_non_commuting_generators_have_no_characters(seed, rank):
+    rng = np.random.default_rng(seed)
+    rep = bundles.HolonomyRepresentation(rank, [bundles.random_unitary(rng, rank)
+                                                for _ in range(2)])
+    with pytest.raises(BadCuts, match="do not commute"):
+        rep.characters()

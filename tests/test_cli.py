@@ -1,12 +1,15 @@
 """End-to-end CLI runs: artifacts, exit codes, determinism."""
 
 import argparse
+import cmath
+import itertools
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ import pytest
 import torsionlab
 
 from torsionlab import cli, meshes
-from torsionlab.errors import ConfigError
+from torsionlab.errors import ConfigError, KernelMismatch
 
 
 def _run(tmp_path, cfg, name="cfg.json", extra=()):
@@ -22,6 +25,10 @@ def _run(tmp_path, cfg, name="cfg.json", extra=()):
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / ("out_" + name.replace(".json", ""))
     return cli.main(["run", "--config", str(cfg_path), "--out", str(out), *extra]), out
+
+
+_TORUS11 = {"kind": "torus", "a": 1, "b": 1}
+_TWIST = {"alpha": 1.3, "beta": -0.7}
 
 
 def test_renorm_series_run(tmp_path):
@@ -167,22 +174,36 @@ def test_budget_refusal_exits_3(tmp_path):
 
 
 def test_logdet_runs_beyond_the_dense_budget(tmp_path):
+    # the sparse route beyond the dense budget, with its health fields, against
+    # the closed form; the CLI takes that closed form itself on a rectangle
+    from torsionlab import experiments, laplacian, surfaces
     from torsionlab.meshspectra import closed_form_log_det
+    want = closed_form_log_det("rectangle", 4, 4, 30)
+    conn = experiments.MeshSource(surfaces.rectangle(4, 4)).connection(
+        30, laplacian.check_sparse_budget)
+    res = laplacian.sparse_log_det(conn)
+    assert abs(res.log_det_prime - want) <= 1e-10 * abs(want)
+    assert res.kernel_dim == 1 and conn.graph.n_vertices == 14400
+    assert 0 < res.kernel_gap < 8 and res.factor_nnz >= res.nnz > 14400
     cfg = {"experiment": "logdet", "surface": {"kind": "rectangle", "a": 4, "b": 4}, "n": 30}
     code, out = _run(tmp_path, cfg)
     assert code == 0
     meta = json.loads((out / "meta.json").read_text())
-    want = closed_form_log_det("rectangle", 4, 4, 30)
-    assert abs(meta["logdet_prime"] - want) <= 1e-10 * abs(want)
+    assert meta["route"] == "closed-form" and meta["logdet_prime"] == want
     assert meta["kernel_dim"] == 1 and meta["n_vertices"] == 14400
-    assert 0 < meta["kernel_gap"] < 8 and meta["factor_nnz"] >= meta["nnz"] > 14400
+    assert abs(meta["kernel_gap"] - res.kernel_gap) <= 1e-8 * res.kernel_gap
 
 
 def test_sparse_budget_refusal_exits_3(tmp_path):
+    from torsionlab import surfaces
     from torsionlab.laplacian import SPARSE_BUDGET
-    # the torus(1,1) mesh has |V| = n^2 and |E| = 2|V|: 5 n^2 stored entries
-    n = math.isqrt(SPARSE_BUDGET // 5) + 1
-    cfg = {"experiment": "logdet", "surface": {"kind": "torus", "a": 1, "b": 1}, "n": n}
+
+    def entries(n):     # r|V| + 2 r^2 |E| at rank 1
+        nv, ne = meshes.mesh_counts(surfaces.lshape(), n)
+        return nv + 2 * ne
+
+    n = next(n for n in itertools.count(1) if entries(n) > SPARSE_BUDGET)
+    cfg = {"experiment": "logdet", "surface": {"kind": "lshape"}, "n": n}
     code, out = _run(tmp_path, cfg)
     assert code == 3
     meta = json.loads((out / "meta.json").read_text())
@@ -211,15 +232,38 @@ def test_over_budget_run_builds_no_mesh(tmp_path, monkeypatch, experiment, size,
     assert meta["error"]["code"] == error
 
 
-def test_logdet_of_a_holonomy_within_rounding_of_trivial_exits_2(tmp_path):
+def _torus11_log_det(n, alpha, beta):
+    """log det' of the twisted torus(1,1) mesh with no flat section: the fsum
+    of log(lambda + mu) over its two twisted n-cycles' eigenvalues."""
+    j = np.arange(n)
+    lam = 4 * np.sin((2 * np.pi * j + alpha) / (2 * n)) ** 2
+    mu = 4 * np.sin((2 * np.pi * j + beta) / (2 * n)) ** 2
+    return math.fsum(np.log(lam[:, None] + mu[None, :]).ravel().tolist())
+
+
+def _torus11_connection(n, *phases):
+    from torsionlab import bundles, surfaces
+    rep = bundles.HolonomyRepresentation.from_phases(phases)
+    return bundles.connection_from_holonomy(meshes.discretize(surfaces.torus(1, 1), n), rep)
+
+
+def test_logdet_of_a_holonomy_within_rounding_of_trivial(tmp_path):
     # an e^{1e-9 i} twist has no flat section, but a mode of eigenvalue
-    # ~1e-18, which L_red's LU meets as a pivot of 1e-15
+    # ~1e-18, which L_red's LU meets as a pivot of 1e-15: the sparse route
+    # refuses it, and the closed form of its characters gives it exactly
+    from torsionlab import laplacian
+    with pytest.raises(KernelMismatch):
+        laplacian.sparse_log_det(_torus11_connection(4, 1e-9, 1e-9))
     twist = [[[math.cos(1e-9), math.sin(1e-9)]]]
     cfg = {"experiment": "logdet", "surface": _TORUS11, "n": 4,
            "bundle": {"generators": [twist, twist]}}
     code, out = _run(tmp_path, cfg)
-    assert code == 2
-    assert json.loads((out / "meta.json").read_text())["error"]["code"] == "KernelMismatch"
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text())
+    want = _torus11_log_det(4, 1e-9, 1e-9)
+    assert meta["route"] == "closed-form" and meta["kernel_dim"] == 0
+    assert abs(meta["logdet_prime"] - want) <= 1e-12 * abs(want)
+    assert 0 < meta["kernel_gap"] < 1e-17
 
 
 def test_runners_call_the_library_through_its_module(tmp_path, monkeypatch):
@@ -228,11 +272,94 @@ def test_runners_call_the_library_through_its_module(tmp_path, monkeypatch):
     from torsionlab import laplacian
     monkeypatch.setattr(laplacian, "sparse_log_det",
                         lambda conn: laplacian.SparseLogDet(1.5, 1, 0.25, 1, 1, 1))
-    cfg = {"experiment": "logdet", "surface": _TORUS11, "n": 2}
+    cfg = {"experiment": "logdet", "surface": {"kind": "lshape"}, "n": 2}
     code, out = _run(tmp_path, cfg)
     assert code == 0
     assert json.loads((out / "meta.json").read_text())["logdet_prime"] == 1.5
     assert (out / "logdet.csv").read_text() == "n,logdet_prime,kernel_dim\n2,1.5,1\n"
+
+
+def _json_matrix(m):
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex).tolist()]
+
+
+def _su2_split(phases):
+    """Raw generators g diag(e^{ip}, e^{-ip}) g* with one fixed SU(2) g."""
+    g = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    return [_json_matrix(g @ np.diag([cmath.exp(1j * p), cmath.exp(-1j * p)]) @ g.conj().T)
+            for p in phases]
+
+
+@pytest.mark.parametrize("surface,gens", [
+    (_TORUS11, 2), ({"kind": "cylinder", "a": 3, "b": 2}, 1),
+    ({"kind": "rectangle", "a": 2, "b": 1}, 0)], ids=["torus", "cylinder", "rectangle"])
+@pytest.mark.parametrize("bundle", [
+    None, {"kind": "trivial", "rank": 2}, {"kind": "random", "rank": 2},
+    {"kind": "random", "rank": 3, "seed": 5}, "raw"],
+    ids=["default", "trivial-2", "random-2", "random-3", "raw-2"])
+def test_logdet_on_a_separable_kind_takes_the_closed_form(tmp_path, monkeypatch, surface,
+                                                          gens, bundle):
+    from torsionlab import experiments, laplacian
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mesh route was taken")
+
+    for module, name in ((laplacian, "sparse_log_det"), (meshes, "discretize"),
+                         (experiments, "discretize")):
+        monkeypatch.setattr(module, name, refuse)
+    cfg = {"experiment": "logdet", "surface": surface, "n": 3}
+    if bundle == "raw":
+        bundle = {"kind": "raw", "rank": 2, "generators": _su2_split([0.4, 2.9][:gens])}
+    if bundle:
+        cfg["bundle"] = bundle
+    code, out = _run(tmp_path, cfg)
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["route"] == "closed-form" and meta["kernel_gap"] > 0
+    assert "nnz" not in meta and "lanczos_steps" not in meta
+
+
+def test_logdet_on_the_lshape_takes_the_sparse_route(tmp_path, monkeypatch):
+    from torsionlab import laplacian
+    calls = []
+    solve = laplacian.sparse_log_det
+    monkeypatch.setattr(laplacian, "sparse_log_det", lambda conn: calls.append(conn) or solve(conn))
+    cfg = {"experiment": "logdet", "surface": {"kind": "lshape"}, "n": 2,
+           "bundle": {"kind": "trivial", "rank": 2}}
+    code, out = _run(tmp_path, cfg)
+    assert code == 0 and len(calls) == 1
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["route"] == "sparse" and meta["kernel_dim"] == 2
+    assert meta["factor_nnz"] >= meta["nnz"] > 0 and meta["lanczos_steps"] > 0
+
+
+def test_weyl_check_beyond_the_closed_form_budget_exits_3_without_allocating(tmp_path):
+    # the grid at n = 65536 would be 4.3e9 doubles, 34 GB
+    cfg = {"experiment": "weyl-check", "surface": {"kind": "rectangle", "a": 1, "b": 1},
+           "n_list": [256, 65536]}
+    code, out, peak = _traced_run(tmp_path, cfg)
+    assert code == 3 and peak < 1e6
+    assert json.loads((out / "meta.json").read_text())["error"]["code"] == "BudgetExceeded"
+    assert not (out / "weyl.csv").exists()
+
+
+def test_logdet_beyond_the_closed_form_budget_exits_3_without_allocating(tmp_path):
+    cfg = {"experiment": "logdet", "surface": _TORUS11, "n": 10 ** 9,
+           "bundle": {"kind": "random", "rank": 2}}
+    code, out, peak = _traced_run(tmp_path, cfg)
+    assert code == 3 and peak < 1e6
+    assert json.loads((out / "meta.json").read_text())["error"]["code"] == "BudgetExceeded"
+
+
+def _traced_run(tmp_path, cfg):
+    """(exit code, out dir, tracemalloc peak in bytes) of one run."""
+    tracemalloc.start()
+    try:
+        code, out = _run(tmp_path, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out, peak
 
 
 def test_spectrum_csv_cells_are_numbers(tmp_path):
@@ -351,10 +478,6 @@ def test_separable_spec_is_validated_by_build_surface(tmp_path, experiment, side
     assert json.loads((out / "meta.json").read_text())["error"]["code"] == "InvalidGluing"
 
 
-_TORUS11 = {"kind": "torus", "a": 1, "b": 1}
-_TWIST = {"alpha": 1.3, "beta": -0.7}
-
-
 def test_twisted_torsion_and_heat_trace_write_the_methods_values(tmp_path):
     from torsionlab.torsion import SeparableSurface
     setup = SeparableSurface("torus", 1, 1, 1.3, -0.7)
@@ -454,12 +577,13 @@ def test_weyl_check_honours_the_twist(tmp_path):
      "n_list": [4]},
     {"experiment": "szego", "profile": {"a": 2, "b": 2, "coeffs": {"x": 1}}, "n_list": [4]},
     # a run on one mesh reads n, not the first of an n_list
-    {"experiment": "logdet", "surface": _TORUS11, "n_list": [4, 8]}],
+    {"experiment": "logdet", "surface": _TORUS11, "n_list": [4, 8]},
+    {"experiment": "logdet", "surface": _TORUS11, "n": 2, "bundle": {"kind": "raw", "rank": 1}}],
     ids=["n-zero", "n-string", "negative-rank", "alpha-string", "t-zero",
          "ragged-generator", "non-numeric-generator", "logdet-phases",
          "renorm-series-generators", "misspelt-phase", "bundle_b-outside-ratio",
          "profile-no-coeffs", "profile-string-value", "profile-string-b",
-         "profile-coeffs-object", "logdet-n_list-without-n"])
+         "profile-coeffs-object", "logdet-n_list-without-n", "raw-without-generators"])
 def test_malformed_input_exits_2(tmp_path, cfg, capsys):
     code, out = _run(tmp_path, cfg)
     assert code == 2 and not out.exists()
@@ -542,14 +666,21 @@ def test_missing_or_mistyped_key_is_a_config_error(tmp_path, cfg, key):
 
 def test_dense_kernel_comes_from_the_holonomy(tmp_path):
     # a 1e-7 twist leaves an eigenvalue below the numerical kernel tolerance,
-    # but the bundle has no flat section: the dense run refuses, not misreports
+    # but the bundle has no flat section: the dense mesh route refuses, not
+    # misreports, and the closed form of its characters gives it exactly
+    from torsionlab import laplacian
+    conn = _torus11_connection(4, 1e-7, 0.0)
+    with pytest.raises(KernelMismatch):
+        laplacian.spectrum(laplacian.assemble(conn), expected_kernel_dim=conn.flat_sections)
     twist = [[[math.cos(1e-7), math.sin(1e-7)]]]
     cfg = {"experiment": "logdet", "surface": {"kind": "torus", "a": 1, "b": 1}, "n": 4,
            "bundle": {"kind": "raw", "rank": 1, "generators": [twist, [[[1.0, 0.0]]]]}}
     code, out = _run(tmp_path, cfg)
-    assert code == 2
+    assert code == 0
     meta = json.loads((out / "meta.json").read_text())
-    assert meta["error"]["code"] == "KernelMismatch"
+    want = _torus11_log_det(4, 1e-7, 0.0)
+    assert meta["kernel_dim"] == 0
+    assert abs(meta["logdet_prime"] - want) <= 1e-12 * abs(want)
 
 
 def test_renorm_series_refuses_a_non_geometric_ladder(tmp_path):
@@ -689,3 +820,16 @@ def test_selftest_mesh_check_catches_a_dropped_face_or_neighbor(monkeypatch, cap
     assert len(failed) == 1
     assert failed[0].startswith("[FAIL] mesh arrays: counts, gluing, faces and cone fans :: ")
     assert lines[-1] == "11/12 checks passed"
+
+
+@pytest.mark.parametrize("seed,rank", [(0, 2), (1, 3)])
+def test_logdet_of_non_commuting_generators_on_a_torus_exits_2(tmp_path, seed, rank):
+    from torsionlab import bundles
+    rng = np.random.default_rng(seed)
+    gens = [_json_matrix(bundles.random_unitary(rng, rank)) for _ in range(2)]
+    cfg = {"experiment": "logdet", "surface": _TORUS11, "n": 2,
+           "bundle": {"kind": "raw", "generators": gens}}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2
+    error = json.loads((out / "meta.json").read_text())["error"]
+    assert error["code"] == "BadCuts" and "do not commute" in error["message"]

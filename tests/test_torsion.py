@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from torsionlab import surfaces, torsion as ts
+from torsionlab import bundles, laplacian, meshes, surfaces, torsion as ts
 from torsionlab.experiments import convergence_study
-from torsionlab.errors import EtaDomainError
+from torsionlab.errors import BadCuts, BudgetExceeded, EtaDomainError
 
 
 def test_continuum_spectrum_examples():
@@ -253,3 +253,124 @@ def test_twisted_heat_trace_is_the_sum_over_the_twisted_spectrum(kind, a, b, alp
     for t in (0.01, 0.2):
         direct = math.fsum(math.exp(-t * lam) for lam in setup.continuum_eigenvalues(40 / t))
         assert abs(setup.heat_trace(t) - direct) < 1e-13 * direct
+
+
+# -- flat bundles on tori and cylinders as sums of characters --------------------
+
+# A phase this far from 0 keeps the smallest mesh eigenvalue at n <= 4 above
+# 4 sin^2(0.25 / 16) = 1e-3, where dense eigvalsh, whose error is about
+# 1e-15 absolute, still resolves log det' to 1e-12; nearer phases are checked
+# against the direct sum below, and at the CLI against 1e-7 and 1e-9 twists
+_AWAY_FROM_ZERO = st.floats(0.25, 0.5)
+_PHASE = st.one_of(
+    st.just(0.0), st.just(math.pi), _AWAY_FROM_ZERO, _AWAY_FROM_ZERO.map(lambda p: -p),
+    st.floats(0.0, 0.25).map(lambda d: math.pi - d),             # near pi
+    st.floats(0.25, 2 * math.pi - 0.25))
+
+
+@st.composite
+def _split_bundles(draw, phase=_PHASE):
+    """(kind, a, b, n, rep): commuting generators g D_k g* at rank 1 to 3 on a
+    torus or a cylinder at n <= 4, the rows of the diagonal D_k its
+    characters, a repeated character and a Haar gauge g included."""
+    kind = draw(st.sampled_from(["torus", "cylinder"]))
+    a, b, n = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    rank = draw(st.integers(1, 3))
+    n_gens = 2 if kind == "torus" else 1
+    rows = draw(st.lists(st.tuples(*[phase] * n_gens), min_size=rank, max_size=rank))
+    if rank > 1 and draw(st.booleans()):
+        rows[1] = rows[0]
+    g = bundles.random_unitary(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), rank)
+    phases = np.array(rows)
+    gens = [g @ np.diag(np.exp(1j * phases[:, k])) @ g.conj().T for k in range(n_gens)]
+    return kind, a, b, n, bundles.HolonomyRepresentation(rank, gens)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(drawn=_split_bundles())
+def test_character_sum_equals_the_sparse_and_dense_mesh_routes(drawn):
+    kind, a, b, n, rep = drawn
+    split = ts.CharacterSum.from_holonomy(kind, a, b, rep)
+    assert split.rank == rep.rank and split.dim_h0 == bundles.flat_sections_dim(rep)
+    mesh = meshes.discretize(getattr(surfaces, kind)(a, b), n)
+    conn = bundles.connection_from_holonomy(mesh, rep)
+    sparse = laplacian.sparse_log_det(conn)
+    dense = laplacian.log_det_prime(laplacian.spectrum(laplacian.assemble(conn),
+                                                       expected_kernel_dim=conn.flat_sections))
+    got = split.log_det(n)
+    # relative, or absolute where log det' is near 0 (one vertex, few eigenvalues)
+    for want in (sparse.log_det_prime, dense):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    assert sparse.kernel_dim == split.dim_h0
+    gap = split.kernel_gap(n)
+    assert (gap is None) == (sparse.kernel_gap is None)
+    if gap is not None:
+        assert abs(gap - sparse.kernel_gap) <= 1e-8 * gap
+
+
+def _direct_log_det(setup, n):
+    """fsum of log over the character's full (an, bn) grid of eigenvalue sums,
+    4 sin^2((2 pi j + phase) / 2m) on a circle and 4 sin^2(pi j / 2m) on a
+    segment of m sites, less its dim_h0 zero mode."""
+    sides = []
+    for f in setup.factors:
+        m = int(f.length * n)
+        j = np.arange(m)
+        sides.append(4 * np.sin((2 * np.pi * j + f.phase) / (2 * m)) ** 2 if f.periodic
+                     else 4 * np.sin(np.pi * j / (2 * m)) ** 2)
+    grid = np.sort(np.add.outer(*sides), axis=None)[setup.dim_h0:]
+    return math.fsum(np.log(grid).tolist()), (float(grid[0]) if grid.size else None)
+
+
+_NEAR_ZERO = st.floats(-12, -0.6).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(drawn=_split_bundles(st.one_of(_PHASE, _NEAR_ZERO, _NEAR_ZERO.map(lambda p: -p))))
+def test_character_sum_equals_the_direct_sum_at_any_twist(drawn):
+    # twists down to 1e-12, which no mesh route resolves: each character's
+    # log det' and gap against its eigenvalue grid summed term by term
+    kind, a, b, n, rep = drawn
+    split = ts.CharacterSum.from_holonomy(kind, a, b, rep)
+    want = [_direct_log_det(s, n) for s in split.setups]
+    total = math.fsum(w for w, _ in want)
+    assert abs(split.log_det(n) - total) <= 1e-12 * max(1.0, abs(total))
+    gaps = [g for _, g in want if g is not None]
+    assert split.kernel_gap(n) == (min(gaps) if gaps else None)
+    assert split.dim_h0 == bundles.flat_sections_dim(rep)
+
+
+def test_characters_of_the_trivial_bundle_and_the_rectangle():
+    split = ts.CharacterSum.from_holonomy("rectangle", 2, 1, None, rank=3)
+    one = ts.SeparableSurface("rectangle", 2, 1)
+    assert split.setups == (one,) * 3 and split.dim_h0 == 3
+    assert split.log_det(4) == math.fsum([one.log_det(4)] * 3)
+    rep = bundles.HolonomyRepresentation(2, [])
+    assert ts.CharacterSum.from_holonomy("rectangle", 2, 1, rep).setups == (one, one)
+    # one vertex with its flat section: no nonzero eigenvalue
+    assert ts.CharacterSum.from_holonomy("torus", 1, 1).kernel_gap(1) is None
+
+
+def test_character_sum_needs_one_generator_per_periodic_side():
+    rep = bundles.HolonomyRepresentation.from_phases([0.3])
+    with pytest.raises(BadCuts, match="2 cuts for 1 generators"):
+        ts.CharacterSum.from_holonomy("torus", 1, 1, rep)
+
+
+def test_closed_form_budget_is_checked_before_any_array(monkeypatch):
+    sizes = []
+    real = ts.Factor.mesh_eigenvalues
+    monkeypatch.setattr(ts.Factor, "mesh_eigenvalues",
+                        lambda self, n: sizes.append(self.length * n) or real(self, n))
+    side = ts.CLOSED_FORM_BUDGET // 4
+    setup = ts.SeparableSurface("cylinder", 1, 8)       # side b has 8n sites
+    with pytest.raises(BudgetExceeded):
+        setup.log_det(side)
+    with pytest.raises(BudgetExceeded):
+        setup.kernel_gap(side)
+    with pytest.raises(BudgetExceeded):
+        ts.SeparableSurface("rectangle", 1, 1).mesh_spectrum(2049)
+    assert sizes == []
+    # the sizes the studies use stay within it
+    assert ts.SeparableSurface("rectangle", 1, 1).mesh_spectrum(256).eigenvalues.size == 65536
+    ts.SeparableSurface("cylinder", 2, 1).log_det(2 ** 17)
