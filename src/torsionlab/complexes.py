@@ -5,14 +5,27 @@ Allowed chart transitions are z -> z + c (translation) and z -> -z + c
 (half-turn), so a translation glues a side to the opposite side label with
 the side parameter preserved, while a half-turn glues a side to the same
 side label with the parameter reversed.
+
+The constructors build and validate the gluing as a ``pairings`` dict; on
+first use it is read into one slot-partner array.  Side d of the t-th cell is
+slot ``4*t + d`` and corner k of it is corner ``4*t + k``; ``partner[slot]``
+is the slot glued to it, or -1 on the boundary.  A pairing is a half-turn
+exactly when it joins equal side labels, so the array holds the kinds too.
+The corner turn (`corner_turn`), the fans of corners around the lattice
+points (`corner_fans`) and the n x n refinement (`refined_partner`) work on
+any partner array.  A complex's vertex classes, boundary slots and
+``refine(n)`` read them, and so does the mesh, which is the refinement's
+partner array (``meshes``): the tiles are the mesh at n = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Integral
 
-from .errors import InvalidGluing
+import numpy as np
+
+from .errors import InvalidGluing, UnknownPoint
 
 # side labels
 E, N, W, S = 0, 1, 2, 3
@@ -41,6 +54,111 @@ CORNER_ON_SIDE = {
     S: (SW, SE),
 }
 CORNER_PARAM = {(d, CORNER_ON_SIDE[d][t]): t for d in (E, N, W, S) for t in (0, 1)}
+
+_EXIT = np.array([EXIT_SIDE[k] for k in range(4)])
+_ENTER = np.array([ENTER_SIDE[k] for k in range(4)])
+
+
+def _next_corner_table():
+    """Turning counterclockwise around corner k of a cell leaves it through
+    side EXIT_SIDE[k]; entering the next cell through its side d2 lands on its
+    corner table[k, d2] (the side parameter is kept by a translation, which
+    glues opposite sides, and reversed by a half-turn, which glues equal ones)."""
+    table = np.full((4, 4), -1)
+    for k in range(4):
+        d = EXIT_SIDE[k]
+        t = CORNER_PARAM[(d, k)]
+        table[k, OPPOSITE[d]] = CORNER_ON_SIDE[OPPOSITE[d]][t]
+        table[k, d] = CORNER_ON_SIDE[d][1 - t]
+    return table
+
+
+_NEXT_CORNER = _next_corner_table()
+
+
+def require_subdivision(n):
+    """ValueError unless n is an integer >= 1 (a bool is refused, np.int64 is not)."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+
+
+def exit_slots(corners):
+    """The slot each corner id leaves its cell through, turning counterclockwise."""
+    return (corners & ~3) + _EXIT[corners & 3]
+
+
+def corner_turn(partner):
+    """The counterclockwise corner turn, one entry per corner id and a last
+    entry -1: step[c] is the next corner around c's lattice point, or -1
+    where c's exit side is on the boundary (and step[-1] = -1, so a walk off
+    the boundary stays off)."""
+    corner = np.arange(len(partner))
+    gate = partner[exit_slots(corner)]
+    return np.append(np.where(gate < 0, -1, (gate & ~3) + _NEXT_CORNER[corner & 3, gate & 3]),
+                     -1)
+
+
+def corner_fans(partner):
+    """The lattice points as corner walks, (closed, chains): each maps a fan
+    length L to an (F, L) array of corner ids, one row per lattice point, in
+    counterclockwise order.
+
+    ``closed`` holds the interior points, each fan started at its smallest
+    corner id; ``chains`` the boundary points, each from its clockwise end
+    (the corner entered through a boundary side) to its counterclockwise end.
+    The regular 4-cycles are found at once; the other fans are stepped
+    together, each from every one of its corners.  A walk around an interior
+    point is dropped as soon as it reaches a smaller corner, and one from
+    inside a boundary fan when it leaves the boundary, so each closed fan is
+    kept once, from its smallest corner.  A walk longer than there are
+    corners does not close: InvalidGluing.
+    """
+    step = corner_turn(partner)
+    corner = np.arange(len(partner))
+    c1 = step[corner]
+    c2 = step[c1]
+    c3 = step[c2]
+    regular = (step[c3] == corner) & (c2 != corner)
+    first = regular & (corner < c1) & (corner < c2) & (corner < c3)
+    closed, chains = {4: np.stack([corner, c1, c2, c3], axis=1)[first]}, {}
+    fan = np.flatnonzero(~regular)[:, None]       # (walks, corners so far)
+    chain = partner[(fan[:, 0] & ~3) + _ENTER[fan[:, 0] & 3]] < 0
+    while len(fan):
+        if fan.shape[1] > len(partner):
+            raise InvalidGluing("vertex walk does not close")
+        nxt = step[fan[:, -1]]
+        for fans, done in ((closed, nxt == fan[:, 0]), (chains, chain & (nxt < 0))):
+            if done.any():
+                fans[fan.shape[1]] = fan[done]
+        keep = np.where(chain, nxt >= 0, nxt > fan[:, 0])
+        fan, chain = np.column_stack([fan, nxt])[keep], chain[keep]
+    return closed, chains
+
+
+def refined_partner(partner, n):
+    """The partner array of the n x n refinement of the complex whose partner
+    array is ``partner``: subcell (i, j) of the t-th cell is cell
+    (t*n + i)*n + j.  The pairings inside a cell are shifted ranges, and each
+    glued side is one length-n vector of subcell sides, by increasing side
+    parameter, reversed for a half-turn."""
+    n_cells = len(partner) // 4
+    grid = np.arange(n_cells * n * n).reshape(n_cells, n, n)
+    out = np.full(4 * grid.size, -1, dtype=np.int64)
+    for a, da, b, db in ((grid[:, :-1, :], E, grid[:, 1:, :], W),
+                         (grid[:, :, :-1], N, grid[:, :, 1:], S)):
+        out[4 * a + da] = 4 * b + db
+        out[4 * b + db] = 4 * a + da
+    # the subcells along each cell side, by increasing side parameter
+    along = np.stack([grid[:, n - 1, :], grid[:, :, n - 1], grid[:, 0, :], grid[:, :, 0]], axis=1)
+    src = np.flatnonzero(partner >= 0)
+    dst = partner[src]
+    d1, d2 = src & 3, dst & 3
+    a = 4 * along[src >> 2, d1] + d1[:, None]
+    b = 4 * along[dst >> 2, d2] + d2[:, None]
+    turn = d1 == d2
+    b[turn] = b[turn, ::-1]
+    out[a] = b
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,6 +193,7 @@ class SquareComplex:
         self.pairings = dict(pairings)
         if validate:
             self._validate()
+        self._partner = None
         self._vertex_classes = None
 
     def _validate(self):
@@ -97,6 +216,18 @@ class SquareComplex:
             else:
                 raise InvalidGluing(f"unknown pairing kind {kind!r}")
 
+    @property
+    def partner(self):
+        """The slot-partner array: slot 4*t + d -> its partner slot, or -1 on
+        the boundary; read off the pairings on first use."""
+        if self._partner is None:
+            index = self.cell_index
+            partner = [-1] * (4 * self.n_cells)
+            for (c, d), (c2, d2, _) in self.pairings.items():
+                partner[4 * index[c] + d] = 4 * index[c2] + d2
+            self._partner = np.array(partner, dtype=np.int64)
+        return self._partner
+
     # -- basic counts -------------------------------------------------------
 
     @property
@@ -104,111 +235,61 @@ class SquareComplex:
         return len(self.cells)
 
     def boundary_slots(self):
-        out = []
-        for c in self.cells:
-            for d in (E, N, W, S):
-                if (c, d) not in self.pairings:
-                    out.append((c, d))
-        return out
+        return [(self.cells[s >> 2], s & 3) for s in np.flatnonzero(self.partner < 0).tolist()]
 
     # -- vertex classes -----------------------------------------------------
 
-    def _step(self, c, k, sides):
-        """One step around the vertex at corner k of cell c, out through side
-        sides[k]: counterclockwise with EXIT_SIDE, clockwise with ENTER_SIDE.
-
-        Returns (c', k') or None when that side is a boundary side.
-        """
-        d = sides[k]
-        if (c, d) not in self.pairings:
-            return None
-        c2, d2, kind = self.pairings[(c, d)]
-        t = CORNER_PARAM[(d, k)]
-        t2 = t if kind == TRANSLATION else 1 - t
-        return c2, CORNER_ON_SIDE[d2][t2]
-
     def vertex_classes(self):
-        """All lattice points, each as a VertexClass with an ordered corner fan."""
-        if self._vertex_classes is not None:
-            return self._vertex_classes
-        seen = set()
-        classes = []
-        for c in self.cells:
-            for k in (SW, SE, NE, NW):
-                if (c, k) in seen:
-                    continue
-                fan = [(c, k)]
-                boundary = False
-                cur = (c, k)
-                while True:
-                    nxt = self._step(*cur, EXIT_SIDE)
-                    if nxt is None:
-                        boundary = True
-                        break
-                    if nxt == (c, k):
-                        break
-                    fan.append(nxt)
-                    cur = nxt
-                    if len(fan) > 4 * len(self.cells):
-                        raise InvalidGluing("vertex walk does not close")
-                if boundary:
-                    cur = (c, k)
-                    while True:
-                        prv = self._step(*cur, ENTER_SIDE)
-                        if prv is None:
-                            break
-                        fan.insert(0, prv)
-                        cur = prv
-                        if len(fan) > 4 * len(self.cells):
-                            raise InvalidGluing("vertex walk does not close")
-                for q in fan:
-                    seen.add(q)
-                classes.append(VertexClass(corners=tuple(fan), boundary=boundary))
-        self._vertex_classes = classes
-        return classes
+        """All lattice points, each a VertexClass with its corner fan, in the
+        order of their smallest corner id (`corner_fans`)."""
+        if self._vertex_classes is None:
+            closed, chains = corner_fans(self.partner)
+            fans = [(fan, boundary) for groups, boundary in ((closed, False), (chains, True))
+                    for rows in groups.values() for fan in rows.tolist()]
+            fans.sort(key=lambda entry: min(entry[0]))
+            cells = self.cells
+            self._vertex_classes = [VertexClass(tuple((cells[c >> 2], c & 3) for c in fan),
+                                                boundary) for fan, boundary in fans]
+        return self._vertex_classes
 
     def vertex_class_of(self, c, k):
         for vc in self.vertex_classes():
             if (c, k) in vc.corners:
                 return vc
-        raise KeyError((c, k))
+        raise UnknownPoint((c, k))
 
     def n_components(self):
         """Number of connected components of the cells under the pairings."""
-        seen = set()
+        partner = self.partner.tolist()
+        seen = [False] * self.n_cells
         count = 0
-        for c in self.cells:
-            if c in seen:
+        for t in range(self.n_cells):
+            if seen[t]:
                 continue
             count += 1
-            seen.add(c)
-            stack = [c]
+            seen[t] = True
+            stack = [t]
             while stack:
-                cell = stack.pop()
-                for d in (E, N, W, S):
-                    other = self.pairings.get((cell, d))
-                    if other is not None and other[0] not in seen:
-                        seen.add(other[0])
-                        stack.append(other[0])
+                u = stack.pop()
+                for slot in partner[4 * u:4 * u + 4]:
+                    if slot >= 0 and not seen[slot >> 2]:
+                        seen[slot >> 2] = True
+                        stack.append(slot >> 2)
         return count
 
     def n_side_classes(self):
-        paired = len(self.pairings) // 2
-        return paired + len(self.boundary_slots())
+        """Paired side pairs plus boundary sides."""
+        return (len(self.partner) + int(np.count_nonzero(self.partner < 0))) // 2
 
     def euler_characteristic(self):
         return len(self.vertex_classes()) - self.n_side_classes() + self.n_cells
 
     def gauss_bonnet_defect(self):
-        """Sum of angle defects minus 2*pi*chi, as an exact multiple of pi/2."""
-        total = Fraction(0)
-        for vc in self.vertex_classes():
-            k = vc.quadrants
-            if vc.boundary:
-                total += Fraction(2, 1) - Fraction(k, 1)  # (pi - k*pi/2) / (pi/2)
-            else:
-                total += Fraction(4, 1) - Fraction(k, 1)  # (2pi - k*pi/2) / (pi/2)
-        return total - 4 * self.euler_characteristic()
+        """Sum of angle defects minus 2*pi*chi, as an integer multiple of pi/2:
+        a boundary point of k quadrants has defect pi - k*pi/2, an interior
+        one 2*pi - k*pi/2."""
+        return (sum((2 if vc.boundary else 4) - vc.quadrants for vc in self.vertex_classes())
+                - 4 * self.euler_characteristic())
 
     # -- refinement ---------------------------------------------------------
 
@@ -216,26 +297,21 @@ class SquareComplex:
         """Subdivide every cell into an n x n block of subcells.
 
         Subcell ids are (cell, i, j) with 0 <= i, j < n, i along x and j
-        along y of the parent chart.
+        along y of the parent chart, cell major; the pairings are read off
+        `refined_partner`.
         """
-        if n < 1:
-            raise ValueError("subdivision must be >= 1")
+        require_subdivision(n)
+        partner = refined_partner(self.partner, n)
+        cells = [(c, i, j) for c in self.cells for i in range(n) for j in range(n)]
+        slots = np.flatnonzero(partner >= 0)
         pairings = {}
-        cells = []
-        for c in self.cells:
-            cells += self.glue_block(pairings, (c,), n, n)
-        glue = self.glue
-        done = set()
-        for (c, d), (c2, d2, kind) in self.pairings.items():
-            key = frozenset(((c, d), (c2, d2)))
-            if key in done:
-                continue
-            done.add(key)
-            for s in range(n):
-                s2 = s if kind == TRANSLATION else n - 1 - s
-                glue(pairings, self.refined_side(c, d, s, n), self.refined_side(c2, d2, s2, n),
-                     kind)
-        return SquareComplex(cells, pairings, validate=False)
+        for s, s2 in zip(slots.tolist(), partner[slots].tolist()):
+            d, d2 = s & 3, s2 & 3
+            pairings[(cells[s >> 2], d)] = (cells[s2 >> 2], d2,
+                                            HALF_TURN if d == d2 else TRANSLATION)
+        refined = SquareComplex(cells, pairings, validate=False)
+        refined._partner = partner
+        return refined
 
     @staticmethod
     def glue(pairings, slot_a, slot_b, kind=TRANSLATION):

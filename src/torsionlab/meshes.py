@@ -9,43 +9,23 @@ The mesh is one set of integer arrays.  Subtile (tile, i, j), where tile is
 the t-th cell of ``surface.complex``, is vertex ``t*n*n + i*n + j``; side d of
 vertex v is slot ``4*v + d`` and corner k of it is corner ``4*v + k`` (side
 and corner labels as in ``complexes``).  ``partner[slot]`` is the slot glued
-to it, or -1 on the boundary.  Edges, faces, neighbor sets and cut crossings
-are index arithmetic on these; the faces are stepped out of the corner turn
-(`MeshGraph.corner_step`) for all corners together, with no per-corner loop.
-The arrays are the mesh's one representation: ``mesh.edges`` is
-``range(E)``, and the refined ``SquareComplex`` of the same subdivision,
-walked as dicts, is only the tests' reference mesh.
+to it, or -1 on the boundary: the partner array of the complex's n x n
+refinement (`complexes.refined_partner`), so the tile complex is this mesh at
+n = 1.  Edges, faces, neighbor sets and cut crossings are index arithmetic on
+these; the faces are the closed fans of the corner turn
+(`complexes.corner_fans`), stepped for all corners together, with no
+per-corner loop.  The arrays are the mesh's one representation:
+``mesh.edges`` is ``range(E)``.
 """
 
 from __future__ import annotations
 
-from numbers import Integral
-
 import numpy as np
 
-from .complexes import (CORNER_ON_SIDE, CORNER_PARAM, EXIT_SIDE, HALF_TURN, OPPOSITE,
-                        E, N, W, S, SquareComplex)
+from .complexes import (E, N, W, S, SquareComplex, corner_fans, corner_turn, exit_slots,
+                        refined_partner, require_subdivision)
 from .errors import BadCuts, NotAClosedWalk, UnknownPoint
 from .surfaces import geometry_summary
-
-# Turning counterclockwise around corner k of a subcell leaves it through side
-# _EXIT[k]; entering the next subcell through its side d2 lands on its corner
-# _NEXT_CORNER[k, d2] (the side parameter is kept by a translation, which
-# glues opposite sides, and reversed by a half-turn, which glues equal ones).
-_EXIT = np.array([EXIT_SIDE[k] for k in range(4)])
-
-
-def _next_corner_table():
-    table = np.full((4, 4), -1)
-    for k in range(4):
-        d = EXIT_SIDE[k]
-        t = CORNER_PARAM[(d, k)]
-        table[k, OPPOSITE[d]] = CORNER_ON_SIDE[OPPOSITE[d]][t]
-        table[k, d] = CORNER_ON_SIDE[d][1 - t]
-    return table
-
-
-_NEXT_CORNER = _next_corner_table()
 
 
 class MeshGraph:
@@ -56,26 +36,8 @@ class MeshGraph:
         self.n = n
         cpx = surface.complex
         self.tile_index = cpx.cell_index
-        n_tiles = cpx.n_cells
-        self.n_vertices = n_tiles * n * n
-        grid = np.arange(self.n_vertices).reshape(n_tiles, n, n)
-        partner = np.full(4 * self.n_vertices, -1, dtype=np.int64)
-        for a, da, b, db in ((grid[:, :-1, :], E, grid[:, 1:, :], W),
-                             (grid[:, :, :-1], N, grid[:, :, 1:], S)):
-            partner[4 * a + da] = 4 * b + db
-            partner[4 * b + db] = 4 * a + da
-        if cpx.pairings:
-            # the subcells along each tile side, by increasing side parameter
-            along = np.stack([grid[:, n - 1, :], grid[:, :, n - 1],
-                              grid[:, 0, :], grid[:, :, 0]], axis=1)
-            t1, d1, t2, d2, turn = map(np.array, zip(*(
-                (self.tile_index[c], d, self.tile_index[c2], d2, kind == HALF_TURN)
-                for (c, d), (c2, d2, kind) in cpx.pairings.items())))
-            src = 4 * along[t1, d1] + d1[:, None]
-            dst = 4 * along[t2, d2] + d2[:, None]
-            dst[turn] = dst[turn, ::-1]
-            partner[src] = dst
-        self.partner = partner
+        self.n_vertices = cpx.n_cells * n * n
+        self.partner = refined_partner(cpx.partner, n)
         self._build_edges()
         self.edges = range(len(self.edge_u))
         self._faces = None
@@ -122,11 +84,6 @@ class MeshGraph:
     def vertex_id(self, tile, i, j):
         return (self.tile_index[tile] * self.n + i) * self.n + j
 
-    def degrees(self):
-        nv = self.n_vertices
-        return (np.bincount(self.edge_u, minlength=nv)
-                + np.bincount(self.edge_v, minlength=nv)).tolist()
-
     def _vertex_pairs(self):
         """(lo, hi, multiplicity) per unordered vertex pair, sorted by (lo, hi)."""
         lo = np.minimum(self.edge_u, self.edge_v)
@@ -139,9 +96,6 @@ class MeshGraph:
         """Multiplicity per unordered vertex pair (loops keyed (v, v))."""
         lo, hi, counts = self._vertex_pairs()
         return dict(zip(zip(lo, hi), counts))
-
-    def boundary_vertex_ids(self):
-        return set((np.flatnonzero(self.partner < 0) >> 2).tolist())
 
     # -- singular-point neighbor sets ---------------------------------------
 
@@ -177,35 +131,18 @@ class MeshGraph:
         edge indices (F, L), directions (F, L)).
 
         A face is the counterclockwise corner cycle around an interior lattice
-        point, started at its smallest corner id.  The regular 4-cycles are
-        found at once; the cone and boundary fans are stepped together, each
-        from every one of its corners, and a walk is dropped as soon as it
-        reaches a smaller corner or leaves the boundary, so each closed fan is
-        kept once, from its smallest corner.  Every face is checked to be a
-        closed walk when built.
+        point, started at its smallest corner id: a closed fan of
+        `complexes.corner_fans`.  Every face is checked to be a closed walk
+        when built.
         """
         if self._face_cycles is not None:
             return self._face_cycles
-        step = self.corner_step()
-        corner = np.arange(len(self.partner))
-        c1 = step[corner]
-        c2 = step[c1]
-        c3 = step[c2]
-        regular = (step[c3] == corner) & (c2 != corner)
-        first = regular & (corner < c1) & (corner < c2) & (corner < c3)
-        groups = {4: np.stack([corner, c1, c2, c3], axis=1)[first]}
-        fan = np.flatnonzero(~regular)[:, None]       # (walks, corners so far)
-        while len(fan):
-            nxt = step[fan[:, -1]]
-            shut = nxt == fan[:, 0]
-            if shut.any():
-                groups[fan.shape[1]] = fan[shut]
-            fan = np.column_stack([fan, nxt])[nxt > fan[:, 0]]
+        closed, _ = corner_fans(self.partner)
         out = {}
-        for length, cycles in sorted(groups.items()):
+        for length, cycles in sorted(closed.items()):
             if not len(cycles):
                 continue
-            slots = (cycles & ~3) + _EXIT[cycles & 3]
+            slots = exit_slots(cycles)
             idx, dirs = self.slot_edge_index[slots], self.slot_direction[slots]
             self.check_closed(idx, dirs)
             out[length] = (cycles[:, 0], idx, dirs)
@@ -213,14 +150,8 @@ class MeshGraph:
         return out
 
     def corner_step(self):
-        """The counterclockwise corner turn, one entry per corner id and a
-        last entry -1: step[c] is the next corner around c's lattice point,
-        or -1 where c's exit side is on the boundary (and step[-1] = -1, so a
-        walk off the boundary stays off)."""
-        corner = np.arange(len(self.partner))
-        gate = self.partner[(corner & ~3) + _EXIT[corner & 3]]
-        return np.append(np.where(gate < 0, -1, (gate & ~3) + _NEXT_CORNER[corner & 3, gate & 3]),
-                         -1)
+        """The counterclockwise corner turn of the mesh (`complexes.corner_turn`)."""
+        return corner_turn(self.partner)
 
     def check_closed(self, idx, dirs):
         """NotAClosedWalk unless each row of the walks (idx, dirs), (W, L)
@@ -293,15 +224,9 @@ class MeshGraph:
                                                for u, v, m in zip(*self._vertex_pairs())])
 
 
-def _require_subdivision(n):
-    """ValueError unless n is an integer >= 1 (a bool is refused, np.int64 is not)."""
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-
-
 def discretize(surface, n):
     """The mesh graph of ``surface`` at subdivision n."""
-    _require_subdivision(n)
+    require_subdivision(n)
     return MeshGraph(surface, n)
 
 
@@ -309,7 +234,7 @@ def mesh_counts(surface, n):
     """(|V|, |E|) of ``discretize(surface, n)`` without building it: one vertex
     per refined cell, and four half-edges per vertex less the perimeter * n
     boundary sides, two to an edge."""
-    _require_subdivision(n)
+    require_subdivision(n)
     summary = geometry_summary(surface)
     nv = summary.area * n * n
     return nv, 2 * nv - summary.perimeter * n // 2

@@ -249,8 +249,7 @@ def _side_from_name(s):
 
 def rescale(surface, c):
     """Replace every tile by a c x c block of unit tiles."""
-    if c < 1:
-        raise ValueError("scale factor must be >= 1")
+    cx.require_subdivision(c)
     if c == 1:
         return surface
     refined = surface.complex.refine(c)
@@ -315,17 +314,10 @@ def surface_to_spec(surface):
     if surface.kind in NAMED_KINDS:
         _, fields = NAMED_KINDS[surface.kind]
         return {"kind": surface.kind, **{key: surface.params[key] for key in fields}}
-    pairs = []
-    done = set()
-    for (c, d), (c2, d2, kind) in surface.complex.pairings.items():
-        key = frozenset(((c, d), (c2, d2)))
-        if key in done:
-            continue
-        done.add(key)
-        pairs.append([[list(c) if isinstance(c, tuple) else c, cx.SIDE_NAMES[d]],
-                      [list(c2) if isinstance(c2, tuple) else c2, cx.SIDE_NAMES[d2]],
-                      kind])
     tiles = [list(c) if isinstance(c, tuple) else c for c in surface.complex.cells]
+    pairs = [[[tiles[s >> 2], cx.SIDE_NAMES[s & 3]], [tiles[p >> 2], cx.SIDE_NAMES[p & 3]],
+              HALF_TURN if s & 3 == p & 3 else cx.TRANSLATION]
+             for s, p in enumerate(surface.complex.partner.tolist()) if s < p]
     return {"kind": "raw", "tiles": tiles, "pairings": pairs}
 
 

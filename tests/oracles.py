@@ -4,14 +4,17 @@ a full grid, the Szego trace by full eigenbasis contraction, the rescaling law
 of log det', the flat basis by SVD at every rank, the monodromy of a cycle
 walked one edge at a time, the flatness
 defect of every face, the faces and the CRSF cycles walked one corner or edge
-at a time, the piecewise polynomial evaluated piece by piece, and the bump
-profile with its mixing weight found by bisection.
+at a time, the piecewise polynomial evaluated piece by piece, the bump
+profile with its mixing weight found by bisection, and a square complex's
+vertex classes and refinement walked one corner and one pairing at a time on
+its dicts.
 
 The library keeps one representation of the mesh and of the CRSF table, their
 arrays.  The record views of both live here: each edge as (u, v, slot_u,
 slot_v) with its slots as ((tile, i, j), side), each vertex as (tile, i, j),
 the slot -> edge map, the mesh of the refined square complex built by walking
-its dicts (`DictMesh`, whose `check` holds the array mesh to it), and each
+its dicts (`DictMesh`, whose `check` holds the array mesh to it; it refines and
+walks with the dict oracles, not with the partner arrays), and each
 forest as a `CRSF` of edge indices and (edge_index, direction) cycle lists,
 with a list of them turned back into a `CRSFTable` by interning its cycles."""
 
@@ -21,9 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from torsionlab import bundles, experiments as ex, meshes
-from torsionlab.complexes import EXIT_SIDE, SquareComplex
-from torsionlab.errors import BisectionFailure, IndexOutOfRange, NotAClosedWalk
+from torsionlab import bundles, experiments as ex
+from torsionlab.complexes import (CORNER_ON_SIDE, CORNER_PARAM, ENTER_SIDE, EXIT_SIDE,
+                                  SW, SE, NE, NW, TRANSLATION, SquareComplex, VertexClass,
+                                  exit_slots)
+from torsionlab.errors import BisectionFailure, IndexOutOfRange, InvalidGluing, NotAClosedWalk
 from torsionlab.forests import CRSFTable
 from torsionlab.torsion import SeparableSurface
 
@@ -170,7 +175,7 @@ def corner_walk_faces(mesh):
     out = {}
     for length, fans in sorted(groups.items()):
         cycles = np.array(fans)
-        slots = (cycles & ~3) + meshes._EXIT[cycles & 3]
+        slots = exit_slots(cycles)
         out[length] = (cycles[:, 0], mesh.slot_edge_index[slots], mesh.slot_direction[slots])
     return out
 
@@ -248,6 +253,85 @@ def bisection_bump():
                           C=ex.product_integral(dhalf, dhalf))
 
 
+# -- the square complex walked as dicts -------------------------------------------
+
+
+def _dict_step(cpx, c, k, sides):
+    """One step around the vertex at corner k of cell c, out through side
+    sides[k]: counterclockwise with EXIT_SIDE, clockwise with ENTER_SIDE.
+
+    Returns (c', k') or None when that side is a boundary side.
+    """
+    d = sides[k]
+    if (c, d) not in cpx.pairings:
+        return None
+    c2, d2, kind = cpx.pairings[(c, d)]
+    t = CORNER_PARAM[(d, k)]
+    t2 = t if kind == TRANSLATION else 1 - t
+    return c2, CORNER_ON_SIDE[d2][t2]
+
+
+def dict_vertex_classes(cpx):
+    """Independent oracle: the vertex classes of ``cpx`` walked one corner at
+    a time on its pairings dict, from each corner in cell and corner order
+    that no earlier class holds: counterclockwise until the walk closes or
+    meets the boundary, then clockwise back to the boundary."""
+    seen = set()
+    classes = []
+    for c in cpx.cells:
+        for k in (SW, SE, NE, NW):
+            if (c, k) in seen:
+                continue
+            fan = [(c, k)]
+            boundary = False
+            cur = (c, k)
+            while True:
+                nxt = _dict_step(cpx, *cur, EXIT_SIDE)
+                if nxt is None:
+                    boundary = True
+                    break
+                if nxt == (c, k):
+                    break
+                fan.append(nxt)
+                cur = nxt
+                if len(fan) > 4 * len(cpx.cells):
+                    raise InvalidGluing("vertex walk does not close")
+            if boundary:
+                cur = (c, k)
+                while True:
+                    prv = _dict_step(cpx, *cur, ENTER_SIDE)
+                    if prv is None:
+                        break
+                    fan.insert(0, prv)
+                    cur = prv
+                    if len(fan) > 4 * len(cpx.cells):
+                        raise InvalidGluing("vertex walk does not close")
+            seen.update(fan)
+            classes.append(VertexClass(corners=tuple(fan), boundary=boundary))
+    return classes
+
+
+def dict_refine(cpx, n):
+    """Independent oracle: ``cpx.refine(n)`` built on dicts, each cell glued
+    as an n x n block and each parent pairing as n subside pairings, reversed
+    for a half-turn."""
+    pairings = {}
+    cells = []
+    for c in cpx.cells:
+        cells += SquareComplex.glue_block(pairings, (c,), n, n)
+    done = set()
+    for (c, d), (c2, d2, kind) in cpx.pairings.items():
+        key = frozenset(((c, d), (c2, d2)))
+        if key in done:
+            continue
+        done.add(key)
+        for s in range(n):
+            s2 = s if kind == TRANSLATION else n - 1 - s
+            SquareComplex.glue(pairings, SquareComplex.refined_side(c, d, s, n),
+                               SquareComplex.refined_side(c2, d2, s2, n), kind)
+    return SquareComplex(cells, pairings, validate=False)
+
+
 # -- the mesh as records ----------------------------------------------------------
 
 
@@ -306,7 +390,7 @@ class DictMesh:
     its slots; faces and neighbor sets from the complex's corner fans."""
 
     def __init__(self, mesh):
-        self.complex = cpx = mesh.surface.complex.refine(mesh.n)
+        self.complex = cpx = dict_refine(mesh.surface.complex, mesh.n)
         self.n = mesh.n
         self.n_vertices = len(cpx.cells)
         edges = {}
@@ -324,12 +408,13 @@ class DictMesh:
         for idx, (_, _, su, sv) in enumerate(self.edges):
             self.slot_edge[su] = (idx, +1)
             self.slot_edge[sv] = (idx, -1)
+        classes = dict_vertex_classes(cpx)
         self.faces = [[self.slot_edge[(c, EXIT_SIDE[k])] for c, k in vc.corners]
-                      for vc in cpx.vertex_classes() if not vc.boundary]
+                      for vc in classes if not vc.boundary]
         self.cone_sets = {}
         for pid, vc in mesh.surface.singular_points().items():
-            cell, corner = vc.corners[0]
-            fan = cpx.vertex_class_of(*SquareComplex.refined_corner(cell, corner, mesh.n))
+            corner = SquareComplex.refined_corner(*vc.corners[0], mesh.n)
+            fan = next(fan for fan in classes if corner in fan.corners)
             self.cone_sets[pid] = tuple(dict.fromkeys(cpx.cell_index[c] for c, _ in fan.corners))
         mult = {}
         for u, v, _, _ in self.edges:

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsionlab import bundles, experiments, laplacian, meshes, surfaces
-from torsionlab.complexes import E, HALF_TURN, N, S, SIDE_NAMES, TRANSLATION, W
+from torsionlab.complexes import E, EXIT_SIDE, HALF_TURN, N, S, SIDE_NAMES, TRANSLATION, W
 from torsionlab.errors import NotAClosedWalk, UnknownPoint
-from oracles import DictMesh, edge_copies, edge_ends, slot_cell, slot_edges, vertex_cells
+from oracles import (DictMesh, dict_refine, dict_vertex_classes, edge_copies, edge_ends,
+                     slot_cell, slot_edges, vertex_cells)
+from test_forests import glued_surfaces
 
 ALL_MODELS = [
     surfaces.rectangle(1, 1), surfaces.rectangle(2, 3), surfaces.torus(1, 1),
@@ -19,6 +21,15 @@ ALL_MODELS = [
     surfaces.cone_model(3), surfaces.cone_model(4), surfaces.lshape(),
     surfaces.slit(),
 ]
+
+
+def _degrees(mesh):
+    nv = mesh.n_vertices
+    return (np.bincount(mesh.edge_u, minlength=nv) + np.bincount(mesh.edge_v, minlength=nv)).tolist()
+
+
+def _boundary_vertex_ids(mesh):
+    return set((np.flatnonzero(mesh.partner < 0) >> 2).tolist())
 
 
 def _has_short_systole(surf, n):
@@ -43,8 +54,8 @@ def test_mesh_invariants(surf, n):
     if not summary.cone_quadrants and not _has_short_systole(surf, n):
         assert all(m == 1 for m in mesh.edge_multiplicities().values())
     # interior vertices have degree 4; boundary-adjacent ones degree 3
-    boundary = mesh.boundary_vertex_ids()
-    for v, d in enumerate(mesh.degrees()):
+    boundary = _boundary_vertex_ids(mesh)
+    for v, d in enumerate(_degrees(mesh)):
         if v not in boundary:
             assert d == 4
     # every singular point has 2 * angle / pi nearest vertices
@@ -57,7 +68,7 @@ def test_small_examples():
     assert m.n_vertices == 4 and len(m.edges) == 4
     m = meshes.discretize(surfaces.torus(1, 1), 3)
     assert m.n_vertices == 9 and len(m.edges) == 18
-    assert all(d == 4 for d in m.degrees())
+    assert all(d == 4 for d in _degrees(m))
     # n = 1 on the unit torus: one vertex carrying two loops
     m = meshes.discretize(surfaces.torus(1, 1), 1)
     assert m.n_vertices == 1 and len(m.edges) == 2
@@ -164,9 +175,9 @@ def test_edges_csv():
 
 def test_boundary_vertices():
     mesh = meshes.discretize(surfaces.rectangle(2, 2), 2)
-    assert len(mesh.boundary_vertex_ids()) == 12   # 4n boundary ring of a 4x4 grid
+    assert len(_boundary_vertex_ids(mesh)) == 12   # 4n boundary ring of a 4x4 grid
     mesh = meshes.discretize(surfaces.torus(2, 2), 2)
-    assert not mesh.boundary_vertex_ids()
+    assert not _boundary_vertex_ids(mesh)
 
 
 # -- the index-array mesh against the refined complex walked as dicts -----------
@@ -229,6 +240,77 @@ def raw_surfaces(draw):
 @given(surf=raw_surfaces(), n=st.integers(1, 6))
 def test_raw_gluings_match_dict_walk(surf, n):
     assert_matches_dict_walk(meshes.discretize(surf, n))
+
+
+# -- the tile complex as the mesh at n = 1 ----------------------------------------
+
+# every NAMED_KINDS constructor, cones and angles up to 7
+NAMED_SPECS = (
+    [{"kind": kind, "a": a, "b": b} for kind in ("rectangle", "torus", "cylinder")
+     for a, b in ((1, 1), (2, 3), (3, 2))]
+    + [{"kind": "lshape"}, {"kind": "slit"}]
+    + [{"kind": "cone", "k": k} for k in (1, *range(3, 8))]
+    + [{"kind": "angle", "k": k} for k in range(3, 8)])
+
+
+def assert_classes_match_dict_walk(surf):
+    cpx = surf.complex
+    assert cpx.vertex_classes() == dict_vertex_classes(cpx)
+
+
+def assert_refinement_matches_dict_refinement(surf):
+    cpx = surf.complex
+    for n in range(1, 5):
+        got, want = cpx.refine(n), dict_refine(cpx, n)
+        assert got.cells == want.cells
+        assert got.pairings == want.pairings
+
+
+def assert_faces_are_the_interior_classes(surf):
+    mesh = meshes.MeshGraph(surf, 1)
+    want = {}
+    for vc in surf.complex.vertex_classes():
+        if not vc.boundary:
+            corners = [4 * mesh.tile_index[c] + k for c, k in vc.corners]
+            want.setdefault(len(corners), []).append(corners)
+    faces = mesh.face_cycles()
+    assert sorted(faces) == sorted(want)
+    for length, (first, idx, dirs) in faces.items():
+        corners = np.array(want[length])
+        slots = (corners & ~3) + np.array([EXIT_SIDE[k] for k in range(4)])[corners & 3]
+        assert first.tolist() == corners[:, 0].tolist()
+        assert np.array_equal(idx, mesh.slot_edge_index[slots])
+        assert np.array_equal(dirs, mesh.slot_direction[slots])
+
+
+def test_named_specs_cover_every_named_kind():
+    assert {spec["kind"] for spec in NAMED_SPECS} == set(surfaces.NAMED_KINDS)
+
+
+@pytest.mark.parametrize("spec", NAMED_SPECS, ids=lambda spec: "-".join(map(str, spec.values())))
+def test_named_complexes_match_the_dict_walk(spec):
+    surf = surfaces.build_surface(spec)
+    assert_classes_match_dict_walk(surf)
+    assert_refinement_matches_dict_refinement(surf)
+    assert_faces_are_the_interior_classes(surf)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(surf=raw_surfaces() | glued_surfaces())
+def test_vertex_classes_match_the_dict_walk(surf):
+    assert_classes_match_dict_walk(surf)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(surf=raw_surfaces() | glued_surfaces())
+def test_refinement_matches_the_dict_refinement(surf):
+    assert_refinement_matches_dict_refinement(surf)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(surf=raw_surfaces() | glued_surfaces())
+def test_faces_at_n1_are_the_interior_vertex_classes(surf):
+    assert_faces_are_the_interior_classes(surf)
 
 
 def test_closed_fan_starts_at_its_smallest_refined_corner():
@@ -334,6 +416,10 @@ def test_a_subdivision_that_is_not_an_integer_is_refused(n):
         meshes.discretize(torus, n)
     with pytest.raises(ValueError, match="n must be an integer >= 1"):
         meshes.mesh_counts(torus, n)
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        torus.complex.refine(n)
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        surfaces.rescale(torus, n)
 
     def budget(rank, nv, ne):
         pytest.fail(f"the budget saw n = {n!r}")

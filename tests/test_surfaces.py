@@ -10,6 +10,7 @@ import pytest
 from torsionlab import surfaces
 from torsionlab.complexes import E, N, S, TRANSLATION, W, SquareComplex
 from torsionlab.errors import InvalidGluing, UnknownPoint, UnsupportedAngle
+from oracles import dict_vertex_classes
 
 MODEL_DATA = [
     # surface, area, perimeter, cone angles (units pi/2), corner angles (units pi/2)
@@ -313,3 +314,24 @@ def test_singular_point_lookup():
     assert len(pts) == 6
     with pytest.raises(UnknownPoint):
         surf.singular_point("cone:99")
+
+
+def test_a_vertex_walk_that_does_not_close_is_refused():
+    # unvalidated: x's W side is glued one way onto the one-tile torus, so
+    # the walk around x's SW corner runs on around the torus's vertex forever
+    pairings = {}
+    cells = SquareComplex.glue_block(pairings, ("t",), 1, 1, (True, True)) + ["x"]
+    pairings[("x", W)] = (("t", 0, 0), E, TRANSLATION)
+    cpx = SquareComplex(cells, pairings, validate=False)
+    with pytest.raises(InvalidGluing, match="does not close"):
+        cpx.vertex_classes()
+    with pytest.raises(InvalidGluing, match="does not close"):
+        dict_vertex_classes(cpx)
+
+
+def test_vertex_class_of_an_unknown_corner_is_refused():
+    cpx = surfaces.lshape().complex
+    assert (cpx.cells[0], 2) in cpx.vertex_class_of(cpx.cells[0], 2).corners
+    for corner in (("nowhere", 0), (cpx.cells[0], 4)):
+        with pytest.raises(UnknownPoint):
+            cpx.vertex_class_of(*corner)
