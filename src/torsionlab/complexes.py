@@ -6,22 +6,26 @@ Allowed chart transitions are z -> z + c (translation) and z -> -z + c
 the side parameter preserved, while a half-turn glues a side to the same
 side label with the parameter reversed.
 
-The constructors build and validate the gluing as a ``pairings`` dict; on
-first use it is read into one slot-partner array.  Side d of the t-th cell is
-slot ``4*t + d`` and corner k of it is corner ``4*t + k``; ``partner[slot]``
-is the slot glued to it, or -1 on the boundary.  A pairing is a half-turn
-exactly when it joins equal side labels, so the array holds the kinds too.
-The corner turn (`corner_turn`), the fans of corners around the lattice
-points (`corner_fans`) and the n x n refinement (`refined_partner`) work on
-any partner array.  A complex's vertex classes, boundary slots and
-``refine(n)`` read them, and so does the mesh, which is the refinement's
-partner array (``meshes``): the tiles are the mesh at n = 1.
+A complex is its cells and one slot-partner array.  Side d of the t-th cell
+is slot ``4*t + d`` and corner k of it is corner ``4*t + k``;
+``partner[slot]`` is the slot glued to it, or -1 on the boundary.  A pairing
+is a half-turn exactly when it joins equal side labels, so the array holds
+the kinds too.  The constructors build the gluing as a (cell, side) dict with
+`SquareComplex.glue` and `SquareComplex.glue_block`; `SquareComplex`
+validates it and reads it into ``partner`` once, and ``pairings`` is a
+read-only view read back off the array.  The corner turn (`corner_turn`), the
+fans of corners around the lattice points (`corner_fans`) and the n x n
+refinement (`refined_partner`) work on any partner array.  A complex's vertex
+classes and ``refine(n)`` read them, and so does the mesh, which is the
+refinement's partner array (``meshes``): the tiles are the mesh at n = 1.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from numbers import Integral
+from types import MappingProxyType
 
 import numpy as np
 
@@ -178,34 +182,26 @@ class VertexClass:
 
 
 class SquareComplex:
-    """Cells plus a fixed-point-free involution pairing some of their sides."""
+    """Cells plus a fixed-point-free involution pairing some of their sides,
+    held as the slot-partner array ``partner``."""
 
-    def __init__(self, cells, pairings, validate=True):
+    def __init__(self, cells, pairings):
         """``cells``: iterable of hashable ids.
 
         ``pairings``: mapping (cell, side) -> (cell', side', kind), stored in
-        both directions.
+        both directions; validated and read into ``partner``, not kept.
         """
-        self.cells = list(cells)
-        self.cell_index = {c: k for k, c in enumerate(self.cells)}
-        if len(self.cell_index) != len(self.cells):
-            raise InvalidGluing("duplicate cell ids")
-        self.pairings = dict(pairings)
-        if validate:
-            self._validate()
-        self._partner = None
-        self._vertex_classes = None
-
-    def _validate(self):
-        for (c, d), (c2, d2, kind) in self.pairings.items():
-            if c not in self.cell_index or c2 not in self.cell_index:
+        self._set_cells(cells)
+        index = self.cell_index
+        partner = [-1] * (4 * len(index))
+        for (c, d), (c2, d2, kind) in pairings.items():
+            if c not in index or c2 not in index:
                 raise InvalidGluing(f"pairing references unknown cell: {(c, d)} -> {(c2, d2)}")
             if d not in (E, N, W, S) or d2 not in (E, N, W, S):
                 raise InvalidGluing("side label out of range")
             if (c, d) == (c2, d2):
                 raise InvalidGluing(f"side {(c, SIDE_NAMES[d])} glued to itself")
-            back = self.pairings.get((c2, d2))
-            if back != (c, d, kind):
+            if pairings.get((c2, d2)) != (c, d, kind):
                 raise InvalidGluing(f"pairing not an involution at {(c, SIDE_NAMES[d])}")
             if kind == TRANSLATION:
                 if d2 != OPPOSITE[d]:
@@ -215,27 +211,41 @@ class SquareComplex:
                     raise InvalidGluing("half-turn must glue equal side labels")
             else:
                 raise InvalidGluing(f"unknown pairing kind {kind!r}")
+            partner[4 * index[c] + d] = 4 * index[c2] + d2
+        self.partner = np.array(partner, dtype=np.int64)
 
-    @property
-    def partner(self):
-        """The slot-partner array: slot 4*t + d -> its partner slot, or -1 on
-        the boundary; read off the pairings on first use."""
-        if self._partner is None:
-            index = self.cell_index
-            partner = [-1] * (4 * self.n_cells)
-            for (c, d), (c2, d2, _) in self.pairings.items():
-                partner[4 * index[c] + d] = 4 * index[c2] + d2
-            self._partner = np.array(partner, dtype=np.int64)
-        return self._partner
+    @classmethod
+    def from_partner(cls, cells, partner):
+        """The complex of ``cells`` glued by the slot-partner array ``partner``,
+        taken as it is: no pairing is checked."""
+        cpx = cls.__new__(cls)
+        cpx._set_cells(cells)
+        cpx.partner = np.asarray(partner, dtype=np.int64)
+        return cpx
+
+    def _set_cells(self, cells):
+        self.cells = list(cells)
+        self.cell_index = {c: k for k, c in enumerate(self.cells)}
+        if len(self.cell_index) != len(self.cells):
+            raise InvalidGluing("duplicate cell ids")
+        self._vertex_classes = None
+
+    @functools.cached_property
+    def pairings(self):
+        """The gluing as a read-only mapping (cell, side) -> (cell', side',
+        kind), both directions, read off ``partner`` on first use."""
+        cells = self.cells
+        slots = np.flatnonzero(self.partner >= 0)
+        return MappingProxyType({
+            (cells[s >> 2], s & 3): (cells[p >> 2], p & 3,
+                                     HALF_TURN if s & 3 == p & 3 else TRANSLATION)
+            for s, p in zip(slots.tolist(), self.partner[slots].tolist())})
 
     # -- basic counts -------------------------------------------------------
 
     @property
     def n_cells(self):
         return len(self.cells)
-
-    def boundary_slots(self):
-        return [(self.cells[s >> 2], s & 3) for s in np.flatnonzero(self.partner < 0).tolist()]
 
     # -- vertex classes -----------------------------------------------------
 
@@ -297,21 +307,12 @@ class SquareComplex:
         """Subdivide every cell into an n x n block of subcells.
 
         Subcell ids are (cell, i, j) with 0 <= i, j < n, i along x and j
-        along y of the parent chart, cell major; the pairings are read off
+        along y of the parent chart, cell major; the gluing is
         `refined_partner`.
         """
         require_subdivision(n)
-        partner = refined_partner(self.partner, n)
         cells = [(c, i, j) for c in self.cells for i in range(n) for j in range(n)]
-        slots = np.flatnonzero(partner >= 0)
-        pairings = {}
-        for s, s2 in zip(slots.tolist(), partner[slots].tolist()):
-            d, d2 = s & 3, s2 & 3
-            pairings[(cells[s >> 2], d)] = (cells[s2 >> 2], d2,
-                                            HALF_TURN if d == d2 else TRANSLATION)
-        refined = SquareComplex(cells, pairings, validate=False)
-        refined._partner = partner
-        return refined
+        return SquareComplex.from_partner(cells, refined_partner(self.partner, n))
 
     @staticmethod
     def glue(pairings, slot_a, slot_b, kind=TRANSLATION):

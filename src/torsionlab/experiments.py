@@ -32,13 +32,14 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .bundles import connection_from_holonomy, flat_sections_dim, trivial_connection
-from .errors import BisectionFailure, HypothesisViolation, SupportViolation
+from .errors import BadCuts, BisectionFailure, HypothesisViolation, SupportViolation
 from .forests import sum_in_order
 from .laplacian import (assemble, check_dense_budget, check_sparse_budget, log_det_prime,
                         sparse_log_det, spectrum)
 from .meshes import discretize, mesh_counts
 from .meshspectra import CATALAN, LOG_SQRT2M1
-from .surfaces import SEPARABLE_KINDS, angle_model, cone_model, geometry_summary
+from .surfaces import (SEPARABLE_KINDS, angle_model, cone_model, geometry_summary,
+                       standard_cuts)
 from .torsion import zeta_zero
 
 
@@ -137,7 +138,8 @@ class MeshSource:
     Area and perimeter come from the geometry summary, and zeta(0) from the
     holonomy's count of flat sections, which does not depend on n; a surface
     whose tiles fall into more than one component has more flat sections
-    than that count, so it raises HypothesisViolation.  Each
+    than that count, so it raises HypothesisViolation, and a holonomy with
+    other than one generator per standard cut raises BadCuts.  Each
     log_det(n) checks the sparse budget before the mesh is built (so an
     over-budget n raises BudgetExceeded and builds nothing), and its solve
     confirms the kernel and its gap; ``health[n]`` keeps the solve's numbers.
@@ -149,6 +151,10 @@ class MeshSource:
             raise HypothesisViolation(
                 f"{surface.name} falls into {components} components; dim H^0 is "
                 "decided for a connected surface")
+        if rep is not None:
+            cuts = standard_cuts(surface)
+            if len(cuts) != len(rep.generators):
+                raise BadCuts(f"{len(cuts)} cuts for {len(rep.generators)} generators")
         summary = geometry_summary(surface)
         self.surface = surface
         self.rep = rep

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import (E, N, W, S, SquareComplex, corner_fans, corner_turn, exit_slots,
-                        refined_partner, require_subdivision)
+from .complexes import (E, N, W, S, SquareComplex, corner_fans, exit_slots, refined_partner,
+                        require_subdivision)
 from .errors import BadCuts, NotAClosedWalk, UnknownPoint
 from .surfaces import geometry_summary
 
@@ -149,10 +149,6 @@ class MeshGraph:
         self._face_cycles = out
         return out
 
-    def corner_step(self):
-        """The counterclockwise corner turn of the mesh (`complexes.corner_turn`)."""
-        return corner_turn(self.partner)
-
     def check_closed(self, idx, dirs):
         """NotAClosedWalk unless each row of the walks (idx, dirs), (W, L)
         edge indices and directions, chains head to tail back to its start."""
@@ -184,7 +180,8 @@ class MeshGraph:
     def refine_cuts(self, tile_cuts):
         """Refine tile-level cuts to a (cuts, E) integer array: row k holds
         each edge's signed crossing of cut k when traversed u -> v, or 0.  A
-        cut through a boundary side raises BadCuts.
+        cut slot on no tile, with a side label other than E, N, W, S, with a
+        sign other than +1 or -1, or on a boundary side raises BadCuts.
         """
         n = self.n
         s = np.arange(n)
@@ -193,6 +190,10 @@ class MeshGraph:
             for (tile, d), sign in cut.items():
                 if tile not in self.tile_index:
                     raise BadCuts(f"cut slot {(tile, d)} names no tile")
+                if d not in (E, N, W, S):
+                    raise BadCuts(f"cut slot {(tile, d)} has no side label {d!r}")
+                if sign not in (1, -1):
+                    raise BadCuts(f"cut slot {(tile, d)} has sign {sign!r}, not +1 or -1")
                 base = self.tile_index[tile] * n * n
                 i, j = {E: (n - 1, s), W: (0, s), N: (s, n - 1), S: (s, 0)}[d]
                 slots = 4 * (base + i * n + j) + d

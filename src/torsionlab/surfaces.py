@@ -49,14 +49,6 @@ class SquareTiledSurface:
 
     # -- derived data -------------------------------------------------------
 
-    @property
-    def tiles(self):
-        return self.complex.cells
-
-    @property
-    def boundary_sides(self):
-        return self.complex.boundary_slots()
-
     def cone_classes(self):
         return [vc for vc in self.complex.vertex_classes()
                 if not vc.boundary and vc.quadrants != 4]
@@ -90,7 +82,7 @@ def geometry_summary(surface):
     cpx = surface.complex
     return GeometrySummary(
         area=cpx.n_cells,
-        perimeter=len(cpx.boundary_slots()),
+        perimeter=int((cpx.partner < 0).sum()),
         cone_quadrants=sorted(vc.quadrants for vc in surface.cone_classes()),
         corner_quadrants=sorted(vc.quadrants for vc in surface.corner_classes()),
         euler_char=cpx.euler_characteristic(),
@@ -165,11 +157,11 @@ def slit():
 
 
 def _cone_even(k):
-    """Model cone of angle 2k*pi, k >= 2: k-sheeted cover of a 4x4 square
-    branched over the center.  Sheet s is cut along the ray from the center
-    to the right edge; crossing the cut ascends to sheet s+1.  Each sheet is
-    glued whole first, then the seam between its rows 1 and 2 in columns 2
-    and 3 is re-glued to the next sheet."""
+    """Cells and pairings of the model cone of angle 2k*pi, k >= 2: k-sheeted
+    cover of a 4x4 square branched over the center.  Sheet s is cut along the
+    ray from the center to the right edge; crossing the cut ascends to sheet
+    s+1.  Each sheet is glued whole first, then the seam between its rows 1
+    and 2 in columns 2 and 3 is re-glued to the next sheet."""
     pairings = {}
     cells = []
     for s in range(k):
@@ -177,7 +169,7 @@ def _cone_even(k):
     for s in range(k):
         for i in (2, 3):
             SquareComplex.glue(pairings, ((s, i, 1), N), (((s + 1) % k, i, 2), S))
-    return SquareComplex(cells, pairings)
+    return cells, pairings
 
 
 def cone_model(k):
@@ -195,15 +187,14 @@ def cone_model(k):
         glue(pairings, ((1, 0), S), ((2, 0), S), HALF_TURN)
         cpx = SquareComplex(cells, pairings)
     elif k % 2 == 0:
-        cpx = _cone_even(k // 2)
+        cpx = SquareComplex(*_cone_even(k // 2))
     else:
         # odd angle (2m+1)*pi: cut one seam of the 2m*pi cone open and glue a
         # folded 4x2 flap into it; the flap's four gluings re-glue all four
         # sides of the seam
         m = k // 2
-        base = _cone_even(m)
-        pairings = dict(base.pairings)
-        cells = base.cells + SquareComplex.glue_block(pairings, ("f",), 4, 2)
+        cells, pairings = _cone_even(m)
+        cells += SquareComplex.glue_block(pairings, ("f",), 4, 2)
         # right half of the flap bottom runs along the lower lip (translation);
         # left half folds back onto the upper lip (half-turn, reversed)
         glue(pairings, (("f", 2, 0), S), ((m - 1, 2, 1), N))

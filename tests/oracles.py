@@ -27,7 +27,7 @@ import numpy as np
 from torsionlab import bundles, experiments as ex
 from torsionlab.complexes import (CORNER_ON_SIDE, CORNER_PARAM, ENTER_SIDE, EXIT_SIDE,
                                   SW, SE, NE, NW, TRANSLATION, SquareComplex, VertexClass,
-                                  exit_slots)
+                                  corner_turn, exit_slots)
 from torsionlab.errors import BisectionFailure, IndexOutOfRange, InvalidGluing, NotAClosedWalk
 from torsionlab.forests import CRSFTable
 from torsionlab.torsion import SeparableSurface
@@ -158,7 +158,7 @@ def corner_walk_faces(mesh):
     corner in id order, one corner at a time; a walk that comes back to its
     start is a face, started at its smallest corner, and its corners are not
     walked again."""
-    nxt = mesh.corner_step().tolist()
+    nxt = corner_turn(mesh.partner).tolist()
     seen = set()
     groups = {}
     for c in range(len(mesh.partner)):
@@ -329,7 +329,7 @@ def dict_refine(cpx, n):
             s2 = s if kind == TRANSLATION else n - 1 - s
             SquareComplex.glue(pairings, SquareComplex.refined_side(c, d, s, n),
                                SquareComplex.refined_side(c2, d2, s2, n), kind)
-    return SquareComplex(cells, pairings, validate=False)
+    return SquareComplex(cells, pairings)
 
 
 # -- the mesh as records ----------------------------------------------------------

@@ -324,6 +324,20 @@ def test_bad_cuts_on_boundary():
         bundles.connection_from_holonomy(mesh, rep, cuts=[{((0, 0), 2): 1}])
 
 
+@pytest.mark.parametrize("cut,match", [
+    ({((2, 0), "E"): 1}, "side label"), ({((2, 0), 4): 1}, "side label"),
+    ({((2, 0), 0): 2}, "sign"), ({((2, 0), 0): 0}, "sign")],
+    ids=["side-name", "side-4", "sign-2", "sign-0"])
+def test_malformed_cuts_are_refused(cut, match):
+    # (2, 0)'s E side is the periodic seam of cylinder(3, 1)
+    mesh = meshes.discretize(surfaces.cylinder(3, 1), 2)
+    rep = bundles.HolonomyRepresentation(1, [np.array([[1j]])])
+    with pytest.raises(BadCuts, match=match):
+        mesh.refine_cuts([cut])
+    with pytest.raises(BadCuts, match=match):
+        bundles.connection_from_holonomy(mesh, rep, cuts=[cut])
+
+
 def _rows(phases):
     """The rows of a phase array in lexicographic order: characters come in
     the eigenbasis' order."""

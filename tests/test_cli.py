@@ -626,6 +626,26 @@ def test_random_bundle_on_a_raw_torus_exits_2(tmp_path):
     assert json.loads((out / "meta.json").read_text())["error"]["code"] == "BadCuts"
 
 
+_PHASE_I = [[[0, 1]]]       # the 1 x 1 generator i
+
+
+@pytest.mark.parametrize("surface,generators,code", [
+    ({"kind": "lshape"}, [_PHASE_I], 2), (_TORUS11, [_PHASE_I], 2),
+    (_TORUS11, [_PHASE_I] * 3, 2), (_TORUS11, [_PHASE_I] * 2, 0)],
+    ids=["lshape-1", "torus-1", "torus-3", "torus-2"])
+def test_zeta0_needs_one_generator_per_standard_cut(tmp_path, surface, generators, code):
+    # the L-shape is a disk and carries only the trivial bundle; the torus
+    # takes one generator per periodic side
+    cfg = {"experiment": "zeta0", "surface": surface,
+           "bundle": {"kind": "raw", "generators": generators}}
+    got, out = _run(tmp_path, cfg)
+    assert got == code
+    meta = json.loads((out / "meta.json").read_text())
+    if code:
+        assert meta["error"]["code"] == "BadCuts"
+        assert f"for {len(generators)} generators" in meta["error"]["message"]
+
+
 def test_constant_ladder_exits_2(tmp_path, capsys):
     cfg = {"experiment": "renorm-series", "surface": _TORUS11, "n_list": [16, 16, 16]}
     code, out = _run(tmp_path, cfg)

@@ -3,13 +3,15 @@ index-array mesh against the refined complex walked as dicts (`oracles.DictMesh`
 
 import hashlib
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsionlab import bundles, experiments, laplacian, meshes, surfaces
-from torsionlab.complexes import E, EXIT_SIDE, HALF_TURN, N, S, SIDE_NAMES, TRANSLATION, W
+from torsionlab.complexes import (E, EXIT_SIDE, HALF_TURN, N, S, SIDE_NAMES, TRANSLATION, W,
+                                  SquareComplex, refined_partner)
 from torsionlab.errors import NotAClosedWalk, UnknownPoint
 from oracles import (DictMesh, dict_refine, dict_vertex_classes, edge_copies, edge_ends,
                      slot_cell, slot_edges, vertex_cells)
@@ -293,6 +295,36 @@ def test_named_complexes_match_the_dict_walk(spec):
     assert_classes_match_dict_walk(surf)
     assert_refinement_matches_dict_refinement(surf)
     assert_faces_are_the_interior_classes(surf)
+
+
+@pytest.mark.parametrize("spec", NAMED_SPECS, ids=lambda spec: "-".join(map(str, spec.values())))
+def test_refine_hands_on_the_refined_partner_array(spec):
+    cpx = surfaces.build_surface(spec).complex
+    for n in range(1, 5):
+        assert np.array_equal(cpx.refine(n).partner, refined_partner(cpx.partner, n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_pairings_view_is_the_validated_input(data):
+    # the strategies build their complexes from a pairings mapping: catch the
+    # last one SquareComplex validated, and read it back off the array
+    inputs = []
+    init = SquareComplex.__init__
+
+    def capture(self, cells, pairings):
+        init(self, cells, pairings)
+        inputs.append(dict(pairings))
+
+    with patch.object(SquareComplex, "__init__", capture):
+        surf = data.draw(raw_surfaces() | glued_surfaces())
+    assert surf.complex.pairings == inputs[-1]
+
+
+def test_pairings_view_is_read_once():
+    cpx = surfaces.cone_model(3).complex
+    assert cpx.pairings is cpx.pairings
+    assert "pairings" not in vars(surfaces.cone_model(3).complex)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

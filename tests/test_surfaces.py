@@ -40,7 +40,7 @@ def test_model_counts(surf, area, perim, cones, corners):
     assert s.perimeter == perim
     assert s.cone_quadrants == cones
     assert s.corner_quadrants == corners
-    assert (s.perimeter == 0) == (len(surf.boundary_sides) == 0)
+    assert (s.perimeter == 0) == bool(np.all(surf.complex.partner >= 0))
 
 
 @pytest.mark.parametrize("surf", [m[0] for m in MODEL_DATA],
@@ -170,7 +170,7 @@ def test_random_gluings_gauss_bonnet():
 
 
 def test_build_surface_json_kinds():
-    assert surfaces.build_surface({"kind": "rectangle", "a": 2, "b": 3}).tiles
+    assert surfaces.build_surface({"kind": "rectangle", "a": 2, "b": 3}).complex.cells
     assert surfaces.build_surface('{"kind": "torus", "a": 1, "b": 1}').kind == "torus"
     assert surfaces.build_surface({"kind": "lshape"}).name == "lshape"
     assert surfaces.build_surface({"kind": "slit"}).name == "slit"
@@ -319,10 +319,7 @@ def test_singular_point_lookup():
 def test_a_vertex_walk_that_does_not_close_is_refused():
     # unvalidated: x's W side is glued one way onto the one-tile torus, so
     # the walk around x's SW corner runs on around the torus's vertex forever
-    pairings = {}
-    cells = SquareComplex.glue_block(pairings, ("t",), 1, 1, (True, True)) + ["x"]
-    pairings[("x", W)] = (("t", 0, 0), E, TRANSLATION)
-    cpx = SquareComplex(cells, pairings, validate=False)
+    cpx = SquareComplex.from_partner([("t", 0, 0), "x"], [2, 3, 0, 1, -1, -1, 0, -1])
     with pytest.raises(InvalidGluing, match="does not close"):
         cpx.vertex_classes()
     with pytest.raises(InvalidGluing, match="does not close"):
