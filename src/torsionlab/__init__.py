@@ -23,7 +23,7 @@ from .laplacian import (HermitianSpectrum, assemble, spectrum, log_det_prime,
                         sparse_log_det, discrete_zeta)
 from .forests import (CRSFTable, count_spanning_trees, enumerate_crsfs,
                       crsf_weighted_sum, crsf_identity, noncontractible_expectation)
-from .meshspectra import (CATALAN, FourierProfile, catalan_constant,
+from .meshspectra import (CATALAN, FourierProfile,
                           rectangle_mesh_spectrum, torus_mesh_spectrum,
                           closed_form_log_det,
                           sin_product, sin_product_direct,

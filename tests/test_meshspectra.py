@@ -15,7 +15,9 @@ from torsionlab.experiments import convergence_study
 
 def test_catalan_constant():
     import mpmath
-    assert abs(ms.CATALAN - float(mpmath.catalan)) < 1e-15
+    with mpmath.workdps(30):
+        assert ms.CATALAN == float(mpmath.catalan)
+        assert ms.LOG_SQRT2M1 == float(mpmath.log(mpmath.sqrt(2) - 1))
     # bracketing by raw alternating partial sums around an even/odd cut
     s = 0.0
     partials = []
