@@ -13,9 +13,9 @@ to it, or -1 on the boundary: the partner array of the complex's n x n
 refinement (`complexes.refined_partner`), so the tile complex is this mesh at
 n = 1.  Edges, faces, neighbor sets and cut crossings are index arithmetic on
 these; the faces are the closed fans of the corner turn
-(`complexes.corner_fans`), stepped for all corners together, with no
-per-corner loop.  The arrays are the mesh's one representation:
-``mesh.edges`` is ``range(E)``.
+(`complexes.corner_turn` of ``partner``, walked by `complexes.corner_fans`),
+stepped for all corners together, with no per-corner loop.  The arrays are
+the mesh's one representation: ``mesh.edges`` is ``range(E)``.
 """
 
 from __future__ import annotations

@@ -22,6 +22,8 @@ indexed by (i, j); its rescaled eigenvalues are 4n^2 sin^2(pi i / 2an) +
 projector-shifted kernel.  Multiplication by low cosine modes is almost
 diagonal in this basis, which reduces tr(phi log(n^2 Delta)) to short
 alternating eigenvalue sums with explicit large-n expansions.
+The constants of the area and perimeter terms, CATALAN (Catalan's G) and
+LOG_SQRT2M1 (log(sqrt 2 - 1)), are correctly rounded literals.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Square-tiled flat surfaces with cone points and boundary corners.
 
 A surface is stored combinatorially: unit-square tiles plus a side-pairing
-involution tagged translation / half-turn.  Every constructor glues a few
-rectangular blocks of tiles with SquareComplex.glue_block, then pairs or
-re-pairs the sides between blocks with SquareComplex.glue: a product surface
-is one block, periodic where SEPARABLE_KINDS says; an angle model is one 2x2
-block per quadrant; a cone is one 4x4 block per sheet, plus a 4x2 flap at
-odd angles, or a 4x2 block folded at its bottom.  Interior lattice points of angle k*pi (k != 2) are
+involution, held as its complex's slot-partner array (``complexes``).  Every
+constructor builds a (cell, side) dict, which SquareComplex validates and
+reads into the array: it glues a few rectangular blocks of tiles with
+SquareComplex.glue_block, then pairs or re-pairs the sides between blocks
+with SquareComplex.glue.  A product surface is one block, periodic where
+SEPARABLE_KINDS says; an angle model is one 2x2 block per quadrant; a cone is
+one 4x4 block per sheet, plus a 4x2 flap at odd angles, or a 4x2 block
+folded at its bottom.  Interior lattice points of angle k*pi (k != 2) are
 cones; boundary lattice points of angle k*pi/2 (k != 2) are corners.
 
 This module is the one place that knows the surface kinds.  SEPARABLE_KINDS
