@@ -218,7 +218,8 @@ def _run_spectrum(cfg, rng):
 def _run_logdet(cfg, rng):
     """log det' of one mesh.  A separable kind takes the closed form of the
     bundle's characters (torsion.CharacterSum), any bundle at any rank; every
-    other kind meshes the surface and takes the sparse LU."""
+    other kind takes experiments.MeshSource.log_det, whose route (strips for
+    the trivial bundle, the sparse LU otherwise) and health go into meta."""
     n = cfg["n"]
     if cfg["surface"].get("kind") in surfaces.SEPARABLE_KINDS:
         surface = surfaces.build_surface(cfg["surface"])
@@ -229,12 +230,9 @@ def _run_logdet(cfg, rng):
         meta = {"route": "closed-form", "kernel_gap": split.kernel_gap(n),
                 "n_vertices": meshes.mesh_counts(surface, n)[0]}
     else:
-        conn = _mesh_source(cfg, rng).connection(n, laplacian.check_sparse_budget)
-        res = laplacian.sparse_log_det(conn)
-        log_det, kernel_dim = res.log_det_prime, res.kernel_dim
-        meta = {"route": "sparse", "kernel_gap": res.kernel_gap,
-                "n_vertices": conn.graph.n_vertices, "nnz": res.nnz,
-                "factor_nnz": res.factor_nnz, "lanczos_steps": res.lanczos_steps}
+        source = _mesh_source(cfg, rng)
+        log_det, kernel_dim = source.log_det(n), source.dim_h0
+        meta = {**source.health[n], "n_vertices": meshes.mesh_counts(source.surface, n)[0]}
     return {
         "files": {"logdet.csv": _csv([(n, log_det, kernel_dim)],
                                      ["n", "logdet_prime", "kernel_dim"])},
@@ -558,6 +556,7 @@ def selftest(seed=0):
     check("mesh arrays: counts, gluing, faces and cone fans", mesh_arrays_check)
 
     def laplacian_check():
+        from . import strips
         m = meshes.discretize(surfaces.rectangle(1, 1), 2)
         conn = bundles.trivial_connection(m, 1)
         spec = laplacian.spectrum(laplacian.assemble(conn), expected_kernel_dim=conn.flat_sections)
@@ -567,6 +566,13 @@ def selftest(seed=0):
                  "log det' is not log 16")
         got = laplacian.sparse_log_det(conn).log_det_prime
         _require(abs(got - math.log(16)) < 1e-12, f"sparse log det' {got} is not log 16")
+        for surf in (surfaces.cone_model(1), surfaces.lshape()):
+            for n in (1, 2, 3):
+                want = laplacian.sparse_log_det(
+                    bundles.trivial_connection(meshes.discretize(surf, n), 1)).log_det_prime
+                got = strips.strip_log_det(surf.complex.partner, n).log_det_prime
+                _require(abs(got - want) <= 1e-12 * abs(want),
+                         f"{surf.name} n={n} strip log det' {got} vs sparse {want}")
         alpha, beta = 1.3, -0.7
         rep = bundles.HolonomyRepresentation.from_phases([alpha, beta])
         mesh = meshes.discretize(surfaces.torus(1, 1), 4)
@@ -580,7 +586,8 @@ def selftest(seed=0):
         _require(abs(got.log_det_prime - want) < 1e-12 * abs(want),
                  f"sparse SU(2) torus log det' {got.log_det_prime} vs its characters {want}")
 
-    check("log det': 2x2 grid dense and sparse, twisted tori sparse and closed form",
+    check("log det': 2x2 grid dense and sparse, strips and sparse, twisted tori sparse and "
+          "closed form",
           laplacian_check)
 
     def forest_check():

@@ -29,7 +29,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InvalidGluing, UnknownPoint
+from .errors import HypothesisViolation, InvalidGluing, UnknownPoint
 
 # side labels
 E, N, W, S = 0, 1, 2, 3
@@ -137,6 +137,103 @@ def corner_fans(partner):
         keep = np.where(chain, nxt >= 0, nxt > fan[:, 0])
         fan, chain = np.column_stack([fan, nxt])[keep], chain[keep]
     return closed, chains
+
+
+@dataclass(frozen=True)
+class Strip:
+    """A horizontal strip: a stack of chains, each glued N to S straight onto
+    the one below it, tile for tile.
+
+    ``tiles`` is (h, w): row j is the j-th chain from the bottom, and column x
+    runs west to east.  ``cyclic`` when the chains close up E to W.  ``wrap``
+    is None for an open stack; a closed stack's top chain is glued straight
+    onto its bottom one, column x under column (x + wrap) % w.  The strip
+    keeps its bottom row (``keep_bottom``) when a tile of its bottom chain
+    has an S pairing, its top row (``keep_top``) when one of its top chain
+    has an N pairing, and its bottom row when it would keep no row otherwise
+    (a closed stack, or a surface that is one strip).
+    """
+
+    tiles: np.ndarray
+    cyclic: bool
+    wrap: int | None
+    keep_bottom: bool
+    keep_top: bool
+
+
+def east_west_half_turns(partner):
+    """The E and W side slots glued by a half-turn (to a side of the same label)."""
+    side = np.arange(len(partner)) & 3
+    return np.flatnonzero((partner >= 0) & (partner & 3 == side) & ((side == E) | (side == W)))
+
+
+def horizontal_strips(partner):
+    """The horizontal strips of the complex whose partner array is
+    ``partner``, as a list of `Strip`.
+
+    A chain is a maximal run of tiles glued E to W by translations, a path or
+    a cycle; a chain sits straight on another when every tile's N side is
+    glued by a translation to the S side of the tile in the same column.
+    HypothesisViolation when an E or W side is glued by a half-turn: the
+    next tile is then upside down, which no strip here holds.
+    """
+    turned = east_west_half_turns(partner)
+    if len(turned):
+        raise HypothesisViolation(f"side slot {turned[0]} is glued E or W by a half-turn; "
+                                  "horizontal strips need translations there")
+    n_tiles = len(partner) // 4
+    east = partner[4 * np.arange(n_tiles) + E]
+    nxt = np.where(east >= 0, east >> 2, -1).tolist()
+    has_prev = set(t for t in nxt if t >= 0)
+    chain_of, pos, chains = [-1] * n_tiles, [0] * n_tiles, []
+    for start in [t for t in range(n_tiles) if t not in has_prev] + list(range(n_tiles)):
+        if chain_of[start] >= 0:
+            continue
+        tiles, t = [], start
+        while t >= 0 and chain_of[t] < 0:
+            chain_of[t], pos[t] = len(chains), len(tiles)
+            tiles.append(t)
+            t = nxt[t]
+        chains.append((np.array(tiles), t == start))
+    chain_of, pos = np.array(chain_of), np.array(pos)
+
+    # above[c] = (chain straight on c, the column shift of its tiles)
+    above = {}
+    for c, (tiles, cyclic) in enumerate(chains):
+        north = partner[4 * tiles + N]
+        if np.any((north < 0) | (north & 3 != S)):
+            continue
+        up = north >> 2
+        c2 = int(chain_of[up[0]])
+        shift = int(pos[up[0]])
+        w = len(tiles)
+        if (np.all(chain_of[up] == c2) and len(chains[c2][0]) == w and chains[c2][1] == cyclic
+                and (cyclic or shift == 0) and np.all(pos[up] == (shift + np.arange(w)) % w)):
+            above[c] = (c2, shift)
+    below = {c2: c for c, (c2, _) in above.items()}
+
+    strips, seen = [], set()
+    for start in [c for c in range(len(chains)) if c not in below] + list(range(len(chains))):
+        if start in seen:
+            continue
+        layers, offset, c = [], 0, start
+        while True:
+            seen.add(c)
+            tiles, cyclic = chains[c]
+            layers.append(np.roll(tiles, -offset))
+            if c not in above:
+                wrap = None
+                break
+            c, shift = above[c]
+            offset = (offset + shift) % len(tiles)
+            if c == start:
+                wrap = offset
+                break
+        grid = np.stack(layers)
+        bottom = wrap is None and bool(np.any(partner[4 * grid[0] + S] >= 0))
+        top = wrap is None and bool(np.any(partner[4 * grid[-1] + N] >= 0))
+        strips.append(Strip(grid, cyclic, wrap, bottom or not top, top))
+    return strips
 
 
 def refined_partner(partner, n):

@@ -9,17 +9,20 @@ target() (None without a closed form) and label().
 - torsion.SeparableSurface (tori, cylinders, rectangles, twisted or not)
   gives log_det(n) in closed form, and its limit is the continuum torsion.
 - MeshSource is a surface with a flat bundle (the trivial one at any rank,
-  or a holonomy).  It meshes the surface at each n, and takes the sparse
-  log det' (laplacian.sparse_log_det); it records each n's kernel gap,
-  Lanczos steps and fill as the series' health.  It has no target.  Its
-  connection(n, check_budget) is also the one mesh setup of every CLI run
-  that meshes a surface, each with its own route's budget.
+  or a holonomy).  Its log_det(n) is the one dispatch of a mesh log det':
+  the trivial bundle on a gluing without E/W half-turns takes the strip
+  route (strips.strip_log_det), with no mesh built; a holonomy or such a
+  gluing meshes the surface and takes the sparse LU
+  (laplacian.sparse_log_det).  It records each n's route and its numbers as
+  the series' health.  It has no target.  Its connection(n, check_budget)
+  is also the one mesh setup of every CLI run that meshes a surface, each
+  with its own route's budget.
 
 convergence_study runs the loop on a source.  It checks the ladder and then
 solves the largest n first, so that a ladder the extrapolation refuses, or
 one beyond the budget, is refused before its first mesh.
 dense_renorm_series runs it on the same meshes through dense eigensolves: it
-is the oracle of the sparse route, and no option selects it elsewhere.
+is the oracle of the mesh routes, and no option selects it elsewhere.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .bundles import connection_from_holonomy, flat_sections_dim, trivial_connection
+from .complexes import east_west_half_turns
 from .errors import BadCuts, BisectionFailure, HypothesisViolation, SupportViolation
 from .forests import sum_in_order
 from .laplacian import (assemble, check_dense_budget, check_sparse_budget, log_det_prime,
@@ -93,8 +97,9 @@ class RenormSeries:
     extrapolated: float
     err_estimate: float
     target: float = None
-    # per n, {kernel_gap, lanczos_steps, nnz, factor_nnz} of a MeshSource's
-    # sparse solve; None for the other sources
+    # per n, a MeshSource's route ("strip" or "sparse"), kernel_gap and
+    # lanczos_steps, with K, strips and pivot_ratio of the strip route or nnz
+    # and factor_nnz of the sparse one; None for the other sources
     health: list = None
 
     def abs_errors(self):
@@ -132,17 +137,21 @@ def convergence_study(source, n_list):
 
 
 class MeshSource:
-    """A surface meshed at each n, carrying the trivial bundle at ``rank`` or
-    the flat bundle of ``rep`` at its own rank, solved by the sparse log det'.
+    """A surface carrying the trivial bundle at ``rank`` or the flat bundle of
+    ``rep`` at its own rank, solved at each n by the strip route or the
+    sparse log det' (``log_det``).
 
     Area and perimeter come from the geometry summary, and zeta(0) from the
     holonomy's count of flat sections, which does not depend on n; a surface
     whose tiles fall into more than one component has more flat sections
     than that count, so it raises HypothesisViolation, and a holonomy with
-    other than one generator per standard cut raises BadCuts.  Each
-    log_det(n) checks the sparse budget before the mesh is built (so an
-    over-budget n raises BudgetExceeded and builds nothing), and its solve
-    confirms the kernel and its gap; ``health[n]`` keeps the solve's numbers.
+    other than one generator per standard cut raises BadCuts.  ``dim_h0``
+    is that count, and ``strip_route`` says whether log_det takes the strip
+    route: the trivial bundle on a gluing without E/W half-turns.  Each
+    log_det(n) checks its route's budget before any array or mesh is built
+    (so an over-budget n raises BudgetExceeded and builds nothing), and its
+    solve confirms the kernel and its gap; ``health[n]`` keeps the route and
+    the solve's numbers.
     """
 
     def __init__(self, surface, rep=None, rank=1):
@@ -161,8 +170,10 @@ class MeshSource:
         self.rank = rank if rep is None else rep.rank
         self.area = summary.area
         self.perimeter = summary.perimeter
-        dim_h0 = self.rank if rep is None else flat_sections_dim(rep)
-        self.zeta0 = zeta_zero(summary, rank=self.rank, dim_h0=dim_h0)
+        self.dim_h0 = self.rank if rep is None else flat_sections_dim(rep)
+        self.zeta0 = zeta_zero(summary, rank=self.rank, dim_h0=self.dim_h0)
+        self.strip_route = (rep is None
+                            and not len(east_west_half_turns(surface.complex.partner)))
         self.health = {}
 
     def connection(self, n, check_budget):
@@ -176,9 +187,19 @@ class MeshSource:
         return connection_from_holonomy(mesh, self.rep)
 
     def log_det(self, n):
-        res = sparse_log_det(self.connection(n, check_sparse_budget))
-        self.health[n] = {"kernel_gap": res.kernel_gap, "lanczos_steps": res.lanczos_steps,
-                          "nnz": res.nnz, "factor_nnz": res.factor_nnz}
+        """log det' at n by the strip route when ``strip_route``, else by the sparse
+        LU of the connection; ``health[n]`` records the route and its numbers."""
+        if self.strip_route:
+            from . import strips
+            res = strips.strip_log_det(self.surface.complex.partner, n, self.rank)
+            self.health[n] = {"route": "strip", "kernel_gap": res.kernel_gap,
+                              "lanczos_steps": res.lanczos_steps, "K": res.K,
+                              "strips": res.strips, "pivot_ratio": res.pivot_ratio}
+        else:
+            res = sparse_log_det(self.connection(n, check_sparse_budget))
+            self.health[n] = {"route": "sparse", "kernel_gap": res.kernel_gap,
+                              "lanczos_steps": res.lanczos_steps, "nnz": res.nnz,
+                              "factor_nnz": res.factor_nnz}
         return res.log_det_prime
 
     def target(self):

@@ -17,6 +17,9 @@ the pseudo-inverse gives the gap lambda_{k+1}.  SuperLU is the only scipy
 code on this route; the Lanczos loop is numpy, with its vector work in
 ``einsum``, because numpy and scipy each load their own OpenBLAS and two
 thread pools taking turns spin against each other on a small machine.
+The sparse route serves a bundle given by a holonomy and a gluing with E/W
+half-turns, and is the oracle of the strip route (``strips``), which takes
+the trivial bundle with numpy alone and shares its Lanczos loop.
 """
 
 from __future__ import annotations
@@ -236,16 +239,17 @@ def sparse_log_det(conn):
     return SparseLogDet(ld, k, gap, red.nnz, lu.nnz, steps)
 
 
-def _largest_eigenvalue(apply, size, dtype):
+def _largest_eigenvalue(apply, size, dtype, max_steps=None):
     """(top eigenvalue, steps) of the Hermitian PSD operator ``apply`` on
-    vectors of ``size`` entries of ``dtype``, by Lanczos from a seeded start.
+    vectors of ``size`` entries of ``dtype``, by Lanczos from a seeded start,
+    keeping at most ``max_steps`` (default LANCZOS_MAX_STEPS) Krylov vectors.
 
     Each step applies the operator once, orthogonalizes against the whole
     basis twice (full reorthogonalization) and diagonalizes the tridiagonal
     T_j.  It stops when the top Ritz pair's
     residual beta_j |s_j,last| is within LANCZOS_TOL of its value, at
     breakdown, or after ``size`` steps: then the Krylov space is invariant and
-    the Ritz value exact.  LanczosNoConvergence after LANCZOS_MAX_STEPS.
+    the Ritz value exact.  LanczosNoConvergence after ``max_steps``.
 
     That residual holds only for a Hermitian operator, so the top Ritz vector
     is then applied once more: KernelMismatch when its true residual is above
@@ -254,7 +258,8 @@ def _largest_eigenvalue(apply, size, dtype):
     """
     w = np.random.default_rng(0).standard_normal(size).astype(dtype)
     b = _norm(w)
-    basis = np.empty((min(size, LANCZOS_MAX_STEPS), size), dtype=dtype)
+    cap = LANCZOS_MAX_STEPS if max_steps is None else max_steps
+    basis = np.empty((min(size, cap), size), dtype=dtype)
     alpha, beta = [], []
     for j in range(len(basis)):
         basis[j] = w / b

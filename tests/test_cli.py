@@ -29,6 +29,15 @@ def _run(tmp_path, cfg, name="cfg.json", extra=()):
 
 _TORUS11 = {"kind": "torus", "a": 1, "b": 1}
 _TWIST = {"alpha": 1.3, "beta": -0.7}
+# cone(pi) turned a quarter turn: a 2 x 4 block whose W sides fold onto each
+# other by half-turns, which no horizontal strip holds
+_TURNED_CONE1 = {
+    "kind": "raw", "tiles": [[i, j] for i in range(2) for j in range(4)],
+    "pairings": ([[[[0, j], "E"], [[1, j], "W"], "translation"] for j in range(4)]
+                 + [[[[i, j], "N"], [[i, j + 1], "S"], "translation"]
+                    for i in range(2) for j in range(3)]
+                 + [[[[0, 0], "W"], [[0, 3], "W"], "half-turn"],
+                    [[[0, 1], "W"], [[0, 2], "W"], "half-turn"]])}
 
 
 def test_renorm_series_run(tmp_path):
@@ -195,27 +204,45 @@ def test_logdet_runs_beyond_the_dense_budget(tmp_path):
 
 
 def test_sparse_budget_refusal_exits_3(tmp_path):
+    # a gluing with E/W half-turns takes the sparse route
     from torsionlab import surfaces
     from torsionlab.laplacian import SPARSE_BUDGET
 
     def entries(n):     # r|V| + 2 r^2 |E| at rank 1
-        nv, ne = meshes.mesh_counts(surfaces.lshape(), n)
+        nv, ne = meshes.mesh_counts(surfaces.build_surface(_TURNED_CONE1), n)
         return nv + 2 * ne
 
     n = next(n for n in itertools.count(1) if entries(n) > SPARSE_BUDGET)
-    cfg = {"experiment": "logdet", "surface": {"kind": "lshape"}, "n": n}
-    code, out = _run(tmp_path, cfg)
-    assert code == 3
+    cfg = {"experiment": "logdet", "surface": _TURNED_CONE1, "n": n}
+    code, out, peak = _traced_run(tmp_path, cfg)
+    assert code == 3 and peak < 1e6
     meta = json.loads((out / "meta.json").read_text())
     assert meta["error"]["code"] == "BudgetExceeded"
+    assert "sparse budget" in meta["error"]["message"]
+
+
+def test_strip_budget_refusal_exits_3_without_allocating(tmp_path):
+    from torsionlab import strips, surfaces
+
+    def held(n):        # K^2 + sum m^2 + 16 |V| on the L-shape: K = 6n, m = 4n and 2n
+        return 56 * n * n + strips.STRIP_VECTORS * meshes.mesh_counts(surfaces.lshape(), n)[0]
+
+    n = next(n for n in itertools.count(1) if held(n) > strips.STRIP_BUDGET)
+    assert 1024 < n <= 2048
+    cfg = {"experiment": "logdet", "surface": {"kind": "lshape"}, "n": n}
+    code, out, peak = _traced_run(tmp_path, cfg)
+    assert code == 3 and peak < 1e6
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["error"]["code"] == "BudgetExceeded"
+    assert "strip budget" in meta["error"]["message"]
 
 
 @pytest.mark.parametrize("experiment,size,error", [
-    ("logdet", {"n": 256}, "BudgetExceeded"),
+    ("logdet", {"n": 2048}, "BudgetExceeded"),
     ("spectrum", {"n": 64}, "BudgetExceeded"),
     ("crsf-verify", {"n": 256}, "TooLarge"),
-    ("renorm-series", {"n_list": [64, 128, 256]}, "BudgetExceeded")],
-    ids=["logdet-256", "spectrum-64", "crsf-verify-256", "renorm-series-64-128-256"])
+    ("renorm-series", {"n_list": [512, 1024, 2048]}, "BudgetExceeded")],
+    ids=["logdet-2048", "spectrum-64", "crsf-verify-256", "renorm-series-512-1024-2048"])
 def test_over_budget_run_builds_no_mesh(tmp_path, monkeypatch, experiment, size, error):
     # the runners mesh through experiments' own binding of discretize
     from torsionlab import experiments, meshes
@@ -269,9 +296,9 @@ def test_logdet_of_a_holonomy_within_rounding_of_trivial(tmp_path):
 def test_runners_call_the_library_through_its_module(tmp_path, monkeypatch):
     # the tracer and the selftest's test rebind module attributes: a runner
     # must look its library functions up there at call time
-    from torsionlab import laplacian
-    monkeypatch.setattr(laplacian, "sparse_log_det",
-                        lambda conn: laplacian.SparseLogDet(1.5, 1, 0.25, 1, 1, 1))
+    from torsionlab import strips
+    monkeypatch.setattr(strips, "strip_log_det",
+                        lambda partner, n, rank: strips.StripLogDet(1.5, 1, 0.25, 1, 1, 1.0, 1))
     cfg = {"experiment": "logdet", "surface": {"kind": "lshape"}, "n": 2}
     code, out = _run(tmp_path, cfg)
     assert code == 0
@@ -319,18 +346,53 @@ def test_logdet_on_a_separable_kind_takes_the_closed_form(tmp_path, monkeypatch,
     assert "nnz" not in meta and "lanczos_steps" not in meta
 
 
-def test_logdet_on_the_lshape_takes_the_sparse_route(tmp_path, monkeypatch):
-    from torsionlab import laplacian
+def test_logdet_on_the_lshape_takes_the_strip_route(tmp_path, monkeypatch):
+    from torsionlab import experiments, strips, surfaces
     calls = []
-    solve = laplacian.sparse_log_det
-    monkeypatch.setattr(laplacian, "sparse_log_det", lambda conn: calls.append(conn) or solve(conn))
+    solve = strips.strip_log_det
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mesh route was taken")
+
+    monkeypatch.setattr(strips, "strip_log_det",
+                        lambda *args: calls.append(args) or solve(*args))
+    for module, name in ((experiments, "sparse_log_det"), (meshes, "discretize"),
+                         (experiments, "discretize")):
+        monkeypatch.setattr(module, name, refuse)
     cfg = {"experiment": "logdet", "surface": {"kind": "lshape"}, "n": 2,
            "bundle": {"kind": "trivial", "rank": 2}}
     code, out = _run(tmp_path, cfg)
     assert code == 0 and len(calls) == 1
     meta = json.loads((out / "meta.json").read_text())
+    assert meta["route"] == "strip" and meta["kernel_dim"] == 2 and meta["n_vertices"] == 48
+    assert meta["K"] == 12 and meta["strips"] == 2 and 0 < meta["pivot_ratio"] <= 1
+    assert meta["kernel_gap"] > 0 and meta["lanczos_steps"] > 0
+    assert "nnz" not in meta and "factor_nnz" not in meta
+    one = strips.strip_log_det(surfaces.lshape().complex.partner, 2)
+    assert meta["logdet_prime"] == 2 * one.log_det_prime
+
+
+@pytest.mark.parametrize("surface,bundle", [
+    ({"kind": "lshape"}, {"kind": "raw", "rank": 2, "generators": []}),
+    (_TURNED_CONE1, {"kind": "trivial", "rank": 2})], ids=["holonomy", "ew-half-turns"])
+def test_logdet_takes_the_sparse_route_where_strips_do_not_reach(tmp_path, monkeypatch,
+                                                                surface, bundle):
+    # a bundle given by a holonomy, and a gluing with E/W half-turns
+    from torsionlab import bundles, experiments, laplacian, surfaces
+    calls = []
+    solve = laplacian.sparse_log_det
+    monkeypatch.setattr(experiments, "sparse_log_det",
+                        lambda conn: calls.append(conn) or solve(conn))
+    cfg = {"experiment": "logdet", "surface": surface, "n": 3, "bundle": bundle}
+    code, out = _run(tmp_path, cfg)
+    assert code == 0 and len(calls) == 1
+    meta = json.loads((out / "meta.json").read_text())
+    mesh = meshes.discretize(surfaces.build_surface(surface), 3)
+    want = solve(bundles.trivial_connection(mesh, 2))
     assert meta["route"] == "sparse" and meta["kernel_dim"] == 2
-    assert meta["factor_nnz"] >= meta["nnz"] > 0 and meta["lanczos_steps"] > 0
+    assert meta["logdet_prime"] == want.log_det_prime and meta["kernel_gap"] == want.kernel_gap
+    assert meta["factor_nnz"] == want.factor_nnz >= meta["nnz"] == want.nnz > 0
+    assert meta["lanczos_steps"] > 0
 
 
 def test_weyl_check_beyond_the_closed_form_budget_exits_3_without_allocating(tmp_path):
@@ -406,6 +468,32 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_logdet_and_renorm_series_on_the_lshape_leave_scipy_unloaded(tmp_path):
+    # the strip route is numpy only; scipy's sparse LU is loaded by a holonomy
+    # or a gluing with E/W half-turns alone
+    paths = []
+    for cfg in ({"experiment": "logdet", "surface": {"kind": "lshape"}, "n": 8},
+                {"experiment": "renorm-series", "surface": {"kind": "lshape"},
+                 "n_list": [2, 4, 8]}):
+        paths.append(tmp_path / f"{cfg['experiment']}.json")
+        paths[-1].write_text(json.dumps(cfg))
+    code = ("import sys; from torsionlab import cli; "
+            "codes = [cli.main(['run', '--config', p, '--out', p + '.out']) "
+            "for p in sys.argv[1:]]; "
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(pathlib.Path(torsionlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] []"
+    for path in paths:
+        meta = json.loads((pathlib.Path(str(path) + ".out") / "meta.json").read_text())
+        routes = [meta.get("route")] if "route" in meta else [h["route"] for h in meta["health"]]
+        assert routes and set(routes) == {"strip"}
+
+
 def test_szego_and_determinism(tmp_path):
     # the mixed mode (1, 1) makes the trace a numpy scalar
     cfg = {"experiment": "szego",
@@ -431,8 +519,8 @@ def test_non_separable_kind_exits_2(tmp_path, experiment):
 
 
 def test_renorm_series_runs_on_a_kind_without_closed_form(tmp_path):
-    # the L-shape runs through the sparse log det': no target, and the
-    # health of each n's solve in meta.json
+    # the L-shape runs through the strip route: no target, and the health of
+    # each n's solve in meta.json
     cfg = {"experiment": "renorm-series", "surface": {"kind": "lshape"}, "n_list": [8, 16, 32]}
     code, out = _run(tmp_path, cfg)
     assert code == 0
@@ -446,8 +534,9 @@ def test_renorm_series_runs_on_a_kind_without_closed_form(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["target"] is None and math.isfinite(meta["extrapolated"])
     assert [h["n"] for h in meta["health"]] == [8, 16, 32]
-    for h in meta["health"]:
-        assert h["kernel_gap"] > 0 and h["lanczos_steps"] > 0 and h["factor_nnz"] >= h["nnz"] > 0
+    for n, h in zip([8, 16, 32], meta["health"]):
+        assert h["route"] == "strip" and h["K"] == 6 * n and h["strips"] == 2
+        assert h["kernel_gap"] > 0 and h["lanczos_steps"] > 0 and 0 < h["pivot_ratio"] <= 1
 
 
 def test_twisted_renorm_series_without_closed_form_exits_2(tmp_path):

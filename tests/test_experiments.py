@@ -169,7 +169,10 @@ def test_mesh_source_series_matches_the_dense_oracle(surf, rep):
     assert abs(got.extrapolated - want.extrapolated) < 1e-9
     assert got.target is None and want.health is None
     assert len(got.health) == 3
-    assert all(h["kernel_gap"] > 0 and h["factor_nnz"] >= h["nnz"] > 0 for h in got.health)
+    # the trivial bundle takes the strip route, a holonomy the sparse one
+    assert all(h["kernel_gap"] > 0 and h["route"] == ("sparse" if rep else "strip")
+               for h in got.health)
+    assert all(h["factor_nnz"] >= h["nnz"] > 0 if rep else h["K"] > 0 for h in got.health)
 
 
 def test_mesh_source_renormalizes_at_the_holonomy_rank_and_kernel():
@@ -189,13 +192,15 @@ def test_mesh_source_refuses_an_over_budget_n_before_building(monkeypatch):
 
     monkeypatch.setattr(ex, "discretize", no_mesh)
     monkeypatch.setattr(meshes, "discretize", no_mesh)
-    with pytest.raises(BudgetExceeded):
-        ex.MeshSource(surfaces.lshape()).log_det(256)
+    with pytest.raises(BudgetExceeded, match="strip budget"):
+        ex.MeshSource(surfaces.lshape()).log_det(2048)
+    with pytest.raises(BudgetExceeded, match="sparse budget"):
+        ex.MeshSource(surfaces.lshape(), bundles.HolonomyRepresentation(1, [])).log_det(256)
 
 
 @pytest.mark.parametrize("series,surface,ns", [
     (lambda surface, ns: ex.convergence_study(ex.MeshSource(surface), ns),
-     surfaces.lshape(), [64, 128, 256]),
+     surfaces.lshape(), [512, 1024, 2048]),
     (ex.dense_renorm_series, surfaces.rectangle(4, 4), [10, 20, 40])],
     ids=["mesh-source", "dense"])
 def test_a_ladder_beyond_its_budget_is_refused_before_its_first_mesh(monkeypatch, series,
