@@ -20,7 +20,7 @@ from .bundles import (HolonomyRepresentation, UnitaryConnection,
                       flat_sections_dim, random_su2, random_unitary,
                       random_flat_representation, generator_loop)
 from .laplacian import (HermitianSpectrum, assemble, spectrum, log_det_prime,
-                        sparse_log_det, discrete_zeta)
+                        discrete_zeta)
 from .forests import (CRSFTable, count_spanning_trees, enumerate_crsfs,
                       crsf_weighted_sum, crsf_identity, noncontractible_expectation)
 from .meshspectra import (CATALAN, FourierProfile,

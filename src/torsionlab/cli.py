@@ -216,27 +216,18 @@ def _run_spectrum(cfg, rng):
 
 
 def _run_logdet(cfg, rng):
-    """log det' of one mesh.  A separable kind takes the closed form of the
-    bundle's characters (torsion.CharacterSum), any bundle at any rank; every
-    other kind takes experiments.MeshSource.log_det, whose route (strips for
-    the trivial bundle, the sparse LU otherwise) and health go into meta."""
+    """log det' of one mesh by experiments.MeshSource.log_det: the closed form
+    of the bundle's characters on a torus, cylinder or rectangle, the strip
+    route elsewhere, with the route and its health in meta."""
     n = cfg["n"]
-    if cfg["surface"].get("kind") in surfaces.SEPARABLE_KINDS:
-        surface = surfaces.build_surface(cfg["surface"])
-        split = torsion.CharacterSum.from_holonomy(
-            surface.kind, surface.params["a"], surface.params["b"],
-            *_holonomy(cfg, surface, rng))
-        log_det, kernel_dim = split.log_det(n), split.dim_h0
-        meta = {"route": "closed-form", "kernel_gap": split.kernel_gap(n),
-                "n_vertices": meshes.mesh_counts(surface, n)[0]}
-    else:
-        source = _mesh_source(cfg, rng)
-        log_det, kernel_dim = source.log_det(n), source.dim_h0
-        meta = {**source.health[n], "n_vertices": meshes.mesh_counts(source.surface, n)[0]}
+    source = _mesh_source(cfg, rng)
+    log_det = source.log_det(n)
+    meta = {"logdet_prime": log_det, "kernel_dim": source.dim_h0, **source.health[n],
+            "n_vertices": meshes.mesh_counts(source.surface, n)[0]}
     return {
-        "files": {"logdet.csv": _csv([(n, log_det, kernel_dim)],
+        "files": {"logdet.csv": _csv([(n, log_det, source.dim_h0)],
                                      ["n", "logdet_prime", "kernel_dim"])},
-        "meta": {"logdet_prime": log_det, "kernel_dim": kernel_dim, **meta},
+        "meta": meta,
     }
 
 
@@ -444,7 +435,6 @@ def run(args):
         "config": cfg,
         "seed": args.seed,
         "versions": {"torsionlab": __version__, "numpy": np.__version__,
-                     "scipy": _scipy_version(),
                      "python": sys.version.split()[0]},
     }
     code = 0
@@ -465,14 +455,6 @@ def run(args):
     _write_atomic(os.path.join(args.out, "meta.json"),
                   json.dumps(meta, indent=2, default=str) + "\n")
     return code
-
-
-@functools.cache
-def _scipy_version():
-    # read from the installed metadata: importing scipy costs 0.1 s, and a
-    # metadata lookup 1-2 ms, too much to repeat on every run of a process
-    import importlib.metadata
-    return importlib.metadata.version("scipy")
 
 
 # -- selftest -------------------------------------------------------------------
@@ -557,6 +539,12 @@ def selftest(seed=0):
 
     def laplacian_check():
         from . import strips
+
+        def dense(conn):
+            spec = laplacian.spectrum(laplacian.assemble(conn),
+                                      expected_kernel_dim=conn.flat_sections)
+            return laplacian.log_det_prime(spec)
+
         m = meshes.discretize(surfaces.rectangle(1, 1), 2)
         conn = bundles.trivial_connection(m, 1)
         spec = laplacian.spectrum(laplacian.assemble(conn), expected_kernel_dim=conn.flat_sections)
@@ -564,30 +552,28 @@ def selftest(seed=0):
                  f"eigenvalues {spec.eigenvalues}")
         _require(abs(laplacian.log_det_prime(spec) - math.log(16)) < 1e-12,
                  "log det' is not log 16")
-        got = laplacian.sparse_log_det(conn).log_det_prime
-        _require(abs(got - math.log(16)) < 1e-12, f"sparse log det' {got} is not log 16")
-        for surf in (surfaces.cone_model(1), surfaces.lshape()):
+        # cone(pi) turned a quarter turn: a 2 x 4 block whose W sides fold onto
+        # each other by half-turns, which the strips take turned upright
+        turned = surfaces.from_raw(
+            range(8), [((j, "E"), (4 + j, "W"), "translation") for j in range(4)]
+            + [((t, "N"), (t + 1, "S"), "translation") for t in range(8) if t % 4 < 3]
+            + [((0, "W"), (3, "W"), "half-turn"), ((1, "W"), (2, "W"), "half-turn")])
+        for surf in (surfaces.cone_model(1), surfaces.lshape(), turned):
             for n in (1, 2, 3):
-                want = laplacian.sparse_log_det(
-                    bundles.trivial_connection(meshes.discretize(surf, n), 1)).log_det_prime
+                want = dense(bundles.trivial_connection(meshes.discretize(surf, n), 1))
                 got = strips.strip_log_det(surf.complex.partner, n).log_det_prime
                 _require(abs(got - want) <= 1e-12 * abs(want),
-                         f"{surf.name} n={n} strip log det' {got} vs sparse {want}")
-        alpha, beta = 1.3, -0.7
-        rep = bundles.HolonomyRepresentation.from_phases([alpha, beta])
-        mesh = meshes.discretize(surfaces.torus(1, 1), 4)
-        got = laplacian.sparse_log_det(bundles.connection_from_holonomy(mesh, rep))
-        want = meshspectra.closed_form_log_det("torus", 1, 1, 4, alpha, beta)
-        _require(abs(got.log_det_prime - want) < 1e-12,
-                 f"sparse twisted torus log det' {got.log_det_prime} vs closed form {want}")
-        rep = bundles.random_flat_representation(mesh.surface, 2, rng)
-        got = laplacian.sparse_log_det(bundles.connection_from_holonomy(mesh, rep))
-        want = torsion.CharacterSum.from_holonomy("torus", 1, 1, rep).log_det(4)
-        _require(abs(got.log_det_prime - want) < 1e-12 * abs(want),
-                 f"sparse SU(2) torus log det' {got.log_det_prime} vs its characters {want}")
+                         f"{surf.name} n={n} strip log det' {got} vs dense {want}")
+        torus = surfaces.torus(1, 1)
+        mesh = meshes.discretize(torus, 4)
+        for rep in (bundles.HolonomyRepresentation.from_phases([1.3, -0.7]),
+                    bundles.random_flat_representation(torus, 2, rng)):
+            want = dense(bundles.connection_from_holonomy(mesh, rep))
+            got = experiments.MeshSource(torus, rep).log_det(4)
+            _require(abs(got - want) <= 1e-12 * abs(want),
+                     f"twisted torus rank {rep.rank} log det' {got} vs dense {want}")
 
-    check("log det': 2x2 grid dense and sparse, strips and sparse, twisted tori sparse and "
-          "closed form",
+    check("log det': 2x2 grid, strips and twisted tori against the dense eigensolve",
           laplacian_check)
 
     def forest_check():

@@ -18,6 +18,8 @@ fans of corners around the lattice points (`corner_fans`) and the n x n
 refinement (`refined_partner`) work on any partner array.  A complex's vertex
 classes and ``refine(n)`` read them, and so does the mesh, which is the
 refinement's partner array (``meshes``): the tiles are the mesh at n = 1.
+The strip route reads the horizontal strips (`horizontal_strips`) of the
+tiles turned upright (`upright`), with no E or W side glued by a half-turn.
 """
 
 from __future__ import annotations
@@ -167,15 +169,50 @@ def east_west_half_turns(partner):
     return np.flatnonzero((partner >= 0) & (partner & 3 == side) & ((side == E) | (side == W)))
 
 
+def upright(partner):
+    """The partner array of the same complex with no E or W side glued by a
+    half-turn: every tile reached from the smallest tile of its chain (the
+    tiles joined through their E and W sides) across an odd number of E/W
+    half-turns is turned by a half-turn, the slot relabelling ``slot ^ 2``
+    (E <-> W, N <-> S).  Its n x n refinement is the same graph, subcell (i, j)
+    of a turned tile being (n-1-i, n-1-j), so log det' and the gap are the
+    same.  ``partner`` itself when it has no E/W half-turn.
+
+    The parities agree around a cyclic chain: it holds as many E sides as W
+    sides, so its E-E and W-W pairings are equally many and its half-turns
+    even.  (An antiperiodic chain would be a Moebius band, which no
+    orientable surface holds.)
+    """
+    if not len(east_west_half_turns(partner)):
+        return partner
+    n_tiles = len(partner) // 4
+    glued = partner.tolist()
+    turned = [None] * n_tiles
+    for start in range(n_tiles):
+        if turned[start] is not None:
+            continue
+        turned[start], stack = False, [start]
+        while stack:
+            t = stack.pop()
+            for d in (E, W):
+                slot = glued[4 * t + d]
+                if slot >= 0 and turned[slot >> 2] is None:
+                    turned[slot >> 2] = turned[t] ^ (slot & 3 == d)
+                    stack.append(slot >> 2)
+    relabel = np.arange(len(partner)) ^ np.repeat(2 * np.array(turned, dtype=np.int64), 4)
+    moved = partner[relabel]
+    return np.where(moved < 0, -1, relabel[moved])
+
+
 def horizontal_strips(partner):
-    """The horizontal strips of the complex whose partner array is
-    ``partner``, as a list of `Strip`.
+    """The horizontal strips of the complex whose upright (`upright`) partner
+    array is ``partner``, as a list of `Strip`.
 
     A chain is a maximal run of tiles glued E to W by translations, a path or
     a cycle; a chain sits straight on another when every tile's N side is
     glued by a translation to the S side of the tile in the same column.
     HypothesisViolation when an E or W side is glued by a half-turn: the
-    next tile is then upside down, which no strip here holds.
+    next tile is then upside down, which no strip holds; `upright` turns it.
     """
     turned = east_west_half_turns(partner)
     if len(turned):

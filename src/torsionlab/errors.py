@@ -75,7 +75,8 @@ class HypothesisViolation(TorsionLabError):
 
 
 class BudgetExceeded(TorsionLabError):
-    """Requested computation exceeds its dense or sparse solve budget."""
+    """Requested computation exceeds its route's budget: the dense solve, the
+    strips or a closed form."""
 
 
 class SupportViolation(TorsionLabError):

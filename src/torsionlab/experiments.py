@@ -9,14 +9,14 @@ target() (None without a closed form) and label().
 - torsion.SeparableSurface (tori, cylinders, rectangles, twisted or not)
   gives log_det(n) in closed form, and its limit is the continuum torsion.
 - MeshSource is a surface with a flat bundle (the trivial one at any rank,
-  or a holonomy).  Its log_det(n) is the one dispatch of a mesh log det':
-  the trivial bundle on a gluing without E/W half-turns takes the strip
-  route (strips.strip_log_det), with no mesh built; a holonomy or such a
-  gluing meshes the surface and takes the sparse LU
-  (laplacian.sparse_log_det).  It records each n's route and its numbers as
-  the series' health.  It has no target.  Its connection(n, check_budget)
-  is also the one mesh setup of every CLI run that meshes a surface, each
-  with its own route's budget.
+  or a holonomy).  Its log_det(n) is the one dispatch of a mesh log det',
+  one route per structure and no mesh built: on a torus, cylinder or
+  rectangle, whose flat bundles split into characters, their closed form
+  (torsion.CharacterSum); on every other kind, where the only flat bundle
+  the cuts carry is the trivial one, the strip route (strips.strip_log_det).
+  It records each n's route and its numbers as the series' health.  It has
+  no target.  Its connection(n, check_budget) is the one mesh setup of
+  every CLI run that meshes a surface, each with its own budget.
 
 convergence_study runs the loop on a source.  It checks the ladder and then
 solves the largest n first, so that a ladder the extrapolation refuses, or
@@ -34,17 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .bundles import connection_from_holonomy, flat_sections_dim, trivial_connection
-from .complexes import east_west_half_turns
+from .bundles import connection_from_holonomy, trivial_connection
 from .errors import BadCuts, BisectionFailure, HypothesisViolation, SupportViolation
 from .forests import sum_in_order
-from .laplacian import (assemble, check_dense_budget, check_sparse_budget, log_det_prime,
-                        sparse_log_det, spectrum)
+from .laplacian import assemble, check_dense_budget, log_det_prime, spectrum
 from .meshes import discretize, mesh_counts
 from .meshspectra import CATALAN, LOG_SQRT2M1
 from .surfaces import (SEPARABLE_KINDS, angle_model, cone_model, geometry_summary,
                        standard_cuts)
-from .torsion import zeta_zero
+from .torsion import CharacterSum, zeta_zero
 
 
 def renormalized_logdet(logdet, rank, area, perimeter, zeta0, n):
@@ -97,9 +95,9 @@ class RenormSeries:
     extrapolated: float
     err_estimate: float
     target: float = None
-    # per n, a MeshSource's route ("strip" or "sparse"), kernel_gap and
-    # lanczos_steps, with K, strips and pivot_ratio of the strip route or nnz
-    # and factor_nnz of the sparse one; None for the other sources
+    # per n, a MeshSource's route ("closed-form" or "strip") and kernel_gap,
+    # with lanczos_steps, K, strips and pivot_ratio of the strip route; None
+    # for the other sources
     health: list = None
 
     def abs_errors(self):
@@ -138,20 +136,21 @@ def convergence_study(source, n_list):
 
 class MeshSource:
     """A surface carrying the trivial bundle at ``rank`` or the flat bundle of
-    ``rep`` at its own rank, solved at each n by the strip route or the
-    sparse log det' (``log_det``).
+    ``rep`` at its own rank, solved at each n by the closed form of its
+    characters on SEPARABLE_KINDS and by the strip route elsewhere
+    (``log_det``).
 
     Area and perimeter come from the geometry summary, and zeta(0) from the
-    holonomy's count of flat sections, which does not depend on n; a surface
-    whose tiles fall into more than one component has more flat sections
-    than that count, so it raises HypothesisViolation, and a holonomy with
-    other than one generator per standard cut raises BadCuts.  ``dim_h0``
-    is that count, and ``strip_route`` says whether log_det takes the strip
-    route: the trivial bundle on a gluing without E/W half-turns.  Each
-    log_det(n) checks its route's budget before any array or mesh is built
-    (so an over-budget n raises BudgetExceeded and builds nothing), and its
-    solve confirms the kernel and its gap; ``health[n]`` keeps the route and
-    the solve's numbers.
+    count of flat sections, which does not depend on n: the characters'
+    trivial ones on SEPARABLE_KINDS (torsion.CharacterSum, which refuses
+    generators that do not commute with BadCuts), the rank elsewhere.  A
+    surface whose tiles fall into more than one component has more flat
+    sections than that count, so it raises HypothesisViolation, and a
+    holonomy with other than one generator per standard cut raises BadCuts.
+    ``dim_h0`` is that count.  Each log_det(n) checks its route's budget
+    before any array is built (so an over-budget n raises BudgetExceeded and
+    builds nothing) and finds the kernel gap; ``health[n]`` keeps the route
+    and its numbers.
     """
 
     def __init__(self, surface, rep=None, rank=1):
@@ -170,10 +169,15 @@ class MeshSource:
         self.rank = rank if rep is None else rep.rank
         self.area = summary.area
         self.perimeter = summary.perimeter
-        self.dim_h0 = self.rank if rep is None else flat_sections_dim(rep)
+        # the characters on a separable kind; elsewhere there are no cuts, so
+        # a holonomy has no generator and the bundle is trivial at its rank
+        self.split = None
+        self.dim_h0 = self.rank
+        if surface.kind in SEPARABLE_KINDS:
+            self.split = CharacterSum.from_holonomy(surface.kind, surface.params["a"],
+                                                    surface.params["b"], rep, self.rank)
+            self.dim_h0 = self.split.dim_h0
         self.zeta0 = zeta_zero(summary, rank=self.rank, dim_h0=self.dim_h0)
-        self.strip_route = (rep is None
-                            and not len(east_west_half_turns(surface.complex.partner)))
         self.health = {}
 
     def connection(self, n, check_budget):
@@ -187,19 +191,18 @@ class MeshSource:
         return connection_from_holonomy(mesh, self.rep)
 
     def log_det(self, n):
-        """log det' at n by the strip route when ``strip_route``, else by the sparse
-        LU of the connection; ``health[n]`` records the route and its numbers."""
-        if self.strip_route:
-            from . import strips
-            res = strips.strip_log_det(self.surface.complex.partner, n, self.rank)
-            self.health[n] = {"route": "strip", "kernel_gap": res.kernel_gap,
-                              "lanczos_steps": res.lanczos_steps, "K": res.K,
-                              "strips": res.strips, "pivot_ratio": res.pivot_ratio}
-        else:
-            res = sparse_log_det(self.connection(n, check_sparse_budget))
-            self.health[n] = {"route": "sparse", "kernel_gap": res.kernel_gap,
-                              "lanczos_steps": res.lanczos_steps, "nnz": res.nnz,
-                              "factor_nnz": res.factor_nnz}
+        """log det' at n by the characters' closed form on a separable kind,
+        else by the strip route; ``health[n]`` records the route and its
+        numbers."""
+        if self.split is not None:
+            log_det = self.split.log_det(n)
+            self.health[n] = {"route": "closed-form", "kernel_gap": self.split.kernel_gap(n)}
+            return log_det
+        from . import strips
+        res = strips.strip_log_det(self.surface.complex.partner, n, self.rank)
+        self.health[n] = {"route": "strip", "kernel_gap": res.kernel_gap,
+                          "lanczos_steps": res.lanczos_steps, "K": res.K,
+                          "strips": res.strips, "pivot_ratio": res.pivot_ratio}
         return res.log_det_prime
 
     def target(self):

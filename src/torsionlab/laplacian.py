@@ -3,23 +3,16 @@
 The Laplacian acts blockwise: row v carries deg(v)*I minus the sum of
 transports into v; a loop with transport w contributes 2I - w - w* at its
 vertex, and each copy of a multi-edge is summed separately.  One triplet
-builder gives its entries; ``assemble`` scatters them into the dense matrix
-that ``spectrum`` diagonalizes, and ``sparse_log_det`` wraps them as CSC.
+builder gives its entries, and ``assemble`` scatters them into the dense
+matrix that ``spectrum`` diagonalizes: the dense eigensolve, the oracle of
+every faster route.
 
-The sparse route takes log det' without eigenvalues.  The flat sections
-span the kernel, and their values at vertex 0 span the connection's
-``flat_basis`` W (k columns).  Rotating vertex 0's fiber to [W, W-perp] and
-deleting W's k coordinates leaves a positive definite L_red, and
-log det' L = k log|V| + log det L_red (the matrix-tree theorem for flat
-unitary bundles: a flat section has the same norm at every vertex).  The
-same LU factor then confirms the kernel: k solves give it, and Lanczos on
-the pseudo-inverse gives the gap lambda_{k+1}.  SuperLU is the only scipy
-code on this route; the Lanczos loop is numpy, with its vector work in
-``einsum``, because numpy and scipy each load their own OpenBLAS and two
-thread pools taking turns spin against each other on a small machine.
-The sparse route serves a bundle given by a holonomy and a gluing with E/W
-half-turns, and is the oracle of the strip route (``strips``), which takes
-the trivial bundle with numpy alone and shares its Lanczos loop.
+``_largest_eigenvalue`` is the Lanczos loop that finds a kernel gap as the
+top eigenvalue of L^+ without eigenvalues of L: the strip route (``strips``)
+and the sparse LU of the tests' oracles apply L^+ through their factors.  Its
+vector work is in ``einsum``, not numpy's BLAS: between the sparse LU's solves,
+which run on scipy's own OpenBLAS, waking numpy's thread pool made the loop up
+to 20 times slower on two cores.
 """
 
 from __future__ import annotations
@@ -32,18 +25,13 @@ import numpy as np
 from .errors import BudgetExceeded, EmptySpectrum, KernelMismatch, LanczosNoConvergence
 
 DENSE_BUDGET = 6000      # largest r|V| assembled as a dense matrix
-# largest r|V| + 2 r^2 |E|, the stored entries before duplicates merge, that
-# the sparse route assembles: the L-shape at n = 128 (983 040) runs, n = 256
-# (3.9 million, 3.2 GB at the LU) is refused
-SPARSE_BUDGET = 2_000_000
 ZERO_EIGENVALUE_TOL = 1e-8
 PSD_TOL = 1e-10
 # relative Ritz residual at which Lanczos stops; a Ritz value of a Hermitian
 # operator lies within its residual of an eigenvalue, so the gap is this exact
 LANCZOS_TOL = 1e-8
-# Krylov vectors Lanczos keeps at most (it converges in about 10): at the
-# largest r|V| that SPARSE_BUDGET admits, about 400 000, the basis is 0.4 GB
-# of complex doubles, well under the LU's own peak there
+# Krylov vectors Lanczos keeps at most (it converges in about 10); the strip
+# route keeps fewer where its budget leaves less room (strips.STRIP_BUDGET)
 LANCZOS_MAX_STEPS = 64
 
 
@@ -51,14 +39,6 @@ def check_dense_budget(rank, n_vertices):
     """BudgetExceeded when a dense matrix of side r|V| is beyond DENSE_BUDGET."""
     if rank * n_vertices > DENSE_BUDGET:
         raise BudgetExceeded(f"dense budget: r|V| = {rank * n_vertices} > {DENSE_BUDGET}")
-
-
-def check_sparse_budget(rank, n_vertices, n_edges):
-    """BudgetExceeded when the sparse route would store more than SPARSE_BUDGET
-    entries, r|V| + 2 r^2 |E| before duplicates merge."""
-    entries = rank * n_vertices + 2 * rank * rank * n_edges
-    if entries > SPARSE_BUDGET:
-        raise BudgetExceeded(f"sparse budget: r|V| + 2r^2|E| = {entries} > {SPARSE_BUDGET}")
 
 
 def _triplets(conn, transports=None):
@@ -151,92 +131,6 @@ def log_det_prime(spec):
     if spec.eigenvalues.size == 0:
         raise EmptySpectrum("no eigenvalues")
     return math.fsum(math.log(x) for x in spec.nonzero)
-
-
-@dataclass
-class SparseLogDet:
-    """log det' from one sparse LU, with the numbers that show its health."""
-
-    log_det_prime: float
-    kernel_dim: int
-    kernel_gap: float | None    # lambda_{k+1}; None when the kernel is everything
-    nnz: int                    # stored entries of L_red
-    factor_nnz: int             # entries SuperLU stores for its L + U factors
-    lanczos_steps: int          # applications of L^+ that the gap took
-
-
-def sparse_log_det(conn):
-    """log det' of the twisted Laplacian of ``conn`` by one sparse LU of L_red
-    (see the module docstring), its kernel the connection's ``flat_basis``.
-
-    BudgetExceeded beyond SPARSE_BUDGET, checked before anything is
-    assembled.  KernelMismatch when the kernel the factor finds disagrees
-    with the flat basis: a basis vector that L does not annihilate, or a
-    gap below ZERO_EIGENVALUE_TOL.  LanczosNoConvergence when the gap is not
-    found within LANCZOS_MAX_STEPS applications of L^+.
-    """
-    # imported here only: at module level scipy would add about 0.1 s and
-    # 30 MB to every process, the many that never take this route included
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
-
-    g = conn.graph
-    r = conn.rank
-    nv = g.n_vertices
-    basis = conn.flat_basis
-    k = basis.shape[1]
-    size = r * nv
-    check_sparse_budget(r, nv, len(g.edge_u))
-    transports = conn.transports
-    if 0 < k < r:
-        # gauge vertex 0 by Q* with Q = [W, W-perp]: its first k coordinates are
-        # W's (for k = r any basis of the fiber will do, the standard one included)
-        q = np.linalg.svd(basis)[0]
-        transports = transports.copy()
-        into0, out0 = g.edge_v == 0, g.edge_u == 0
-        transports[into0] = q.conj().T @ transports[into0]
-        transports[out0] = transports[out0] @ q
-    rows, cols, vals = _triplets(conn, transports)
-    L = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
-    L.eliminate_zeros()
-    red = L[k:, k:]
-    if red.shape[0] == 0:           # one vertex, all flat: det' is the empty product
-        return SparseLogDet(k * math.log(nv), k, None, 0, 0, 0)
-    try:
-        lu = splu(red, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-    except RuntimeError as exc:     # SuperLU: exactly singular
-        raise KernelMismatch(f"reduced Laplacian is singular: more than {k} zero modes") from exc
-    ld = k * math.log(nv) + math.fsum(np.log(np.abs(lu.U.diagonal())).tolist())
-
-    # kernel: [I; -L_red^{-1} B*] with B = L[:k, k:], made orthonormal
-    kernel = np.zeros((size, 0), dtype=red.dtype)
-    if k:
-        z = -lu.solve(L[:k, k:].conj().T.toarray())
-        kernel = np.linalg.qr(np.vstack([np.eye(k, dtype=z.dtype), z]))[0]
-        if np.linalg.eigvalsh(kernel.conj().T @ (L @ kernel))[-1] >= ZERO_EIGENVALUE_TOL:
-            raise KernelMismatch(f"a flat section is not in the numerical kernel: "
-                                 f"fewer than {k} zero modes")
-
-    # L^+ b: solve on ker-perp, then project.  The projections, like the
-    # Lanczos loop, use einsum, not numpy's BLAS: SuperLU's solves run on
-    # scipy's OpenBLAS, and waking numpy's thread pool between them made the
-    # loop up to 20 times slower on two cores
-    def project(b):
-        return b - np.einsum("ij,j...->i...", kernel,
-                             np.einsum("ij,i...->j...", kernel.conj(), b))
-
-    def pinv(b):
-        x = np.zeros_like(b)
-        x[k:] = lu.solve(project(b)[k:])
-        return project(x)
-
-    top, steps = _largest_eigenvalue(pinv, size, red.dtype)
-    gap = 1.0 / top
-    if gap < ZERO_EIGENVALUE_TOL:
-        raise KernelMismatch(f"kernel gap {gap:.3e} below {ZERO_EIGENVALUE_TOL}: "
-                             f"more than {k} zero modes")
-    return SparseLogDet(ld, k, gap, red.nnz, lu.nnz, steps)
 
 
 def _largest_eigenvalue(apply, size, dtype, max_steps=None):

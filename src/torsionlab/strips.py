@@ -1,7 +1,8 @@
 """The strip route: log det' of the trivial bundle, at any rank, from closed
 forms inside horizontal strips, with numpy alone and no mesh built.
 
-The tiles fall into horizontal strips (`complexes.horizontal_strips`).
+The tiles, turned upright (`complexes.upright`), fall into horizontal strips
+(`complexes.horizontal_strips`).
 Inside a strip the mesh Laplacian is a product of a horizontal path or
 cycle and a vertical path, with closed-form eigenpairs; only the K vertices
 of the rows where strips meet (and one row of a strip that meets none) are
@@ -9,7 +10,8 @@ kept, in a dense Schur complement S: the discrete Burghelea-Friedlander-
 Kappeler gluing.  log det' = r (log|V| + the strips' closed forms + log det
 S_red), with S_red factored in place by a Cholesky; the gap comes from the
 Lanczos loop of ``laplacian`` on L^+, applied through the strips'
-eigenbases and the factor.  ``laplacian.sparse_log_det`` is its oracle.
+eigenbases and the factor.  The sparse LU of the tests' oracles is its
+reference.
 
 The callers import this module when they take the route: a process that
 never does compiles none of it.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laplacian
-from .complexes import N, S, horizontal_strips, require_subdivision
+from .complexes import N, S, horizontal_strips, require_subdivision, upright
 from .errors import BudgetExceeded, KernelMismatch
 
 # largest K^2 + sum m^2 + STRIP_VECTORS |V| doubles the strip route holds: S,
@@ -62,8 +64,9 @@ def check_strip_budget(kept, bases, n_vertices):
 
 def strip_log_det(partner, n, rank=1):
     """log det' of the Laplacian of the trivial rank-``rank`` bundle on the mesh
-    at n of the connected complex with partner array ``partner``, from its
-    horizontal strips (`complexes.horizontal_strips`), with no mesh built.
+    at n of the connected complex with partner array ``partner``, from the
+    horizontal strips (`complexes.horizontal_strips`) of its upright tiles
+    (`complexes.upright`), with no mesh built.
 
     A strip's rows between its kept rows are its interior: a product of a
     horizontal path or cycle of m vertices and a vertical path T, free at an
@@ -78,12 +81,13 @@ def strip_log_det(partner, n, rank=1):
     L^+ (`_strip_pinv`).
 
     BudgetExceeded beyond STRIP_BUDGET, checked before any array;
-    HypothesisViolation for an E or W side glued by a half-turn;
     KernelMismatch when S_red is not positive definite (a surface in more
     than one piece) or the gap is below ZERO_EIGENVALUE_TOL;
-    LanczosNoConvergence as in laplacian.sparse_log_det.
+    LanczosNoConvergence when the gap is not found within LANCZOS_MAX_STEPS
+    applications of L^+ (laplacian._largest_eigenvalue).
     """
     require_subdivision(n)
+    partner = upright(partner)
     strips = horizontal_strips(partner)
     n_vertices = len(partner) // 4 * n * n
     # the kept rows that each strip's bottom and top rows meet (None: a free

@@ -16,7 +16,11 @@ the slot -> edge map, the mesh of the refined square complex built by walking
 its dicts (`DictMesh`, whose `check` holds the array mesh to it; it refines and
 walks with the dict oracles, not with the partner arrays), and each
 forest as a `CRSF` of edge indices and (edge_index, direction) cycle lists,
-with a list of them turned back into a `CRSFTable` by interning its cycles."""
+with a list of them turned back into a `CRSFTable` by interning its cycles.
+
+log det' of any flat bundle by one sparse LU (`sparse_log_det`, scipy's
+SuperLU) is the reference of the strip route and of the characters' closed
+form beyond the dense eigensolve's sizes; the library runs on numpy alone."""
 
 import math
 from dataclasses import dataclass
@@ -24,11 +28,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from torsionlab import bundles, experiments as ex
+from torsionlab import bundles, experiments as ex, laplacian
 from torsionlab.complexes import (CORNER_ON_SIDE, CORNER_PARAM, ENTER_SIDE, EXIT_SIDE,
                                   SW, SE, NE, NW, TRANSLATION, SquareComplex, VertexClass,
                                   corner_turn, exit_slots)
-from torsionlab.errors import BisectionFailure, IndexOutOfRange, InvalidGluing, NotAClosedWalk
+from torsionlab.errors import (BisectionFailure, BudgetExceeded, IndexOutOfRange, InvalidGluing,
+                               KernelMismatch, NotAClosedWalk)
 from torsionlab.forests import CRSFTable
 from torsionlab.torsion import SeparableSurface
 
@@ -537,3 +542,124 @@ def crsf_table(crsfs):
         steps = np.array([cycles[j] for j in ids])
         walks.append((np.array(ids), steps[..., 0], steps[..., 1]))
     return CRSFTable(np.array([f.edge_indices for f in crsfs], dtype=np.int8), cycle_ids, walks)
+
+
+# -- the sparse LU -------------------------------------------------------------
+#
+# log det' without eigenvalues, at any bundle: the reference of the strip route
+# (strips.strip_log_det) and of the characters' closed form
+# (torsion.CharacterSum), as the dense eigensolve is at small sizes.  The flat
+# sections span the kernel, and their values at vertex 0 span the
+# connection's ``flat_basis`` W (k columns).  Rotating vertex 0's fiber to
+# [W, W-perp] and deleting W's k coordinates leaves a positive definite L_red,
+# and log det' L = k log|V| + log det L_red (the matrix-tree theorem for flat
+# unitary bundles: a flat section has the same norm at every vertex), from one
+# SuperLU factor of it: sum log|U_ii|.  The same factor confirms the kernel: k
+# solves give it, and Lanczos on the pseudo-inverse
+# (laplacian._largest_eigenvalue) gives the gap; a flat-basis vector outside
+# the numerical kernel, or a gap below ZERO_EIGENVALUE_TOL, is KernelMismatch.
+# The Lanczos loop is numpy, not ARPACK: numpy and scipy each load their own
+# OpenBLAS, and ARPACK's thread pool and numpy's took turns spinning against
+# each other on two cores, so a 3 ms solve sometimes took 70 ms.  SuperLU is
+# the only scipy code here.  A holonomy within about 1e-8 of trivial gives
+# L_red a pivot near 1e-15, and its LU inverse is then so far from Hermitian
+# that the Lanczos check of the true Ritz residual refuses it.
+
+# largest r|V| + 2 r^2 |E|, the stored entries before duplicates merge, that
+# the sparse LU assembles: the L-shape at n = 128 (983 040) runs, n = 256
+# (3.9 million, 3.2 GB at the LU) is refused
+SPARSE_BUDGET = 2_000_000
+
+
+def check_sparse_budget(rank, n_vertices, n_edges):
+    """BudgetExceeded when the sparse route would store more than SPARSE_BUDGET
+    entries, r|V| + 2 r^2 |E| before duplicates merge."""
+    entries = rank * n_vertices + 2 * rank * rank * n_edges
+    if entries > SPARSE_BUDGET:
+        raise BudgetExceeded(f"sparse budget: r|V| + 2r^2|E| = {entries} > {SPARSE_BUDGET}")
+
+
+@dataclass
+class SparseLogDet:
+    """log det' from one sparse LU, with the numbers that show its health."""
+
+    log_det_prime: float
+    kernel_dim: int
+    kernel_gap: float | None    # lambda_{k+1}; None when the kernel is everything
+    nnz: int                    # stored entries of L_red
+    factor_nnz: int             # entries SuperLU stores for its L + U factors
+    lanczos_steps: int          # applications of L^+ that the gap took
+
+
+def sparse_log_det(conn):
+    """log det' of the twisted Laplacian of ``conn`` by one sparse LU of L_red
+    (see the section's notes above), its kernel the connection's
+    ``flat_basis``.
+
+    BudgetExceeded beyond SPARSE_BUDGET, checked before anything is
+    assembled.  KernelMismatch when the kernel the factor finds disagrees
+    with the flat basis: a basis vector that L does not annihilate, or a
+    gap below ZERO_EIGENVALUE_TOL.  LanczosNoConvergence when the gap is not
+    found within LANCZOS_MAX_STEPS applications of L^+.
+    """
+    # imported here only: the test modules that never call it load no scipy
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    g = conn.graph
+    r = conn.rank
+    nv = g.n_vertices
+    basis = conn.flat_basis
+    k = basis.shape[1]
+    size = r * nv
+    check_sparse_budget(r, nv, len(g.edge_u))
+    transports = conn.transports
+    if 0 < k < r:
+        # gauge vertex 0 by Q* with Q = [W, W-perp]: its first k coordinates are
+        # W's (for k = r any basis of the fiber will do, the standard one included)
+        q = np.linalg.svd(basis)[0]
+        transports = transports.copy()
+        into0, out0 = g.edge_v == 0, g.edge_u == 0
+        transports[into0] = q.conj().T @ transports[into0]
+        transports[out0] = transports[out0] @ q
+    rows, cols, vals = laplacian._triplets(conn, transports)
+    L = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
+    L.eliminate_zeros()
+    red = L[k:, k:]
+    if red.shape[0] == 0:           # one vertex, all flat: det' is the empty product
+        return SparseLogDet(k * math.log(nv), k, None, 0, 0, 0)
+    try:
+        lu = splu(red, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:     # SuperLU: exactly singular
+        raise KernelMismatch(f"reduced Laplacian is singular: more than {k} zero modes") from exc
+    ld = k * math.log(nv) + math.fsum(np.log(np.abs(lu.U.diagonal())).tolist())
+
+    # kernel: [I; -L_red^{-1} B*] with B = L[:k, k:], made orthonormal
+    kernel = np.zeros((size, 0), dtype=red.dtype)
+    if k:
+        z = -lu.solve(L[:k, k:].conj().T.toarray())
+        kernel = np.linalg.qr(np.vstack([np.eye(k, dtype=z.dtype), z]))[0]
+        if np.linalg.eigvalsh(kernel.conj().T @ (L @ kernel))[-1] >= laplacian.ZERO_EIGENVALUE_TOL:
+            raise KernelMismatch(f"a flat section is not in the numerical kernel: "
+                                 f"fewer than {k} zero modes")
+
+    # L^+ b: solve on ker-perp, then project.  The projections, like the
+    # Lanczos loop, use einsum, not numpy's BLAS: SuperLU's solves run on
+    # scipy's OpenBLAS, and waking numpy's thread pool between them made the
+    # loop up to 20 times slower on two cores
+    def project(b):
+        return b - np.einsum("ij,j...->i...", kernel,
+                             np.einsum("ij,i...->j...", kernel.conj(), b))
+
+    def pinv(b):
+        x = np.zeros_like(b)
+        x[k:] = lu.solve(project(b)[k:])
+        return project(x)
+
+    top, steps = laplacian._largest_eigenvalue(pinv, size, red.dtype)
+    gap = 1.0 / top
+    if gap < laplacian.ZERO_EIGENVALUE_TOL:
+        raise KernelMismatch(f"kernel gap {gap:.3e} below {laplacian.ZERO_EIGENVALUE_TOL}: "
+                             f"more than {k} zero modes")
+    return SparseLogDet(ld, k, gap, red.nnz, lu.nnz, steps)

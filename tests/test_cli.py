@@ -30,7 +30,7 @@ def _run(tmp_path, cfg, name="cfg.json", extra=()):
 _TORUS11 = {"kind": "torus", "a": 1, "b": 1}
 _TWIST = {"alpha": 1.3, "beta": -0.7}
 # cone(pi) turned a quarter turn: a 2 x 4 block whose W sides fold onto each
-# other by half-turns, which no horizontal strip holds
+# other by half-turns, which the strip route turns upright
 _TURNED_CONE1 = {
     "kind": "raw", "tiles": [[i, j] for i in range(2) for j in range(4)],
     "pairings": ([[[[0, j], "E"], [[1, j], "W"], "translation"] for j in range(4)]
@@ -183,14 +183,14 @@ def test_budget_refusal_exits_3(tmp_path):
 
 
 def test_logdet_runs_beyond_the_dense_budget(tmp_path):
-    # the sparse route beyond the dense budget, with its health fields, against
-    # the closed form; the CLI takes that closed form itself on a rectangle
-    from torsionlab import experiments, laplacian, surfaces
+    # the sparse oracle beyond the dense budget, with its health fields,
+    # against the closed form; the CLI takes that closed form on a rectangle
+    from oracles import check_sparse_budget, sparse_log_det
+    from torsionlab import experiments, surfaces
     from torsionlab.meshspectra import closed_form_log_det
     want = closed_form_log_det("rectangle", 4, 4, 30)
-    conn = experiments.MeshSource(surfaces.rectangle(4, 4)).connection(
-        30, laplacian.check_sparse_budget)
-    res = laplacian.sparse_log_det(conn)
+    conn = experiments.MeshSource(surfaces.rectangle(4, 4)).connection(30, check_sparse_budget)
+    res = sparse_log_det(conn)
     assert abs(res.log_det_prime - want) <= 1e-10 * abs(want)
     assert res.kernel_dim == 1 and conn.graph.n_vertices == 14400
     assert 0 < res.kernel_gap < 8 and res.factor_nnz >= res.nnz > 14400
@@ -203,22 +203,21 @@ def test_logdet_runs_beyond_the_dense_budget(tmp_path):
     assert abs(meta["kernel_gap"] - res.kernel_gap) <= 1e-8 * res.kernel_gap
 
 
-def test_sparse_budget_refusal_exits_3(tmp_path):
-    # a gluing with E/W half-turns takes the sparse route
-    from torsionlab import surfaces
-    from torsionlab.laplacian import SPARSE_BUDGET
+def test_strip_budget_refusal_through_ew_half_turns_exits_3(tmp_path):
+    # a gluing with E/W half-turns takes the strip route, turned upright
+    from torsionlab import strips, surfaces
 
-    def entries(n):     # r|V| + 2 r^2 |E| at rank 1
-        nv, ne = meshes.mesh_counts(surfaces.build_surface(_TURNED_CONE1), n)
-        return nv + 2 * ne
+    def held(n):        # K^2 + sum m^2 + 16 |V|: upright, one strip 4 tiles wide, K = m = 4n
+        return 32 * n * n + strips.STRIP_VECTORS * meshes.mesh_counts(
+            surfaces.build_surface(_TURNED_CONE1), n)[0]
 
-    n = next(n for n in itertools.count(1) if entries(n) > SPARSE_BUDGET)
+    n = next(n for n in itertools.count(1) if held(n) > strips.STRIP_BUDGET)
     cfg = {"experiment": "logdet", "surface": _TURNED_CONE1, "n": n}
     code, out, peak = _traced_run(tmp_path, cfg)
     assert code == 3 and peak < 1e6
     meta = json.loads((out / "meta.json").read_text())
     assert meta["error"]["code"] == "BudgetExceeded"
-    assert "sparse budget" in meta["error"]["message"]
+    assert "strip budget" in meta["error"]["message"]
 
 
 def test_strip_budget_refusal_exits_3_without_allocating(tmp_path):
@@ -276,11 +275,11 @@ def _torus11_connection(n, *phases):
 
 def test_logdet_of_a_holonomy_within_rounding_of_trivial(tmp_path):
     # an e^{1e-9 i} twist has no flat section, but a mode of eigenvalue
-    # ~1e-18, which L_red's LU meets as a pivot of 1e-15: the sparse route
+    # ~1e-18, which L_red's LU meets as a pivot of 1e-15: the sparse oracle
     # refuses it, and the closed form of its characters gives it exactly
-    from torsionlab import laplacian
+    from oracles import sparse_log_det
     with pytest.raises(KernelMismatch):
-        laplacian.sparse_log_det(_torus11_connection(4, 1e-9, 1e-9))
+        sparse_log_det(_torus11_connection(4, 1e-9, 1e-9))
     twist = [[[math.cos(1e-9), math.sin(1e-9)]]]
     cfg = {"experiment": "logdet", "surface": _TORUS11, "n": 4,
            "bundle": {"generators": [twist, twist]}}
@@ -326,12 +325,12 @@ def _su2_split(phases):
     ids=["default", "trivial-2", "random-2", "random-3", "raw-2"])
 def test_logdet_on_a_separable_kind_takes_the_closed_form(tmp_path, monkeypatch, surface,
                                                           gens, bundle):
-    from torsionlab import experiments, laplacian
+    from torsionlab import experiments, strips
 
     def refuse(*args, **kwargs):
         raise AssertionError("the mesh route was taken")
 
-    for module, name in ((laplacian, "sparse_log_det"), (meshes, "discretize"),
+    for module, name in ((strips, "strip_log_det"), (meshes, "discretize"),
                          (experiments, "discretize")):
         monkeypatch.setattr(module, name, refuse)
     cfg = {"experiment": "logdet", "surface": surface, "n": 3}
@@ -356,8 +355,7 @@ def test_logdet_on_the_lshape_takes_the_strip_route(tmp_path, monkeypatch):
 
     monkeypatch.setattr(strips, "strip_log_det",
                         lambda *args: calls.append(args) or solve(*args))
-    for module, name in ((experiments, "sparse_log_det"), (meshes, "discretize"),
-                         (experiments, "discretize")):
+    for module, name in ((meshes, "discretize"), (experiments, "discretize")):
         monkeypatch.setattr(module, name, refuse)
     cfg = {"experiment": "logdet", "surface": {"kind": "lshape"}, "n": 2,
            "bundle": {"kind": "trivial", "rank": 2}}
@@ -375,24 +373,26 @@ def test_logdet_on_the_lshape_takes_the_strip_route(tmp_path, monkeypatch):
 @pytest.mark.parametrize("surface,bundle", [
     ({"kind": "lshape"}, {"kind": "raw", "rank": 2, "generators": []}),
     (_TURNED_CONE1, {"kind": "trivial", "rank": 2})], ids=["holonomy", "ew-half-turns"])
-def test_logdet_takes_the_sparse_route_where_strips_do_not_reach(tmp_path, monkeypatch,
-                                                                surface, bundle):
-    # a bundle given by a holonomy, and a gluing with E/W half-turns
-    from torsionlab import bundles, experiments, laplacian, surfaces
+def test_logdet_takes_the_strip_route_for_a_bare_holonomy_and_ew_half_turns(
+        tmp_path, monkeypatch, surface, bundle):
+    # a holonomy without generators is the trivial bundle at its rank, and a
+    # gluing with E/W half-turns is turned upright: both take the strips once
+    from oracles import sparse_log_det
+    from torsionlab import bundles, strips, surfaces
     calls = []
-    solve = laplacian.sparse_log_det
-    monkeypatch.setattr(experiments, "sparse_log_det",
-                        lambda conn: calls.append(conn) or solve(conn))
+    solve = strips.strip_log_det
+    monkeypatch.setattr(strips, "strip_log_det",
+                        lambda *args: calls.append(args) or solve(*args))
     cfg = {"experiment": "logdet", "surface": surface, "n": 3, "bundle": bundle}
     code, out = _run(tmp_path, cfg)
     assert code == 0 and len(calls) == 1
     meta = json.loads((out / "meta.json").read_text())
     mesh = meshes.discretize(surfaces.build_surface(surface), 3)
-    want = solve(bundles.trivial_connection(mesh, 2))
-    assert meta["route"] == "sparse" and meta["kernel_dim"] == 2
-    assert meta["logdet_prime"] == want.log_det_prime and meta["kernel_gap"] == want.kernel_gap
-    assert meta["factor_nnz"] == want.factor_nnz >= meta["nnz"] == want.nnz > 0
-    assert meta["lanczos_steps"] > 0
+    want = sparse_log_det(bundles.trivial_connection(mesh, 2))
+    assert meta["route"] == "strip" and meta["kernel_dim"] == 2
+    assert abs(meta["logdet_prime"] - want.log_det_prime) <= 1e-12 * abs(want.log_det_prime)
+    assert abs(meta["kernel_gap"] - want.kernel_gap) <= 1e-8 * want.kernel_gap
+    assert meta["K"] > 0 and meta["strips"] >= 1 and meta["lanczos_steps"] > 0
 
 
 def test_weyl_check_beyond_the_closed_form_budget_exits_3_without_allocating(tmp_path):
@@ -436,14 +436,14 @@ def test_spectrum_csv_cells_are_numbers(tmp_path):
 
 
 def test_logdet_meta_reports_lanczos_steps_and_scipy(tmp_path):
-    import scipy
+    # no run loads scipy, so meta.json records no scipy version
     from torsionlab.laplacian import LANCZOS_MAX_STEPS
     cfg = {"experiment": "logdet", "surface": {"kind": "lshape"}, "n": 4}
     code, out = _run(tmp_path, cfg)
     assert code == 0
     meta = json.loads((out / "meta.json").read_text())
     assert 1 <= meta["lanczos_steps"] <= LANCZOS_MAX_STEPS
-    assert meta["versions"]["scipy"] == scipy.__version__
+    assert "scipy" not in meta["versions"]
 
 
 def test_lanczos_cap_exits_2_with_its_error(tmp_path, monkeypatch):
@@ -469,29 +469,39 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_logdet_and_renorm_series_on_the_lshape_leave_scipy_unloaded(tmp_path):
-    # the strip route is numpy only; scipy's sparse LU is loaded by a holonomy
-    # or a gluing with E/W half-turns alone
+    # every route is numpy only: the strips, turned upright across E/W
+    # half-turns, and the characters' closed form on a torus; so is selftest
     paths = []
-    for cfg in ({"experiment": "logdet", "surface": {"kind": "lshape"}, "n": 8},
-                {"experiment": "renorm-series", "surface": {"kind": "lshape"},
-                 "n_list": [2, 4, 8]}):
-        paths.append(tmp_path / f"{cfg['experiment']}.json")
+    for i, cfg in enumerate((
+            {"experiment": "logdet", "surface": {"kind": "lshape"}, "n": 8},
+            {"experiment": "renorm-series", "surface": {"kind": "lshape"},
+             "n_list": [2, 4, 8]},
+            {"experiment": "logdet", "surface": _TURNED_CONE1, "n": 8},
+            {"experiment": "logdet", "surface": {"kind": "lshape"}, "n": 4,
+             "bundle": {"kind": "raw", "rank": 2, "generators": []}},
+            {"experiment": "logdet", "surface": _TORUS11, "n": 8,
+             "bundle": {"kind": "random", "rank": 2}},
+            {"experiment": "renorm-series", "surface": _TURNED_CONE1, "n_list": [2, 4, 8]})):
+        paths.append(tmp_path / f"{i}-{cfg['experiment']}.json")
         paths[-1].write_text(json.dumps(cfg))
-    code = ("import sys; from torsionlab import cli; "
-            "codes = [cli.main(['run', '--config', p, '--out', p + '.out']) "
-            "for p in sys.argv[1:]]; "
-            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from torsionlab import cli",
+        "codes = [cli.main(['run', '--config', p, '--out', p + '.out']) for p in sys.argv[1:]]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes.append(cli.selftest())",
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
     src = str(pathlib.Path(torsionlab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0] []"
+    assert proc.stdout.strip() == f"{[0] * (len(paths) + 1)} []"
     for path in paths:
         meta = json.loads((pathlib.Path(str(path) + ".out") / "meta.json").read_text())
         routes = [meta.get("route")] if "route" in meta else [h["route"] for h in meta["health"]]
-        assert routes and set(routes) == {"strip"}
+        assert routes and set(routes) <= {"strip", "closed-form"}
 
 
 def test_szego_and_determinism(tmp_path):
@@ -940,5 +950,18 @@ def test_logdet_of_non_commuting_generators_on_a_torus_exits_2(tmp_path, seed, r
            "bundle": {"kind": "raw", "generators": gens}}
     code, out = _run(tmp_path, cfg)
     assert code == 2
+    error = json.loads((out / "meta.json").read_text())["error"]
+    assert error["code"] == "BadCuts" and "do not commute" in error["message"]
+
+
+def test_zeta0_of_non_commuting_generators_on_a_torus_exits_2(tmp_path):
+    # the torus cannot carry them: MeshSource splits every torus bundle into
+    # characters, and refuses before zeta(0) is written
+    from torsionlab import bundles
+    rng = np.random.default_rng(0)
+    gens = [_json_matrix(bundles.random_unitary(rng, 2)) for _ in range(2)]
+    cfg = {"experiment": "zeta0", "surface": _TORUS11, "bundle": {"generators": gens}}
+    code, out = _run(tmp_path, cfg)
+    assert code == 2 and not (out / "zeta0.csv").exists()
     error = json.loads((out / "meta.json").read_text())["error"]
     assert error["code"] == "BadCuts" and "do not commute" in error["message"]

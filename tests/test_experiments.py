@@ -12,7 +12,7 @@ from torsionlab.errors import (BisectionFailure, BudgetExceeded,
                                HypothesisViolation, SupportViolation)
 from torsionlab.meshspectra import (CATALAN, closed_form_log_det,
                                     rectangle_mesh_spectrum, torus_mesh_spectrum)
-from torsionlab.torsion import SeparableSurface, zeta_zero
+from torsionlab.torsion import CLOSED_FORM_BUDGET, SeparableSurface, zeta_zero
 
 import oracles
 
@@ -169,10 +169,49 @@ def test_mesh_source_series_matches_the_dense_oracle(surf, rep):
     assert abs(got.extrapolated - want.extrapolated) < 1e-9
     assert got.target is None and want.health is None
     assert len(got.health) == 3
-    # the trivial bundle takes the strip route, a holonomy the sparse one
-    assert all(h["kernel_gap"] > 0 and h["route"] == ("sparse" if rep else "strip")
+    # a holonomy on a torus takes its characters' closed form, the trivial
+    # bundle elsewhere the strip route
+    assert all(h["kernel_gap"] > 0 and h["route"] == ("closed-form" if rep else "strip")
                for h in got.health)
-    assert all(h["factor_nnz"] >= h["nnz"] > 0 if rep else h["K"] > 0 for h in got.health)
+    assert all(h.keys() == {"route", "kernel_gap"} if rep else h["K"] > 0 for h in got.health)
+
+
+def _split_su2(phases):
+    """diag(e^{ip}, e^{-ip}) per generator, conjugated by one fixed SU(2)."""
+    g = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    return [g @ np.diag(np.exp([1j * p, -1j * p])) @ g.conj().T for p in phases]
+
+
+_HOLONOMIES = {
+    "torus11-su2-split": (surfaces.torus(1, 1),
+                          bundles.HolonomyRepresentation(2, _split_su2([0.7, 0.3]))),
+    "torus11-rank2-k1": (surfaces.torus(1, 1), bundles.HolonomyRepresentation(
+        2, [np.diag([1.0, np.exp(1j * p)]) for p in (0.9, -1.4)])),
+    "cylinder32-random2": (surfaces.cylinder(3, 2), bundles.random_flat_representation(
+        surfaces.cylinder(3, 2), 2, np.random.default_rng(3))),
+    "torus21-random3": (surfaces.torus(2, 1), bundles.random_flat_representation(
+        surfaces.torus(2, 1), 3, np.random.default_rng(4))),
+    "torus13-twist": (surfaces.torus(1, 3),
+                      bundles.HolonomyRepresentation.from_phases([2.1, -0.5])),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("name", sorted(_HOLONOMIES))
+def test_mesh_source_holonomies_equal_the_sparse_oracle(name, n):
+    # relative, or absolute where log det' is near 0 (a few vertices)
+    surface, rep = _HOLONOMIES[name]
+    source = ex.MeshSource(surface, rep)
+    got = source.log_det(n)
+    want = oracles.sparse_log_det(bundles.connection_from_holonomy(meshes.discretize(surface, n),
+                                                                   rep))
+    assert source.dim_h0 == want.kernel_dim
+    assert abs(got - want.log_det_prime) <= 1e-12 * max(1.0, abs(want.log_det_prime))
+    gap = source.health[n]["kernel_gap"]
+    assert source.health[n]["route"] == "closed-form"
+    assert (gap is None) == (want.kernel_gap is None)
+    if gap is not None:
+        assert abs(gap - want.kernel_gap) <= 1e-8 * want.kernel_gap
 
 
 def test_mesh_source_renormalizes_at_the_holonomy_rank_and_kernel():
@@ -194,8 +233,13 @@ def test_mesh_source_refuses_an_over_budget_n_before_building(monkeypatch):
     monkeypatch.setattr(meshes, "discretize", no_mesh)
     with pytest.raises(BudgetExceeded, match="strip budget"):
         ex.MeshSource(surfaces.lshape()).log_det(2048)
-    with pytest.raises(BudgetExceeded, match="sparse budget"):
-        ex.MeshSource(surfaces.lshape(), bundles.HolonomyRepresentation(1, [])).log_det(256)
+    # a bundle without generators is the trivial one, on the strips
+    with pytest.raises(BudgetExceeded, match="strip budget"):
+        ex.MeshSource(surfaces.lshape(), bundles.HolonomyRepresentation(2, [])).log_det(2048)
+    # a holonomy on a torus, by its characters
+    rep = bundles.HolonomyRepresentation.from_phases([0.4, -1.1])
+    with pytest.raises(BudgetExceeded, match="closed-form budget"):
+        ex.MeshSource(surfaces.torus(1, 1), rep).log_det(CLOSED_FORM_BUDGET + 1)
 
 
 @pytest.mark.parametrize("series,surface,ns", [

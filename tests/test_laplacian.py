@@ -1,4 +1,5 @@
-"""Laplacian assembly, spectra, determinants, discrete zeta sums."""
+"""Laplacian assembly, spectra, determinants, discrete zeta sums, and the
+sparse LU of the oracles against the dense eigensolve."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import sparse_log_det
 from torsionlab import bundles, laplacian, meshes, surfaces
 from torsionlab.errors import EmptySpectrum, KernelMismatch, LanczosNoConvergence
 from torsionlab.torsion import SeparableSurface
@@ -181,7 +183,7 @@ def test_sparse_log_det_agrees_with_the_dense_oracle(case, n, rank, bundle, gaug
             conn, [bundles.random_unitary(rng, rank) for _ in range(mesh.n_vertices)])
     dense = laplacian.spectrum(laplacian.assemble(conn), expected_kernel_dim=conn.flat_sections)
     want = laplacian.log_det_prime(dense)
-    got = laplacian.sparse_log_det(conn)
+    got = sparse_log_det(conn)
     assert got.kernel_dim == dense.kernel_dim
     assert abs(got.log_det_prime - want) <= 1e-10 * max(1.0, abs(want))
     if dense.nonzero.size:
@@ -197,7 +199,7 @@ def test_sparse_log_det_reads_the_flat_basis():
     mesh = meshes.discretize(surface, 3)
     conn = bundles.connection_from_holonomy(mesh, _partially_trivial(surface, 3, rng))
     assert conn.flat_basis.shape == (3, 1)
-    got = laplacian.sparse_log_det(conn)
+    got = sparse_log_det(conn)
     assert got.kernel_dim == 1 and got.nnz > 0 and got.factor_nnz >= got.nnz
 
 
@@ -206,13 +208,13 @@ def test_sparse_log_det_refuses_a_kernel_the_holonomy_does_not_give():
     mesh = meshes.discretize(surfaces.torus(1, 1), 4)
     rep = bundles.HolonomyRepresentation(1, [np.array([[np.exp(1e-7j)]]), np.eye(1)])
     with pytest.raises(KernelMismatch):
-        laplacian.sparse_log_det(bundles.connection_from_holonomy(mesh, rep))
+        sparse_log_det(bundles.connection_from_holonomy(mesh, rep))
     # a basis vector that is no flat section: the twisted bundle claims a kernel
     rep = bundles.HolonomyRepresentation(1, [-np.eye(1), np.eye(1)])
     twisted = bundles.connection_from_holonomy(mesh, rep)
     claimed = bundles.UnitaryConnection(mesh, 1, twisted.transports, np.eye(1))
     with pytest.raises(KernelMismatch):
-        laplacian.sparse_log_det(claimed)
+        sparse_log_det(claimed)
 
 
 @pytest.mark.parametrize("surface,n,gens", [
@@ -227,7 +229,7 @@ def test_sparse_log_det_refuses_a_holonomy_within_rounding_of_trivial(surface, n
     rep = bundles.HolonomyRepresentation(len(gens[0]), gens)
     conn = bundles.connection_from_holonomy(meshes.discretize(surface, n), rep)
     with pytest.raises(KernelMismatch, match="not Hermitian"):
-        laplacian.sparse_log_det(conn)
+        sparse_log_det(conn)
 
 
 def test_assemble_is_real_for_real_transports():
@@ -248,7 +250,7 @@ def test_sparse_log_det_on_one_vertex(rank, phase):
     conn = bundles.connection_from_holonomy(
         mesh, bundles.HolonomyRepresentation(rank, [g, np.eye(rank)]))
     dense = laplacian.spectrum(laplacian.assemble(conn), expected_kernel_dim=conn.flat_sections)
-    got = laplacian.sparse_log_det(conn)
+    got = sparse_log_det(conn)
     assert abs(got.log_det_prime - laplacian.log_det_prime(dense)) <= 1e-12
     if dense.nonzero.size:
         assert abs(got.kernel_gap - dense.nonzero[0]) <= 1e-12
@@ -311,7 +313,7 @@ def test_sparse_log_det_never_calls_arpack(monkeypatch):
         dense = laplacian.spectrum(laplacian.assemble(conn),
                                    expected_kernel_dim=conn.flat_sections)
         want = laplacian.log_det_prime(dense)
-        got = laplacian.sparse_log_det(conn)
+        got = sparse_log_det(conn)
         assert abs(got.log_det_prime - want) <= 1e-10 * abs(want)
         assert abs(got.kernel_gap - dense.nonzero[0]) <= 1e-6 * dense.nonzero[0]
         assert 1 <= got.lanczos_steps <= laplacian.LANCZOS_MAX_STEPS

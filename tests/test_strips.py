@@ -1,10 +1,14 @@
-"""The strip route (strips.strip_log_det) against its oracle, the sparse LU.
+"""The strip route (strips.strip_log_det) against its oracle, the sparse LU
+of the tests' oracles.
 
 The trivial bundle at ranks 1 to 3: log det' to 1e-12 relative and the kernel
-gap to 1e-8 relative, on every NAMED_KINDS kind on the ladder n = 1, 2, 3, 5,
-8, 16, on the L-shape and cone(3 pi) at n = 64, and on raw gluings without E
-or W half-turns at n <= 4.  A quarter turn changes the strips but not the
-mesh, so it moves log det' only by rounding, at n = 256.
+gap to 1e-8 relative, on every NAMED_KINDS kind and on cone(pi) and cone(3 pi)
+turned a quarter turn (E/W half-turns, turned upright by complexes.upright)
+on the ladder n = 1, 2, 3, 5, 8, 16, on the L-shape and cone(3 pi) at n = 64,
+and on raw gluings with E/W and N/S pairings of both kinds at n <= 4.  A
+quarter turn changes the strips but not the mesh, so it moves log det' only
+by rounding, at n = 256; turning tiles upright changes neither the mesh's
+counts nor its degrees nor its dense log det'.
 """
 
 import math
@@ -13,9 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import sparse_log_det
 from torsionlab import bundles, complexes, laplacian, meshes, strips, surfaces
 from torsionlab.complexes import E, N, S, W
-from torsionlab.errors import BudgetExceeded, HypothesisViolation, InvalidGluing, KernelMismatch
+from torsionlab.errors import BudgetExceeded, InvalidGluing, KernelMismatch
 
 RANKS = (1, 2, 3)
 LADDER = (1, 2, 3, 5, 8, 16)
@@ -38,7 +43,7 @@ H11 = surfaces.from_raw(range(5), [((t, "E"), ((t + 1) % 5, "W"), "translation")
 def _agree(surface, n, ranks=RANKS):
     mesh = meshes.discretize(surface, n)
     for rank in ranks:
-        want = laplacian.sparse_log_det(bundles.trivial_connection(mesh, rank))
+        want = sparse_log_det(bundles.trivial_connection(mesh, rank))
         got = strips.strip_log_det(surface.complex.partner, n, rank)
         assert got.kernel_dim == want.kernel_dim == rank
         assert abs(got.log_det_prime - want.log_det_prime) <= 1e-12 * abs(want.log_det_prime)
@@ -68,17 +73,16 @@ def test_strip_route_matches_the_sparse_route_at_n_64(surface, ranks):
 
 @st.composite
 def _gluings(draw):
-    """Raw tiles and pairings: E sides glued to W sides by translations (some
-    left free), and some N and S sides paired, by a translation across N and
-    S or a half-turn across equal labels."""
+    """Raw tiles and pairings: some E and W sides paired, and some N and S
+    sides, each by a translation across opposite labels or a half-turn across
+    equal ones (so E/W half-turns too)."""
     tiles = draw(st.integers(1, 4))
-    east = draw(st.permutations(range(tiles)))
-    free = draw(st.lists(st.booleans(), min_size=tiles, max_size=tiles))
-    pairs = [((t, "E"), (east[t], "W"), "translation") for t in range(tiles) if not free[t]]
-    sides = draw(st.permutations([(t, d) for t in range(tiles) for d in ("N", "S")]))
-    glued = 2 * draw(st.integers(0, tiles))
-    for a, b in zip(sides[:glued:2], sides[1:glued:2]):
-        pairs.append((a, b, "half-turn" if a[1] == b[1] else "translation"))
+    pairs = []
+    for labels in (("E", "W"), ("N", "S")):
+        sides = draw(st.permutations([(t, d) for t in range(tiles) for d in labels]))
+        glued = 2 * draw(st.integers(0, tiles))
+        for a, b in zip(sides[:glued:2], sides[1:glued:2]):
+            pairs.append((a, b, "half-turn" if a[1] == b[1] else "translation"))
     return tiles, pairs
 
 
@@ -122,8 +126,60 @@ def test_a_quarter_turn_changes_the_strips_not_the_log_det(surface):
     assert got.K != want.K or got.strips != want.strips
     assert abs(got.log_det_prime - want.log_det_prime) <= 1e-12 * want.log_det_prime
     # the turned complex is a surface of its own, on which the oracle agrees
-    cells = surface.complex.cells
-    _agree(surfaces.SquareTiledSurface(complexes.SquareComplex.from_partner(cells, turned)), 3)
+    _agree(_turned(surface), 3)
+
+
+def _turned(surface):
+    """``surface`` turned a quarter turn: a surface of its own, on the same mesh."""
+    turned = _quarter_turn(surface.complex.partner)
+    return surfaces.SquareTiledSurface(
+        complexes.SquareComplex.from_partner(surface.complex.cells, turned))
+
+
+@pytest.mark.parametrize("n", LADDER)
+@pytest.mark.parametrize("k", [1, 3], ids=["cone1", "cone3"])
+def test_strip_route_matches_the_sparse_route_across_ew_half_turns(k, n):
+    # rank 3 fits the oracle's budget on the whole ladder: 3|V| + 18|E| is
+    # 236 160 on cone(3 pi) at n = 16
+    surface = _turned(surfaces.cone_model(k))
+    assert len(complexes.east_west_half_turns(surface.complex.partner))
+    _agree(surface, n)
+
+
+def _degrees(mesh):
+    return np.sort(np.bincount(np.concatenate([mesh.edge_u, mesh.edge_v]),
+                               minlength=mesh.n_vertices))
+
+
+def _dense_log_det(mesh):
+    conn = bundles.trivial_connection(mesh, 1)
+    return laplacian.log_det_prime(laplacian.spectrum(laplacian.assemble(conn),
+                                                      expected_kernel_dim=1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gluing=_gluings())
+def test_upright_turns_tiles_without_changing_the_mesh(gluing):
+    tiles, pairs = gluing
+    try:
+        surface = surfaces.from_raw(range(tiles), pairs)
+    except InvalidGluing:
+        assume(False)
+    assume(surface.complex.n_components() == 1)
+    partner = surface.complex.partner
+    turned = complexes.upright(partner)
+    if not len(complexes.east_west_half_turns(partner)):
+        assert turned is partner
+        return
+    assert not len(complexes.east_west_half_turns(turned))
+    upright = surfaces.SquareTiledSurface(
+        complexes.SquareComplex.from_partner(surface.complex.cells, turned))
+    for n in (1, 2, 3):
+        want, got = meshes.discretize(surface, n), meshes.discretize(upright, n)
+        assert (got.n_vertices, len(got.edge_u)) == (want.n_vertices, len(want.edge_u))
+        assert np.array_equal(_degrees(got), _degrees(want))
+        ld = _dense_log_det(want)
+        assert abs(_dense_log_det(got) - ld) <= 1e-12 * max(1.0, abs(ld))
 
 
 def test_strips_read_off_the_tiles():
@@ -142,8 +198,6 @@ def test_strips_read_off_the_tiles():
 
 def test_strip_route_refuses_what_it_does_not_cover():
     cone = surfaces.cone_model(1).complex.partner
-    with pytest.raises(HypothesisViolation, match="half-turn"):
-        strips.strip_log_det(_quarter_turn(cone), 2)
     two = surfaces.from_raw(range(2), [])        # two tiles in two pieces
     with pytest.raises(KernelMismatch):
         strips.strip_log_det(two.complex.partner, 2)

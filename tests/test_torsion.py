@@ -294,7 +294,7 @@ def test_character_sum_equals_the_sparse_and_dense_mesh_routes(drawn):
     assert split.rank == rep.rank and split.dim_h0 == bundles.flat_sections_dim(rep)
     mesh = meshes.discretize(getattr(surfaces, kind)(a, b), n)
     conn = bundles.connection_from_holonomy(mesh, rep)
-    sparse = laplacian.sparse_log_det(conn)
+    sparse = oracles.sparse_log_det(conn)
     dense = laplacian.log_det_prime(laplacian.spectrum(laplacian.assemble(conn),
                                                        expected_kernel_dim=conn.flat_sections))
     got = split.log_det(n)
