@@ -6,11 +6,11 @@ monodromy around every face of the subtile complex (including the rings
 around cone points) is the identity.
 
 A walk is a pair of (W, L) integer arrays, edge indices and directions (+1
-along u -> v), one row per walk; `walk_monodromies` multiplies the
-transports along walks, for faces, CRSF cycles and loops alike.  `flat_check`
-walks only the faces through an edge whose transport is not exactly I, so
-its work follows the holonomy: none for the trivial bundle, the faces along
-the cuts for a cut-built one.
+along u -> v, -1 against, 0 on the pads past a row's end), one row per walk;
+`walk_monodromies` multiplies the transports along walks, for faces, CRSF
+cycles and loops alike.  `flat_check` walks only the faces through an edge
+whose transport is not exactly I, so its work follows the holonomy: none
+for the trivial bundle, the faces along the cuts for a cut-built one.
 
 Commuting generators split the bundle into characters, rank-1 bundles of one
 phase per generator (HolonomyRepresentation.characters); on a torus or a
@@ -183,11 +183,12 @@ def gauge_transform(conn, u):
 def walk_monodromies(conn, idx, dirs):
     """(W, r, r) ordered products of transports along the walks (idx, dirs),
     the first step's transport applied first; a step against an edge's
-    direction takes its transport's inverse.  The walks are not checked to
-    be closed (``MeshGraph.check_closed`` does that)."""
+    direction takes its transport's inverse, and a pad step (direction 0) I,
+    which keeps the word's bits.  ``MeshGraph.check_closed`` checks closure."""
     steps = conn.transports[idx]                    # (W, L, r, r)
     back = dirs < 0
     steps[back] = steps[back].conj().swapaxes(-1, -2)
+    steps[dirs == 0] = np.eye(conn.rank)
     word = steps[:, 0]
     for k in range(1, steps.shape[1]):
         word = steps[:, k] @ word

@@ -15,24 +15,25 @@ component of a CRSF has closed exactly once.  ``MAX_SUBSETS`` bounds the
 subsets of the last level, of which only the extensions of kept prefixes are
 reached.  Each vertex carries the edge bitmask of its tree path to its
 component's lowest vertex, so the edge that closes a component gives that
-component's cycle mask at once.
+component's cycle mask at once (spanning-tree growth carries no masks).
 
 `enumerate_crsfs` returns a `CRSFTable`: the edges of each forest in
 combinations order, and per forest the ids of its cycles, listed by their
 component's lowest vertex.  Each distinct cycle is walked once, starting on
 its lowest edge index traversed u -> v, and shared by every forest that
 contains it; the census classes follow that order.  The table keeps the
-cycles as walk arrays, the format of `bundles.walk_monodromies`: per cycle
-length, the cycles' ids and their (W, L) edge indices and directions, all
-cycles of all lengths walked from their masks in one array pass.  These
-arrays are the table's one representation.
+cycles as one walk, the format of `bundles.walk_monodromies`: (cycles, L)
+edge indices and directions in id order, L the longest cycle, a shorter
+cycle's row padded with direction 0 (and edge 0) past its end, every cycle
+walked from its mask in one array pass.  This walk is the table's one
+representation of its cycles.
 
 The weighted sums, the expectation and the census compute each distinct
-cycle's weight (and winding) once per call, with one `walk_monodromies` call
-(and one cut product) per cycle length, read straight from the table's walk
-arrays, multiply each forest's weights in cycle order and add the forests
-one by one in table order, so their totals are bit-identical to a per-forest
-product.  They read a `CRSFTable`, or enumerate one when given none.
+cycle's weight (and winding) once per call, with one `check_closed` and one
+`walk_monodromies` call (and one cut product) on the table's walk, multiply
+each forest's weights in cycle order and add the forests one by one in table
+order, so their totals are bit-identical to a per-forest product.  They read
+a `CRSFTable`, or enumerate one when given none.
 `crsf_census` returns its rows with that total, so `crsf-verify` weighs its
 forests once.
 """
@@ -75,7 +76,7 @@ class CRSFTable:
 
     edges: np.ndarray       # (N, |V|) edge indices per forest
     cycle_ids: np.ndarray   # (N, c_max) ids of the distinct cycles, lowest vertex first, -1 pad
-    walks: list             # per cycle length, (ids, idx, dirs): the cycles' ids and walks
+    walks: tuple            # (idx, dirs): the cycles' (cycles, L) walk in id order, 0-padded
 
     def __len__(self):
         return len(self.edges)
@@ -86,7 +87,7 @@ def _grow(mesh, links, size, cyclic):
     closes twice (``cyclic``) or at all, in combinations order, as blocks
     (edges, masks): per subset its edge indices and, lowest vertex first, the
     cycle mask of each of its components that closed, padded with 0 to the
-    block's widest row.
+    block's widest row (None when not ``cyclic``, which carries no masks).
 
     A row's masks hold, per vertex, the XOR of the edge bits on its tree path
     to its component's lowest vertex, and at that lowest vertex, whose path
@@ -115,11 +116,11 @@ def _grow(mesh, links, size, cyclic):
             bad = (mask[par, a] != 0) & (same | (mask[par, b] != 0)) if cyclic else same
             keep = np.flatnonzero(~bad)
             par, pick, u, v, a, b, same = (z[keep] for z in (par, pick, u, v, a, b, same))
-            lab, m = label[par], mask[par]
+            lab, m = label[par], None
             lo, hi = np.minimum(a, b), np.maximum(a, b)
             moved = (lab == hi[:, None]) & ~same[:, None]
             if cyclic:
-                rows = np.arange(len(par))
+                m, rows = mask[par], np.arange(len(par))
                 # p(u) ^ p(v) ^ bit(e), where a lowest vertex's own path is empty
                 x = np.where(a == u, 0, m[rows, u]) ^ np.where(b == v, 0, m[rows, v]) ^ bits[pick]
                 cycles = m[rows, a] | m[rows, b]
@@ -130,6 +131,8 @@ def _grow(mesh, links, size, cyclic):
             kids = np.column_stack([picked[par], pick])
             if d + 1 < size:
                 yield from extend(kids, lab, m)
+            elif not cyclic:
+                yield links[kids], None
             else:
                 masks = np.where(lab == np.arange(nv), m, 0)
                 width = int((masks != 0).sum(axis=1).max(initial=0))
@@ -137,14 +140,14 @@ def _grow(mesh, links, size, cyclic):
                 yield links[kids], np.take_along_axis(masks, order, axis=1)
 
     yield from extend(np.zeros((1, 0), dtype=np.int8), np.arange(nv, dtype=np.int8)[None],
-                      np.zeros((1, nv), dtype=np.int64))
+                      np.zeros((1, nv), dtype=np.int64) if cyclic else None)
 
 
 def _walks(mesh, keys):
-    """Per cycle length, (ids, idx, dirs) of the cycles on the edges of the
-    bitmasks ``keys``: the positions of the masks with that many edges, and
-    each cycle walked from its lowest edge u -> v on around, as (W, L) edge
-    indices and directions.
+    """(idx, dirs) of the cycles on the edges of the bitmasks ``keys``, in
+    their order: each cycle walked from its lowest edge u -> v on around, as
+    (cycles, L) edge indices and directions, L the longest cycle, with edge 0
+    and direction 0 on every step past a cycle's end.
 
     Each cycle edge has two ends, its tail 2t and its head 2t + 1 (t counts
     the set bits, cycle by cycle); at each vertex of a cycle two ends meet,
@@ -164,12 +167,8 @@ def _walks(mesh, keys):
         end = partner[end ^ 1]
         ends.append(end)
     ends = np.stack(ends, axis=1)
-    idx, dirs = edges[ends >> 1], 1 - 2 * (ends & 1)
-    out = []
-    for length in np.flatnonzero(np.bincount(lengths)).tolist():
-        ids = np.flatnonzero(lengths == length)
-        out.append((ids, idx[ids, :length], dirs[ids, :length]))
-    return out
+    real = np.arange(ends.shape[1]) < lengths[:, None]
+    return edges[ends >> 1] * real, (1 - 2 * (ends & 1)) * real
 
 
 def count_spanning_trees(mesh):
@@ -202,33 +201,24 @@ def enumerate_crsfs(mesh):
     return CRSFTable(edges, cycle_ids, _walks(mesh, keys[1:]))
 
 
-def _n_cycles(walks):
-    return sum(len(ids) for ids, _, _ in walks)
-
-
 def _windings(mesh, walks):
     """Each cycle's signed crossings of each standard cut of ``mesh`` (see
-    `MeshGraph.refine_cuts`), a (cycles, cuts) array; one product per length."""
+    `MeshGraph.refine_cuts`), a (cycles, cuts) array, by one product over
+    the walk (idx, dirs); a pad step, of direction 0, crosses nothing."""
+    idx, dirs = walks
     edge_cuts = mesh.refine_cuts(standard_cuts(mesh.surface))
-    windings = np.zeros((_n_cycles(walks), len(edge_cuts)), dtype=np.int64)
-    for ids, idx, dirs in walks:
-        windings[ids] = (edge_cuts[:, idx] * dirs).sum(axis=2).T
-    return windings
+    return (edge_cuts[:, idx] * dirs).sum(axis=2).T
 
 
 def _cycle_weights(conn, walks):
     """2 - w - 1/w (rank 1) or 2 - tr w (rank 2) for the monodromy w of each
-    cycle; the cycles of one length are walked together."""
-    weights = np.empty(_n_cycles(walks))
-    for ids, idx, dirs in walks:
-        conn.graph.check_closed(idx, dirs)
-        w = walk_monodromies(conn, idx, dirs)
-        if conn.rank == 1:
-            z = w[:, 0, 0]
-            weights[ids] = (2 - z - 1 / z).real
-        else:
-            weights[ids] = (2 - np.trace(w, axis1=1, axis2=2)).real
-    return weights
+    cycle of the walk (idx, dirs), all cycles walked together."""
+    conn.graph.check_closed(*walks)
+    w = walk_monodromies(conn, *walks)
+    if conn.rank == 1:
+        z = w[:, 0, 0]
+        return (2 - z - 1 / z).real
+    return (2 - np.trace(w, axis1=1, axis2=2)).real
 
 
 def _per_forest(op, values, cycle_ids, identity):

@@ -41,9 +41,9 @@ def check_dense_budget(rank, n_vertices):
         raise BudgetExceeded(f"dense budget: r|V| = {rank * n_vertices} > {DENSE_BUDGET}")
 
 
-def _triplets(conn, transports=None):
-    """(rows, cols, vals) of the Laplacian of ``conn`` with ``transports``
-    (default: its own); entries at one place add up in the order given.
+def _triplets(conn):
+    """(rows, cols, vals) of the Laplacian of ``conn``; entries at one place
+    add up in the order given.
 
     Edge by edge: I at (u, u), I at (v, v), -t at (v, u) and -t* at (u, v),
     t mapping the fiber at u to the fiber at v.  vals are real when every
@@ -51,7 +51,7 @@ def _triplets(conn, transports=None):
     """
     g = conn.graph
     r = conn.rank
-    t = conn.transports if transports is None else transports
+    t = conn.transports
     if not np.any(t.imag):
         t = t.real
     ne = len(g.edge_u)

@@ -151,13 +151,18 @@ class MeshGraph:
 
     def check_closed(self, idx, dirs):
         """NotAClosedWalk unless each row of the walks (idx, dirs), (W, L)
-        edge indices and directions, chains head to tail back to its start."""
-        forward = dirs > 0
-        head = np.where(forward, self.edge_v[idx], self.edge_u[idx])
-        tail = np.where(forward, self.edge_u[idx], self.edge_v[idx])
-        bad = np.flatnonzero(np.any(np.roll(tail, -1, axis=1) != head, axis=1))
-        if len(bad):
-            raise NotAClosedWalk(f"walk through edges {idx[bad[0]].tolist()} is not closed")
+        edge indices and directions, chains head to tail back to its start
+        by its last real step; each step after that is a pad, of direction 0."""
+        forward, real = dirs > 0, dirs != 0
+        u, v = self.edge_u[idx], self.edge_v[idx]
+        head, tail = np.where(forward, v, u), np.where(forward, u, v)
+        after = np.where(real, tail, tail[:, :1])     # a pad's tail: the start, the row's end
+        after = np.concatenate([after[:, 1:], tail[:, :1]], axis=1)
+        bad = real & (after != head)
+        bad[:, 1:] |= real[:, 1:] > real[:, :-1]         # a real step after a pad
+        if bad.any():       # reduced whole: a reduction along short rows is slow
+            walk = idx[bad.any(axis=1).argmax()].tolist()
+            raise NotAClosedWalk(f"walk through edges {walk} is not closed")
 
     def faces(self):
         """Directed edge cycles around the interior lattice points.

@@ -17,6 +17,8 @@ its dicts (`DictMesh`, whose `check` holds the array mesh to it; it refines and
 walks with the dict oracles, not with the partner arrays), and each
 forest as a `CRSF` of edge indices and (edge_index, direction) cycle lists,
 with a list of them turned back into a `CRSFTable` by interning its cycles.
+The table's cycles grouped by length, each group walked, weighed and wound
+on its own (`per_length_walks`), are the reference of its one padded walk.
 
 log det' of any flat bundle by one sparse LU (`sparse_log_det`, scipy's
 SuperLU) is the reference of the strip route and of the characters' closed
@@ -35,6 +37,7 @@ from torsionlab.complexes import (CORNER_ON_SIDE, CORNER_PARAM, ENTER_SIDE, EXIT
 from torsionlab.errors import (BisectionFailure, BudgetExceeded, IndexOutOfRange, InvalidGluing,
                                KernelMismatch, NotAClosedWalk)
 from torsionlab.forests import CRSFTable
+from torsionlab.surfaces import standard_cuts
 from torsionlab.torsion import SeparableSurface
 
 
@@ -501,12 +504,49 @@ class CRSF:
 
 def table_cycles(table):
     """The distinct cycles of a `CRSFTable` by id, each one list of
-    (edge_index, direction) steps."""
-    out = [None] * sum(len(ids) for ids, _, _ in table.walks)
-    for ids, idx, dirs in table.walks:
-        for j, i, d in zip(ids.tolist(), idx.tolist(), dirs.tolist()):
-            out[j] = list(zip(i, d))
+    (edge_index, direction) steps, its walk's pads trimmed."""
+    idx, dirs = table.walks
+    return [[(i, d) for i, d in zip(row, signs) if d] for row, signs
+            in zip(idx.tolist(), dirs.tolist())]
+
+
+def per_length_walks(table):
+    """The cycles of a `CRSFTable` grouped by length, ascending: per length
+    the cycles' ids and their unpadded (W, L) walk, each group walked on its
+    own, the reference of the table's one padded walk."""
+    idx, dirs = table.walks
+    lengths = np.count_nonzero(dirs, axis=1)
+    out = []
+    for length in np.unique(lengths).tolist():
+        ids = np.flatnonzero(lengths == length)
+        out.append((ids, idx[ids, :length], dirs[ids, :length]))
     return out
+
+
+def per_length_cycle_weights(conn, table):
+    """Reference for `forests._cycle_weights`: each cycle's weight, 2 - w - 1/w
+    (rank 1) or 2 - tr w (rank 2), the cycles of one length checked and
+    walked together."""
+    weights = np.empty(len(table.walks[0]))
+    for ids, idx, dirs in per_length_walks(table):
+        conn.graph.check_closed(idx, dirs)
+        w = bundles.walk_monodromies(conn, idx, dirs)
+        if conn.rank == 1:
+            z = w[:, 0, 0]
+            weights[ids] = (2 - z - 1 / z).real
+        else:
+            weights[ids] = (2 - np.trace(w, axis1=1, axis2=2)).real
+    return weights
+
+
+def per_length_windings(mesh, table):
+    """Reference for `forests._windings`: each cycle's signed crossings of
+    each standard cut, one product per cycle length."""
+    edge_cuts = mesh.refine_cuts(standard_cuts(mesh.surface))
+    windings = np.zeros((len(table.walks[0]), len(edge_cuts)), dtype=np.int64)
+    for ids, idx, dirs in per_length_walks(table):
+        windings[ids] = (edge_cuts[:, idx] * dirs).sum(axis=2).T
+    return windings
 
 
 def crsf_views(table):
@@ -519,7 +559,8 @@ def crsf_views(table):
 
 def crsf_table(crsfs):
     """The `CRSFTable` of a list of `CRSF` records, its cycles interned by
-    object: forests without shared cycle lists give each copy its own id."""
+    object (forests without shared cycle lists give each copy its own id)
+    and walked in one array padded with edge 0 and direction 0."""
     index = {}
     cycles = []
     rows = []
@@ -534,14 +575,11 @@ def crsf_table(crsfs):
     cycle_ids = np.full((len(rows), max(map(len, rows), default=0)), -1, dtype=np.intp)
     for r, ids in zip(cycle_ids, rows):
         r[:len(ids)] = ids
-    by_length = {}
-    for j, cyc in enumerate(cycles):
-        by_length.setdefault(len(cyc), []).append(j)
-    walks = []
-    for ids in by_length.values():
-        steps = np.array([cycles[j] for j in ids])
-        walks.append((np.array(ids), steps[..., 0], steps[..., 1]))
-    return CRSFTable(np.array([f.edge_indices for f in crsfs], dtype=np.int8), cycle_ids, walks)
+    steps = np.zeros((len(cycles), max(map(len, cycles), default=1), 2), dtype=np.intp)
+    for row, cyc in zip(steps, cycles):
+        row[:len(cyc)] = cyc
+    return CRSFTable(np.array([f.edge_indices for f in crsfs], dtype=np.int8), cycle_ids,
+                     (steps[..., 0], steps[..., 1]))
 
 
 # -- the sparse LU -------------------------------------------------------------
@@ -613,16 +651,16 @@ def sparse_log_det(conn):
     k = basis.shape[1]
     size = r * nv
     check_sparse_budget(r, nv, len(g.edge_u))
-    transports = conn.transports
     if 0 < k < r:
         # gauge vertex 0 by Q* with Q = [W, W-perp]: its first k coordinates are
         # W's (for k = r any basis of the fiber will do, the standard one included)
         q = np.linalg.svd(basis)[0]
-        transports = transports.copy()
+        transports = conn.transports.copy()
         into0, out0 = g.edge_v == 0, g.edge_u == 0
         transports[into0] = q.conj().T @ transports[into0]
         transports[out0] = transports[out0] @ q
-    rows, cols, vals = laplacian._triplets(conn, transports)
+        conn = bundles.UnitaryConnection(g, r, transports, q.conj().T @ basis)
+    rows, cols, vals = laplacian._triplets(conn)
     L = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
     L.eliminate_zeros()
     red = L[k:, k:]

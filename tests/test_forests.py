@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from torsionlab import bundles, cli, forests, laplacian, meshes, surfaces
 from torsionlab.complexes import E, HALF_TURN, N, S, SquareComplex, TRANSLATION, W
-from torsionlab.errors import (BadCuts, KernelMismatch, NegativeUnderSqrt, NotClassifiable,
-                               RankUnsupported, TooLarge)
+from torsionlab.errors import (BadCuts, KernelMismatch, NegativeUnderSqrt, NotAClosedWalk,
+                               NotClassifiable, RankUnsupported, TooLarge)
 from oracles import (all_faces_flat_check, corner_walk_faces, crsf_table, crsf_views, cycle_walk,
-                     edge_ends, step_monodromy, table_cycles)
+                     edge_ends, per_length_cycle_weights, per_length_windings, step_monodromy,
+                     table_cycles)
 
 CENSUS_HEADER = ["crsf_id", "n_components", "cycle_classes", "weight"]
 
@@ -173,6 +174,7 @@ def test_crsf_sums_are_bit_identical_to_a_loop_in_table_order():
     table = forests.enumerate_crsfs(mesh)
     terms = forests._terms(conn, table).tolist()
     winds = forests._windings(mesh, table.walks)
+    assert np.array_equal(winds, per_length_windings(mesh, table))
     total = nonc_sum = 0.0
     nonc_count = 0
     for term, ids in zip(terms, table.cycle_ids.tolist()):
@@ -419,9 +421,10 @@ def _naive_weighted_sum(conn, crsfs):
     return total
 
 
-def _walks(mesh):
-    """Every face, every distinct CRSF cycle and each generator loop of ``mesh``."""
-    walks = list(mesh.faces()) + table_cycles(forests.enumerate_crsfs(mesh))
+def _walks(mesh, table):
+    """Every face, every distinct CRSF cycle of ``table`` and each generator
+    loop of ``mesh``."""
+    walks = list(mesh.faces()) + table_cycles(table)
     for generator in (0, 1):
         try:
             walks.append(bundles.generator_loop(mesh, generator))
@@ -436,7 +439,8 @@ def _walks(mesh):
 def test_walk_monodromies_match_the_step_oracle_bit_for_bit(surface_n, seed):
     rng = np.random.default_rng(seed)
     mesh = meshes.discretize(*surface_n)
-    walks = _walks(mesh)
+    table = forests.enumerate_crsfs(mesh)
+    walks = _walks(mesh, table)
     for rank in (1, 2):
         conn = bundles.UnitaryConnection(
             mesh, rank, _random_unitary_field(rank, len(mesh.edges), rng), np.zeros((rank, 0)))
@@ -448,6 +452,10 @@ def test_walk_monodromies_match_the_step_oracle_bit_for_bit(surface_n, seed):
             got = bundles.walk_monodromies(conn, idx, dirs)
             for row, face in zip(got, zip(idx.tolist(), dirs.tolist())):
                 assert row.tobytes() == step_monodromy(conn, list(zip(*face))).tobytes()
+        # every CRSF cycle in one padded walk, as the CRSF sums walk them
+        got = bundles.walk_monodromies(conn, *table.walks)
+        for row, cycle in zip(got, table_cycles(table)):
+            assert row.tobytes() == step_monodromy(conn, cycle).tobytes()
 
 
 # one surface of each NAMED_KINDS kind and size class: cone(2pi) is a regular
@@ -481,19 +489,19 @@ def test_named_face_fans_match_the_corner_walk_oracle(surf):
 
 
 def _same_cycle_walks(mesh):
-    """The CRSF table's walk arrays equal the one-edge-at-a-time oracle's
-    walks exactly, ids in ascending mask order, lengths ascending."""
+    """The CRSF table's walk equals the one-edge-at-a-time oracle's walks
+    exactly, ids in ascending mask order, each row padded with edge 0 and
+    direction 0 past its cycle's end to the longest cycle's length."""
     table = forests.enumerate_crsfs(mesh)
     cycles, ends = table_cycles(table), edge_ends(mesh)
-    keys = [None] * len(cycles)
-    for ids, idx, dirs in table.walks:
-        assert idx.shape == dirs.shape == (len(ids), idx.shape[1])
-        for j, row, signs in zip(ids.tolist(), idx.tolist(), dirs.tolist()):
-            keys[j] = sum(1 << k for k in row)
-            assert list(zip(row, signs)) == cycle_walk(ends, keys[j]) == cycles[j]
+    idx, dirs = table.walks
+    assert idx.shape == dirs.shape == (len(cycles), max(map(len, cycles), default=1))
+    keys = []
+    for row, signs, cycle in zip(idx.tolist(), dirs.tolist(), cycles):
+        keys.append(sum(1 << k for k, _ in cycle))
+        assert cycle == cycle_walk(ends, keys[-1])
+        assert row[len(cycle):] == signs[len(cycle):] == [0] * (len(row) - len(cycle))
     assert keys == sorted(set(keys))
-    lengths = [idx.shape[1] for _, idx, _ in table.walks]
-    assert lengths == sorted(set(lengths))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -620,9 +628,9 @@ def _same_table(mesh, chunk):
     cycles = table_cycles(got)
     assert cycles == table_cycles(want)
     assert len(cycles) == len({tuple(c) for c in cycles})
-    assert len(got.walks) == len(want.walks)
+    assert len(got.walks) == len(want.walks) == 2
     for a, b in zip(got.walks, want.walks):
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -636,3 +644,66 @@ def test_block_seams_change_nothing(surf, n, chunk):
 @given(surface=glued_surfaces(), chunk=st.sampled_from([1, 7]))
 def test_block_seams_change_nothing_on_glued_surfaces(surface, chunk):
     _same_table(meshes.discretize(surface, 1), chunk)
+
+
+def test_a_padded_walk_that_does_not_close_is_refused():
+    # torus(1,1) n=2 has cycles of 2 to 4 edges: a short row closes at its
+    # last real step, and is refused once that step goes, or when a real
+    # step follows a pad, even where the steps after the pad close again
+    mesh = meshes.discretize(surfaces.torus(1, 1), 2)
+    idx, dirs = forests.enumerate_crsfs(mesh).walks
+    lengths = np.count_nonzero(dirs, axis=1)
+    j = int(np.argmin(lengths))
+    m = int(lengths[j])
+    assert 1 < m < dirs.shape[1]
+    mesh.check_closed(idx, dirs)
+    short = dirs[j:j + 1].copy()
+    short[0, m - 1] = 0                 # ends a step early, one step from its start
+    with pytest.raises(NotAClosedWalk):
+        mesh.check_closed(idx[j:j + 1], short)
+    cycle, signs = idx[j, :m], dirs[j, :m]
+    mesh.check_closed(np.tile(cycle, 2)[None], np.tile(signs, 2)[None])   # walked twice
+    with pytest.raises(NotAClosedWalk):
+        mesh.check_closed(np.concatenate([cycle, [0], cycle])[None],
+                          np.concatenate([signs, [0], signs])[None])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(surface_n=SMALL_OR_GLUED, seed=st.integers(0, 2**32 - 1))
+def test_one_walk_weighs_and_winds_as_the_per_length_walks(surface_n, seed):
+    # the one padded walk gives the bits of walking each cycle length on its
+    # own: weights, windings, census rows and the non-contractible expectation
+    rng = np.random.default_rng(seed)
+    mesh = meshes.discretize(*surface_n)
+    table = forests.enumerate_crsfs(mesh)
+    assert np.array_equal(forests._windings(mesh, table.walks), per_length_windings(mesh, table))
+    for rank in (1, 2):
+        rep = (bundles.random_flat_representation(mesh.surface, rank, rng)
+               if surfaces.standard_cuts(mesh.surface)
+               else bundles.HolonomyRepresentation(rank, []))
+        flat = bundles.gauge_transform(bundles.connection_from_holonomy(mesh, rep),
+                                       _random_unitary_field(rank, mesh.n_vertices, rng))
+        rough = bundles.UnitaryConnection(
+            mesh, rank, _random_unitary_field(rank, len(mesh.edges), rng), np.zeros((rank, 0)))
+        for conn in (flat, rough):
+            got = forests._cycle_weights(conn, table.walks)
+            assert got.tobytes() == per_length_cycle_weights(conn, table).tobytes()
+        want = {}
+        for route in ("one walk", "per length"):
+            with pytest.MonkeyPatch.context() as patch:
+                if route == "per length":
+                    patch.setattr(forests, "_cycle_weights",
+                                  lambda conn, walks: per_length_cycle_weights(conn, table))
+                    patch.setattr(forests, "_windings",
+                                  lambda mesh, walks: per_length_windings(mesh, table))
+                    patch.setattr(forests, "enumerate_crsfs", lambda mesh: table)
+                rows, total = forests.crsf_census(flat, table)
+                out = [rows, total.hex()]
+                if rank == 2 and surfaces.standard_cuts(mesh.surface):
+                    try:
+                        e, count = forests.noncontractible_expectation(flat)
+                        out.append((e.hex(), count))
+                    except NotClassifiable:
+                        out.append("no non-contractible CRSF")
+            want[route] = out
+        assert repr(want["one walk"]) == repr(want["per length"])
