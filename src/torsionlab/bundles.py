@@ -137,17 +137,14 @@ def trivial_connection(graph, rank=1):
                              eye)
 
 
-def connection_from_holonomy(graph, rep, cuts=None):
-    """Flat connection realizing ``rep``: edges crossing cut k carry generator k.
-
-    ``cuts`` are tile-level crossing maps (see surfaces.standard_cuts); when
-    omitted they default to the standard cuts of the underlying surface.  An
+def connection_from_holonomy(graph, rep):
+    """Flat connection realizing ``rep``: edges crossing cut k of the
+    surface's standard cuts (surfaces.standard_cuts) carry generator k.  An
     edge crossing several cuts carries the product of their generators, the
     first cut's applied first; an edge crossing against a cut carries the
     generator's inverse.
     """
-    if cuts is None:
-        cuts = standard_cuts(graph.surface)
+    cuts = standard_cuts(graph.surface)
     if len(cuts) != len(rep.generators):
         raise BadCuts(f"{len(cuts)} cuts for {len(rep.generators)} generators")
     r = rep.rank
@@ -220,9 +217,15 @@ def flat_check(conn):
     faces along its cuts."""
     worst = 0.0
     eye = np.eye(conn.rank)
-    moved = np.any(conn.transports != eye, axis=(1, 2))
+    # entry by entry and by flat index: numpy's reductions along the short
+    # axes of (E, r, r) and (F, L) arrays cost several times these passes
+    moved = np.zeros(len(conn.transports), dtype=bool)
+    for i, j in np.ndindex(eye.shape):
+        moved |= conn.transports[:, i, j] != eye[i, j]
     for _, idx, dirs in conn.graph.face_cycles().values():
-        rows = np.flatnonzero(moved[idx].any(axis=1))
+        hit = np.zeros(len(idx), dtype=bool)
+        hit[np.flatnonzero(moved[idx]) // idx.shape[1]] = True
+        rows = np.flatnonzero(hit)
         if len(rows):
             word = walk_monodromies(conn, idx[rows], dirs[rows])
             worst = max(worst, float(np.max(np.abs(word - eye))))

@@ -128,8 +128,10 @@ def _run_renorm_series(cfg, rng):
     for n, ld, rn, err in zip(series.ns, series.logdets, series.renorms, series.abs_errors()):
         rows.append((n, ld, rn, series.extrapolated,
                      "" if no_target else series.target, "" if no_target else err))
+    # fewer than three points give no error bar: null, as strict JSON has no NaN
+    err = None if math.isnan(series.err_estimate) else series.err_estimate
     meta = {"label": series.label, "extrapolated": series.extrapolated,
-            "err_estimate": series.err_estimate, "target": series.target}
+            "err_estimate": err, "target": series.target}
     if series.health is not None:
         meta["health"] = [{"n": n, **h} for n, h in zip(series.ns, series.health)]
     return {
@@ -295,8 +297,8 @@ def _run_torsion(cfg, rng):
 def _run_weyl_check(cfg, rng):
     s = _separable_from(cfg)
     # the largest n first: a list that ends beyond the budget builds no grid
-    spectra = [s.mesh_spectrum(n).rescaled(n) for n in reversed(cfg["n_list"])][::-1]
-    cmin, table = experiments.uniform_weyl_check(spectra)
+    spectra = [s.mesh_spectrum(n) for n in reversed(cfg["n_list"])][::-1]
+    cmin, table = experiments.uniform_weyl_check(spectra, cfg["n_list"])
     return {
         "files": {"weyl.csv": _csv(table, ["n", "argmin_i", "min_ratio"])},
         "meta": {"C_min": cmin},

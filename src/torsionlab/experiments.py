@@ -271,35 +271,31 @@ def ratio_study(setup_a, setup_b, n_list):
     return [ratios[n] for n in ns], diffs
 
 
-def uniform_weyl_check(spectra):
-    """(C_min, table): smallest lambda_i / i over all rescaled spectra and i >= 1.
-
-    Table rows are (n, argmin_i, min ratio); spectra must carry their n in meta.
-    """
+def uniform_weyl_check(spectra, n_list):
+    """(C_min, table): smallest n^2 lambda_i / i over all spectra and i >= 1,
+    the spectrum at n_list[k] being spectra[k].  Table rows are (n, argmin_i,
+    min ratio)."""
     table = []
     cmin = float("inf")
-    for spec in spectra:
-        if not spec.rescale_flag:
-            raise ValueError("uniform_weyl_check expects n^2-rescaled spectra")
+    for spec, n in zip(spectra, n_list, strict=True):
         lam = spec.eigenvalues
         if lam.size < 2:
-            raise HypothesisViolation(
-                f"the spectrum at n = {spec.meta.get('n')} has no lambda_i with i >= 1")
-        i = np.arange(1, lam.size)
-        ratios = lam[1:] / i
+            raise HypothesisViolation(f"the spectrum at n = {n} has no lambda_i with i >= 1")
+        ratios = lam[1:] * n * n / np.arange(1, lam.size)
         k = int(np.argmin(ratios))
-        table.append((spec.meta.get("n"), k + 1, float(ratios[k])))
+        table.append((n, k + 1, float(ratios[k])))
         cmin = min(cmin, float(ratios[k]))
     return cmin, table
 
 
-def weyl_slope(spec, area):
-    """Least-squares slope of lambda_i over i on [50, 200], normalized by 4 pi/A."""
+def weyl_slope(spec, n, area):
+    """Least-squares slope of n^2 lambda_i over i on [50, 200], the spectrum at
+    mesh size n, normalized by 4 pi/A."""
     lam = spec.eigenvalues
     if lam.size <= 200:
         raise ValueError("spectrum too short for the slope window")
     i = np.arange(50, 201)
-    slope = np.polyfit(i, lam[i], 1)[0]
+    slope = np.polyfit(i, lam[i] * n * n, 1)[0]
     return float(slope * area / (4 * math.pi))
 
 

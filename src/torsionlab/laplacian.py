@@ -18,7 +18,7 @@ to 20 times slower on two cores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,12 +81,11 @@ def assemble(conn):
 
 @dataclass
 class HermitianSpectrum:
-    """Sorted eigenvalues with kernel bookkeeping."""
+    """Sorted eigenvalues of the unrescaled mesh Laplacian and the kernel
+    dimension; a reader of n^2 lambda takes n beside the spectrum."""
 
     eigenvalues: np.ndarray
     kernel_dim: int
-    rescale_flag: bool = False
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.eigenvalues = np.sort(np.asarray(self.eigenvalues, dtype=float))
@@ -95,18 +94,11 @@ class HermitianSpectrum:
     def nonzero(self):
         return self.eigenvalues[self.kernel_dim:]
 
-    def rescaled(self, n):
-        """New spectrum carrying n^2 * lambda."""
-        if self.rescale_flag:
-            return self
-        return HermitianSpectrum(self.eigenvalues * n * n, self.kernel_dim,
-                                 rescale_flag=True, meta={**self.meta, "n": n})
-
     def validate(self, rank=1):
         lam = self.eigenvalues
         if lam.size and lam[0] < -PSD_TOL:
             raise KernelMismatch(f"negative eigenvalue {lam[0]:.3e}")
-        if lam.size and not self.rescale_flag and lam[-1] > 8 * rank + 1e-9:
+        if lam.size and lam[-1] > 8 * rank + 1e-9:
             raise KernelMismatch(f"eigenvalue above 8r bound: {lam[-1]:.6f}")
         return self
 
@@ -183,9 +175,7 @@ def _norm(v):
     return math.sqrt(np.einsum("i,i->", v.conj(), v).real)
 
 
-def discrete_zeta(spec, z):
-    """Finite zeta sum over the rescaled spectrum: sum (n^2 lambda)^(-z)."""
-    if not spec.rescale_flag:
-        raise ValueError("discrete_zeta needs an n^2-rescaled spectrum")
-    lam = spec.nonzero.astype(complex)
+def discrete_zeta(spec, n, z):
+    """Finite zeta sum over the spectrum at mesh size n: sum (n^2 lambda)^(-z)."""
+    lam = (spec.nonzero * n * n).astype(complex)
     return complex(np.sum(lam ** (-z)))

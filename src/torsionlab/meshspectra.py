@@ -124,12 +124,6 @@ class FourierProfile:
     def max_index(self):
         return max((max(i, j) for (i, j) in self.coeffs), default=0)
 
-    def __call__(self, x, y):
-        out = 0.0
-        for (i, j), c in self.coeffs.items():
-            out += c * math.cos(2 * math.pi * i * x / self.a) * math.cos(2 * math.pi * j * y / self.b)
-        return out
-
     def check_support(self, n):
         if self.max_index() >= min(self.a * n, self.b * n):
             raise SupportTooWide(

@@ -16,7 +16,7 @@ maps each product surface (rectangle, torus, cylinder) to which of its sides
 a and b are periodic; its gluing, its standard cuts, and elsewhere its
 factors, generator loops and embedding check all read that table.
 NAMED_KINDS maps each kind that build_surface makes by name to its
-constructor and spec fields; surface_to_spec writes the same fields back.
+constructor and spec fields.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def rescale(surface, c):
 
 
 # kind -> (constructor, its spec fields, each a positive integer): the kinds
-# build_surface makes by name, and surface_to_spec writes back
+# build_surface makes by name
 NAMED_KINDS = {"rectangle": (rectangle, ("a", "b")), "torus": (torus, ("a", "b")),
                "cylinder": (cylinder, ("a", "b")), "lshape": (lshape, ()),
                "slit": (slit, ()), "cone": (cone_model, ("k",)),
@@ -300,18 +300,6 @@ def _posint(spec, key):
     if not isinstance(v, int) or v < 1:
         raise InvalidGluing(f"field {key!r} must be a positive integer, got {v!r}")
     return v
-
-
-def surface_to_spec(surface):
-    """Inverse of build_surface: the named spec of a NAMED_KINDS surface, else raw."""
-    if surface.kind in NAMED_KINDS:
-        _, fields = NAMED_KINDS[surface.kind]
-        return {"kind": surface.kind, **{key: surface.params[key] for key in fields}}
-    tiles = [list(c) if isinstance(c, tuple) else c for c in surface.complex.cells]
-    pairs = [[[tiles[s >> 2], cx.SIDE_NAMES[s & 3]], [tiles[p >> 2], cx.SIDE_NAMES[p & 3]],
-              HALF_TURN if s & 3 == p & 3 else cx.TRANSLATION]
-             for s, p in enumerate(surface.complex.partner.tolist()) if s < p]
-    return {"kind": "raw", "tiles": tiles, "pairings": pairs}
 
 
 # -- homotopy cuts for the flat constructors --------------------------------

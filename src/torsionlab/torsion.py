@@ -49,8 +49,8 @@ ROW_DECAY = 40.0   # a continuum row at length * s >= 40 is below e^-40 < 1e-17
 # the most doubles one closed-form array may hold: a factor's length * n
 # eigenvalues (log_det, kernel_gap, the Szego traces) or the (an, bn) grid of
 # mesh_spectrum.  2^22 doubles are 34 MB, and a weyl-check holds about four
-# arrays of its grid's size at once (the sums, the sorted and the rescaled
-# spectrum, the ratios).  It admits a side of 32 at n = 2^17 and the grid of
+# arrays of its grid's size at once (the sums, the sorted spectrum, the
+# indices and the ratios).  It admits a side of 32 at n = 2^17 and the grid of
 # rectangle(1,1) at n = 2048, and refuses the 34 GB grid at n = 65536
 CLOSED_FORM_BUDGET = 2 ** 22
 
@@ -233,9 +233,7 @@ class SeparableSurface:
             raise BudgetExceeded(f"closed-form budget: the {self.label()} grid has {size:.6g} "
                                  f"entries at n = {n} > {CLOSED_FORM_BUDGET}")
         grid = fa.mesh_eigenvalues(n)[:, None] + fb.mesh_eigenvalues(n)[None, :]
-        return HermitianSpectrum(grid.ravel(), kernel_dim=self.dim_h0,
-                                 meta={"surface": f"{self.kind}({self.a},{self.b})", "n": n,
-                                       "rank": 1, "alpha": self.alpha, "beta": self.beta})
+        return HermitianSpectrum(grid.ravel(), kernel_dim=self.dim_h0)
 
     def continuum_eigenvalues(self, cutoff):
         """All continuum Laplace eigenvalues <= cutoff with multiplicity, sorted."""
@@ -245,17 +243,6 @@ class SeparableSurface:
         lb = fb.continuum_eigenvalues(cutoff)
         return sorted(x + y for x in fa.continuum_eigenvalues(cutoff) for y in lb
                       if x + y <= cutoff)
-
-    def weyl_tail(self, z, cutoff):
-        """Integral bound on sum over lambda > cutoff of lambda^-z, Re z > 1."""
-        if z <= 1:
-            raise ValueError("tail bound needs Re z > 1")
-        return self.area / (4 * math.pi) * cutoff ** (1 - z) / (z - 1)
-
-    def zeta_partial(self, z, cutoff):
-        """(truncated zeta sum, tail bound) at the given spectral cutoff."""
-        total = sum(lam ** (-z) for lam in self.continuum_eigenvalues(cutoff) if lam > 0)
-        return total, self.weyl_tail(z, cutoff)
 
     def heat_trace(self, t):
         """Tr exp(-t Delta) by rapidly convergent theta series."""

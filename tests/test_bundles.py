@@ -319,9 +319,8 @@ def test_random_su2_is_special_unitary():
 
 def test_bad_cuts_on_boundary():
     mesh = meshes.discretize(surfaces.rectangle(2, 1), 1)
-    rep = bundles.HolonomyRepresentation(1, [np.array([[1j]])])
-    with pytest.raises(BadCuts):
-        bundles.connection_from_holonomy(mesh, rep, cuts=[{((0, 0), 2): 1}])
+    with pytest.raises(BadCuts, match="boundary side"):
+        mesh.refine_cuts([{((0, 0), 2): 1}])
 
 
 @pytest.mark.parametrize("cut,match", [
@@ -331,11 +330,8 @@ def test_bad_cuts_on_boundary():
 def test_malformed_cuts_are_refused(cut, match):
     # (2, 0)'s E side is the periodic seam of cylinder(3, 1)
     mesh = meshes.discretize(surfaces.cylinder(3, 1), 2)
-    rep = bundles.HolonomyRepresentation(1, [np.array([[1j]])])
     with pytest.raises(BadCuts, match=match):
         mesh.refine_cuts([cut])
-    with pytest.raises(BadCuts, match=match):
-        bundles.connection_from_holonomy(mesh, rep, cuts=[cut])
 
 
 def _rows(phases):

@@ -53,6 +53,23 @@ def test_renorm_series_run(tmp_path):
     assert (out / "plot.svg").read_text().startswith("<svg")
 
 
+def _refuse(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("ns", [[4], [4, 8], [4, 8, 16]], ids=["one", "two", "three"])
+def test_renorm_series_meta_is_strict_json(tmp_path, ns):
+    # fewer than three points give no error bar, written as null, not NaN
+    cfg = {"experiment": "renorm-series", "surface": _TORUS11, "n_list": ns}
+    code, out = _run(tmp_path, cfg)
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text(), parse_constant=_refuse)
+    if len(ns) < 3:
+        assert meta["err_estimate"] is None
+    else:
+        assert meta["err_estimate"] > 0
+
+
 def test_crsf_verify_run(tmp_path):
     gen = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]   # diag(i, -i)
     cfg = {"experiment": "crsf-verify", "surface": {"kind": "cylinder", "a": 3, "b": 1},
@@ -641,9 +658,9 @@ def test_weyl_check_honours_the_twist(tmp_path):
     code, out = _run(tmp_path, cfg)
     assert code == 0
     setup = SeparableSurface("torus", 1, 1, 1.3, -0.7)
-    cmin, _ = uniform_weyl_check([setup.mesh_spectrum(n).rescaled(n) for n in ns])
+    cmin, _ = uniform_weyl_check([setup.mesh_spectrum(n) for n in ns], ns)
     untwisted, _ = uniform_weyl_check(
-        [SeparableSurface("torus", 1, 1).mesh_spectrum(n).rescaled(n) for n in ns])
+        [SeparableSurface("torus", 1, 1).mesh_spectrum(n) for n in ns], ns)
     assert json.loads((out / "meta.json").read_text())["C_min"] == cmin != untwisted
 
 

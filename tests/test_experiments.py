@@ -315,22 +315,26 @@ def test_corrupted_catalan_is_detected(monkeypatch):
 
 
 def test_uniform_weyl_check():
-    spectra = [rectangle_mesh_spectrum(1, 1, n).rescaled(n) for n in range(2, 17)]
-    cmin, table = ex.uniform_weyl_check(spectra)
+    ns = list(range(2, 17))
+    spectra = [rectangle_mesh_spectrum(1, 1, n) for n in ns]
+    cmin, table = ex.uniform_weyl_check(spectra, ns)
     assert cmin > 0 and len(table) == 15
-    spectra = [torus_mesh_spectrum(1, 1, n).rescaled(n) for n in range(2, 17)]
-    cmin, _ = ex.uniform_weyl_check(spectra)
+    assert [row[0] for row in table] == ns
+    spectra = [torus_mesh_spectrum(1, 1, n) for n in ns]
+    cmin, _ = ex.uniform_weyl_check(spectra, ns)
     assert cmin > 0
     # degenerate single-spectrum input: one row, C_min = min ratio of that row
-    one = [torus_mesh_spectrum(1, 1, 2).rescaled(2)]
-    cmin1, table1 = ex.uniform_weyl_check(one)
+    one = [torus_mesh_spectrum(1, 1, 2)]
+    cmin1, table1 = ex.uniform_weyl_check(one, [2])
     assert len(table1) == 1 and cmin1 == table1[0][2]
+    with pytest.raises(ValueError):
+        ex.uniform_weyl_check(one, [2, 4])
 
 
 def test_weyl_slope():
-    sl = ex.weyl_slope(torus_mesh_spectrum(1, 1, 64).rescaled(64), 1.0)
+    sl = ex.weyl_slope(torus_mesh_spectrum(1, 1, 64), 64, 1.0)
     assert abs(sl - 1.0) < 0.1
-    sl = ex.weyl_slope(rectangle_mesh_spectrum(1, 1, 64).rescaled(64), 1.0)
+    sl = ex.weyl_slope(rectangle_mesh_spectrum(1, 1, 64), 64, 1.0)
     assert abs(sl - 1.0) < 0.1
 
 

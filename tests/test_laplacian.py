@@ -109,32 +109,38 @@ def test_single_vertex_logdet_empty_product():
 def test_discrete_zeta_at_zero_counts_modes():
     mesh = meshes.discretize(surfaces.torus(1, 1), 2)
     spec = laplacian.spectrum(laplacian.assemble(bundles.trivial_connection(mesh, 1)),
-                              expected_kernel_dim=1).rescaled(2)
-    z0 = laplacian.discrete_zeta(spec, 0.0)
+                              expected_kernel_dim=1)
+    z0 = laplacian.discrete_zeta(spec, 2, 0.0)
     assert abs(z0 - (4 - 1)) < 1e-12
 
 
 def test_discrete_zeta_derivative_is_logdet():
     mesh = meshes.discretize(surfaces.rectangle(2, 1), 2)
     spec = laplacian.spectrum(laplacian.assemble(bundles.trivial_connection(mesh, 1)),
-                              expected_kernel_dim=1).rescaled(2)
+                              expected_kernel_dim=1)
     h = 1e-5
-    dz = (laplacian.discrete_zeta(spec, h) - laplacian.discrete_zeta(spec, -h)) / (2 * h)
-    assert abs(-dz.real - laplacian.log_det_prime(spec)) < 1e-8
+    dz = (laplacian.discrete_zeta(spec, 2, h) - laplacian.discrete_zeta(spec, 2, -h)) / (2 * h)
+    # the log det' of the rescaled spectrum: each nonzero mode adds log n^2
+    rescaled = laplacian.log_det_prime(spec) + spec.nonzero.size * math.log(4)
+    assert abs(-dz.real - rescaled) < 1e-8
 
 
-def test_discrete_zeta_requires_rescaling():
+def test_discrete_zeta_reads_the_spectrum_at_scale_n():
     mesh = meshes.discretize(surfaces.rectangle(1, 1), 2)
     spec = laplacian.spectrum(laplacian.assemble(bundles.trivial_connection(mesh, 1)))
-    with pytest.raises(ValueError):
-        laplacian.discrete_zeta(spec, 2.0)
+    lam = spec.nonzero * 2 * 2
+    assert laplacian.discrete_zeta(spec, 2, 2.0) == complex(np.sum(lam.astype(complex) ** -2.0))
+    # n^2 lambda: the sum at n = 2 is 2^(-2z) times the sum at n = 1
+    z = 1.5 + 0.25j
+    ratio = laplacian.discrete_zeta(spec, 2, z) / laplacian.discrete_zeta(spec, 1, z)
+    assert abs(ratio - 2.0 ** (-2 * z)) < 1e-13
 
 
 def test_discrete_zeta_approaches_continuum():
     from torsionlab.meshspectra import rectangle_mesh_spectrum
     n = 64
-    spec = rectangle_mesh_spectrum(1, 1, n).rescaled(n)
-    z2 = laplacian.discrete_zeta(spec, 2.0).real
+    spec = rectangle_mesh_spectrum(1, 1, n)
+    z2 = laplacian.discrete_zeta(spec, n, 2.0).real
     cutoff = 5e5
     lams = SeparableSurface("rectangle", 1, 1).continuum_eigenvalues(cutoff)
     cont = sum(1.0 / x ** 2 for x in lams[1:])

